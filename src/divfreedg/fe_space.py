@@ -88,6 +88,19 @@ def eval_rt_monomials(k, points):
     return vals, divs, grads
 
 
+def _matvec2(m, v):
+    """m @ v for 2x2 matrices and 2-vectors with broadcast leading axes,
+    written out elementwise: several times faster than einsum or matmul on
+    stacks of tiny blocks."""
+    return np.stack([m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1],
+                     m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1]], axis=-1)
+
+
+def _matmul2(a, b):
+    """a @ b for 2x2 matrices with broadcast leading axes, column by column."""
+    return np.stack([_matvec2(a, b[..., :, j]) for j in (0, 1)], axis=-1)
+
+
 class RTReference:
     """Reference RT_k element with moment-dual basis, built once per degree."""
 
@@ -153,66 +166,10 @@ class RTReference:
         grads = np.einsum("qmab,mc->qcab", mg, self.coeffs)
         return vals, divs, grads
 
-    def apply_dofs(self, func):
-        """Apply every reference DOF functional to a callable field on the
-        reference cell; used by the duality test."""
-        out = np.zeros(self.n_dofs)
-        row = 0
-        for i in range(3):
-            pts = self._edge_points(i)
-            vn = np.asarray([func(p) for p in pts]) @ REF_EDGE_NORMALS[i]
-            w = self._edge_w * REF_EDGE_LENGTHS[i]
-            for j in range(self.n_edge_moments):
-                out[row] = np.sum(w * self._edge_leg[:, j] * vn)
-                row += 1
-        rule = triangle_rule(2 * self.k + 4)
-        vals = np.asarray([func(p) for p in rule.points])
-        polys = self.interior_polys(rule.points)
-        for p in range(polys.shape[1]):
-            for comp in (0, 1):
-                out[row] = np.sum(rule.weights * polys[:, p] * vals[:, comp])
-                row += 1
-        return out
-
 
 @lru_cache(maxsize=None)
 def rt_reference(k):
     return RTReference(k)
-
-
-def rt_reference_basis(k, point):
-    """Evaluate the reference RT_k basis at one point.
-
-    Returns a list of (value, divergence) pairs, one per local basis function.
-    """
-    vals, divs, _ = rt_reference(k).eval_basis(np.asarray(point, dtype=float)[None, :])
-    return [(vals[0, b], divs[0, b]) for b in range(vals.shape[1])]
-
-
-def piola_map(jacobian, ref_value, ref_div=None, ref_grad=None):
-    """Contravariant Piola transform of reference evaluations.
-
-    v = J v_ref / det J, div v = div_ref / det J, grad v = J G J^{-1} / det J.
-    Leading axes broadcast, so whole tables map in one call.
-    """
-    jacobian = np.asarray(jacobian, dtype=float)
-    det = jacobian[..., 0, 0] * jacobian[..., 1, 1] - jacobian[..., 0, 1] * jacobian[..., 1, 0]
-    if np.any(det <= 0):
-        raise ValueError("degenerate cell: non-positive Jacobian determinant")
-    value = np.einsum("...ab,...b->...a", jacobian, ref_value) / det[..., None]
-    out = [value]
-    if ref_div is not None:
-        out.append(ref_div / det)
-    if ref_grad is not None:
-        inv = np.empty_like(jacobian)
-        inv[..., 0, 0] = jacobian[..., 1, 1]
-        inv[..., 1, 1] = jacobian[..., 0, 0]
-        inv[..., 0, 1] = -jacobian[..., 0, 1]
-        inv[..., 1, 0] = -jacobian[..., 1, 0]
-        inv = inv / det[..., None, None]
-        grad = np.einsum("...ag,...gd,...db->...ab", jacobian, ref_grad, inv) / det[..., None, None]
-        out.append(grad)
-    return out[0] if len(out) == 1 else tuple(out)
 
 
 @dataclass
@@ -260,9 +217,7 @@ class RTSpace:
         cell_ids = np.arange(nc)
         for i in range(3):
             f = mesh.cell_facets[:, i]
-            va = mesh.cells[:, (i + 1) % 3]
-            vb = mesh.cells[:, (i + 2) % 3]
-            sigma_t = np.where(va < vb, 1.0, -1.0)
+            sigma_t = 1.0 - 2.0 * mesh.cell_facet_reversed[:, i]
             sigma_n = np.where(mesh.facet_plus[f] == cell_ids, 1.0, -1.0)
             for j in range(ne):
                 cell_dofs[:, i * ne + j] = f * ne + j
@@ -279,9 +234,8 @@ class RTSpace:
         self.is_boundary_dof[self.boundary_dofs] = True
         self.free_dofs = np.flatnonzero(~self.is_boundary_dof)
 
-        self._cell_tables = {}
-        self._facet_tables = {}
         self._ref_tables = {}
+        self._edge_tables = {}
         self._metric = None
 
     def zero(self):
@@ -297,42 +251,22 @@ class RTSpace:
                 / self.mesh.cell_detj[:, None, None] ** 2
         return self._metric
 
-    # -- cached assembly tables ------------------------------------------------
-
-    def cell_tables(self, order):
-        """Physical basis values/divs/grads at a shared volume rule."""
-        tab = self._cell_tables.get(order)
-        if tab is not None:
-            return tab
-        mesh = self.mesh
-        rule = triangle_rule(order)
-        rv, rd, rg = self.ref.eval_basis(rule.points)
-        det = mesh.cell_detj
-        val = np.einsum("cab,qib->cqia", mesh.cell_jac, rv, optimize=True)
-        val /= det[:, None, None, None]
-        div = rd[None, :, :] / det[:, None, None]
-        grad = np.einsum("cag,qigd,cdb->cqiab", mesh.cell_jac, rg,
-                         mesh.cell_jac_inv, optimize=True)
-        grad /= det[:, None, None, None, None]
-        wdet = rule.weights[None, :] * det[:, None]
-        pts = mesh.map_to_physical(
-            np.repeat(np.arange(mesh.n_cells), len(rule.weights)),
-            np.tile(rule.points, (mesh.n_cells, 1)),
-        ).reshape(mesh.n_cells, len(rule.weights), 2)
-        tab = dict(rule=rule, val=val, div=div, grad=grad, wdet=wdet, points=pts)
-        self._cell_tables[order] = tab
-        return tab
+    # -- reference tables ----------------------------------------------------------
+    #
+    # Every integral runs on these small per-degree tables, combined at call
+    # time with the per-cell Jacobian (see ``piola`` and ``metric``).
 
     def ref_tables(self, order):
-        """Flattened reference basis tables for GEMM-style volume kernels."""
+        """Reference basis values, divergences and gradients at the volume
+        rule of ``order``, with flattened copies for GEMM-style kernels."""
         tab = self._ref_tables.get(order)
         if tab is not None:
             return tab
         rule = triangle_rule(order)
-        rv, _, rg = self.ref.eval_basis(rule.points)
+        rv, rd, rg = self.ref.eval_basis(rule.points)
         nq = len(rule.weights)
         tab = dict(
-            rule=rule,
+            rule=rule, nq=nq, val=rv, div=rd, grad=rg,
             val_flat=np.ascontiguousarray(
                 rv.transpose(1, 0, 2).reshape(self.n_loc, nq * 2)),
             grad_flat=np.ascontiguousarray(
@@ -340,58 +274,59 @@ class RTSpace:
             val_weighted=np.ascontiguousarray(
                 (rv * rule.weights[:, None, None])
                 .transpose(0, 2, 1).reshape(nq * 2, self.n_loc)),
-            nq=nq,
         )
         self._ref_tables[order] = tab
         return tab
 
-    def facet_tables(self, order):
-        """Basis traces from both sides of every facet at a shared edge rule."""
-        tab = self._facet_tables.get(order)
+    def edge_tables(self, order):
+        """Reference basis traces on the three local edges at the segment
+        rule of ``order``, in both orientations.
+
+        ``val[i, r]`` and ``grad[i, r]`` hold the traces on local edge i at
+        the points of the rule traversed from the edge's first vertex
+        (r = 0) or from its second (r = 1).  A facet's points run from its
+        lower-index vertex, so the cell that sees the facet as local edge i
+        reads orientation ``mesh.cell_facet_reversed[c, i]``, and both sides
+        of a facet then agree point by point.
+        """
+        tab = self._edge_tables.get(order)
         if tab is not None:
             return tab
-        mesh = self.mesh
         rule = segment_rule(order)
         t = rule.points
         nq = len(t)
-        nf = mesh.n_facets
-
-        a = mesh.vertices[mesh.facet_vertices[:, 0]]
-        b = mesh.vertices[mesh.facet_vertices[:, 1]]
-        pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-        weights = rule.weights[None, :] * mesh.facet_length[:, None]
-        leg = np.polynomial.legendre.legvander(2.0 * t - 1.0, self.k)
-
-        minus_safe = np.where(mesh.facet_minus < 0, mesh.facet_plus, mesh.facet_minus)
-        sides = {}
-        for name, cells in (("plus", mesh.facet_plus), ("minus", minus_safe)):
-            ref_pts = mesh.map_to_reference(
-                np.repeat(cells, nq), pts.reshape(-1, 2))
-            rv, _, rg = self.ref.eval_basis(ref_pts)
-            jac = np.repeat(mesh.cell_jac[cells], nq, axis=0)
-            det = np.repeat(mesh.cell_detj[cells], nq)
-            val = np.einsum("pab,pib->pia", jac, rv) / det[:, None, None]
-            inv = np.repeat(mesh.cell_jac_inv[cells], nq, axis=0)
-            grad = np.einsum("pag,pigd,pdb->piab", jac, rg, inv, optimize=True)
-            grad /= det[:, None, None, None]
-            sides[name] = dict(
-                val=val.reshape(nf, nq, self.n_loc, 2),
-                grad=grad.reshape(nf, nq, self.n_loc, 2, 2),
-                dofs=self.cell_dofs[cells],
-                signs=self.cell_signs[cells],
-            )
-        tab = dict(rule=rule, weights=weights, legendre=leg,
-                   plus=sides["plus"], minus=sides["minus"], points=pts)
-        # pre-sliced interior-facet arrays keep the hot convection path free
-        # of per-call fancy-index copies
-        ii = mesh.interior_facets
-        tab["interior"] = dict(
-            weights=weights[ii],
-            plus={key: sides["plus"][key][ii] for key in ("val", "dofs", "signs")},
-            minus={key: sides["minus"][key][ii] for key in ("val", "dofs", "signs")},
+        pts = []
+        for a, b in REF_EDGE_VERTICES:
+            va, vb = REF_VERTICES[a], REF_VERTICES[b]
+            for s in (t, 1.0 - t):
+                pts.append(va + s[:, None] * (vb - va))
+        rv, _, rg = self.ref.eval_basis(np.concatenate(pts))
+        val = rv.reshape(3, 2, nq, self.n_loc, 2)
+        tab = dict(
+            rule=rule, nq=nq, val=val,
+            grad=rg.reshape(3, 2, nq, self.n_loc, 2, 2),
+            val_flat=np.ascontiguousarray(
+                val.transpose(3, 0, 1, 2, 4).reshape(self.n_loc, -1)),
+            legendre=np.polynomial.legendre.legvander(2.0 * t - 1.0, self.k),
         )
-        self._facet_tables[order] = tab
+        self._edge_tables[order] = tab
         return tab
+
+    def piola(self, cells, ref_val, ref_grad=None):
+        """Contravariant Piola map of reference values (and gradients) in
+        ``cells``: v = J v_ref / det J, grad v = J G J^{-1} / det J.  The
+        cell array broadcasts against the leading axes of the tables."""
+        jac = self.mesh.cell_jac[cells] / self.mesh.cell_detj[cells][..., None, None]
+        val = _matvec2(jac, ref_val)
+        if ref_grad is None:
+            return val
+        return val, _matmul2(_matmul2(jac, ref_grad), self.mesh.cell_jac_inv[cells])
+
+    def piola_transpose(self, cells, vec):
+        """J^T vec / det J, the transpose of ``piola`` on values: it pulls a
+        physical integrand back onto the reference basis."""
+        jac = self.mesh.cell_jac[cells] / self.mesh.cell_detj[cells][..., None, None]
+        return _matvec2(np.swapaxes(jac, -1, -2), vec)
 
     def normal_trace_coeffs(self, coeffs):
         """Per-facet expansion of u . n_F in Legendre polynomials.
@@ -409,20 +344,14 @@ class RTSpace:
     def evaluate(self, coeffs, cells, ref_points, with_grad=False):
         """Field value (and broken gradient) at reference points in cells."""
         cells = np.asarray(cells, dtype=int)
-        ref_points = np.asarray(ref_points, dtype=float)
-        rv, _, rg = self.ref.eval_basis(ref_points)
-        jac = self.mesh.cell_jac[cells]
-        det = self.mesh.cell_detj[cells]
+        rv, _, rg = self.ref.eval_basis(np.asarray(ref_points, dtype=float))
         loc = coeffs[self.cell_dofs[cells]] * self.cell_signs[cells]
-        ref_val = np.einsum("...i,...ia->...a", loc, rv)
-        val = np.einsum("...ab,...b->...a", jac, ref_val) / det[..., None]
+        # optimize=True turns the broadcast contraction into one GEMM
+        ref_val = np.einsum("...i,...ia->...a", loc, rv, optimize=True)
         if not with_grad:
-            return val
-        inv = self.mesh.cell_jac_inv[cells]
-        ref_grad = np.einsum("...i,...iab->...ab", loc, rg)
-        grad = np.einsum("...ag,...gd,...db->...ab", jac, ref_grad, inv)
-        grad /= det[..., None, None]
-        return val, grad
+            return self.piola(cells, ref_val)
+        return self.piola(cells, ref_val,
+                          np.einsum("...i,...iab->...ab", loc, rg, optimize=True))
 
 
 def evaluate_field(space, coeffs, cell, ref_point):
@@ -502,18 +431,8 @@ class ScalarDGSpace:
         self.local_mass_inv = np.linalg.inv(self.local_mass)
         self.local_integrals = np.einsum("qi,q->i", mon, rule.weights)
 
-        self._cell_tables = {}
-
     def eval_ref(self, points):
         return eval_scalar_monomials(self.exponents, points)
-
-    def cell_tables(self, order):
-        tab = self._cell_tables.get(order)
-        if tab is None:
-            rule = triangle_rule(order)
-            tab = dict(rule=rule, val=self.eval_ref(rule.points))
-            self._cell_tables[order] = tab
-        return tab
 
     def evaluate(self, coeffs, cells, ref_points):
         cells = np.asarray(cells, dtype=int)
@@ -543,8 +462,7 @@ class ScalarDGSpace:
 
 __all__ = [
     "RTReference", "RTSpace", "ScalarDGSpace", "CoefVec",
-    "rt_reference", "rt_reference_basis", "piola_map",
-    "rt_interpolate", "evaluate_field",
+    "rt_reference", "rt_interpolate", "evaluate_field",
     "scalar_monomial_exponents", "eval_scalar_monomials", "eval_rt_monomials",
     "SUPPORTED_DEGREES",
 ]

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fe_space import CoefVec
-from .quadrature import triangle_rule
+from .fe_space import CoefVec, _matvec2
 
 
 def default_sigma(k):
@@ -74,10 +73,30 @@ def _values(space, field):
 
 
 def _local(space, values, cells=slice(None)):
+    """Cell-local coefficients of a global vector (the gather)."""
     return values[space.cell_dofs[cells]] * space.cell_signs[cells]
 
 
-def _to_csr(n_rows, n_cols, rows, cols, vals):
+def _scatter(space, r_loc, cells=slice(None)):
+    """Global vector summing cell-local vectors (the scatter, transpose of
+    the gather)."""
+    return np.bincount(space.cell_dofs[cells].ravel(),
+                       weights=(r_loc * space.cell_signs[cells]).ravel(),
+                       minlength=space.n_dofs)
+
+
+def _blocks(space, blk, test_cells, trial_cells):
+    """COO triplets of local blocks blk[:, i, j] = form(phi_j, phi_i), with
+    phi_j on the trial cells and phi_i on the test cells."""
+    blk = blk * space.cell_signs[test_cells][:, :, None] \
+        * space.cell_signs[trial_cells][:, None, :]
+    return (np.broadcast_to(space.cell_dofs[test_cells][:, :, None], blk.shape),
+            np.broadcast_to(space.cell_dofs[trial_cells][:, None, :], blk.shape),
+            blk)
+
+
+def _to_csr(n_rows, n_cols, triplets):
+    rows, cols, vals = zip(*triplets)
     mat = sp.coo_matrix(
         (np.concatenate([v.ravel() for v in vals]),
          (np.concatenate([r.ravel() for r in rows]),
@@ -87,17 +106,83 @@ def _to_csr(n_rows, n_cols, rows, cols, vals):
     return mat.tocsr()
 
 
+# -- the volume kernel ------------------------------------------------------------
+
+def _cell_wdet(mesh, rule):
+    return rule.weights[None, :] * mesh.cell_detj[:, None]
+
+
+def _test_cells(tab, s):
+    """Cell-local vectors sum_q w_q s_q . phi_i(x_q) det J for an integrand
+    s (nc, nq, 2) pulled back to the reference frame (s = J^T f for the
+    physical integrand f), on the volume reference tables ``tab``."""
+    return s.reshape(len(s), -1) @ tab["val_weighted"]
+
+
+# -- the facet-trace kernel -----------------------------------------------------------
+#
+# Traces live on the slots (cell, local edge) in facet-point order; facet F
+# is seen from its plus slot (facet_plus, facet_plus_local) and, inside the
+# domain, from its minus slot.
+
+def _sides(mesh, facets):
+    return ((mesh.facet_plus[facets], mesh.facet_plus_local[facets]),
+            (mesh.facet_minus[facets], mesh.facet_minus_local[facets]))
+
+
+def _edge_field(space, tab, loc):
+    """Physical traces (nc, 3, nq, 2) of the cell-local fields loc on every
+    slot: one GEMM against the edge tables in both orientations, then each
+    slot's orientation is picked and Piola-mapped."""
+    nc = len(loc)
+    ref = (loc @ tab["val_flat"]).reshape(nc, 3, 2, tab["nq"], 2)
+    cells = np.arange(nc)[:, None]
+    ref = ref[cells, np.arange(3), space.mesh.cell_facet_reversed]
+    return space.piola(cells[:, :, None], ref)
+
+
+def _test_edges(space, tab, s):
+    """Cell-local vectors sum over slots and points of s . phi_i for a
+    physical integrand s (nc, 3, nq, 2) that carries the quadrature
+    weights; the transpose of ``_edge_field``."""
+    nc = len(s)
+    cells = np.arange(nc)[:, None]
+    full = np.zeros((nc, 3, 2, tab["nq"], 2))
+    full[cells, np.arange(3), space.mesh.cell_facet_reversed] = \
+        space.piola_transpose(cells[:, :, None], s)
+    return full.reshape(nc, -1) @ tab["val_flat"].T
+
+
+def _edge_basis(space, tab, side, with_grad=False):
+    """Physical basis values (nf, nq, n_loc, 2), and with ``with_grad`` the
+    gradients (nf, nq, n_loc, 2, 2), on the slots ``side`` = (cells, local
+    edges)."""
+    cells, local = side
+    rev = space.mesh.cell_facet_reversed[cells, local]
+    return space.piola(cells[:, None, None], tab["val"][local, rev],
+                       tab["grad"][local, rev] if with_grad else None)
+
+
+def _facet_weights(mesh, tab, facets):
+    return tab["rule"].weights[None, :] * mesh.facet_length[facets][:, None]
+
+
+# -- forms ----------------------------------------------------------------------------
+
 def assemble_mass(space, order=None):
     """Velocity mass matrix, symmetric positive definite."""
     if order is None:
         order = default_cell_order(space.k)
-    tab = space.cell_tables(order)
-    loc = np.einsum("cqia,cqja,cq->cij", tab["val"], tab["val"], tab["wdet"],
+    # The projection's LU fill follows the last bits of M and B through
+    # COLAMD, so these two keep their physical-value arithmetic.
+    tab = space.ref_tables(order)
+    mesh = space.mesh
+    val = np.einsum("cab,qib->cqia", mesh.cell_jac, tab["val"], optimize=True)
+    val /= mesh.cell_detj[:, None, None, None]
+    loc = np.einsum("cqia,cqja,cq->cij", val, val, _cell_wdet(mesh, tab["rule"]),
                     optimize=True)
-    loc *= space.cell_signs[:, :, None] * space.cell_signs[:, None, :]
-    rows = np.broadcast_to(space.cell_dofs[:, :, None], loc.shape)
-    cols = np.broadcast_to(space.cell_dofs[:, None, :], loc.shape)
-    return _to_csr(space.n_dofs, space.n_dofs, [rows], [cols], [loc])
+    cells = slice(None)
+    return _to_csr(space.n_dofs, space.n_dofs, [_blocks(space, loc, cells, cells)])
 
 
 def assemble_div(space, q_space, order=None):
@@ -108,15 +193,18 @@ def assemble_div(space, q_space, order=None):
         raise ValueError("spaces live on different meshes")
     if order is None:
         order = default_cell_order(space.k)
-    tab = space.cell_tables(order)
+    tab = space.ref_tables(order)
+    mesh = space.mesh
     qv = q_space.eval_ref(tab["rule"].points)
-    loc = np.einsum("qi,cqj,cq->cij", qv, tab["div"], tab["wdet"], optimize=True)
+    div = tab["div"][None, :, :] / mesh.cell_detj[:, None, None]
+    loc = np.einsum("qi,cqj,cq->cij", qv, div, _cell_wdet(mesh, tab["rule"]),
+                    optimize=True)
     loc *= space.cell_signs[:, None, :]
-    nc = space.mesh.n_cells
+    nc = mesh.n_cells
     qdofs = np.arange(nc)[:, None] * q_space.n_loc + np.arange(q_space.n_loc)[None, :]
     rows = np.broadcast_to(qdofs[:, :, None], loc.shape)
     cols = np.broadcast_to(space.cell_dofs[:, None, :], loc.shape)
-    return _to_csr(q_space.n_dofs, space.n_dofs, [rows], [cols], [loc])
+    return _to_csr(q_space.n_dofs, space.n_dofs, [(rows, cols, loc)])
 
 
 def _facet_normal_values(space, tab, a_values):
@@ -125,11 +213,8 @@ def _facet_normal_values(space, tab, a_values):
     return coeffs @ tab["legendre"].T  # (nf, nq)
 
 
-def _upwind_weights(space, tab, a_values):
-    an = _facet_normal_values(space, tab, a_values)
-    gp = 0.5 * (np.abs(an) - an)
-    gm = -0.5 * (np.abs(an) + an)
-    return an, gp, gm
+def _upwind_weights(an):
+    return 0.5 * (np.abs(an) - an), -0.5 * (np.abs(an) + an)
 
 
 def apply_convection(space, a, w, cell_order=None, facet_order=None):
@@ -144,45 +229,34 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None):
         cell_order = default_cell_order(space.k)
     if facet_order is None:
         facet_order = default_facet_order(space.k)
-    r = np.zeros(space.n_dofs)
-
-    # Volume term on shared reference tables: with the Piola factors
-    # contracted into the cell metric A = J^T J / det^2, the integrand is
-    # w_q (Ghat_w ahat)^T A vhat, leaving three dense GEMMs per apply.
-    rtab = space.ref_tables(cell_order)
-    nq = rtab["nq"]
-    nc = space.mesh.n_cells
+    mesh = space.mesh
     a_loc = _local(space, av)
     w_loc = _local(space, wv)
-    a_hat = (a_loc @ rtab["val_flat"]).reshape(nc, nq, 2)
-    g_hat = (w_loc @ rtab["grad_flat"]).reshape(nc, nq, 2, 2)
-    t0 = g_hat[..., 0, 0] * a_hat[..., 0] + g_hat[..., 0, 1] * a_hat[..., 1]
-    t1 = g_hat[..., 1, 0] * a_hat[..., 0] + g_hat[..., 1, 1] * a_hat[..., 1]
-    metric = space.metric
-    s = np.empty((nc, nq, 2))
-    s[..., 0] = t0 * metric[:, None, 0, 0] + t1 * metric[:, None, 1, 0]
-    s[..., 1] = t0 * metric[:, None, 0, 1] + t1 * metric[:, None, 1, 1]
-    r_loc = s.reshape(nc, nq * 2) @ rtab["val_weighted"]
-    np.add.at(r, space.cell_dofs, r_loc * space.cell_signs)
 
-    ftab = space.facet_tables(facet_order)
-    ii = space.mesh.interior_facets
-    _, gp, gm = _upwind_weights(space, ftab, av)
-    itab = ftab["interior"]
-    wq = itab["weights"]
-    plus, minus = itab["plus"], itab["minus"]
-    wp = np.einsum("fi,fqia->fqa", wv[plus["dofs"]] * plus["signs"],
-                   plus["val"], optimize=True)
-    wm = np.einsum("fi,fqia->fqa", wv[minus["dofs"]] * minus["signs"],
-                   minus["val"], optimize=True)
-    wjump = wp - wm
-    rp = np.einsum("fqa,fqia->fi", (wq * gp[ii])[:, :, None] * wjump,
-                   plus["val"], optimize=True)
-    rm = np.einsum("fqa,fqia->fi", (wq * gm[ii])[:, :, None] * wjump,
-                   minus["val"], optimize=True)
-    np.add.at(r, plus["dofs"], rp * plus["signs"])
-    np.add.at(r, minus["dofs"], rm * minus["signs"])
-    return r
+    # Volume term: with the Piola factors contracted into the cell metric
+    # A = J^T J / det^2, the integrand is w_q (Ghat_w ahat)^T A vhat,
+    # leaving three dense GEMMs per apply.
+    tab = space.ref_tables(cell_order)
+    nq = tab["nq"]
+    nc = mesh.n_cells
+    a_hat = (a_loc @ tab["val_flat"]).reshape(nc, nq, 2)
+    g_hat = (w_loc @ tab["grad_flat"]).reshape(nc, nq, 2, 2)
+    r_loc = _test_cells(tab, _matvec2(space.metric[:, None], _matvec2(g_hat, a_hat)))
+
+    # Facets: the upwind weight times the jump w+ - w-, tested on both
+    # sides of every interior facet.
+    etab = space.edge_tables(facet_order)
+    ii = mesh.interior_facets
+    gp, gm = _upwind_weights(_facet_normal_values(space, etab, av)[ii])
+    wq = _facet_weights(mesh, etab, ii)
+    plus, minus = _sides(mesh, ii)
+    trace = _edge_field(space, etab, w_loc)
+    jump = trace[plus] - trace[minus]
+    s = np.zeros_like(trace)
+    s[plus] = (wq * gp)[..., None] * jump
+    s[minus] = (wq * gm)[..., None] * jump
+    r_loc += _test_edges(space, etab, s)
+    return _scatter(space, r_loc)
 
 
 def convection_matrix(space, a, cell_order=None, facet_order=None):
@@ -192,39 +266,39 @@ def convection_matrix(space, a, cell_order=None, facet_order=None):
         cell_order = default_cell_order(space.k)
     if facet_order is None:
         facet_order = default_facet_order(space.k)
+    mesh = space.mesh
+    nc, n_loc = mesh.n_cells, space.n_loc
 
-    rows, cols, vals = [], [], []
+    # volume: the apply_convection integrand with each trial basis function
+    # in place of w, loc[c, i, j] = sum_q w_q (A Ghat_j ahat) . vhat_i
+    tab = space.ref_tables(cell_order)
+    nq = tab["nq"]
+    a_hat = (_local(space, av) @ tab["val_flat"]).reshape(nc, nq, 1, 2)
+    s = _matvec2(space.metric[:, None, None], _matvec2(tab["grad"], a_hat))
+    loc = _test_cells(tab, s.transpose(0, 2, 1, 3).reshape(nc * n_loc, nq, 2)) \
+        .reshape(nc, n_loc, n_loc).transpose(0, 2, 1)
 
-    tab = space.cell_tables(cell_order)
-    a_loc = _local(space, av)
-    a_q = np.einsum("ci,cqia->cqa", a_loc, tab["val"], optimize=True)
-    loc = np.einsum("cqjab,cqb,cqia,cq->cij", tab["grad"], a_q, tab["val"],
-                    tab["wdet"], optimize=True)
-    loc *= space.cell_signs[:, :, None] * space.cell_signs[:, None, :]
-    rows.append(np.broadcast_to(space.cell_dofs[:, :, None], loc.shape))
-    cols.append(np.broadcast_to(space.cell_dofs[:, None, :], loc.shape))
-    vals.append(loc)
+    # facets: blocks of the upwind weight times the jump trial, tested on
+    # each side; the same-side blocks go to their slots and join the volume
+    # blocks, so only the cross-side ones add triplets
+    etab = space.edge_tables(facet_order)
+    ii = mesh.interior_facets
+    gp, gm = _upwind_weights(_facet_normal_values(space, etab, av)[ii])
+    wq = _facet_weights(mesh, etab, ii)
+    plus, minus = _sides(mesh, ii)
+    vp, vm = _edge_basis(space, etab, plus), _edge_basis(space, etab, minus)
 
-    ftab = space.facet_tables(facet_order)
-    ii = space.mesh.interior_facets
-    _, gp, gm = _upwind_weights(space, ftab, av)
-    itab = ftab["interior"]
-    wq = itab["weights"]
-    sides = {
-        "+": (itab["plus"]["val"], itab["plus"]["dofs"], itab["plus"]["signs"]),
-        "-": (itab["minus"]["val"], itab["minus"]["dofs"], itab["minus"]["signs"]),
-    }
-    for test, g in (("+", gp[ii]), ("-", gm[ii])):
-        tval, tdofs, tsigns = sides[test]
-        for trial, jump_sign in (("+", 1.0), ("-", -1.0)):
-            rval, rdofs, rsigns = sides[trial]
-            blk = jump_sign * np.einsum("fq,fqja,fqia->fij", wq * g, rval, tval,
-                                        optimize=True)
-            blk *= tsigns[:, :, None] * rsigns[:, None, :]
-            rows.append(np.broadcast_to(tdofs[:, :, None], blk.shape))
-            cols.append(np.broadcast_to(rdofs[:, None, :], blk.shape))
-            vals.append(blk)
-    return _to_csr(space.n_dofs, space.n_dofs, rows, cols, vals)
+    def pair(g, trial, test):
+        return np.einsum("fq,fqja,fqia->fij", wq * g, trial, test, optimize=True)
+
+    same = np.zeros((nc, 3, n_loc, n_loc))
+    same[plus] = pair(gp, vp, vp)
+    same[minus] = -pair(gm, vm, vm)
+    cells = slice(None)
+    triplets = [_blocks(space, loc + same.sum(axis=1), cells, cells),
+                _blocks(space, -pair(gp, vm, vp), plus[0], minus[0]),
+                _blocks(space, pair(gm, vp, vm), minus[0], plus[0])]
+    return _to_csr(space.n_dofs, space.n_dofs, triplets)
 
 
 def jump_seminorm(space, a, v, facet_order=None):
@@ -233,21 +307,14 @@ def jump_seminorm(space, a, v, facet_order=None):
     vv = _values(space, v)
     if facet_order is None:
         facet_order = default_facet_order(space.k)
-    ftab = space.facet_tables(facet_order)
-    ii = space.mesh.interior_facets
-    an = _facet_normal_values(space, ftab, av)[ii]
-    itab = ftab["interior"]
-    plus, minus = itab["plus"], itab["minus"]
-    vp = np.einsum("fi,fqia->fqa", vv[plus["dofs"]] * plus["signs"],
-                   plus["val"], optimize=True)
-    vm = np.einsum("fi,fqia->fqa", vv[minus["dofs"]] * minus["signs"],
-                   minus["val"], optimize=True)
-    jump2 = np.sum((vp - vm) ** 2, axis=-1)
-    return float(np.sum(itab["weights"] * 0.5 * np.abs(an) * jump2))
-
-
-def _facet_grads(space, tab, side, facets):
-    return tab[side]["grad"][facets]
+    mesh = space.mesh
+    etab = space.edge_tables(facet_order)
+    ii = mesh.interior_facets
+    an = _facet_normal_values(space, etab, av)[ii]
+    plus, minus = _sides(mesh, ii)
+    trace = _edge_field(space, etab, _local(space, vv))
+    jump2 = np.sum((trace[plus] - trace[minus]) ** 2, axis=-1)
+    return float(np.sum(_facet_weights(mesh, etab, ii) * 0.5 * np.abs(an) * jump2))
 
 
 def assemble_sip(space, params=None):
@@ -259,54 +326,40 @@ def assemble_sip(space, params=None):
     params = (params or FormParams()).resolve(space.k)
     if params.sigma <= 0:
         raise ValueError("SIP penalty sigma must be positive")
-    cell_order = params.cell_order
-    facet_order = params.facet_order
-
-    rows, cols, vals = [], [], []
-
-    tab = space.cell_tables(cell_order)
-    loc = np.einsum("cqiab,cqjab,cq->cij", tab["grad"], tab["grad"], tab["wdet"],
-                    optimize=True)
-    loc *= space.cell_signs[:, :, None] * space.cell_signs[:, None, :]
-    rows.append(np.broadcast_to(space.cell_dofs[:, :, None], loc.shape))
-    cols.append(np.broadcast_to(space.cell_dofs[:, None, :], loc.shape))
-    vals.append(loc)
-
-    ftab = space.facet_tables(facet_order)
     mesh = space.mesh
-    penalty = params.sigma / mesh.facet_length
 
+    tab = space.ref_tables(params.cell_order)
+    cells = np.arange(mesh.n_cells)
+    _, grad = space.piola(cells[:, None, None], tab["val"], tab["grad"])
+    loc = np.einsum("cqiab,cqjab,cq->cij", grad, grad, _cell_wdet(mesh, tab["rule"]),
+                    optimize=True)
+    triplets = [_blocks(space, loc, cells, cells)]
+
+    etab = space.edge_tables(params.facet_order)
+    penalty = params.sigma / mesh.facet_length
     for facets, two_sided in ((mesh.interior_facets, True),
                               (mesh.boundary_facets, False)):
         if len(facets) == 0:
             continue
-        wq = ftab["weights"][facets]
+        wq = _facet_weights(mesh, etab, facets)
         nrm = mesh.facet_normal[facets]
         pen = penalty[facets]
-        side_names = ("plus", "minus") if two_sided else ("plus",)
         avg_w = 0.5 if two_sided else 1.0
-        jump_sign = {"plus": 1.0, "minus": -1.0}
-        for test in side_names:
-            tv = ftab[test]["val"][facets]
-            tgn = np.einsum("fqiab,fb->fqia", _facet_grads(space, ftab, test, facets), nrm)
-            tdofs, tsigns = ftab[test]["dofs"][facets], ftab[test]["signs"][facets]
-            for trial in side_names:
-                rv = ftab[trial]["val"][facets]
-                rgn = np.einsum("fqiab,fb->fqia",
-                                _facet_grads(space, ftab, trial, facets), nrm)
-                rdofs, rsigns = ftab[trial]["dofs"][facets], ftab[trial]["signs"][facets]
-                st, sr = jump_sign[test], jump_sign[trial]
+        sides = []
+        for side, jump_sign in zip(_sides(mesh, facets)[:1 + two_sided], (1.0, -1.0)):
+            val, grad = _edge_basis(space, etab, side, with_grad=True)
+            sides.append((side[0], val, np.einsum("fqiab,fb->fqia", grad, nrm),
+                          jump_sign))
+        for tcells, tv, tgn, st in sides:
+            for rcells, rv, rgn, sr in sides:
                 blk = -avg_w * st * np.einsum("fq,fqja,fqia->fij", wq, rgn, tv,
                                               optimize=True)
                 blk += -avg_w * sr * np.einsum("fq,fqja,fqia->fij", wq, rv, tgn,
                                                optimize=True)
                 blk += st * sr * np.einsum("f,fq,fqja,fqia->fij", pen, wq, rv, tv,
                                            optimize=True)
-                blk *= tsigns[:, :, None] * rsigns[:, None, :]
-                rows.append(np.broadcast_to(tdofs[:, :, None], blk.shape))
-                cols.append(np.broadcast_to(rdofs[:, None, :], blk.shape))
-                vals.append(blk)
-    return _to_csr(space.n_dofs, space.n_dofs, rows, cols, vals)
+                triplets.append(_blocks(space, blk, tcells, rcells))
+    return _to_csr(space.n_dofs, space.n_dofs, triplets)
 
 
 def assemble_sip_boundary_load(space, g, params=None, order=None):
@@ -322,37 +375,36 @@ def assemble_sip_boundary_load(space, g, params=None, order=None):
     params = (params or FormParams()).resolve(space.k)
     if order is None:
         order = params.facet_order
-    ftab = space.facet_tables(order)
     mesh = space.mesh
     bb = mesh.boundary_facets
-    r = np.zeros(space.n_dofs)
     if len(bb) == 0:
-        return r
-    pts = ftab["points"][bb]
+        return np.zeros(space.n_dofs)
+    etab = space.edge_tables(order)
+    a = mesh.vertices[mesh.facet_vertices[bb, 0]]
+    b = mesh.vertices[mesh.facet_vertices[bb, 1]]
+    pts = a[:, None, :] + etab["rule"].points[None, :, None] * (b - a)[:, None, :]
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-    wq = ftab["weights"][bb]
-    nrm = mesh.facet_normal[bb]
-    plus = ftab["plus"]
-    val = plus["val"][bb]
-    gn = np.einsum("fqiab,fb->fqia", plus["grad"][bb], nrm)
+    wq = _facet_weights(mesh, etab, bb)
+    plus = _sides(mesh, bb)[0]
+    val, grad = _edge_basis(space, etab, plus, with_grad=True)
+    gn = np.einsum("fqiab,fb->fqia", grad, mesh.facet_normal[bb])
     pen = (params.sigma / mesh.facet_length[bb])[:, None]
     r_loc = np.einsum("fq,fqa,fqia->fi", wq, -gv, gn, optimize=True)
     r_loc += np.einsum("fq,fqa,fqia->fi", wq * pen, gv, val, optimize=True)
-    np.add.at(r, plus["dofs"][bb], r_loc * plus["signs"][bb])
-    return r
+    return _scatter(space, r_loc, plus[0])
 
 
 def assemble_load(space, f, order=None):
     """Load vector with entries (f, phi_i) for a pointwise-evaluable f."""
     if order is None:
         order = default_load_order(space.k)
-    tab = space.cell_tables(order)
-    pts = tab["points"]
+    tab = space.ref_tables(order)
+    mesh = space.mesh
+    cells = np.arange(mesh.n_cells)[:, None]
+    pts = mesh.map_to_physical(cells, tab["rule"].points)
     fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    r_loc = np.einsum("cqa,cqia,cq->ci", fv, tab["val"], tab["wdet"], optimize=True)
-    r = np.zeros(space.n_dofs)
-    np.add.at(r, space.cell_dofs, r_loc * space.cell_signs)
-    return r
+    s = mesh.cell_detj[:, None, None] * space.piola_transpose(cells, fv)
+    return _scatter(space, _test_cells(tab, s))
 
 
 def div_norm_quadrature(space, coeffs, order=None):
@@ -360,17 +412,10 @@ def div_norm_quadrature(space, coeffs, order=None):
     cv = _values(space, coeffs)
     if order is None:
         order = default_cell_order(space.k)
-    tab = space.cell_tables(order)
-    dv = np.einsum("ci,cqi->cq", _local(space, cv), tab["div"], optimize=True)
-    return float(np.sqrt(np.sum(tab["wdet"] * dv ** 2)))
-
-
-def projected_divergence(space, q_space, coeffs, div_matrix):
-    """Coefficients of div u_h in the broken multiplier space."""
-    cv = _values(space, coeffs)
-    moments = (div_matrix @ cv).reshape(space.mesh.n_cells, q_space.n_loc)
-    local = moments @ q_space.local_mass_inv.T / space.mesh.cell_detj[:, None]
-    return local.ravel()
+    tab = space.ref_tables(order)
+    mesh = space.mesh
+    dv = (_local(space, cv) @ tab["div"].T) / mesh.cell_detj[:, None]
+    return float(np.sqrt(np.sum(_cell_wdet(mesh, tab["rule"]) * dv ** 2)))
 
 
 def divergence_l2_norm(space, q_space, coeffs, div_matrix):
@@ -382,21 +427,11 @@ def divergence_l2_norm(space, q_space, coeffs, div_matrix):
     return float(np.sqrt(max(val, 0.0)))
 
 
-def quadrature_points(mesh, order):
-    """Physical quadrature points and weights on every cell of the mesh."""
-    rule = triangle_rule(order)
-    nq = len(rule.weights)
-    cells = np.repeat(np.arange(mesh.n_cells), nq)
-    pts = mesh.map_to_physical(cells, np.tile(rule.points, (mesh.n_cells, 1)))
-    wdet = rule.weights[None, :] * mesh.cell_detj[:, None]
-    return pts.reshape(mesh.n_cells, nq, 2), wdet, rule
-
-
 __all__ = [
     "FormParams", "assemble_mass", "assemble_div", "apply_convection",
     "convection_matrix", "assemble_sip", "assemble_sip_boundary_load",
     "assemble_load", "jump_seminorm",
-    "div_norm_quadrature", "divergence_l2_norm", "projected_divergence",
+    "div_norm_quadrature", "divergence_l2_norm",
     "default_sigma", "default_cell_order", "default_facet_order",
-    "default_load_order", "quadrature_points",
+    "default_load_order",
 ]

@@ -257,16 +257,32 @@ def initial_state(config, disc, problem=None):
     return StepState(n=0, t=0.0, u=u0, norm0=disc.l2_norm(u0))
 
 
+def _check_disc(disc, config, mesh, params):
+    """A shared discretization must be the one the config describes."""
+    if disc.mesh is not mesh:
+        raise ValueError("disc was built on a different mesh than the one passed to run")
+    if disc.k != config.k:
+        raise ValueError(f"disc has degree k={disc.k} but the config asks for k={config.k}")
+    for name in ("sigma", "nu"):
+        have, want = getattr(disc.params, name), getattr(params, name)
+        if have != want:
+            raise ValueError(f"disc has {name}={have} but the config resolves to {name}={want}")
+
+
 def run(config, mesh, problem=None, disc=None):
     """Drive N steps and collect per-step diagnostics into a RunReport.
 
     With ``config.f_zero`` the forcing is suppressed (the initial value still
     comes from the problem) and the per-step energy identity is monitored.
+    A ``disc`` passed in must be built on ``mesh`` with the config's k, sigma
+    and nu; any other raises ValueError.
     """
     started = time.perf_counter()
+    params = FormParams(sigma=config.sigma, nu=config.nu)
     if disc is None:
-        disc = Discretization(mesh, config.k,
-                              FormParams(sigma=config.sigma, nu=config.nu))
+        disc = Discretization(mesh, config.k, params)
+    else:
+        _check_disc(disc, config, mesh, params.resolve(config.k))
     forcing = problem if (problem is not None and not config.f_zero) else None
     track_energy = config.f_zero or problem is None
     is_rk2 = config.integrator == "explicit_rk2"

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import forms
 from .fe_space import CoefVec
+from .quadrature import triangle_rule
 
 TWO_PI = 2.0 * np.pi
 
@@ -118,28 +119,30 @@ def _error_order(space, order):
     return max(2 * space.k + 5, 15) if order is None else order
 
 
+def _cell_samples(space, coeffs, order, with_grad):
+    """u_h (and its broken gradient) at the error rule in every cell, with
+    the physical points and the weights times det J."""
+    rule = triangle_rule(_error_order(space, order))
+    mesh = space.mesh
+    cells = np.arange(mesh.n_cells)[:, None]
+    uh = space.evaluate(_coeff_values(space, coeffs), cells, rule.points,
+                        with_grad=with_grad)
+    pts = mesh.map_to_physical(cells, rule.points)
+    return uh, pts, rule.weights[None, :] * mesh.cell_detj[:, None]
+
+
 def l2_error(space, coeffs, problem, t, order=None):
     """L2 norm of u(t) - u_h over the domain, over-integrated."""
-    cv = _coeff_values(space, coeffs)
-    tab = space.cell_tables(_error_order(space, order))
-    uh = np.einsum("ci,cqia->cqa",
-                   cv[space.cell_dofs] * space.cell_signs, tab["val"],
-                   optimize=True)
-    pts = tab["points"]
+    uh, pts, wdet = _cell_samples(space, coeffs, order, with_grad=False)
     diff = problem.u(pts[..., 0], pts[..., 1], t) - uh
-    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(diff ** 2, axis=-1))))
+    return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=-1))))
 
 
 def h1_broken_error(space, coeffs, problem, t, order=None):
     """L2 norm of the broken gradient of u(t) - u_h."""
-    cv = _coeff_values(space, coeffs)
-    tab = space.cell_tables(_error_order(space, order))
-    gh = np.einsum("ci,cqiab->cqab",
-                   cv[space.cell_dofs] * space.cell_signs, tab["grad"],
-                   optimize=True)
-    pts = tab["points"]
+    (_, gh), pts, wdet = _cell_samples(space, coeffs, order, with_grad=True)
     diff = problem.grad_u(pts[..., 0], pts[..., 1], t) - gh
-    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(diff ** 2, axis=(-2, -1)))))
+    return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=(-2, -1)))))
 
 
 def div_norm(space, coeffs, order=None):

@@ -1,42 +1,33 @@
 """Conforming triangular meshes with oriented facets.
 
 Structured meshes of the unit square (optionally perturbed) or meshes loaded
-from a plain-text file.  A mesh is immutable after construction; the facet
-normal n_F is fixed once (pointing from the plus cell toward the minus cell,
-outward on the boundary) and never flipped.
+from a plain-text file.  A mesh is immutable after construction and is held
+in arrays only; the facet normal n_F is fixed once (pointing from the plus
+cell toward the minus cell, outward on the boundary) and never flipped.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Facet:
-    """One mesh facet.  ``vertices`` is stored ascending; that fixes the
-    tangential direction used to parametrize facet quadrature and DOFs."""
-
-    vertices: tuple
-    normal: np.ndarray
-    length: float
-    plus_cell: int
-    minus_cell: int  # -1 on the boundary
-
-    @property
-    def is_boundary(self):
-        return self.minus_cell < 0
 
 
 class Mesh:
     """Triangulation with counterclockwise cells and oriented facets.
 
+    Facets are numbered in order of first appearance, cell by cell and local
+    edge by local edge; the cell that first meets a facet is its plus cell.
+
     Attributes
     ----------
     vertices : (nv, 2) array
     cells : (nc, 3) int array, counterclockwise
-    facets : list of Facet
     cell_facets : (nc, 3) int array, facet id of the edge opposite vertex i
     cell_facet_signs : (nc, 3) int array, +1 where the cell is the plus side
+    cell_facet_reversed : (nc, 3) int array, 1 where the cell's
+        counterclockwise edge runs from the higher- to the lower-index vertex,
+        else 0 (the orientation axis of ``RTSpace.edge_tables``)
+    facet_vertices : (nf, 2) int array, ascending
+    facet_plus, facet_minus : (nf,) int arrays, facet_minus = -1 on the boundary
+    facet_plus_local, facet_minus_local : (nf,) int arrays, local edge index
+        of the facet in its plus and minus cell (-1 on the boundary)
     """
 
     def __init__(self, vertices, cells):
@@ -82,63 +73,49 @@ class Mesh:
 
     def _build_facets(self):
         nc = len(self.cells)
-        edge_to_facet = {}
-        plus = []
-        minus = []
-        pairs = []
-        plus_local = []
-        self.cell_facets = np.empty((nc, 3), dtype=int)
-        self.cell_facet_signs = np.empty((nc, 3), dtype=int)
+        # local edge i runs counterclockwise from vertex (i+1)%3 to (i+2)%3;
+        # slot s = 3 c + i enumerates the edges cell-major
+        va = self.cells[:, [1, 2, 0]].ravel()
+        vb = self.cells[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(va, vb), np.maximum(va, vb)
+        keys = lo * len(self.vertices) + hi
+        _, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True)
+        if np.any(counts > 2):
+            u = int(np.argmax(counts > 2))
+            s = first[u]
+            raise ValueError(f"facet {(int(lo[s]), int(hi[s]))} shared by more than two cells")
+        # renumber the sorted unique edges by first appearance
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        slot_facet = rank[inverse]
+        plus_slots = first[order]
+        is_plus = np.zeros(3 * nc, dtype=bool)
+        is_plus[plus_slots] = True
+        minus_slots = np.full(len(order), -1)
+        minus_slots[slot_facet[~is_plus]] = np.flatnonzero(~is_plus)
 
-        for c in range(nc):
-            for i in range(3):
-                a = int(self.cells[c, (i + 1) % 3])
-                b = int(self.cells[c, (i + 2) % 3])
-                key = (a, b) if a < b else (b, a)
-                f = edge_to_facet.get(key)
-                if f is None:
-                    f = len(pairs)
-                    edge_to_facet[key] = f
-                    pairs.append(key)
-                    plus.append(c)
-                    plus_local.append(i)
-                    minus.append(-1)
-                    sign = 1
-                else:
-                    if minus[f] >= 0:
-                        raise ValueError(f"facet {key} shared by more than two cells")
-                    minus[f] = c
-                    sign = -1
-                self.cell_facets[c, i] = f
-                self.cell_facet_signs[c, i] = sign
-
-        nf = len(pairs)
-        self.facet_vertices = np.array(pairs, dtype=int).reshape(nf, 2)
-        self.facet_plus = np.array(plus, dtype=int)
-        self.facet_minus = np.array(minus, dtype=int)
-
-        # outward normal of the plus cell: local edge i runs CCW from vertex
-        # (i+1)%3 to (i+2)%3, so rotating the tangent by -90 deg points outward
-        pl = np.array(plus_local)
-        va = self.vertices[self.cells[self.facet_plus, (pl + 1) % 3]]
-        vb = self.vertices[self.cells[self.facet_plus, (pl + 2) % 3]]
-        tang = vb - va
-        length = np.linalg.norm(tang, axis=1)
-        if np.any(length <= 0):
-            raise ValueError("degenerate facet of zero length")
-        normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
-        self.facet_normal = normal
-        self.facet_length = length
-        self.facet_is_boundary = self.facet_minus < 0
+        self.cell_facets = slot_facet.reshape(nc, 3)
+        self.cell_facet_signs = np.where(is_plus, 1, -1).reshape(nc, 3)
+        self.cell_facet_reversed = (va > vb).astype(int).reshape(nc, 3)
+        self.facet_vertices = np.column_stack([lo[plus_slots], hi[plus_slots]])
+        self.facet_plus = plus_slots // 3
+        self.facet_plus_local = plus_slots % 3
+        self.facet_is_boundary = minus_slots < 0
+        self.facet_minus = np.where(self.facet_is_boundary, -1, minus_slots // 3)
+        self.facet_minus_local = np.where(self.facet_is_boundary, -1, minus_slots % 3)
         self.boundary_facets = np.flatnonzero(self.facet_is_boundary)
         self.interior_facets = np.flatnonzero(~self.facet_is_boundary)
 
-        self.facets = [
-            Facet(tuple(self.facet_vertices[f]), self.facet_normal[f],
-                  float(self.facet_length[f]), int(self.facet_plus[f]),
-                  int(self.facet_minus[f]))
-            for f in range(nf)
-        ]
+        # outward normal of the plus cell: rotating the counterclockwise
+        # tangent of the plus cell's edge by -90 deg points outward
+        tang = self.vertices[vb[plus_slots]] - self.vertices[va[plus_slots]]
+        length = np.linalg.norm(tang, axis=1)
+        if np.any(length <= 0):
+            raise ValueError("degenerate facet of zero length")
+        self.facet_normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+        self.facet_length = length
 
     # -- queries ---------------------------------------------------------------
 
@@ -152,7 +129,7 @@ class Mesh:
 
     @property
     def n_facets(self):
-        return len(self.facets)
+        return len(self.facet_plus)
 
     def map_to_physical(self, cells, ref_points):
         """Map reference points (n, 2) into the given cells (broadcasts)."""
@@ -165,42 +142,6 @@ class Mesh:
         points = np.asarray(points, dtype=float)
         origin = self.vertices[self.cells[cells, 0]]
         return np.einsum("...ab,...b->...a", self.cell_jac_inv[cells], points - origin)
-
-
-@dataclass(frozen=True)
-class TracePoints:
-    """Paired facet quadrature data: physical points seen from each side,
-    their reference preimages, and physical weights summing to the length."""
-
-    points_plus: np.ndarray
-    points_minus: np.ndarray  # None on boundary facets
-    ref_plus: np.ndarray
-    ref_minus: np.ndarray
-    weights: np.ndarray
-
-
-def facet_trace_points(mesh, facet_id, rule):
-    """Quadrature points on facet ``facet_id`` traced through both cells.
-
-    ``rule`` lives on the reference segment [0, 1]; the facet is parametrized
-    from its lower-index vertex to the higher one.
-    """
-    f = mesh.facets[facet_id]
-    a = mesh.vertices[f.vertices[0]]
-    b = mesh.vertices[f.vertices[1]]
-    t = np.asarray(rule.points)
-    pts = a + t[:, None] * (b - a)
-    weights = np.asarray(rule.weights) * f.length
-
-    cp = f.plus_cell
-    ref_plus = mesh.map_to_reference(np.full(len(t), cp), pts)
-    pts_plus = mesh.map_to_physical(np.full(len(t), cp), ref_plus)
-    if f.is_boundary:
-        return TracePoints(pts_plus, None, ref_plus, None, weights)
-    cm = f.minus_cell
-    ref_minus = mesh.map_to_reference(np.full(len(t), cm), pts)
-    pts_minus = mesh.map_to_physical(np.full(len(t), cm), ref_minus)
-    return TracePoints(pts_plus, pts_minus, ref_plus, ref_minus, weights)
 
 
 def build_structured(n, perturb=0.0, seed=0):
@@ -241,21 +182,20 @@ def _structured_attempt(n, perturb, seed):
         verts[interior, 0] += radius * np.cos(angle)
         verts[interior, 1] += radius * np.sin(angle)
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
-            else:
-                cells.append((v00, v10, v01))
-                cells.append((v10, v11, v01))
-    return Mesh(verts, np.array(cells, dtype=int))
+    # square (i, j) has corners v00 = i (n+1) + j, v10, v01, v11 and is cut
+    # along the diagonal v00-v11 when i + j is even, v10-v01 otherwise;
+    # its two cells are numbered 2 (i n + j) and 2 (i n + j) + 1
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    v00 = i * (n + 1) + j
+    v10, v01 = v00 + n + 1, v00 + 1
+    v11 = v10 + 1
+    even = ((i + j) % 2 == 0)[..., None]
+    first = np.where(even, np.stack([v00, v10, v11], axis=-1),
+                     np.stack([v00, v10, v01], axis=-1))
+    second = np.where(even, np.stack([v00, v11, v01], axis=-1),
+                      np.stack([v10, v11, v01], axis=-1))
+    cells = np.stack([first, second], axis=2).reshape(-1, 3)
+    return Mesh(verts, cells)
 
 
 def load_mesh(path):
@@ -294,7 +234,4 @@ def save_mesh(mesh, path):
             fh.write(f"{a} {b} {c}\n")
 
 
-__all__ = [
-    "Mesh", "Facet", "TracePoints", "facet_trace_points",
-    "build_structured", "load_mesh", "save_mesh",
-]
+__all__ = ["Mesh", "build_structured", "load_mesh", "save_mesh"]

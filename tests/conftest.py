@@ -1,3 +1,6 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from divfreedg import build_structured, linsolve
@@ -42,3 +45,23 @@ def random_div_free(entry, rng):
     """A random exactly divergence-free field via the L2 projection."""
     rhs = rng.normal(size=len(entry["space"].free_dofs))
     return linsolve.project_div_free(entry["saddle"], rhs)
+
+
+def trace_points(mesh, facet, rule):
+    """Quadrature points of ``rule`` (on [0, 1]) along ``facet``, from its
+    lower-index vertex to the higher one, mapped into the plus cell and the
+    minus cell (None on the boundary) and back, with physical weights."""
+    a, b = mesh.vertices[mesh.facet_vertices[facet]]
+    t = np.asarray(rule.points)
+    pts = a + t[:, None] * (b - a)
+    out = SimpleNamespace(weights=np.asarray(rule.weights) * mesh.facet_length[facet],
+                          ref_minus=None, points_minus=None)
+    for side, cell in (("plus", mesh.facet_plus[facet]),
+                       ("minus", mesh.facet_minus[facet])):
+        if cell < 0:
+            continue
+        cells = np.full(len(t), cell)
+        ref = mesh.map_to_reference(cells, pts)
+        setattr(out, f"ref_{side}", ref)
+        setattr(out, f"points_{side}", mesh.map_to_physical(cells, ref))
+    return out

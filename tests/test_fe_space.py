@@ -2,12 +2,53 @@ import numpy as np
 import pytest
 
 from divfreedg import build_structured, manufactured
-from divfreedg.fe_space import (CoefVec, RTSpace, ScalarDGSpace,
-                                eval_scalar_monomials, evaluate_field,
-                                piola_map, rt_interpolate, rt_reference,
-                                rt_reference_basis, scalar_monomial_exponents)
+from divfreedg.fe_space import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS,
+                                REF_EDGE_VERTICES, REF_VERTICES, CoefVec,
+                                RTSpace, ScalarDGSpace, eval_scalar_monomials,
+                                evaluate_field, rt_interpolate, rt_reference,
+                                scalar_monomial_exponents)
 from divfreedg.mesh import Mesh
-from divfreedg.quadrature import segment_rule
+from divfreedg.quadrature import segment_rule, triangle_rule
+from conftest import trace_points
+
+
+def piola_map(jacobian, ref_value, ref_div=None, ref_grad=None):
+    """Contravariant Piola transform, written out independently of the
+    library: v = J v_ref / det J, div v = div_ref / det J,
+    grad v = J G J^{-1} / det J."""
+    jacobian = np.asarray(jacobian, dtype=float)
+    det = np.linalg.det(jacobian)
+    if np.any(det <= 0):
+        raise ValueError("degenerate cell: non-positive Jacobian determinant")
+    value = np.einsum("...ab,...b->...a", jacobian, ref_value) / det[..., None]
+    out = [value]
+    if ref_div is not None:
+        out.append(ref_div / det)
+    if ref_grad is not None:
+        inv = np.linalg.inv(jacobian)
+        grad = np.einsum("...ag,...gd,...db->...ab", jacobian, ref_grad, inv)
+        out.append(grad / det[..., None, None])
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def apply_dofs(ref, func):
+    """Every reference DOF functional of ``ref`` (Legendre edge-normal
+    moments, then interior moments) applied to a callable field on the
+    reference cell, with quadrature deeper than the one that built ``ref``."""
+    k = ref.k
+    erule = segment_rule(2 * k + 5)
+    leg = np.polynomial.legendre.legvander(2.0 * erule.points - 1.0, k)
+    out = []
+    for i, (a, b) in enumerate(REF_EDGE_VERTICES):
+        va, vb = REF_VERTICES[a], REF_VERTICES[b]
+        pts = va + erule.points[:, None] * (vb - va)
+        vn = np.asarray([func(p) for p in pts]) @ REF_EDGE_NORMALS[i]
+        out.extend((erule.weights * REF_EDGE_LENGTHS[i] * vn) @ leg)
+    rule = triangle_rule(2 * k + 4)
+    vals = np.asarray([func(p) for p in rule.points])
+    polys = ref.interior_polys(rule.points)
+    out.extend(np.einsum("q,qp,qc->pc", rule.weights, polys, vals).ravel())
+    return np.array(out)
 
 
 def one_cell_mesh():
@@ -19,8 +60,9 @@ def one_cell_mesh():
 
 @pytest.mark.parametrize("k,count", [(1, 8), (2, 15)])
 def test_reference_basis_count(k, count):
-    basis = rt_reference_basis(k, np.array([0.3, 0.3]))
-    assert len(basis) == count
+    vals, divs, grads = rt_reference(k).eval_basis(np.array([[0.3, 0.3]]))
+    assert vals.shape == (1, count, 2)
+    assert divs.shape == (1, count) and grads.shape == (1, count, 2, 2)
 
 
 def test_unsupported_degree():
@@ -36,7 +78,7 @@ def test_dof_duality_identity(k):
         def basis_b(p, b=b):
             vals, _, _ = ref.eval_basis(np.asarray(p, dtype=float)[None, :])
             return vals[0, b]
-        dual[:, b] = ref.apply_dofs(basis_b)
+        dual[:, b] = apply_dofs(ref, basis_b)
     assert np.abs(dual - np.eye(ref.n_dofs)).max() < 1e-10
 
 
@@ -208,9 +250,8 @@ def test_normal_component_continuity(k):
     space = RTSpace(mesh, k)
     coeffs = np.random.default_rng(5).normal(size=space.n_dofs)
     rule = segment_rule(9)  # 5 points
-    from divfreedg.mesh import facet_trace_points
     for f in mesh.interior_facets:
-        tp = facet_trace_points(mesh, f, rule)
+        tp = trace_points(mesh, f, rule)
         nq = len(rule.points)
         vp = space.evaluate(coeffs, np.full(nq, mesh.facet_plus[f]), tp.ref_plus)
         vm = space.evaluate(coeffs, np.full(nq, mesh.facet_minus[f]), tp.ref_minus)
@@ -224,10 +265,9 @@ def test_zeroed_boundary_dofs_kill_normal_trace(k):
     coeffs = np.random.default_rng(6).normal(size=space.n_dofs)
     coeffs[space.boundary_dofs] = 0.0
     rule = segment_rule(9)
-    from divfreedg.mesh import facet_trace_points
     worst = 0.0
     for f in mesh.boundary_facets:
-        tp = facet_trace_points(mesh, f, rule)
+        tp = trace_points(mesh, f, rule)
         nq = len(rule.points)
         vp = space.evaluate(coeffs, np.full(nq, mesh.facet_plus[f]), tp.ref_plus)
         worst = max(worst, np.abs(vp @ mesh.facet_normal[f]).max())
@@ -275,9 +315,8 @@ def test_normal_trace_legendre_reconstruction(k):
     t = rule.points
     leg = np.polynomial.legendre.legvander(2.0 * t - 1.0, k)
     rebuilt = space.normal_trace_coeffs(coeffs) @ leg.T
-    from divfreedg.mesh import facet_trace_points
     for f in range(mesh.n_facets):
-        tp = facet_trace_points(mesh, f, rule)
+        tp = trace_points(mesh, f, rule)
         cells = np.full(len(t), mesh.facet_plus[f])
         traced = space.evaluate(coeffs, cells, tp.ref_plus) @ mesh.facet_normal[f]
         assert np.abs(traced - rebuilt[f]).max() < 1e-11

@@ -3,14 +3,23 @@ import pytest
 
 from divfreedg import forms, linsolve, manufactured
 from divfreedg.fe_space import CoefVec, RTSpace, ScalarDGSpace, rt_interpolate
-from divfreedg.mesh import Mesh, facet_trace_points
+from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
-from conftest import random_div_free
+from conftest import random_div_free, trace_points
 
 
 def one_cell_mesh():
     return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]))
+
+
+def cell_samples(space, coeffs, order):
+    """u_h and its broken gradient at a volume rule in every cell, through
+    pointwise evaluation, with the weights times det J."""
+    rule = triangle_rule(order)
+    cells = np.arange(space.mesh.n_cells)[:, None]
+    uh, gh = space.evaluate(coeffs, cells, rule.points, with_grad=True)
+    return uh, gh, rule.weights[None, :] * space.mesh.cell_detj[:, None]
 
 
 # -- mass matrix ---------------------------------------------------------------
@@ -35,10 +44,8 @@ def test_mass_norm_matches_direct_quadrature(spaces):
     M = forms.assemble_mass(space)
     energy = c.values @ (M @ c.values)
     # oracle: direct quadrature of |u_h|^2 at an unrelated, higher order
-    tab = space.cell_tables(2 * space.k + 7)
-    uh = np.einsum("ci,cqia->cqa", c.values[space.cell_dofs] * space.cell_signs,
-                   tab["val"])
-    direct = np.sum(tab["wdet"] * np.sum(uh ** 2, axis=-1))
+    uh, _, wdet = cell_samples(space, c.values, 2 * space.k + 7)
+    direct = np.sum(wdet * np.sum(uh ** 2, axis=-1))
     assert energy == pytest.approx(direct, rel=1e-10)
 
 
@@ -195,14 +202,12 @@ def test_sip_energy_matches_direct_quadrature(spaces):
         space, enforce_boundary=False)
     quad_form = float(u.values @ (A @ u.values))
 
-    tab = space.cell_tables(2 * space.k + 3)
-    gh = np.einsum("ci,cqiab->cqab", u.values[space.cell_dofs] * space.cell_signs,
-                   tab["grad"])
-    direct = np.sum(tab["wdet"] * np.sum(gh ** 2, axis=(-2, -1)))
+    _, gh, wdet = cell_samples(space, u.values, 2 * space.k + 3)
+    direct = np.sum(wdet * np.sum(gh ** 2, axis=(-2, -1)))
     rule = segment_rule(2 * space.k + 3)
     nq = len(rule.points)
     for f in range(mesh.n_facets):
-        tp = facet_trace_points(mesh, f, rule)
+        tp = trace_points(mesh, f, rule)
         nrm = mesh.facet_normal[f]
         cp = np.full(nq, mesh.facet_plus[f])
         vp, gp = space.evaluate(u.values, cp, tp.ref_plus, with_grad=True)

@@ -162,3 +162,27 @@ def test_report_records_align(mesh8, disc8, problem):
     assert len(report.times) == len(report.l2_norms) == len(report.div_norms)
     assert report.times[0] == 0.0
     assert report.times[-1] == 1.0
+
+
+def test_run_rejects_disc_of_another_degree(mesh8, disc8, problem):
+    # a k=2 config with a k=1 disc used to run at k=1 and report k=2
+    with pytest.raises(ValueError, match="disc has degree k=1 but the config asks for k=2"):
+        integrators.run(SchemeConfig(tau=0.05, k=2, T=0.1), mesh8, problem,
+                        disc=disc8)
+
+
+def test_run_rejects_inviscid_disc_for_viscous_config(mesh8, disc8, problem):
+    # nu > 0 with an inviscid disc used to fail inside the first step with
+    # an opaque "matmul ... 0 dimensions" error
+    with pytest.raises(ValueError, match="disc has nu=0.0"):
+        integrators.run(SchemeConfig(tau=0.05, nu=0.01, T=0.1), mesh8, problem,
+                        disc=disc8)
+
+
+def test_run_rejects_disc_of_another_mesh_or_sigma(mesh8, disc8, problem):
+    other = build_structured(8, 0.15, seed=0)
+    with pytest.raises(ValueError, match="different mesh"):
+        integrators.run(SchemeConfig(tau=0.05, T=0.1), other, problem, disc=disc8)
+    with pytest.raises(ValueError, match="disc has sigma=10.0"):
+        integrators.run(SchemeConfig(tau=0.05, T=0.1, sigma=3.0), mesh8, problem,
+                        disc=disc8)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from divfreedg import build_structured, load_mesh, save_mesh
-from divfreedg.mesh import facet_trace_points
+from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule
+from conftest import trace_points
 
 
 def test_structured_counts_n2():
@@ -70,7 +71,7 @@ def test_smooth_function_jump_vanishes():
     rule = segment_rule(5)
     phi = lambda p: np.sin(1.3 * p[..., 0]) * np.cos(0.7 * p[..., 1])
     for f in mesh.interior_facets:
-        tp = facet_trace_points(mesh, f, rule)
+        tp = trace_points(mesh, f, rule)
         assert np.abs(phi(tp.points_plus) - phi(tp.points_minus)).max() < 1e-12
 
 
@@ -81,12 +82,61 @@ def test_trace_points_midpoint_and_weights():
     for f in range(mesh.n_facets):
         a, b = mesh.facet_vertices[f]
         va, vb = mesh.vertices[a], mesh.vertices[b]
-        tp = facet_trace_points(mesh, f, mid)
+        tp = trace_points(mesh, f, mid)
         assert np.allclose(tp.points_plus[0], 0.5 * (va + vb), atol=1e-13)
-        tp3 = facet_trace_points(mesh, f, three)
+        tp3 = trace_points(mesh, f, three)
         assert tp3.weights.sum() == pytest.approx(np.linalg.norm(vb - va), abs=1e-13)
         if not mesh.facet_is_boundary[f]:
             assert np.abs(tp3.points_plus - tp3.points_minus).max() < 1e-13
+
+
+def loop_build(n):
+    """Reference cells of build_structured(n) and its facet numbering, built
+    with plain loops: facets in order of first appearance, cell by cell and
+    local edge by local edge, as (plus cell, local edge) and (minus cell,
+    local edge) pairs."""
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            v00, v10 = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            v01, v11 = v00 + 1, v10 + 1
+            if (i + j) % 2 == 0:
+                cells += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                cells += [(v00, v10, v01), (v10, v11, v01)]
+    index, plus, minus = {}, [], []
+    for c, cell in enumerate(cells):
+        for i in range(3):
+            a, b = cell[(i + 1) % 3], cell[(i + 2) % 3]
+            key = (min(a, b), max(a, b))
+            if key in index:
+                minus[index[key]] = (c, i)
+            else:
+                index[key] = len(plus)
+                plus.append((c, i))
+                minus.append((-1, -1))
+    return np.array(cells), np.array(list(index)), np.array(plus), np.array(minus)
+
+
+@pytest.mark.parametrize("n,perturb,seed", [(3, 0.0, 0), (8, 0.2, 11)])
+def test_vectorized_build_matches_loops(n, perturb, seed):
+    # facet ids drive the DOF numbering, and so COLAMD and the LU fill
+    mesh = build_structured(n, perturb, seed=seed)
+    cells, facet_vertices, plus, minus = loop_build(n)
+    assert np.array_equal(mesh.cells, cells)
+    assert np.array_equal(mesh.facet_vertices, facet_vertices)
+    assert np.array_equal(np.column_stack([mesh.facet_plus, mesh.facet_plus_local]), plus)
+    assert np.array_equal(np.column_stack([mesh.facet_minus, mesh.facet_minus_local]), minus)
+    ii = mesh.interior_facets
+    assert np.array_equal(mesh.cell_facets[mesh.facet_plus, mesh.facet_plus_local],
+                          np.arange(mesh.n_facets))
+    assert np.array_equal(mesh.cell_facets[mesh.facet_minus[ii], mesh.facet_minus_local[ii]], ii)
+
+
+def test_edge_shared_by_three_cells_rejected():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [0.5, 0.5]]
+    with pytest.raises(ValueError, match="more than two cells"):
+        Mesh(vertices, [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
 
 
 def test_load_single_triangle(tmp_path):
