@@ -6,10 +6,12 @@ study commands encode blow-up as nan rows and exit 0).
 """
 
 import argparse
+import itertools
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import diagnostics, integrators, manufactured
 from .mesh import build_structured
@@ -65,31 +67,88 @@ def _parse_list(text, conv):
     return [conv(s) for s in items]
 
 
+def _missing(x):
+    return x is None or (isinstance(x, float) and math.isnan(x))
+
+
 def _fmt3(x):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    return f"{x:.2e}"
+    return "nan" if _missing(x) else f"{x:.2e}"
 
 
 def _fmt_rate(x):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "-"
-    return f"{x:.2f}"
+    return "-" if _missing(x) else f"{x:.2f}"
 
 
 def _fmt17(x):
+    """CSV cell: 17 significant digits for floats, empty for None."""
     if x is None:
-        return "nan"
+        return ""
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
 
 
 def _tau_fraction(tau):
-    if tau is None or (isinstance(tau, float) and math.isnan(tau)):
+    if _missing(tau):
         return "nan"
     frac = Fraction(tau).limit_denominator(1000000)
     return f"{frac.numerator}/{frac.denominator}"
+
+
+def _tau_cell(tau):
+    return "nan" if _missing(tau) else f"{_tau_fraction(tau)} ({tau:.2e})"
+
+
+class Column(NamedTuple):
+    """One table column: the row key, its CSV header and its Markdown
+    header with cell format (None leaves the column out of that format)."""
+
+    key: str
+    csv: str = None
+    md: str = None
+    fmt: Callable = _fmt3
+
+
+def _csv_table(columns, rows):
+    cols = [c for c in columns if c.csv]
+    return [",".join(c.csv for c in cols)] + [
+        ",".join(_fmt17(row[c.key]) for c in cols) for row in rows]
+
+
+def _md_table(columns, rows):
+    cols = [c for c in columns if c.md]
+    return ["| " + " | ".join(c.md for c in cols) + " |",
+            "|" + "---|" * len(cols)] + [
+        "| " + " | ".join(c.fmt(row[c.key]) for c in cols) + " |"
+        for row in rows]
+
+
+L2_NORM = Column("l2_norm", "l2_norm", "||u_h||_L2")
+L2_ERR = Column("l2_err", "l2_err", "||u - u_h||_L2")
+H1_ERR = Column("h1_err", "h1_err", "||grad_h(u - u_h)||_L2")
+BLOW_UP = Column("blow_up", "blow_up_step")
+H = Column("h", "h", "h", _tau_fraction)
+N = Column("n", "n")
+TAU = Column("tau", "tau", "tau", _tau_fraction)
+MAX_DIV = Column("max_div", "max_div")
+
+STEP_KEYS = ("step", "t", "l2_norm", "div_norm", "jump_u", "jump_w",
+             "energy_residual")
+STEP_COLUMNS = [Column(key, key) for key in STEP_KEYS]
+SUMMARY_COLUMNS = [Column(key, key) for key in ("summary", "key", "value")]
+RUN_COLUMNS = [TAU, L2_NORM, L2_ERR, H1_ERR,
+               Column("div_norm", "div_norm", "||div u_h||_L2")]
+STUDY_COLUMNS = [H, N, Column("tau", "tau"), L2_NORM, L2_ERR,
+                 Column("l2_rate", "l2_rate", "Rate", _fmt_rate), H1_ERR,
+                 Column("h1_rate", "h1_rate", "Rate", _fmt_rate), MAX_DIV,
+                 BLOW_UP]
+SWEEP_COLUMNS = [H, N, Column("tau_max", "tau_max", "tau_max", _tau_cell),
+                 Column("denominator", "denominator"),
+                 Column("alpha", "alpha", "alpha", _fmt_rate), L2_NORM, L2_ERR,
+                 H1_ERR, MAX_DIV]
+TRACE_COLUMNS = [Column(key, key) for key in ("h", "tau", "stable")]
+COMPARE_COLUMNS = [Column("scheme", "scheme"), TAU, L2_NORM, L2_ERR, H1_ERR,
+                   Column("div_err", "div_norm", "||div u_h||_L2"), BLOW_UP]
 
 
 ECHO_EXCLUDE = ("out_dir", "format")
@@ -100,24 +159,23 @@ def _config_lines(cfg):
             for key, value in sorted(cfg.items()) if key not in ECHO_EXCLUDE]
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _emit(cfg, name, csv_text, md_text):
+def _write_outputs(cfg, title, outputs):
+    """Write the (file name, body lines) pairs whose format ``cfg["format"]``
+    asks for.  A CSV body follows the effective config as ``#`` lines, a
+    Markdown body follows the title and the same config on one line."""
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    fmt = cfg["format"]
-    written = []
-    if fmt in ("csv", "both"):
-        path = os.path.join(cfg["out_dir"], f"{name}.csv")
-        _write(path, csv_text)
-        written.append(path)
-    if fmt in ("md", "both"):
-        path = os.path.join(cfg["out_dir"], f"{name}.md")
-        _write(path, md_text)
-        written.append(path)
-    return written
+    heads = {"csv": _config_lines(cfg),
+             "md": [f"# {title}", "", "Config: " + ", ".join(
+                 f"{k}={v}" for k, v in sorted(cfg.items()) if v is not None),
+                    ""]}
+    for name, lines in outputs:
+        ext = name.rsplit(".", 1)[1]
+        if cfg["format"] not in (ext, "both"):
+            continue
+        path = os.path.join(cfg["out_dir"], name)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(heads[ext] + lines) + "\n")
+        print(f"wrote {path}")
 
 
 def _load_config_file(path):
@@ -188,102 +246,56 @@ def _add_common(parser):
     parser.add_argument("--format", choices=["csv", "md", "both"])
 
 
-def _scheme_config(cfg, tau, integrator=None):
-    return integrators.SchemeConfig(
-        tau=tau, k=cfg["k"], T=cfg["T"], nu=cfg["nu"], sigma=cfg["sigma"],
-        f_mode=cfg["f_mode"], integrator=integrator or cfg["integrator"],
-        f_zero=cfg["f_zero"])
+def _scheme(cfg, integrator=None):
+    """SchemeConfig fields other than tau, from the effective config."""
+    return dict(k=cfg["k"], T=cfg["T"], nu=cfg["nu"], sigma=cfg["sigma"],
+                f_mode=cfg["f_mode"],
+                integrator=integrator or cfg["integrator"],
+                f_zero=cfg["f_zero"])
 
 
 def cmd_single_run(cfg):
+    mesh = build_structured(cfg["n"], perturb=cfg["perturb"], seed=cfg["seed"])
     if cfg["tau"] is None:
         cfg["tau"] = (cfg["co"] if cfg["co"] is not None else FOURTHIRDS_CO) \
             * (1.0 / cfg["n"]) ** (4.0 / 3.0)
-    mesh = build_structured(cfg["n"], perturb=cfg["perturb"], seed=cfg["seed"])
     problem = manufactured.taylor_green(cfg["nu"])
-    config = _scheme_config(cfg, cfg["tau"])
-    report = integrators.run(config, mesh, problem)
+    report = diagnostics.run_trial(mesh, cfg["tau"], problem, **_scheme(cfg))
+    tau = report.config["tau"]
 
-    lines = _config_lines(cfg)
-    header = "step,t,l2_norm,div_norm,jump_u,jump_w,energy_residual"
-    lines.append(header)
-    for i in range(len(report.times)):
-        lines.append(",".join([
-            str(i), _fmt17(report.times[i]), _fmt17(report.l2_norms[i]),
-            _fmt17(report.div_norms[i]), _fmt17(report.jump_u[i]),
-            _fmt17(report.jump_w[i]), _fmt17(report.energy_residuals[i])]))
-    lines.append("")
-    lines.append("summary,key,value")
+    steps = [dict(zip(STEP_KEYS, values)) for values in zip(
+        itertools.count(), report.times, report.l2_norms, report.div_norms,
+        report.jump_u, report.jump_w, report.energy_residuals)]
     summary = [
-        ("tau", config.tau), ("steps_completed", report.n_steps_done),
-        ("blow_up_step", report.blow_up if report.blow_up is not None else ""),
+        ("tau", tau), ("steps_completed", report.n_steps_done),
+        ("blow_up_step", report.blow_up),
         ("l2_norm_final", report.l2_norms[-1]),
         ("l2_error", report.l2_err), ("h1_error", report.h1_err),
         ("div_norm_final", report.div_norms[-1]),
         ("max_div_norm", report.max_div),
     ]
-    if config.f_zero:
-        summary.append(("max_rel_energy_residual",
-                        report.max_relative_energy_residual()))
-    for key, value in summary:
-        lines.append(f"summary,{key},{_fmt17(value)}")
-    csv_text = "\n".join(lines) + "\n"
+    md = _md_table(RUN_COLUMNS, [dict(tau=tau, **diagnostics.trial_row(report))])
+    if not report.completed:
+        md += ["", f"Blow-up detected at step {report.blow_up}."]
+    if cfg["f_zero"]:
+        energy = report.max_relative_energy_residual()
+        summary.append(("max_rel_energy_residual", energy))
+        md += ["", "Max relative energy-identity residual: " + _fmt3(energy)]
+    csv = _csv_table(STEP_COLUMNS, steps) + [""] + _csv_table(
+        SUMMARY_COLUMNS, [dict(summary="summary", key=key, value=value)
+                          for key, value in summary])
 
-    md = ["# Single run", "",
-          "Config: " + ", ".join(
-              f"{k}={v}" for k, v in sorted(cfg.items()) if v is not None), ""]
-    cols = ["tau", "||u_h||_L2", "||u - u_h||_L2", "||grad_h(u - u_h)||_L2",
-            "||div u_h||_L2"]
-    md.append("| " + " | ".join(cols) + " |")
-    md.append("|" + "---|" * len(cols))
-    if report.completed:
-        md.append("| " + " | ".join([
-            _tau_fraction(config.tau), _fmt3(report.l2_norms[-1]),
-            _fmt3(report.l2_err), _fmt3(report.h1_err),
-            _fmt3(report.div_norms[-1])]) + " |")
-    else:
-        md.append("| " + _tau_fraction(config.tau) + " | nan | nan | nan | nan |")
-        md.append("")
-        md.append(f"Blow-up detected at step {report.blow_up}.")
-    if config.f_zero:
-        md.append("")
-        md.append("Max relative energy-identity residual: "
-                  + _fmt3(report.max_relative_energy_residual()))
-    md_text = "\n".join(md) + "\n"
-
-    written = _emit(cfg, "single-run", csv_text, md_text)
-    for path in written:
-        print(f"wrote {path}")
+    _write_outputs(cfg, "Single run", [("single-run.csv", csv),
+                                       ("single-run.md", md)])
     print(f"completed={report.completed} l2_err={_fmt3(report.l2_err)} "
           f"max_div={_fmt3(report.max_div)} wall={report.wall_time:.2f}s")
     return 2 if not report.completed else 0
 
 
-def _study_tables(cfg, rows, caption):
-    lines = _config_lines(cfg)
-    lines.append("h,n,tau,l2_norm,l2_err,l2_rate,h1_err,h1_rate,max_div,blow_up_step")
-    for r in rows:
-        lines.append(",".join([
-            _fmt17(r["h"]), str(r["n"]), _fmt17(r["tau"]),
-            _fmt17(r["l2_norm"]), _fmt17(r["l2_err"]), _fmt17(r["l2_rate"]),
-            _fmt17(r["h1_err"]), _fmt17(r["h1_rate"]), _fmt17(r["max_div"]),
-            "" if r["blow_up"] is None else str(r["blow_up"])]))
-    csv_text = "\n".join(lines) + "\n"
-
-    md = [f"# {caption}", "",
-          "Config: " + ", ".join(f"{k}={v}" for k, v in sorted(cfg.items())
-                                 if v is not None), ""]
-    cols = ["h", "||u_h||_L2", "||u - u_h||_L2", "Rate",
-            "||grad_h(u - u_h)||_L2", "Rate"]
-    md.append("| " + " | ".join(cols) + " |")
-    md.append("|" + "---|" * len(cols))
-    for r in rows:
-        md.append("| " + " | ".join([
-            _tau_fraction(r["h"]), _fmt3(r["l2_norm"]), _fmt3(r["l2_err"]),
-            _fmt_rate(r["l2_rate"]), _fmt3(r["h1_err"]),
-            _fmt_rate(r["h1_rate"])]) + " |")
-    md_text = "\n".join(md) + "\n"
-    return csv_text, md_text
+def _study_args(cfg):
+    return dict(T=cfg["T"], perturb=cfg["perturb"], seed=cfg["seed"],
+                nu=cfg["nu"], f_mode=cfg["f_mode"],
+                problem=manufactured.taylor_green(cfg["nu"]))
 
 
 def cmd_convergence(cfg):
@@ -294,17 +306,15 @@ def cmd_convergence(cfg):
         raise UsageError("convergence supports --cfl std or fourthirds")
     co = cfg["co"] if cfg["co"] is not None else \
         (STANDARD_CO if cfl == "std" else FOURTHIRDS_CO)
-    problem = manufactured.taylor_green(cfg["nu"])
     rows = diagnostics.convergence_study(
-        cfg["k"], cfg["n_list"], cfl_form=cfl, co=co, T=cfg["T"],
-        perturb=cfg["perturb"], seed=cfg["seed"], nu=cfg["nu"],
-        f_mode=cfg["f_mode"], integrator=cfg["integrator"], problem=problem)
-    caption = (f"Convergence under tau = {co} * h^(4/3), k={cfg['k']}"
-               if cfl == "fourthirds"
-               else f"Convergence under tau = {co} * h, k={cfg['k']}")
-    csv_text, md_text = _study_tables({**cfg, "cfl": cfl, "co": co}, rows, caption)
-    for path in _emit(cfg, "convergence", csv_text, md_text):
-        print(f"wrote {path}")
+        cfg["k"], cfg["n_list"], cfl_form=cfl, co=co,
+        integrator=cfg["integrator"], **_study_args(cfg))
+    schedule = "h^(4/3)" if cfl == "fourthirds" else "h"
+    _write_outputs(
+        {**cfg, "cfl": cfl, "co": co},
+        f"Convergence under tau = {co} * {schedule}, k={cfg['k']}",
+        [("convergence.csv", _csv_table(STUDY_COLUMNS, rows)),
+         ("convergence.md", _md_table(STUDY_COLUMNS, rows))])
     return 0
 
 
@@ -313,51 +323,15 @@ def cmd_cfl_sweep(cfg):
         raise UsageError("cfl-sweep needs --n-list")
     cfl = cfg["cfl"] or "search"
     co = cfg["co"] if cfg["co"] is not None else STANDARD_CO
-    problem = manufactured.taylor_green(cfg["nu"])
-    result = diagnostics.cfl_sweep(
-        cfg["n_list"], cfg["k"], cfl_form=cfl, co=co, T=cfg["T"],
-        perturb=cfg["perturb"], seed=cfg["seed"], nu=cfg["nu"],
-        f_mode=cfg["f_mode"], problem=problem)
-
-    lines = _config_lines({**cfg, "cfl": cfl, "co": co})
-    lines.append("h,n,tau_max,denominator,alpha,l2_norm,l2_err,h1_err,max_div")
-    for r in result.rows:
-        lines.append(",".join([
-            _fmt17(r["h"]), str(r["n"]), _fmt17(r["tau_max"]),
-            "" if r["denominator"] is None else str(r["denominator"]),
-            _fmt17(r["alpha"]), _fmt17(r["l2_norm"]), _fmt17(r["l2_err"]),
-            _fmt17(r["h1_err"]), _fmt17(r["max_div"])]))
-    csv_text = "\n".join(lines) + "\n"
-
-    trace_lines = _config_lines({**cfg, "cfl": cfl, "co": co})
-    trace_lines.append("h,tau,stable")
-    for h, tau, stable in result.trace:
-        trace_lines.append(f"{_fmt17(h)},{_fmt17(tau)},{int(stable)}")
-    trace_text = "\n".join(trace_lines) + "\n"
-
-    md = ["# Maximum stable time steps", "",
-          "Config: " + ", ".join(f"{k}={v}" for k, v in sorted(cfg.items())
-                                 if v is not None), ""]
-    cols = ["h", "tau_max", "alpha", "||u_h||_L2", "||u - u_h||_L2",
-            "||grad_h(u - u_h)||_L2"]
-    md.append("| " + " | ".join(cols) + " |")
-    md.append("|" + "---|" * len(cols))
-    for r in result.rows:
-        tau_cell = "nan" if not math.isfinite(r["tau_max"]) else \
-            f"{_tau_fraction(r['tau_max'])} ({r['tau_max']:.2e})"
-        md.append("| " + " | ".join([
-            _tau_fraction(r["h"]), tau_cell, _fmt_rate(r["alpha"]),
-            _fmt3(r["l2_norm"]), _fmt3(r["l2_err"]), _fmt3(r["h1_err"])])
-            + " |")
-    md_text = "\n".join(md) + "\n"
-
-    written = _emit(cfg, "cfl-sweep", csv_text, md_text)
-    if cfg["format"] in ("csv", "both"):
-        path = os.path.join(cfg["out_dir"], "cfl-sweep-trace.csv")
-        _write(path, trace_text)
-        written.append(path)
-    for path in written:
-        print(f"wrote {path}")
+    result = diagnostics.cfl_sweep(cfg["n_list"], cfg["k"], cfl_form=cfl,
+                                   co=co, **_study_args(cfg))
+    trace = [dict(h=h, tau=tau, stable=int(stable))
+             for h, tau, stable in result.trace]
+    _write_outputs(
+        {**cfg, "cfl": cfl, "co": co}, "Maximum stable time steps",
+        [("cfl-sweep.csv", _csv_table(SWEEP_COLUMNS, result.rows)),
+         ("cfl-sweep.md", _md_table(SWEEP_COLUMNS, result.rows)),
+         ("cfl-sweep-trace.csv", _csv_table(TRACE_COLUMNS, trace))])
     return 0
 
 
@@ -365,55 +339,22 @@ def cmd_compare_cn(cfg):
     taus = cfg["tau_list"] or [1.0 / m for m in (12, 14, 16, 18, 20, 22, 24)]
     mesh = build_structured(cfg["n"], perturb=cfg["perturb"], seed=cfg["seed"])
     problem = manufactured.taylor_green(cfg["nu"])
+    disc = integrators.Discretization(
+        mesh, cfg["k"], integrators.FormParams(sigma=cfg["sigma"], nu=cfg["nu"]))
 
-    blocks = {}
+    rows, md = [], []
     for name, scheme in (("Explicit RK", "rk2"), ("Semi-implicit CN", "cn")):
-        disc = integrators.Discretization(
-            mesh, cfg["k"], integrators.FormParams(sigma=cfg["sigma"],
-                                                   nu=cfg["nu"]))
-        rows = []
+        block = []
         for tau in taus:
-            config = _scheme_config(cfg, tau, integrator=scheme)
-            report = integrators.run(config, mesh, problem, disc=disc)
-            rows.append(dict(
-                tau=config.tau,
-                l2_norm=report.l2_norms[-1] if report.completed else float("nan"),
-                l2_err=report.l2_err, h1_err=report.h1_err,
-                div=report.div_err if report.completed else float("nan"),
-                blow_up=report.blow_up))
-        blocks[name] = rows
-
-    lines = _config_lines(cfg)
-    lines.append("scheme,tau,l2_norm,l2_err,h1_err,div_norm,blow_up_step")
-    for name, rows in blocks.items():
-        tag = "rk2" if "RK" in name else "cn"
-        for r in rows:
-            lines.append(",".join([
-                tag, _fmt17(r["tau"]), _fmt17(r["l2_norm"]),
-                _fmt17(r["l2_err"]), _fmt17(r["h1_err"]), _fmt17(r["div"]),
-                "" if r["blow_up"] is None else str(r["blow_up"])]))
-    csv_text = "\n".join(lines) + "\n"
-
-    md = ["# Explicit RK vs semi-implicit CN", "",
-          "Config: " + ", ".join(f"{k}={v}" for k, v in sorted(cfg.items())
-                                 if v is not None), ""]
-    cols = ["tau", "||u_h||_L2", "||u - u_h||_L2", "||grad_h(u - u_h)||_L2",
-            "||div u_h||_L2"]
-    for name, rows in blocks.items():
-        md.append(f"## {name}")
-        md.append("")
-        md.append("| " + " | ".join(cols) + " |")
-        md.append("|" + "---|" * len(cols))
-        for r in rows:
-            md.append("| " + " | ".join([
-                _tau_fraction(r["tau"]), _fmt3(r["l2_norm"]),
-                _fmt3(r["l2_err"]), _fmt3(r["h1_err"]), _fmt3(r["div"])])
-                + " |")
-        md.append("")
-    md_text = "\n".join(md) + "\n"
-
-    for path in _emit(cfg, "compare-cn", csv_text, md_text):
-        print(f"wrote {path}")
+            report = diagnostics.run_trial(mesh, tau, problem, disc,
+                                           **_scheme(cfg, scheme))
+            block.append(dict(scheme=scheme, tau=report.config["tau"],
+                              **diagnostics.trial_row(report)))
+        rows += block
+        md += [f"## {name}", ""] + _md_table(COMPARE_COLUMNS, block) + [""]
+    _write_outputs(cfg, "Explicit RK vs semi-implicit CN",
+                   [("compare-cn.csv", _csv_table(COMPARE_COLUMNS, rows)),
+                    ("compare-cn.md", md)])
     return 0
 
 
@@ -436,10 +377,9 @@ def main(argv=None):
     try:
         cfg = _effective_config(args)
         return handlers[args.command](cfg)
-    except UsageError as exc:
-        print(f"divfree: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # UsageError and the library's input checks (bad tau, T, n or a
+        # duplicate mesh size) are all ValueErrors
         print(f"divfree: error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@
 maximum-step search and exponent fitting, and convergence-study orchestration.
 """
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -125,23 +126,43 @@ def _tau_for(cfl_form, co, h):
     raise ValueError(f"unknown CFL form {cfl_form!r}")
 
 
-def _single_run(k, n, tau, T, perturb, seed, nu, f_mode, integrator, problem):
+def _mesh_sizes(n_list):
+    """Mesh sizes in increasing order; rates need distinct sizes."""
+    if len(n_list) == 0:
+        raise ValueError("empty mesh-size list")
+    n_sorted = sorted(n_list)
+    for a, b in zip(n_sorted, n_sorted[1:]):
+        if a == b:
+            raise ValueError(f"duplicate mesh size n={a} in {list(n_list)}")
+    return n_sorted
+
+
+def run_trial(mesh, tau, problem, disc=None, **scheme):
+    """One run at step ``tau``; ``scheme`` holds the other SchemeConfig
+    fields.  Sweeps and studies take the run's own blow-up gate
+    (``report.completed``) as the verdict on the trial."""
     from . import integrators
-    from .mesh import build_structured
-
-    mesh = build_structured(n, perturb=perturb, seed=seed)
-    config = integrators.SchemeConfig(tau=tau, k=k, T=T, nu=nu, f_mode=f_mode,
-                                      integrator=integrator)
-    return integrators.run(config, mesh, problem)
+    config = integrators.SchemeConfig(tau=tau, **scheme)
+    return integrators.run(config, mesh, problem, disc=disc)
 
 
-def _stable(report, factor=10.0):
-    if not report.completed:
-        return False
-    if not math.isfinite(report.l2_err):
-        return False
-    norm0 = report.l2_norms[0]
-    return report.max_l2 <= factor * norm0
+def trial_row(report):
+    """Table cells of one trial: final norms, errors and divergences, all nan
+    when the run blew up or (``report`` None) no trial ran."""
+    if report is None or not report.completed:
+        return dict(l2_norm=NAN, l2_err=NAN, h1_err=NAN, max_div=NAN,
+                    div_norm=NAN, div_err=NAN,
+                    blow_up=None if report is None else report.blow_up)
+    return dict(l2_norm=report.l2_norms[-1], l2_err=report.l2_err,
+                h1_err=report.h1_err, max_div=report.max_div,
+                div_norm=report.div_norms[-1], div_err=report.div_err,
+                blow_up=None)
+
+
+def _add_rates(rows, key, rate_key):
+    rates = rate_table([r["h"] for r in rows], [r[key] for r in rows])
+    for row, rate in zip(rows, [NAN] + rates):
+        row[rate_key] = rate
 
 
 def cfl_sweep(n_list, k, cfl_form="search", co=0.5, T=2.0, perturb=0.15,
@@ -151,82 +172,45 @@ def cfl_sweep(n_list, k, cfl_form="search", co=0.5, T=2.0, perturb=0.15,
 
     In search mode tau = 1/m is scanned with the integer denominator starting
     at the standard-CFL value m = ceil(2 n) and increasing by 2 until the
-    first stable run; fixed forms run tau = co*h or co*h^(4/3) once per h.
+    first run that completes; fixed forms run tau = co*h or co*h^(4/3) once
+    per h.  alpha is the observed rate of tau_max in h.
     """
     if problem is None:
         from .manufactured import taylor_green
         problem = taylor_green(nu)
-    if len(n_list) == 0:
-        raise ValueError("empty mesh-size list")
+    n_sorted = _mesh_sizes(n_list)
 
     from . import integrators
+    from .forms import FormParams
     from .mesh import build_structured
-
-    result = SweepResult()
 
     def sweep_one(n):
         h = 1.0 / n
         mesh = build_structured(n, perturb=perturb, seed=seed)
-        disc = None
-        trials = []
-
-        def attempt(tau):
-            nonlocal disc
-            config = integrators.SchemeConfig(tau=tau, k=k, T=T, nu=nu,
-                                              f_mode=f_mode,
-                                              integrator=integrator)
-            if disc is None:
-                disc = integrators.Discretization(
-                    mesh, k, _params_for(config))
-            report = integrators.run(config, mesh, problem, disc=disc)
-            stable = _stable(report)
-            trials.append((h, tau, stable))
-            return report, stable
-
+        disc = integrators.Discretization(mesh, k, FormParams(nu=nu))
         if cfl_form == "search":
-            m = math.ceil(1.0 / (0.5 * h))
-            row = None
-            while 1.0 / m >= tau_floor:
-                report, stable = attempt(1.0 / m)
-                if stable:
-                    row = dict(h=h, n=n, tau_max=1.0 / m, denominator=m,
-                               l2_norm=report.l2_norms[-1],
-                               l2_err=report.l2_err, h1_err=report.h1_err,
-                               max_div=report.max_div)
-                    break
-                m += 2
-            if row is None:
-                row = dict(h=h, n=n, tau_max=NAN, denominator=None,
-                           l2_norm=NAN, l2_err=NAN, h1_err=NAN, max_div=NAN)
+            start = math.ceil(1.0 / (0.5 * h))
+            schedule = ((1.0 / m, m) for m in itertools.takewhile(
+                lambda m: 1.0 / m >= tau_floor, itertools.count(start, 2)))
         else:
-            tau = _tau_for(cfl_form, co, h)
-            report, stable = attempt(tau)
-            if stable:
-                row = dict(h=h, n=n, tau_max=tau, denominator=None,
-                           l2_norm=report.l2_norms[-1], l2_err=report.l2_err,
-                           h1_err=report.h1_err, max_div=report.max_div)
-            else:
-                row = dict(h=h, n=n, tau_max=NAN, denominator=None,
-                           l2_norm=NAN, l2_err=NAN, h1_err=NAN, max_div=NAN)
-        return row, trials
+            schedule = [(_tau_for(cfl_form, co, h), None)]
+        trials = []
+        for tau, m in schedule:
+            report = run_trial(mesh, tau, problem, disc, k=k, T=T, nu=nu,
+                               f_mode=f_mode, integrator=integrator)
+            trials.append((h, tau, report.completed))
+            if report.completed:
+                return dict(h=h, n=n, tau_max=tau, denominator=m,
+                            **trial_row(report)), trials
+        return dict(h=h, n=n, tau_max=NAN, denominator=None,
+                    **trial_row(None)), trials
 
-    outcomes = _map_ordered(sweep_one, sorted(n_list))
-    prev = None
-    for row, trials in outcomes:
-        result.trace.extend(trials)
-        row["alpha"] = NAN
-        if prev is not None and math.isfinite(row["tau_max"]) \
-                and math.isfinite(prev["tau_max"]):
-            row["alpha"] = math.log(prev["tau_max"] / row["tau_max"]) \
-                / math.log(prev["h"] / row["h"])
+    result = SweepResult()
+    for row, trials in _map_ordered(sweep_one, n_sorted):
         result.rows.append(row)
-        prev = row
+        result.trace.extend(trials)
+    _add_rates(result.rows, "tau_max", "alpha")
     return result
-
-
-def _params_for(config):
-    from .forms import FormParams
-    return FormParams(sigma=config.sigma, nu=config.nu)
 
 
 def convergence_study(k, n_list, cfl_form="fourthirds", co=1.0, T=2.0,
@@ -239,35 +223,22 @@ def convergence_study(k, n_list, cfl_form="fourthirds", co=1.0, T=2.0,
     if problem is None:
         from .manufactured import taylor_green
         problem = taylor_green(nu)
-    if len(n_list) == 0:
-        raise ValueError("empty mesh-size list")
+    n_sorted = _mesh_sizes(n_list)
+    from .mesh import build_structured
 
     def study_one(n):
         h = 1.0 / n
         tau = _tau_for(cfl_form, co, h)
-        report = _single_run(k, n, tau, T, perturb, seed, nu, f_mode,
-                             integrator, problem)
-        return dict(h=h, n=n, tau=tau,
-                    l2_norm=report.l2_norms[-1] if report.completed else NAN,
-                    l2_err=report.l2_err if report.completed else NAN,
-                    h1_err=report.h1_err if report.completed else NAN,
-                    max_div=report.max_div if report.completed else NAN,
-                    blow_up=report.blow_up)
+        mesh = build_structured(n, perturb=perturb, seed=seed)
+        report = run_trial(mesh, tau, problem, k=k, T=T, nu=nu,
+                           f_mode=f_mode, integrator=integrator)
+        return dict(h=h, n=n, tau=tau, **trial_row(report))
 
-    rows = _map_ordered(study_one, sorted(n_list))
-    hs = [r["h"] for r in rows]
-    for key, rate_key in (("l2_err", "l2_rate"), ("h1_err", "h1_rate")):
-        errs = [r[key] if math.isfinite(r[key]) and r[key] > 0 else NAN
-                for r in rows]
-        rows[0][rate_key] = NAN
-        for i in range(1, len(rows)):
-            if math.isfinite(errs[i - 1]) and math.isfinite(errs[i]):
-                rows[i][rate_key] = math.log(errs[i - 1] / errs[i]) \
-                    / math.log(hs[i - 1] / hs[i])
-            else:
-                rows[i][rate_key] = NAN
+    rows = _map_ordered(study_one, n_sorted)
+    _add_rates(rows, "l2_err", "l2_rate")
+    _add_rates(rows, "h1_err", "h1_rate")
     return rows
 
 
 __all__ = ["RunReport", "SweepResult", "energy_residual", "cfl_sweep",
-           "convergence_study", "rate_table"]
+           "convergence_study", "run_trial", "trial_row", "rate_table"]

@@ -3,9 +3,11 @@ explicit-viscous equations, and the semi-implicit Crank-Nicolson comparator.
 
 Each RK stage assembles an explicit right-hand-side functional and projects it
 onto the exactly divergence-free subspace, so both the predictor and the new
-velocity are divergence-free by construction.  Blow-up (non-finite values or
-norm growth past the gate) is a reportable outcome carried by BlowUpSignal,
-not a solver failure.
+velocity are divergence-free by construction.  Blow-up is a reportable
+outcome carried by BlowUpSignal, not a solver failure.  Both integrators, and
+so every sweep and study built on them, share one definition of it: a step
+blows up when the new velocity has a non-finite value or
+||u|| > BLOWUP_FACTOR * max(||u^0||, 1).
 """
 
 import time
@@ -20,6 +22,7 @@ from .linsolve import BlowUpSignal
 
 F_MODES = ("f_taylor", "f_next")
 INTEGRATOR_NAMES = ("explicit_rk2", "semi_implicit_cn")
+BLOWUP_FACTOR = 10.0
 
 
 @dataclass
@@ -34,7 +37,6 @@ class SchemeConfig:
     sigma: float = None
     f_mode: str = "f_taylor"
     integrator: str = "explicit_rk2"
-    blowup_factor: float = 10.0
     f_zero: bool = False
     track_time_errors: bool = False
 
@@ -91,6 +93,8 @@ class Discretization:
         self.saddle = linsolve.build_saddle(self.space, self.q_space,
                                             self.mass, self.div)
         self.sip = forms.assemble_sip(self.space, self.params) if self.params.nu > 0 else None
+        free = self.space.free_dofs
+        self.sip_free = self.sip[free][:, free] if self.sip is not None else None
 
     def l2_norm(self, u):
         v = u.values if isinstance(u, CoefVec) else u
@@ -101,9 +105,11 @@ class Discretization:
         return forms.divergence_l2_norm(self.space, self.q_space, v, self.div)
 
 
-def _check_finite(vec, step):
-    if not np.all(np.isfinite(vec)):
-        raise BlowUpSignal(step=step)
+def _check_blowup(disc, state, u):
+    """The blow-up gate of step ``state.n``, shared by both integrators."""
+    if not np.all(np.isfinite(u.values)) or \
+            disc.l2_norm(u) > BLOWUP_FACTOR * max(state.norm0, 1.0):
+        raise BlowUpSignal(step=state.n)
 
 
 def _cached_vectors(disc, attr, problem, build):
@@ -160,44 +166,35 @@ def _viscous_boundary_load(disc, problem, t):
 
 
 def rk2_step(state, config, disc, problem=None):
-    """One explicit RK2 step; the viscous term enters explicitly when nu > 0."""
+    """One explicit RK2 step; the viscous term enters explicitly when nu > 0.
+    A non-finite predictor reaches the second projection, which raises."""
     space = disc.space
     mass = disc.mass
     tau = config.tau
     u = state.u.values
     t = state.t
-    try:
-        rhs = mass @ u - tau * forms.apply_convection(space, state.u, state.u)
-        if config.nu > 0:
-            rhs -= tau * config.nu * (disc.sip @ u)
-            rhs += tau * config.nu * _viscous_boundary_load(disc, problem, t)
-        if problem is not None:
-            rhs += tau * _load(disc, problem, t)
-        stage = linsolve.project_div_free(disc.saddle, rhs[space.free_dofs])
-        _check_finite(stage.values, state.n)
+    rhs = mass @ u - tau * forms.apply_convection(space, state.u, state.u)
+    if config.nu > 0:
+        rhs -= tau * config.nu * (disc.sip @ u)
+        rhs += tau * config.nu * _viscous_boundary_load(disc, problem, t)
+    if problem is not None:
+        rhs += tau * _load(disc, problem, t)
+    stage = linsolve.project_div_free(disc.saddle, rhs[space.free_dofs])
 
-        w = stage.values
-        rhs = 0.5 * (mass @ u + mass @ w) - 0.5 * tau * forms.apply_convection(
-            space, stage, stage)
-        if config.nu > 0:
-            rhs -= 0.5 * tau * config.nu * (disc.sip @ w)
-            rhs += 0.5 * tau * config.nu * _viscous_boundary_load(disc, problem,
-                                                                  t + tau)
-        if problem is not None:
-            if config.f_mode == "f_taylor":
-                rhs += 0.5 * tau * _load(disc, problem, t, tau_taylor=tau)
-            else:
-                rhs += 0.5 * tau * _load(disc, problem, t + tau)
-        u_next = linsolve.project_div_free(disc.saddle, rhs[space.free_dofs])
-        _check_finite(u_next.values, state.n)
-    except BlowUpSignal as sig:
-        if sig.step is None:
-            sig.step = state.n
-        raise
-
-    norm = disc.l2_norm(u_next)
-    if norm > config.blowup_factor * max(state.norm0, 1.0):
-        raise BlowUpSignal(step=state.n)
+    w = stage.values
+    rhs = 0.5 * (mass @ u + mass @ w) - 0.5 * tau * forms.apply_convection(
+        space, stage, stage)
+    if config.nu > 0:
+        rhs -= 0.5 * tau * config.nu * (disc.sip @ w)
+        rhs += 0.5 * tau * config.nu * _viscous_boundary_load(disc, problem,
+                                                              t + tau)
+    if problem is not None:
+        if config.f_mode == "f_taylor":
+            rhs += 0.5 * tau * _load(disc, problem, t, tau_taylor=tau)
+        else:
+            rhs += 0.5 * tau * _load(disc, problem, t + tau)
+    u_next = linsolve.project_div_free(disc.saddle, rhs[space.free_dofs])
+    _check_blowup(disc, state, u_next)
     return StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
                      u_prev=state.u, stage=stage, norm0=state.norm0)
 
@@ -214,8 +211,8 @@ def cn_step(state, config, disc, problem=None):
     if state.n == 0:
         advect = state.u
         conv = forms.convection_matrix(space, advect)
-        system = linsolve.CNSystem(space, disc.q_space, mass, disc.div, conv,
-                                   tau, nu=nu, sip=disc.sip, theta=1.0)
+        system = linsolve.CNSystem(disc.saddle, conv, tau, nu=nu,
+                                   sip_free=disc.sip_free, theta=1.0)
         rhs = mass @ u / tau
         if problem is not None:
             rhs += _load(disc, problem, state.t + tau)
@@ -224,8 +221,8 @@ def cn_step(state, config, disc, problem=None):
     else:
         advect = CoefVec(space, 1.5 * u - 0.5 * state.u_prev.values)
         conv = forms.convection_matrix(space, advect)
-        system = linsolve.CNSystem(space, disc.q_space, mass, disc.div, conv,
-                                   tau, nu=nu, sip=disc.sip, theta=0.5)
+        system = linsolve.CNSystem(disc.saddle, conv, tau, nu=nu,
+                                   sip_free=disc.sip_free, theta=0.5)
         rhs = mass @ u / tau - 0.5 * (conv @ u)
         if nu > 0:
             rhs -= 0.5 * nu * (disc.sip @ u)
@@ -233,17 +230,8 @@ def cn_step(state, config, disc, problem=None):
         if problem is not None:
             rhs += _load(disc, problem, state.t + 0.5 * tau)
 
-    try:
-        u_next = linsolve.cn_solve(system, rhs[space.free_dofs])
-        _check_finite(u_next.values, state.n)
-    except BlowUpSignal as sig:
-        if sig.step is None:
-            sig.step = state.n
-        raise
-
-    norm = disc.l2_norm(u_next)
-    if norm > config.blowup_factor * max(state.norm0, 1.0):
-        raise BlowUpSignal(step=state.n)
+    u_next = linsolve.cn_solve(system, rhs[space.free_dofs])
+    _check_blowup(disc, state, u_next)
     return StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
                      u_prev=state.u, stage=None, norm0=state.norm0)
 
@@ -304,8 +292,8 @@ def run(config, mesh, problem=None, disc=None):
         prev_l2_sq = disc.l2_norm(state.u) ** 2
         try:
             new_state = step_fn(state, config, disc, forcing)
-        except BlowUpSignal as sig:
-            report.blow_up = sig.step if sig.step is not None else state.n
+        except BlowUpSignal:
+            report.blow_up = state.n
             break
         rec = dict(t=new_state.t, l2=disc.l2_norm(new_state.u),
                    div=disc.div_l2(new_state.u))
@@ -338,4 +326,4 @@ def run(config, mesh, problem=None, disc=None):
 
 
 __all__ = ["SchemeConfig", "StepState", "Discretization", "rk2_step",
-           "cn_step", "run", "initial_state", "BlowUpSignal"]
+           "cn_step", "run", "initial_state", "BlowUpSignal", "BLOWUP_FACTOR"]

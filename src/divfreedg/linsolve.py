@@ -34,18 +34,16 @@ def _factorize(matrix, label):
 class _BorderedSystem:
     """Shared machinery: factorized [[A, B^T, 0], [B, 0, c], [0, c^T, 0]]."""
 
-    def __init__(self, space, q_space, velocity_block, div, label):
+    def __init__(self, space, q_space, velocity_block, div_free, border, label):
         self.space = space
         self.q_space = q_space
         self.free = space.free_dofs
         self.n_free = len(self.free)
         self.n_mult = q_space.n_dofs
-        b_free = div[:, self.free].tocsr()
-        c = sp.csr_matrix(q_space.integral_vector()[:, None])
         self.matrix = sp.bmat(
-            [[velocity_block, b_free.T, None],
-             [b_free, None, c],
-             [None, c.T, None]], format="csc")
+            [[velocity_block, div_free.T, None],
+             [div_free, None, border],
+             [None, border.T, None]], format="csc")
         self.lu = _factorize(self.matrix, label)
 
     def solve(self, rhs_free, refine=False):
@@ -73,14 +71,20 @@ class _BorderedSystem:
 
 
 class SaddleSystem(_BorderedSystem):
-    """Factorized mass/divergence saddle operator for the L2 projection."""
+    """Factorized mass/divergence saddle operator for the L2 projection.
+
+    Keeps the free-DOF blocks and the border that every CN system on the
+    same discretization reuses."""
 
     def __init__(self, space, q_space, mass=None, div=None):
         self.mass = mass if mass is not None else forms.assemble_mass(space)
         self.div = div if div is not None else forms.assemble_div(space, q_space)
-        m_free = self.mass[space.free_dofs][:, space.free_dofs].tocsr()
-        super().__init__(space, q_space, m_free, self.div, "saddle")
-        self.mass_free = m_free
+        free = space.free_dofs
+        self.mass_free = self.mass[free][:, free].tocsr()
+        self.div_free = self.div[:, free].tocsr()
+        self.border = sp.csr_matrix(q_space.integral_vector()[:, None])
+        super().__init__(space, q_space, self.mass_free, self.div_free,
+                         self.border, "saddle")
 
 
 def build_saddle(space, q_space, mass=None, div=None):
@@ -105,20 +109,22 @@ class CNSystem(_BorderedSystem):
     """Factorized semi-implicit step operator (1/tau) M + theta C(a) + theta nu A.
 
     Refreshed every step because the linearized convection C depends on the
-    advecting field.
+    advecting field; the mass, divergence and border blocks come sliced from
+    ``saddle`` and ``sip_free`` is the SIP matrix on the free DOFs.
     """
 
-    def __init__(self, space, q_space, mass, div, convection, tau,
-                 nu=0.0, sip=None, theta=0.5):
+    def __init__(self, saddle, convection, tau, nu=0.0, sip_free=None,
+                 theta=0.5):
         if tau <= 0:
             raise ValueError("time step must be positive")
-        free = space.free_dofs
-        block = (mass[free][:, free] / tau + theta * convection[free][:, free])
+        free = saddle.free
+        block = (saddle.mass_free / tau + theta * convection[free][:, free])
         if nu > 0:
-            if sip is None:
+            if sip_free is None:
                 raise ValueError("viscous CN step needs the assembled SIP matrix")
-            block = block + theta * nu * sip[free][:, free]
-        super().__init__(space, q_space, block.tocsr(), div, "CN")
+            block = block + theta * nu * sip_free
+        super().__init__(saddle.space, saddle.q_space, block.tocsr(),
+                         saddle.div_free, saddle.border, "CN")
         self.tau = tau
         self.theta = theta
 

@@ -159,3 +159,77 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["not-a-command"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("flag", [["--tau", "-1"], ["--T", "0"], ["--n", "0"]],
+                         ids=["tau", "T", "n"])
+def test_single_run_bad_value_is_usage_error(tmp_path, capsys, flag):
+    code = run_cli(["single-run", *flag, "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("divfree: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["convergence", "cfl-sweep"])
+def test_duplicate_n_list_is_usage_error(tmp_path, capsys, command):
+    code = run_cli([command, "--n-list", "2,2", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "divfree: error: duplicate mesh size n=2" in capsys.readouterr().err
+
+
+RUN_MD = ("| tau | ||u_h||_L2 | ||u - u_h||_L2 | ||grad_h(u - u_h)||_L2 "
+          "| ||div u_h||_L2 |")
+TABLE_HEADERS = {
+    "single-run": (
+        ["single-run", "--n", "4", "--tau", "1/8", "--T", "0.25"],
+        {"single-run.csv": ["step,t,l2_norm,div_norm,jump_u,jump_w,"
+                            "energy_residual", "summary,key,value"]},
+        [RUN_MD, "|---|---|---|---|---|"]),
+    "convergence": (
+        ["convergence", "--n-list", "4,8", "--T", "0.25"],
+        {"convergence.csv": ["h,n,tau,l2_norm,l2_err,l2_rate,h1_err,h1_rate,"
+                             "max_div,blow_up_step"]},
+        ["| h | ||u_h||_L2 | ||u - u_h||_L2 | Rate | ||grad_h(u - u_h)||_L2 "
+         "| Rate |", "|---|---|---|---|---|---|"]),
+    "cfl-sweep": (
+        ["cfl-sweep", "--n-list", "4", "--T", "0.25"],
+        {"cfl-sweep.csv": ["h,n,tau_max,denominator,alpha,l2_norm,l2_err,"
+                           "h1_err,max_div"],
+         "cfl-sweep-trace.csv": ["h,tau,stable"]},
+        ["| h | tau_max | alpha | ||u_h||_L2 | ||u - u_h||_L2 "
+         "| ||grad_h(u - u_h)||_L2 |", "|---|---|---|---|---|---|"]),
+    "compare-cn": (
+        ["compare-cn", "--n", "4", "--tau-list", "1/8", "--T", "0.25"],
+        {"compare-cn.csv": ["scheme,tau,l2_norm,l2_err,h1_err,div_norm,"
+                            "blow_up_step"]},
+        [RUN_MD, "|---|---|---|---|---|"]),
+}
+
+
+@pytest.mark.parametrize("command", list(TABLE_HEADERS))
+def test_table_headers_and_config_echo(tmp_path, command):
+    args, csv_headers, md_rows = TABLE_HEADERS[command]
+    assert run_cli(args + ["--out-dir", str(tmp_path)]) in (0, 2)
+    echoes = []
+    for name, headers in csv_headers.items():
+        lines = read(tmp_path / name).splitlines()
+        echo = [l for l in lines if l.startswith("# ")]
+        assert lines[:len(echo)] == echo  # the config comes first
+        assert [l for l in lines if l in headers] == headers
+        assert lines[len(echo)] == headers[0]
+        echoes.append(echo)
+    assert all(echo == echoes[0] for echo in echoes)
+
+    md = read(tmp_path / f"{command}.md").splitlines()
+    assert md[0].startswith("# ") and md[1] == ""
+    assert md[2].startswith("Config: ") and md[3] == ""
+    header = md.index(md_rows[0])
+    assert md[header:header + 2] == md_rows
+    # both formats echo the same effective config; the CSV leaves out the
+    # output location, the Markdown line leaves out unset keys
+    csv_keys = {l[2:].split("=", 1)[0] for l in echoes[0]
+                if not l.endswith("=None")}
+    md_keys = set(re.findall(r"(?:Config: |, )(\w+)=", md[2]))
+    assert md_keys == csv_keys | {"out_dir", "format"}
+    if command == "cfl-sweep":
+        assert "cfl=search" in md[2] and "co=0.5" in md[2]

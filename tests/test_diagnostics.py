@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -88,6 +89,34 @@ def test_cfl_sweep_rejects_empty():
         diagnostics.cfl_sweep([], 1)
     with pytest.raises(ValueError):
         diagnostics.convergence_study(1, [])
+
+
+def test_cfl_sweep_small_initial_data():
+    # ||u^0|| = 0.007: the tau = 1/8 run completes with max ||u|| near 1,
+    # which is below the run's blow-up gate 10 * max(||u^0||, 1), so the
+    # sweep must call it stable
+    tg = manufactured.taylor_green(0.0)
+    small = dataclasses.replace(
+        tg, u=lambda x, y, t: 0.01 * tg.u(x, y, t),
+        grad_u=lambda x, y, t: 0.01 * tg.grad_u(x, y, t))
+    result = diagnostics.cfl_sweep([4], 1, T=0.5, tau_floor=1.0 / 20,
+                                   problem=small)
+    row = result.rows[0]
+    assert row["denominator"] == 8
+    assert row["tau_max"] == 1.0 / 8
+    assert [stable for _, _, stable in result.trace] == [True]
+    # the run ends well past 10 ||u^0|| = 0.07, where the old sweep verdict
+    # had no floor and called it unstable
+    assert row["l2_norm"] > 0.07
+
+
+@pytest.mark.parametrize("study", [
+    lambda n_list: diagnostics.cfl_sweep(n_list, 1, T=0.5),
+    lambda n_list: diagnostics.convergence_study(1, n_list, T=0.5),
+], ids=["cfl_sweep", "convergence_study"])
+def test_duplicate_mesh_sizes_rejected(study):
+    with pytest.raises(ValueError, match="duplicate mesh size n=2"):
+        study([2, 4, 2])
 
 
 def test_convergence_study_structure():

@@ -87,13 +87,13 @@ def test_blowup_signal_on_nonfinite_rhs(spaces):
 def test_cn_pure_mass_step(spaces):
     # nu = 0, zero advection, f = 0: one step is the identity
     entry = spaces(2, 1, perturb=0.0, with_saddle=True)
-    space, q_space = entry["space"], entry["q_space"]
+    space = entry["space"]
     sys = entry["saddle"]
     rng = np.random.default_rng(5)
     u = random_div_free(entry, rng)
     conv = forms.convection_matrix(space, space.zero())
     tau = 0.1
-    cn = linsolve.CNSystem(space, q_space, sys.mass, sys.div, conv, tau)
+    cn = linsolve.CNSystem(sys, conv, tau)
     rhs = (sys.mass @ u.values) / tau
     nxt = linsolve.cn_solve(cn, rhs[space.free_dofs])
     assert np.abs(nxt.values - u.values).max() <= 1e-10
@@ -101,14 +101,14 @@ def test_cn_pure_mass_step(spaces):
 
 def test_cn_step_matches_dense_solve(spaces):
     entry = spaces(2, 1, perturb=0.0, with_saddle=True)
-    space, q_space = entry["space"], entry["q_space"]
+    space = entry["space"]
     sys = entry["saddle"]
     rng = np.random.default_rng(6)
     u = random_div_free(entry, rng)
     advect = random_div_free(entry, rng)
     conv = forms.convection_matrix(space, advect)
     tau = 0.05
-    cn = linsolve.CNSystem(space, q_space, sys.mass, sys.div, conv, tau)
+    cn = linsolve.CNSystem(sys, conv, tau)
     rhs = (sys.mass @ u.values) / tau - 0.5 * (conv @ u.values)
     sparse_u = linsolve.cn_solve(cn, rhs[space.free_dofs])
 
@@ -122,8 +122,8 @@ def test_cn_step_matches_dense_solve(spaces):
 
 def test_cn_rejects_nonpositive_tau(spaces):
     entry = spaces(2, 1, perturb=0.0, with_saddle=True)
-    space, q_space = entry["space"], entry["q_space"]
+    space = entry["space"]
     sys = entry["saddle"]
     conv = forms.convection_matrix(space, space.zero())
     with pytest.raises(ValueError, match="time step"):
-        linsolve.CNSystem(space, q_space, sys.mass, sys.div, conv, 0.0)
+        linsolve.CNSystem(sys, conv, 0.0)
