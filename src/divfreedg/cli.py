@@ -292,12 +292,6 @@ def cmd_single_run(cfg):
     return 2 if not report.completed else 0
 
 
-def _study_args(cfg):
-    return dict(T=cfg["T"], perturb=cfg["perturb"], seed=cfg["seed"],
-                nu=cfg["nu"], f_mode=cfg["f_mode"],
-                problem=manufactured.taylor_green(cfg["nu"]))
-
-
 def cmd_convergence(cfg):
     if cfg["n_list"] is None:
         raise UsageError("convergence needs --n-list")
@@ -307,8 +301,9 @@ def cmd_convergence(cfg):
     co = cfg["co"] if cfg["co"] is not None else \
         (STANDARD_CO if cfl == "std" else FOURTHIRDS_CO)
     rows = diagnostics.convergence_study(
-        cfg["k"], cfg["n_list"], cfl_form=cfl, co=co,
-        integrator=cfg["integrator"], **_study_args(cfg))
+        cfg["n_list"], cfl_form=cfl, co=co, perturb=cfg["perturb"],
+        seed=cfg["seed"], problem=manufactured.taylor_green(cfg["nu"]),
+        **_scheme(cfg))
     schedule = "h^(4/3)" if cfl == "fourthirds" else "h"
     _write_outputs(
         {**cfg, "cfl": cfl, "co": co},
@@ -323,8 +318,10 @@ def cmd_cfl_sweep(cfg):
         raise UsageError("cfl-sweep needs --n-list")
     cfl = cfg["cfl"] or "search"
     co = cfg["co"] if cfg["co"] is not None else STANDARD_CO
-    result = diagnostics.cfl_sweep(cfg["n_list"], cfg["k"], cfl_form=cfl,
-                                   co=co, **_study_args(cfg))
+    result = diagnostics.cfl_sweep(
+        cfg["n_list"], cfl_form=cfl, co=co, perturb=cfg["perturb"],
+        seed=cfg["seed"], problem=manufactured.taylor_green(cfg["nu"]),
+        **_scheme(cfg))
     trace = [dict(h=h, tau=tau, stable=int(stable))
              for h, tau, stable in result.trace]
     _write_outputs(
@@ -336,18 +333,19 @@ def cmd_cfl_sweep(cfg):
 
 
 def cmd_compare_cn(cfg):
+    if cfg["integrator"] != DEFAULTS["integrator"]:
+        raise UsageError("compare-cn runs both integrators; drop --integrator")
     taus = cfg["tau_list"] or [1.0 / m for m in (12, 14, 16, 18, 20, 22, 24)]
     mesh = build_structured(cfg["n"], perturb=cfg["perturb"], seed=cfg["seed"])
     problem = manufactured.taylor_green(cfg["nu"])
-    disc = integrators.Discretization(
-        mesh, cfg["k"], integrators.FormParams(sigma=cfg["sigma"], nu=cfg["nu"]))
 
-    rows, md = [], []
+    rows, md, disc = [], [], None
     for name, scheme in (("Explicit RK", "rk2"), ("Semi-implicit CN", "cn")):
         block = []
         for tau in taus:
-            report = diagnostics.run_trial(mesh, tau, problem, disc,
-                                           **_scheme(cfg, scheme))
+            config = integrators.SchemeConfig(tau=tau, **_scheme(cfg, scheme))
+            disc = disc or config.discretization(mesh)
+            report = integrators.run(config, mesh, problem, disc)
             block.append(dict(scheme=scheme, tau=report.config["tau"],
                               **diagnostics.trial_row(report)))
         rows += block

@@ -4,8 +4,6 @@ maximum-step search and exponent fitting, and convergence-study orchestration.
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +45,6 @@ class RunReport:
     jump_w: list = field(default_factory=list)
     energy_residuals: list = field(default_factory=list)
     energy_scales: list = field(default_factory=list)
-    l2_errors: list = field(default_factory=list)
     blow_up: int = None
     l2_err: float = NAN
     h1_err: float = NAN
@@ -55,7 +52,7 @@ class RunReport:
     wall_time: float = 0.0
 
     def record(self, t, l2, div, jump_u=NAN, jump_w=NAN,
-               energy_residual=NAN, energy_scale=NAN, l2_error=NAN):
+               energy_residual=NAN, energy_scale=NAN):
         self.times.append(t)
         self.l2_norms.append(l2)
         self.div_norms.append(div)
@@ -63,7 +60,6 @@ class RunReport:
         self.jump_w.append(jump_w)
         self.energy_residuals.append(energy_residual)
         self.energy_scales.append(energy_scale)
-        self.l2_errors.append(l2_error)
 
     @property
     def completed(self):
@@ -81,11 +77,6 @@ class RunReport:
     def max_div(self):
         return max(self.div_norms) if self.div_norms else NAN
 
-    def max_time_error(self):
-        errs = np.asarray(self.l2_errors, dtype=float)
-        ok = np.isfinite(errs)
-        return float(errs[ok].max()) if np.any(ok) else NAN
-
     def max_relative_energy_residual(self):
         res = np.asarray(self.energy_residuals, dtype=float)
         scale = np.asarray(self.energy_scales, dtype=float)
@@ -101,21 +92,6 @@ class SweepResult:
 
     rows: list = field(default_factory=list)
     trace: list = field(default_factory=list)
-
-
-def _max_workers():
-    try:
-        return max(1, int(os.environ.get("DIVFREE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(func, items):
-    workers = _max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def _tau_for(cfl_form, co, h):
@@ -137,13 +113,13 @@ def _mesh_sizes(n_list):
     return n_sorted
 
 
-def run_trial(mesh, tau, problem, disc=None, **scheme):
+def run_trial(mesh, tau, problem, **scheme):
     """One run at step ``tau``; ``scheme`` holds the other SchemeConfig
     fields.  Sweeps and studies take the run's own blow-up gate
     (``report.completed``) as the verdict on the trial."""
     from . import integrators
-    config = integrators.SchemeConfig(tau=tau, **scheme)
-    return integrators.run(config, mesh, problem, disc=disc)
+    return integrators.run(integrators.SchemeConfig(tau=tau, **scheme), mesh,
+                           problem)
 
 
 def trial_row(report):
@@ -165,76 +141,75 @@ def _add_rates(rows, key, rate_key):
         row[rate_key] = rate
 
 
-def cfl_sweep(n_list, k, cfl_form="search", co=0.5, T=2.0, perturb=0.15,
-              seed=0, nu=0.0, f_mode="f_taylor", problem=None,
-              tau_floor=1e-5, integrator="explicit_rk2"):
-    """Stability sweep over mesh sizes h = 1/n.
+def _problem(problem, scheme):
+    if problem is not None:
+        return problem
+    from .manufactured import taylor_green
+    return taylor_green(scheme.get("nu", 0.0))
+
+
+def cfl_sweep(n_list, *, cfl_form="search", co=0.5, perturb=0.15, seed=0,
+              problem=None, tau_floor=1e-5, **scheme):
+    """Stability sweep over mesh sizes h = 1/n; ``scheme`` holds the
+    SchemeConfig fields other than tau, and the problem defaults to
+    Taylor-Green at the scheme's nu.
 
     In search mode tau = 1/m is scanned with the integer denominator starting
     at the standard-CFL value m = ceil(2 n) and increasing by 2 until the
     first run that completes; fixed forms run tau = co*h or co*h^(4/3) once
-    per h.  alpha is the observed rate of tau_max in h.
+    per h.  All trials on one mesh share one Discretization.  alpha is the
+    observed rate of tau_max in h.
     """
-    if problem is None:
-        from .manufactured import taylor_green
-        problem = taylor_green(nu)
-    n_sorted = _mesh_sizes(n_list)
-
+    problem = _problem(problem, scheme)
     from . import integrators
-    from .forms import FormParams
     from .mesh import build_structured
 
-    def sweep_one(n):
+    result = SweepResult()
+    for n in _mesh_sizes(n_list):
         h = 1.0 / n
         mesh = build_structured(n, perturb=perturb, seed=seed)
-        disc = integrators.Discretization(mesh, k, FormParams(nu=nu))
         if cfl_form == "search":
             start = math.ceil(1.0 / (0.5 * h))
             schedule = ((1.0 / m, m) for m in itertools.takewhile(
                 lambda m: 1.0 / m >= tau_floor, itertools.count(start, 2)))
         else:
             schedule = [(_tau_for(cfl_form, co, h), None)]
-        trials = []
+        disc, row = None, None
         for tau, m in schedule:
-            report = run_trial(mesh, tau, problem, disc, k=k, T=T, nu=nu,
-                               f_mode=f_mode, integrator=integrator)
-            trials.append((h, tau, report.completed))
+            config = integrators.SchemeConfig(tau=tau, **scheme)
+            disc = disc or config.discretization(mesh)
+            report = integrators.run(config, mesh, problem, disc)
+            result.trace.append((h, tau, report.completed))
             if report.completed:
-                return dict(h=h, n=n, tau_max=tau, denominator=m,
-                            **trial_row(report)), trials
-        return dict(h=h, n=n, tau_max=NAN, denominator=None,
-                    **trial_row(None)), trials
-
-    result = SweepResult()
-    for row, trials in _map_ordered(sweep_one, n_sorted):
-        result.rows.append(row)
-        result.trace.extend(trials)
+                row = dict(h=h, n=n, tau_max=tau, denominator=m, **trial_row(report))
+                break
+        result.rows.append(row or dict(h=h, n=n, tau_max=NAN, denominator=None,
+                                       **trial_row(None)))
     _add_rates(result.rows, "tau_max", "alpha")
     return result
 
 
-def convergence_study(k, n_list, cfl_form="fourthirds", co=1.0, T=2.0,
-                      perturb=0.15, seed=0, nu=0.0, f_mode="f_taylor",
-                      integrator="explicit_rk2", problem=None):
-    """Error/rate table over a sequence of meshes at the given CFL schedule.
+def convergence_study(n_list, *, cfl_form="fourthirds", co=1.0, perturb=0.15,
+                      seed=0, problem=None, **scheme):
+    """Error/rate table over a sequence of meshes at the given CFL schedule;
+    ``scheme`` and ``problem`` as in ``cfl_sweep``.
 
     Blown-up runs appear as nan rows (the standard-CFL fragility experiment
-    uses the same operation)."""
-    if problem is None:
-        from .manufactured import taylor_green
-        problem = taylor_green(nu)
-    n_sorted = _mesh_sizes(n_list)
+    uses the same operation).  An ``f_zero`` scheme has no exact solution to
+    measure the errors against and raises ValueError."""
+    if scheme.get("f_zero"):
+        raise ValueError("a convergence study measures errors against the exact "
+                         "solution, which an unforced (f_zero) run does not have")
+    problem = _problem(problem, scheme)
     from .mesh import build_structured
 
-    def study_one(n):
+    rows = []
+    for n in _mesh_sizes(n_list):
         h = 1.0 / n
         tau = _tau_for(cfl_form, co, h)
         mesh = build_structured(n, perturb=perturb, seed=seed)
-        report = run_trial(mesh, tau, problem, k=k, T=T, nu=nu,
-                           f_mode=f_mode, integrator=integrator)
-        return dict(h=h, n=n, tau=tau, **trial_row(report))
-
-    rows = _map_ordered(study_one, n_sorted)
+        report = run_trial(mesh, tau, problem, **scheme)
+        rows.append(dict(h=h, n=n, tau=tau, **trial_row(report)))
     _add_rates(rows, "l2_err", "l2_rate")
     _add_rates(rows, "h1_err", "h1_rate")
     return rows

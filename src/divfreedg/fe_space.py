@@ -186,9 +186,6 @@ class CoefVec:
                 f"coefficient length {self.values.shape} does not match "
                 f"space with {self.space.n_dofs} DOFs")
 
-    def copy(self):
-        return CoefVec(self.space, self.values.copy())
-
     def is_finite(self):
         return bool(np.all(np.isfinite(self.values)))
 

@@ -38,7 +38,6 @@ class SchemeConfig:
     f_mode: str = "f_taylor"
     integrator: str = "explicit_rk2"
     f_zero: bool = False
-    track_time_errors: bool = False
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -53,7 +52,6 @@ class SchemeConfig:
         self.integrator = int_aliases.get(self.integrator, self.integrator)
         if self.integrator not in INTEGRATOR_NAMES:
             raise ValueError(f"integrator must be one of {INTEGRATOR_NAMES}")
-        self.requested_tau = self.tau
         self.n_steps = max(1, round(self.T / self.tau))
         self.tau = self.T / self.n_steps
 
@@ -63,6 +61,11 @@ class SchemeConfig:
 
     def as_dict(self):
         return asdict(self)
+
+    def discretization(self, mesh):
+        """The spaces and operators this config runs on ``mesh``; every
+        config with the same k, sigma and nu can share them."""
+        return Discretization(mesh, self.k, FormParams(sigma=self.sigma, nu=self.nu))
 
 
 @dataclass
@@ -80,7 +83,8 @@ class StepState:
 
 class Discretization:
     """Spaces, assembled operators and the factorized projection for one
-    (mesh, degree) pair; shared by all steps and all trial runs on it."""
+    (mesh, degree) pair; shared by all steps and all trial runs on it, and so
+    is every load vector assembled on it (see ``load_vectors``)."""
 
     def __init__(self, mesh, k, params=None):
         self.mesh = mesh
@@ -95,6 +99,22 @@ class Discretization:
         self.sip = forms.assemble_sip(self.space, self.params) if self.params.nu > 0 else None
         free = self.space.free_dofs
         self.sip_free = self.sip[free][:, free] if self.sip is not None else None
+        self._load_memo = {}
+
+    def load_vectors(self, spatial, boundary=False):
+        """Rows: the load vector of each function g(x, y) in ``spatial``, or
+        with ``boundary`` its SIP wall data.  Each is assembled on first use
+        and kept, keyed by the function itself."""
+        rows = []
+        for g in spatial:
+            key = (g, boundary)
+            if key not in self._load_memo:
+                self._load_memo[key] = (
+                    forms.assemble_sip_boundary_load(self.space, g, self.params)
+                    if boundary else
+                    forms.assemble_load(self.space, g, self.params.load_order))
+            rows.append(self._load_memo[key])
+        return np.stack(rows)
 
     def l2_norm(self, u):
         v = u.values if isinstance(u, CoefVec) else u
@@ -112,40 +132,12 @@ def _check_blowup(disc, state, u):
         raise BlowUpSignal(step=state.n)
 
 
-def _cached_vectors(disc, attr, problem, build):
-    """Per-problem cache on the discretization; the entry keeps a reference
-    to the problem so id() keys cannot be recycled while cached."""
-    cache = getattr(disc, attr, None)
-    if cache is None:
-        cache = {}
-        setattr(disc, attr, cache)
-    entry = cache.get(id(problem))
-    if entry is None or entry[0] is not problem:
-        entry = (problem, build())
-        cache[id(problem)] = entry
-    return entry[1]
-
-
-def _load_vectors(disc, problem):
-    return _cached_vectors(
-        disc, "_load_cache", problem,
-        lambda: np.stack([
-            forms.assemble_load(disc.space, g, disc.params.load_order)
-            for g in problem.f_spatial]))
-
-
 def _load(disc, problem, t, tau_taylor=None):
     """Load vector of f(t), or of f(t) + tau df/dt(t) when tau_taylor is set."""
-    if problem.f_spatial is not None:
-        coeffs = problem.f_coeffs(t)
-        if tau_taylor is not None:
-            coeffs = coeffs + tau_taylor * problem.dt_f_coeffs(t)
-        return coeffs @ _load_vectors(disc, problem)
-    if tau_taylor is None:
-        func = lambda x, y: problem.f(x, y, t)
-    else:
-        func = lambda x, y: problem.f(x, y, t) + tau_taylor * problem.dt_f(x, y, t)
-    return forms.assemble_load(disc.space, func, disc.params.load_order)
+    coeffs = problem.f_coeffs(t)
+    if tau_taylor is not None:
+        coeffs = coeffs + tau_taylor * problem.dt_f_coeffs(t)
+    return coeffs @ disc.load_vectors(problem.f_spatial)
 
 
 def _viscous_boundary_load(disc, problem, t):
@@ -154,15 +146,8 @@ def _viscous_boundary_load(disc, problem, t):
     with the SIP boundary terms or the no-slip penalty drags the solution."""
     if problem is None:
         return 0.0
-    if problem.u_spatial is not None:
-        vecs = _cached_vectors(
-            disc, "_bload_cache", problem,
-            lambda: np.stack([
-                forms.assemble_sip_boundary_load(disc.space, g, disc.params)
-                for g in problem.u_spatial]))
-        return problem.u_coeffs(t) @ vecs
-    return forms.assemble_sip_boundary_load(
-        disc.space, lambda x, y: problem.u(x, y, t), disc.params)
+    return problem.u_coeffs(t) @ disc.load_vectors(problem.u_spatial,
+                                                   boundary=True)
 
 
 def rk2_step(state, config, disc, problem=None):
@@ -245,8 +230,9 @@ def initial_state(config, disc, problem=None):
     return StepState(n=0, t=0.0, u=u0, norm0=disc.l2_norm(u0))
 
 
-def _check_disc(disc, config, mesh, params):
+def _check_disc(disc, config, mesh):
     """A shared discretization must be the one the config describes."""
+    params = FormParams(sigma=config.sigma, nu=config.nu).resolve(config.k)
     if disc.mesh is not mesh:
         raise ValueError("disc was built on a different mesh than the one passed to run")
     if disc.k != config.k:
@@ -266,11 +252,10 @@ def run(config, mesh, problem=None, disc=None):
     and nu; any other raises ValueError.
     """
     started = time.perf_counter()
-    params = FormParams(sigma=config.sigma, nu=config.nu)
     if disc is None:
-        disc = Discretization(mesh, config.k, params)
+        disc = config.discretization(mesh)
     else:
-        _check_disc(disc, config, mesh, params.resolve(config.k))
+        _check_disc(disc, config, mesh)
     forcing = problem if (problem is not None and not config.f_zero) else None
     track_energy = config.f_zero or problem is None
     is_rk2 = config.integrator == "explicit_rk2"
@@ -283,9 +268,6 @@ def run(config, mesh, problem=None, disc=None):
     initial = dict(t=0.0, l2=state.norm0, div=disc.div_l2(state.u))
     if track_energy:
         initial["jump_u"] = forms.jump_seminorm(disc.space, state.u, state.u)
-    if config.track_time_errors and problem is not None and not config.f_zero:
-        initial["l2_error"] = manufactured.l2_error(disc.space, state.u,
-                                                    problem, 0.0)
     report.record(**initial)
 
     for _ in range(config.n_steps):
@@ -297,9 +279,6 @@ def run(config, mesh, problem=None, disc=None):
             break
         rec = dict(t=new_state.t, l2=disc.l2_norm(new_state.u),
                    div=disc.div_l2(new_state.u))
-        if config.track_time_errors and problem is not None and not config.f_zero:
-            rec["l2_error"] = manufactured.l2_error(disc.space, new_state.u,
-                                                    problem, new_state.t)
         if track_energy:
             rec["jump_u"] = forms.jump_seminorm(disc.space, new_state.u,
                                                 new_state.u)

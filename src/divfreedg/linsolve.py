@@ -10,6 +10,7 @@ solve residuals at roundoff, which the energy-identity diagnostics rely on.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from . import forms
@@ -63,20 +64,32 @@ class _BorderedSystem:
 
     def restrict(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape == (self.n_free,):
-            return rhs
-        if rhs.shape == (self.space.n_dofs,):
-            return rhs[self.free]
-        raise ValueError("rhs length matches neither the free nor the full DOF set")
+        if rhs.shape != (self.n_free,):
+            raise ValueError(f"rhs has shape {rhs.shape}, not the {self.n_free} free DOFs")
+        return rhs
+
+
+def _check_connected(mesh):
+    """The one zero-mean border row fixes the multiplier's constant on a
+    connected mesh only; each further component would leave one free."""
+    inner = mesh.interior_facets
+    adjacency = sp.coo_matrix(
+        (np.ones(len(inner)), (mesh.facet_plus[inner], mesh.facet_minus[inner])),
+        shape=(mesh.n_cells, mesh.n_cells))
+    count, _ = connected_components(adjacency, directed=False)
+    if count > 1:
+        raise ValueError(f"the divergence-free projection needs a connected mesh; "
+                         f"this one has {count} connected components")
 
 
 class SaddleSystem(_BorderedSystem):
     """Factorized mass/divergence saddle operator for the L2 projection.
 
     Keeps the free-DOF blocks and the border that every CN system on the
-    same discretization reuses."""
+    same discretization reuses.  The mesh must be connected."""
 
     def __init__(self, space, q_space, mass=None, div=None):
+        _check_connected(space.mesh)
         self.mass = mass if mass is not None else forms.assemble_mass(space)
         self.div = div if div is not None else forms.assemble_div(space, q_space)
         free = space.free_dofs
@@ -95,8 +108,8 @@ def build_saddle(space, q_space, mass=None, div=None):
 def project_div_free(system, rhs):
     """Velocity u in the divergence-free subspace with (u, v) = rhs(v).
 
-    ``rhs`` is a functional vector over the free velocity DOFs (a full-length
-    vector is restricted).  Non-finite input raises BlowUpSignal.
+    ``rhs`` is a functional vector over the free velocity DOFs.  Non-finite
+    input raises BlowUpSignal.
     """
     rhs_free = system.restrict(rhs)
     if not np.all(np.isfinite(rhs_free)):

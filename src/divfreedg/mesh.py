@@ -20,7 +20,6 @@ class Mesh:
     vertices : (nv, 2) array
     cells : (nc, 3) int array, counterclockwise
     cell_facets : (nc, 3) int array, facet id of the edge opposite vertex i
-    cell_facet_signs : (nc, 3) int array, +1 where the cell is the plus side
     cell_facet_reversed : (nc, 3) int array, 1 where the cell's
         counterclockwise edge runs from the higher- to the lower-index vertex,
         else 0 (the orientation axis of ``RTSpace.edge_tables``)
@@ -97,7 +96,6 @@ class Mesh:
         minus_slots[slot_facet[~is_plus]] = np.flatnonzero(~is_plus)
 
         self.cell_facets = slot_facet.reshape(nc, 3)
-        self.cell_facet_signs = np.where(is_plus, 1, -1).reshape(nc, 3)
         self.cell_facet_reversed = (va > vb).astype(int).reshape(nc, 3)
         self.facet_vertices = np.column_stack([lo[plus_slots], hi[plus_slots]])
         self.facet_plus = plus_slots // 3

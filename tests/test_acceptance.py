@@ -6,6 +6,7 @@ The stability sweep of criterion 9 launches many trial runs and is marked
 slow; deselect with -m "not slow" for a quick pass.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -117,7 +118,7 @@ def test_criterion_04_commuting_property(k):
 
 @criterion(5, "k=1 restrictive-CFL study: L2 rates in [1.8,2.3], H1 in [0.85,1.15]")
 def test_criterion_05_table2_reproduction(problem):
-    rows = diagnostics.convergence_study(1, [8, 16, 32, 64],
+    rows = diagnostics.convergence_study([8, 16, 32, 64], k=1,
                                          cfl_form="fourthirds", co=1.0,
                                          problem=problem)
     for r in rows:
@@ -133,7 +134,7 @@ def test_criterion_05_table2_reproduction(problem):
 
 @criterion(6, "k=2 restrictive-CFL study: L2 rates >= 2.8")
 def test_criterion_06_table5_reproduction(problem):
-    rows = diagnostics.convergence_study(2, [8, 16, 32],
+    rows = diagnostics.convergence_study([8, 16, 32], k=2,
                                          cfl_form="fourthirds", co=0.04,
                                          problem=problem)
     for r in rows:
@@ -182,7 +183,7 @@ def test_criterion_08_table1_reproduction(mesh8, disc8, problem):
 @criterion(9, "stability exponent alpha >= 1.05 for the (1/40, 1/80) pair")
 @pytest.mark.slow
 def test_criterion_09_table4_alpha(problem):
-    result = diagnostics.cfl_sweep([10, 20, 40, 80], 1, cfl_form="search",
+    result = diagnostics.cfl_sweep([10, 20, 40, 80], k=1, cfl_form="search",
                                    problem=problem)
     taus = {r["n"]: r["tau_max"] for r in result.rows}
     assert all(math.isfinite(t) for t in taus.values()), taus
@@ -197,11 +198,8 @@ def test_criterion_10_pressure_robustness(mesh8, disc8, problem):
     grad_phi = lambda x, y: np.stack([3.0 * np.cos(3 * x) * np.cos(2 * y),
                                       -2.0 * np.sin(3 * x) * np.sin(2 * y)],
                                      axis=-1)
-    shifted = manufactured.ExactProblem(
-        u=problem.u, grad_u=problem.grad_u, dt_u=problem.dt_u, p=problem.p,
-        f=lambda x, y, t: problem.f(x, y, t) + grad_phi(x, y),
-        dt_f=problem.dt_f, nu=0.0,
-        f_spatial=problem.f_spatial + (grad_phi,),
+    shifted = dataclasses.replace(
+        problem, f_spatial=problem.f_spatial + (grad_phi,),
         f_coeffs=lambda t: np.concatenate([problem.f_coeffs(t), [1.0]]),
         dt_f_coeffs=lambda t: np.concatenate([problem.dt_f_coeffs(t), [0.0]]))
     config = SchemeConfig(tau=1.0 / 20, k=1, T=1.0)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from divfreedg import cli
+from divfreedg import cli, integrators
 
 
 def run_cli(args):
@@ -175,6 +175,59 @@ def test_duplicate_n_list_is_usage_error(tmp_path, capsys, command):
     code = run_cli([command, "--n-list", "2,2", "--out-dir", str(tmp_path)])
     assert code == 1
     assert "divfree: error: duplicate mesh size n=2" in capsys.readouterr().err
+
+
+def test_convergence_uses_sigma(tmp_path):
+    errors = []
+    for sigma in ("50", "500"):
+        out = tmp_path / sigma
+        assert run_cli(["convergence", "--n-list", "4,6", "--T", "0.1",
+                        "--co", "0.005", "--nu", "0.01", "--sigma", sigma,
+                        "--format", "csv", "--out-dir", str(out)]) == 0
+        header, *rows = csv_rows(read(out / "convergence.csv"))
+        col = header.split(",").index("l2_err")
+        errors.append([float(r.split(",")[col]) for r in rows])
+    assert all(math.isfinite(e) for e in errors[0] + errors[1])
+    assert all(a != b for a, b in zip(*errors))
+
+
+@pytest.fixture
+def trial_configs(monkeypatch):
+    """The SchemeConfig of every run that the CLI starts."""
+    configs, real_run = [], integrators.run
+
+    def spy(config, *args, **kwargs):
+        configs.append(config)
+        return real_run(config, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "run", spy)
+    return configs
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    ("--integrator=cn", "integrator", "semi_implicit_cn"),
+    ("--f-zero", "f_zero", True),
+], ids=["integrator", "f-zero"])
+def test_cfl_sweep_uses_scheme_flag(tmp_path, trial_configs, flag, field, value):
+    assert run_cli(["cfl-sweep", "--n-list", "4", "--T", "0.25", flag,
+                    "--out-dir", str(tmp_path)]) == 0
+    assert trial_configs
+    assert all(getattr(c, field) == value for c in trial_configs)
+
+
+def test_convergence_f_zero_is_usage_error(tmp_path, capsys):
+    code = run_cli(["convergence", "--n-list", "4", "--T", "0.25", "--f-zero",
+                    "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "divfree: error: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_compare_cn_rejects_integrator(tmp_path, capsys):
+    code = run_cli(["compare-cn", "--n", "4", "--integrator", "cn",
+                    "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "compare-cn runs both integrators" in capsys.readouterr().err
 
 
 RUN_MD = ("| tau | ||u_h||_L2 | ||u - u_h||_L2 | ||grad_h(u - u_h)||_L2 "

@@ -59,7 +59,7 @@ def test_energy_residual_scales_quadratically(setup8):
 
 
 def test_cfl_sweep_search_mode():
-    result = diagnostics.cfl_sweep([4, 8], 1, cfl_form="search")
+    result = diagnostics.cfl_sweep([4, 8], k=1, cfl_form="search")
     assert len(result.rows) == 2
     taus = [r["tau_max"] for r in result.rows]
     assert all(math.isfinite(t) for t in taus)
@@ -78,7 +78,7 @@ def test_cfl_sweep_search_mode():
 
 def test_cfl_sweep_fixed_form_blow_up_row():
     # standard CFL on a finer mesh is unstable and yields a nan row
-    result = diagnostics.cfl_sweep([16], 1, cfl_form="std", co=0.5)
+    result = diagnostics.cfl_sweep([16], k=1, cfl_form="std", co=0.5)
     row = result.rows[0]
     assert math.isnan(row["tau_max"])
     assert math.isnan(row["l2_err"])
@@ -86,9 +86,9 @@ def test_cfl_sweep_fixed_form_blow_up_row():
 
 def test_cfl_sweep_rejects_empty():
     with pytest.raises(ValueError):
-        diagnostics.cfl_sweep([], 1)
+        diagnostics.cfl_sweep([], k=1)
     with pytest.raises(ValueError):
-        diagnostics.convergence_study(1, [])
+        diagnostics.convergence_study([], k=1)
 
 
 def test_cfl_sweep_small_initial_data():
@@ -97,9 +97,9 @@ def test_cfl_sweep_small_initial_data():
     # sweep must call it stable
     tg = manufactured.taylor_green(0.0)
     small = dataclasses.replace(
-        tg, u=lambda x, y, t: 0.01 * tg.u(x, y, t),
+        tg, u_coeffs=lambda t: 0.01 * tg.u_coeffs(t),
         grad_u=lambda x, y, t: 0.01 * tg.grad_u(x, y, t))
-    result = diagnostics.cfl_sweep([4], 1, T=0.5, tau_floor=1.0 / 20,
+    result = diagnostics.cfl_sweep([4], k=1, T=0.5, tau_floor=1.0 / 20,
                                    problem=small)
     row = result.rows[0]
     assert row["denominator"] == 8
@@ -111,8 +111,8 @@ def test_cfl_sweep_small_initial_data():
 
 
 @pytest.mark.parametrize("study", [
-    lambda n_list: diagnostics.cfl_sweep(n_list, 1, T=0.5),
-    lambda n_list: diagnostics.convergence_study(1, n_list, T=0.5),
+    lambda n_list: diagnostics.cfl_sweep(n_list, k=1, T=0.5),
+    lambda n_list: diagnostics.convergence_study(n_list, k=1, T=0.5),
 ], ids=["cfl_sweep", "convergence_study"])
 def test_duplicate_mesh_sizes_rejected(study):
     with pytest.raises(ValueError, match="duplicate mesh size n=2"):
@@ -120,8 +120,8 @@ def test_duplicate_mesh_sizes_rejected(study):
 
 
 def test_convergence_study_structure():
-    rows = diagnostics.convergence_study(1, [8, 16], cfl_form="fourthirds", co=1.0,
-                                         T=1.0)
+    rows = diagnostics.convergence_study([8, 16], k=1, cfl_form="fourthirds",
+                                         co=1.0, T=1.0)
     assert [r["n"] for r in rows] == [8, 16]
     assert math.isnan(rows[0]["l2_rate"])
     assert math.isfinite(rows[1]["l2_rate"])
@@ -130,19 +130,9 @@ def test_convergence_study_structure():
 
 
 def test_convergence_study_marks_blow_up_rows():
-    rows = diagnostics.convergence_study(1, [8, 32], cfl_form="std", co=0.5)
+    rows = diagnostics.convergence_study([8, 32], k=1, cfl_form="std", co=0.5)
     by_n = {r["n"]: r for r in rows}
     assert by_n[32]["blow_up"] is not None
     assert math.isnan(by_n[32]["l2_err"])
     assert math.isnan(by_n[32]["l2_rate"])
 
-
-def test_thread_cap_respected(monkeypatch):
-    monkeypatch.setenv("DIVFREE_THREADS", "2")
-    rows = diagnostics.convergence_study(1, [4, 8], cfl_form="std",
-                                         co=0.5, T=0.5)
-    assert [r["n"] for r in rows] == [4, 8]
-    monkeypatch.setenv("DIVFREE_THREADS", "not-a-number")
-    rows2 = diagnostics.convergence_study(1, [4], cfl_form="fourthirds",
-                                          co=1.0, T=0.5)
-    assert len(rows2) == 1

@@ -143,18 +143,6 @@ def test_viscous_rk2_runs(problem):
     assert np.isfinite(report.l2_err)
 
 
-def test_time_error_tracking_flag(mesh8, disc8, problem):
-    cfg = SchemeConfig(tau=1.0 / 20, T=0.5, track_time_errors=True)
-    report = integrators.run(cfg, mesh8, problem, disc=disc8)
-    errs = np.asarray(report.l2_errors)
-    assert np.all(np.isfinite(errs))
-    assert report.max_time_error() >= report.l2_err > 0
-    # default leaves the per-step error column empty
-    plain = integrators.run(SchemeConfig(tau=1.0 / 20, T=0.5), mesh8,
-                            problem, disc=disc8)
-    assert np.all(np.isnan(plain.l2_errors))
-
-
 def test_report_records_align(mesh8, disc8, problem):
     cfg = SchemeConfig(tau=1.0 / 20, T=1.0)
     report = integrators.run(cfg, mesh8, problem, disc=disc8)

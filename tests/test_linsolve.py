@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from divfreedg import forms, linsolve, manufactured
+from divfreedg import build_structured, forms, linsolve, manufactured
+from divfreedg.fe_space import RTSpace, ScalarDGSpace
+from divfreedg.mesh import Mesh
 
 from conftest import random_div_free
 
@@ -47,6 +50,42 @@ def test_projection_idempotent_and_div_free(spaces):
         assert np.all(u.values[space.boundary_dofs] == 0.0)
         again = linsolve.project_div_free(sys, (sys.mass @ u.values)[space.free_dofs])
         assert np.abs(again.values - u.values).max() <= 1e-10
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3),
+       mesh_seed=st.integers(0, 2 ** 32 - 1), field_seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("k", [1, 2])
+def test_projection_property_on_random_meshes(k, n, perturb, mesh_seed, field_seed):
+    # the divergence left by roundoff scales with the field, so the
+    # projected field is a random one of unit L2 norm
+    mesh = build_structured(n, perturb, seed=mesh_seed)
+    space = RTSpace(mesh, k)
+    sys = linsolve.build_saddle(space, ScalarDGSpace(mesh, k))
+    c = np.random.default_rng(field_seed).normal(size=space.n_dofs)
+    c /= np.sqrt(c @ (sys.mass @ c))
+    u = linsolve.project_div_free(sys, (sys.mass @ c)[space.free_dofs])
+    assert manufactured.div_norm(space, u) <= 1e-11
+    again = linsolve.project_div_free(sys, (sys.mass @ u.values)[space.free_dofs])
+    assert np.abs(again.values - u.values).max() <= 1e-10
+
+
+def test_projection_rejects_disconnected_mesh():
+    # two copies of the unit-square mesh, side by side without touching: the
+    # one zero-mean border row leaves the second component's multiplier
+    # constant free, and the projection used to return div_l2 = 1.26
+    base = build_structured(3)
+    mesh = Mesh(np.vstack([base.vertices, base.vertices + [2.0, 0.0]]),
+                np.vstack([base.cells, base.cells + base.n_vertices]))
+    space = RTSpace(mesh, 1)
+    with pytest.raises(ValueError, match="2 connected components"):
+        linsolve.build_saddle(space, ScalarDGSpace(mesh, 1))
+
+
+def test_projection_rejects_full_length_rhs(spaces):
+    entry = spaces(2, 1, perturb=0.0, with_saddle=True)
+    with pytest.raises(ValueError, match="free DOFs"):
+        linsolve.project_div_free(entry["saddle"], np.zeros(entry["space"].n_dofs))
 
 
 def test_projection_is_contraction(spaces):

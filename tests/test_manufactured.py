@@ -69,26 +69,14 @@ def test_derivative_callables_match_finite_differences():
         assert np.allclose(gfd, prob.grad_u(x, y, t), atol=1e-8)
 
 
-def test_separable_forcing_parts_consistent():
-    prob = manufactured.taylor_green(1e-3)
-    rng = np.random.default_rng(4)
-    x, y = rng.uniform(0, 1, 30), rng.uniform(0, 1, 30)
-    for t in (0.0, 0.21, 1.7):
-        cf = prob.f_coeffs(t)
-        rebuilt = sum(c * g(x, y) for c, g in zip(cf, prob.f_spatial))
-        assert np.allclose(rebuilt, prob.f(x, y, t), atol=1e-13)
-        cdf = prob.dt_f_coeffs(t)
-        rebuilt = sum(c * g(x, y) for c, g in zip(cdf, prob.f_spatial))
-        assert np.allclose(rebuilt, prob.dt_f(x, y, t), atol=1e-13)
-
-
 def test_error_norms_zero_for_zero_data():
     mesh = build_structured(2, 0.0)
     space = RTSpace(mesh, 1)
     zero_prob = manufactured.ExactProblem(
-        u=lambda x, y, t: np.zeros(np.shape(x) + (2,)),
+        u_spatial=(lambda x, y: np.zeros(np.shape(x) + (2,)),),
+        u_coeffs=lambda t: np.ones(1),
         grad_u=lambda x, y, t: np.zeros(np.shape(x) + (2, 2)),
-        dt_u=None, p=None, f=None, dt_f=None)
+        dt_u=None, p=None, f_spatial=(), f_coeffs=None, dt_f_coeffs=None)
     z = space.zero()
     assert manufactured.l2_error(space, z, zero_prob, 0.0) == 0.0
     assert manufactured.h1_broken_error(space, z, zero_prob, 0.0) == 0.0
