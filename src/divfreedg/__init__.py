@@ -9,8 +9,8 @@ from .fe_space import (RTSpace, ScalarDGSpace, CoefVec, rt_interpolate,
 from .forms import (FormParams, assemble_mass, assemble_div, apply_convection,
                     convection_matrix, assemble_sip, assemble_load,
                     jump_seminorm)
-from .linsolve import (SaddleSystem, CNSystem, build_saddle, project_div_free,
-                       cn_solve, BlowUpSignal)
+from .linsolve import (StreamFunctionProjection, SaddleSystem, CNSystem,
+                       build_saddle, project_div_free, cn_solve, BlowUpSignal)
 from .manufactured import (ExactProblem, taylor_green, l2_error,
                            h1_broken_error, div_norm, rate_table)
 from .integrators import SchemeConfig, StepState, Discretization, rk2_step, cn_step, run

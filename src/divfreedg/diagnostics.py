@@ -13,14 +13,16 @@ from .manufactured import rate_table
 NAN = float("nan")
 
 
-def energy_residual(mass, prev_u, stage, next_u, jump_u, jump_w, tau):
+def energy_residual(mass, prev_u, stage, next_u, diss_u, diss_w, tau):
     """Defect of the per-step discrete energy identity for unforced RK2 runs:
 
         ||u^{n+1}||^2 - ||u^n||^2
-            = -tau |u^n|^2_up - tau |w^n|^2_up + ||u^{n+1} - w^n||^2
+            = -tau D(u^n) - tau D(w^n) + ||u^{n+1} - w^n||^2
 
-    with all norms in the mass inner product.  For the exact scheme this is
-    zero up to solver roundoff.
+    with all norms in the mass inner product.  ``diss_u`` and ``diss_w``
+    are the dissipations D(v) = |v|^2_up + nu a_h(v, v) of the two stages
+    (the jump seminorm alone in an inviscid run).  For the exact scheme
+    this is zero up to solver roundoff.
     """
     def msq(vec):
         v = vec.values if hasattr(vec, "values") else np.asarray(vec)
@@ -29,7 +31,7 @@ def energy_residual(mass, prev_u, stage, next_u, jump_u, jump_w, tau):
     lhs = msq(next_u) - msq(prev_u)
     diff = (next_u.values if hasattr(next_u, "values") else next_u) - \
            (stage.values if hasattr(stage, "values") else stage)
-    rhs = -tau * jump_u - tau * jump_w + msq(diff)
+    rhs = -tau * diss_u - tau * diss_w + msq(diff)
     return lhs - rhs
 
 

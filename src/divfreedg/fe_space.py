@@ -5,7 +5,9 @@ edge i is opposite vertex i and runs counterclockwise.  Velocity basis
 functions are dual to Legendre edge-normal moments plus orthonormalized
 interior moments, obtained by inverting the moment Vandermonde once per
 degree.  Physical elements follow by the contravariant Piola transform, which
-preserves edge-normal moments and therefore glues H(div)-conformingly.
+preserves edge-normal moments and therefore glues H(div)-conformingly.  The
+curls of the P_{k+1} Lagrange basis, written in the RT_k basis, give the
+discrete curl of the stream-function projection.
 """
 
 from dataclasses import dataclass
@@ -126,7 +128,8 @@ class RTReference:
         self._edge_w = erule.weights
         self._edge_leg = np.polynomial.legendre.legvander(2.0 * erule.points - 1.0, k)
 
-        self.coeffs = np.linalg.inv(self._vandermonde())
+        self.coeffs = np.linalg.inv(
+            self._moments(lambda points: eval_rt_monomials(k, points)[0]))
 
     def _edge_points(self, i):
         a = REF_VERTICES[REF_EDGE_VERTICES[i][0]]
@@ -137,26 +140,23 @@ class RTReference:
         """Orthonormalized interior moment polynomials at reference points."""
         return eval_scalar_monomials(self._int_exps, points) @ self._int_coeffs.T
 
-    def _vandermonde(self):
-        nm = self.n_dofs
-        V = np.zeros((nm, nm))
-        row = 0
+    def _moments(self, field):
+        """The DOF functionals applied to vector fields: ``field(points)``
+        gives the values (npts, m, 2) of m fields, and entry [i, j] of the
+        result is functional i of field j.  On fields in RT_k these are the
+        coefficients in the dual basis."""
+        rows = []
         for i in range(3):
-            pts = self._edge_points(i)
-            vals, _, _ = eval_rt_monomials(self.k, pts)
-            vn = vals @ REF_EDGE_NORMALS[i]
+            vn = field(self._edge_points(i)) @ REF_EDGE_NORMALS[i]
             w = self._edge_w * REF_EDGE_LENGTHS[i]
-            for j in range(self.n_edge_moments):
-                V[row] = np.einsum("q,qm->m", w * self._edge_leg[:, j], vn)
-                row += 1
+            rows += [np.einsum("q,qm->m", w * self._edge_leg[:, j], vn)
+                     for j in range(self.n_edge_moments)]
         rule = triangle_rule(2 * self.k + 2)
-        vals, _, _ = eval_rt_monomials(self.k, rule.points)
+        vals = field(rule.points)
         polys = self.interior_polys(rule.points)
-        for p in range(polys.shape[1]):
-            for comp in (0, 1):
-                V[row] = np.einsum("q,qm->m", rule.weights * polys[:, p], vals[:, :, comp])
-                row += 1
-        return V
+        rows += [np.einsum("q,qm->m", rule.weights * polys[:, p], vals[:, :, comp])
+                 for p in range(polys.shape[1]) for comp in (0, 1)]
+        return np.array(rows)
 
     def eval_basis(self, points):
         """Values, divergences and gradients of the dual basis at points."""
@@ -170,6 +170,42 @@ class RTReference:
 @lru_cache(maxsize=None)
 def rt_reference(k):
     return RTReference(k)
+
+
+def _lagrange_nodes(p):
+    """Nodes of the P_p Lagrange element on the reference triangle: the three
+    vertices, then p - 1 nodes on each edge i running from its first vertex
+    REF_EDGE_VERTICES[i][0] to its second, then the interior nodes."""
+    t = np.arange(1, p)[:, None] / p
+    edges = [REF_VERTICES[a] + t * (REF_VERTICES[b] - REF_VERTICES[a])
+             for a, b in REF_EDGE_VERTICES]
+    inner = [(i / p, j / p) for j in range(1, p) for i in range(1, p - j)]
+    return np.vstack([REF_VERTICES, *edges, np.reshape(inner, (-1, 2))])
+
+
+@lru_cache(maxsize=None)
+def _curl_reference(k):
+    """C_loc, (n_dofs of RT_k) x (nodes of P_{k+1}): column a holds the RT_k
+    coefficients of curl psi_a = (d psi_a/dy, -d psi_a/dx) of the P_{k+1}
+    Lagrange basis function psi_a at node a of ``_lagrange_nodes(k + 1)``.
+
+    The curl commutes with the contravariant Piola map on cells of positive
+    Jacobian, so C_loc is the same on every cell.  Entries that vanish in
+    exact arithmetic (a node off an edge has no normal curl on it) come out
+    at roundoff and are set to zero, so the global curl keeps its sparsity.
+    """
+    exps = scalar_monomial_exponents(k + 1)
+    basis = np.linalg.inv(eval_scalar_monomials(exps, _lagrange_nodes(k + 1)))
+
+    def curls(points):
+        x, y = points[..., 0], points[..., 1]
+        dx = np.stack([a * _pow(x, a - 1) * _pow(y, b) for a, b in exps], axis=-1)
+        dy = np.stack([b * _pow(x, a) * _pow(y, b - 1) for a, b in exps], axis=-1)
+        return np.stack([dy @ basis, -(dx @ basis)], axis=-1)
+
+    c_loc = rt_reference(k)._moments(curls)
+    c_loc[np.abs(c_loc) < 1e-12 * np.abs(c_loc).max()] = 0.0
+    return c_loc
 
 
 @dataclass

@@ -23,7 +23,7 @@ def meshes():
 
 @pytest.fixture(scope="session")
 def spaces(meshes):
-    """RT/DG space pairs with an optional factorized projection."""
+    """RT/DG space pairs with an optional factorized KKT projection."""
     cache = {}
 
     def get(n, k, perturb=0.15, seed=0, with_saddle=False):
@@ -32,13 +32,25 @@ def spaces(meshes):
             mesh = meshes(n, perturb, seed)
             space = RTSpace(mesh, k)
             q_space = ScalarDGSpace(mesh, k)
-            cache[key] = dict(mesh=mesh, space=space, q_space=q_space, saddle=None)
+            cache[key] = dict(mesh=mesh, space=space, q_space=q_space,
+                              saddle=None, stream=None)
         entry = cache[key]
         if with_saddle and entry["saddle"] is None:
             entry["saddle"] = linsolve.build_saddle(entry["space"], entry["q_space"])
         return entry
 
     return get
+
+
+def projections(entry):
+    """Both projection objects of a ``spaces`` entry: the bordered KKT
+    oracle and the stream-function projection."""
+    if entry["saddle"] is None:
+        entry["saddle"] = linsolve.build_saddle(entry["space"], entry["q_space"])
+    if entry["stream"] is None:
+        entry["stream"] = linsolve.StreamFunctionProjection(
+            entry["space"], entry["saddle"].mass)
+    return [entry["saddle"], entry["stream"]]
 
 
 def random_div_free(entry, rng):

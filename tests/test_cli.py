@@ -62,6 +62,17 @@ def test_single_run_f_zero_energy_column(tmp_path):
     assert val <= 1e-10
 
 
+def test_single_run_viscous_f_zero_energy_identity(tmp_path):
+    # the identity of a viscous run counts nu a_h(v, v) as dissipation; the
+    # inviscid identity read 0.114 here
+    code = run_cli(["single-run", "--n", "8", "--tau", "1/64", "--T", "0.25",
+                    "--f-zero", "--nu", "0.01", "--out-dir", str(tmp_path)])
+    assert code == 0
+    csv = read(tmp_path / "single-run.csv")
+    val = float(re.search(r"summary,max_rel_energy_residual,([^\n]+)", csv).group(1))
+    assert val <= 1e-10
+
+
 def test_convergence_table_layout(tmp_path):
     code = run_cli(["convergence", "--k", "1", "--n-list", "8,16",
                     "--cfl", "fourthirds", "--out-dir", str(tmp_path)])

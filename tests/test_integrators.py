@@ -174,3 +174,14 @@ def test_run_rejects_disc_of_another_mesh_or_sigma(mesh8, disc8, problem):
     with pytest.raises(ValueError, match="disc has sigma=10.0"):
         integrators.run(SchemeConfig(tau=0.05, T=0.1, sigma=3.0), mesh8, problem,
                         disc=disc8)
+
+
+@pytest.mark.parametrize("integrator", ["explicit_rk2", "semi_implicit_cn"])
+def test_runs_never_build_the_kkt_system(mesh8, problem, integrator):
+    # the bordered KKT system is the tests' oracle, built only on request
+    disc = Discretization(mesh8, 1)
+    report = integrators.run(SchemeConfig(tau=1.0 / 20, T=0.25,
+                                          integrator=integrator),
+                             mesh8, problem, disc=disc)
+    assert report.completed
+    assert "saddle" not in disc.__dict__

@@ -5,29 +5,36 @@ from hypothesis import given, settings, strategies as st
 
 from divfreedg import build_structured, forms, linsolve, manufactured
 from divfreedg.fe_space import RTSpace, ScalarDGSpace
+from divfreedg.forms import FormParams
+from divfreedg.integrators import Discretization
 from divfreedg.mesh import Mesh
 
-from conftest import random_div_free
+from conftest import projections, random_div_free
+
+# Each property test below runs on both projection objects of
+# ``conftest.projections``: the bordered KKT oracle and the stream function.
 
 
 def test_saddle_roundtrip(spaces):
     # projecting the mass image of a divergence-free field returns the field
     entry = spaces(2, 1, perturb=0.0, with_saddle=True)
-    space, sys = entry["space"], entry["saddle"]
+    space = entry["space"]
     rng = np.random.default_rng(0)
     c = random_div_free(entry, rng)
-    back = linsolve.project_div_free(sys, (sys.mass @ c.values)[space.free_dofs])
-    assert np.abs(back.values - c.values).max() <= 1e-10
+    for sys in projections(entry):
+        back = linsolve.project_div_free(sys, (sys.mass @ c.values)[space.free_dofs])
+        assert np.abs(back.values - c.values).max() <= 1e-10, type(sys).__name__
 
 
 def test_projection_of_gradient_load_vanishes(spaces):
-    entry = spaces(2, 1, perturb=0.0, with_saddle=True)
-    space, sys = entry["space"], entry["saddle"]
+    entry = spaces(2, 1, perturb=0.0)
+    space = entry["space"]
     grad_phi = lambda x, y: np.stack([np.cos(x + 2 * y), 2 * np.cos(x + 2 * y)],
                                      axis=-1)
     load = forms.assemble_load(space, grad_phi)
-    u = linsolve.project_div_free(sys, load[space.free_dofs])
-    assert np.sqrt(u.values @ (sys.mass @ u.values)) <= 1e-10
+    for sys in projections(entry):
+        u = linsolve.project_div_free(sys, load[space.free_dofs])
+        assert np.sqrt(u.values @ (sys.mass @ u.values)) <= 1e-10, type(sys).__name__
 
 
 def test_solver_determinism(spaces):
@@ -40,16 +47,17 @@ def test_solver_determinism(spaces):
 
 
 def test_projection_idempotent_and_div_free(spaces):
-    entry = spaces(4, 2, with_saddle=True)
-    space, sys = entry["space"], entry["saddle"]
-    rng = np.random.default_rng(2)
-    for _ in range(3):
-        rhs = rng.normal(size=sys.n_free)
-        u = linsolve.project_div_free(sys, rhs)
-        assert manufactured.div_norm(space, u) <= 1e-11
-        assert np.all(u.values[space.boundary_dofs] == 0.0)
-        again = linsolve.project_div_free(sys, (sys.mass @ u.values)[space.free_dofs])
-        assert np.abs(again.values - u.values).max() <= 1e-10
+    entry = spaces(4, 2)
+    space = entry["space"]
+    for sys in projections(entry):
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            rhs = rng.normal(size=sys.n_free)
+            u = linsolve.project_div_free(sys, rhs)
+            assert manufactured.div_norm(space, u) <= 1e-11, type(sys).__name__
+            assert np.all(u.values[space.boundary_dofs] == 0.0)
+            again = linsolve.project_div_free(sys, (sys.mass @ u.values)[space.free_dofs])
+            assert np.abs(again.values - u.values).max() <= 1e-10, type(sys).__name__
 
 
 @settings(max_examples=6, deadline=None)
@@ -61,13 +69,74 @@ def test_projection_property_on_random_meshes(k, n, perturb, mesh_seed, field_se
     # projected field is a random one of unit L2 norm
     mesh = build_structured(n, perturb, seed=mesh_seed)
     space = RTSpace(mesh, k)
-    sys = linsolve.build_saddle(space, ScalarDGSpace(mesh, k))
+    saddle = linsolve.build_saddle(space, ScalarDGSpace(mesh, k))
     c = np.random.default_rng(field_seed).normal(size=space.n_dofs)
-    c /= np.sqrt(c @ (sys.mass @ c))
-    u = linsolve.project_div_free(sys, (sys.mass @ c)[space.free_dofs])
-    assert manufactured.div_norm(space, u) <= 1e-11
-    again = linsolve.project_div_free(sys, (sys.mass @ u.values)[space.free_dofs])
-    assert np.abs(again.values - u.values).max() <= 1e-10
+    c /= np.sqrt(c @ (saddle.mass @ c))
+    for sys in (saddle, linsolve.StreamFunctionProjection(space, saddle.mass)):
+        u = linsolve.project_div_free(sys, (sys.mass @ c)[space.free_dofs])
+        assert manufactured.div_norm(space, u) <= 1e-11, type(sys).__name__
+        again = linsolve.project_div_free(sys, (sys.mass @ u.values)[space.free_dofs])
+        assert np.abs(again.values - u.values).max() <= 1e-10, type(sys).__name__
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3),
+       mesh_seed=st.integers(0, 2 ** 32 - 1), field_seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("k", [1, 2])
+def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
+                                                      field_seed):
+    mesh = build_structured(n, perturb, seed=mesh_seed)
+    space = RTSpace(mesh, k)
+    kkt = linsolve.build_saddle(space, ScalarDGSpace(mesh, k))
+    stream = linsolve.StreamFunctionProjection(space, kkt.mass)
+    mass = kkt.mass
+
+    def rel_mass_norm(a, b):
+        d = a.values - b.values
+        return np.sqrt(d @ (mass @ d) / (b.values @ (mass @ b.values)))
+
+    rng = np.random.default_rng(field_seed)
+    rhs = rng.normal(size=kkt.n_free)
+    assert rel_mass_norm(linsolve.project_div_free(stream, rhs),
+                         linsolve.project_div_free(kkt, rhs)) <= 1e-12
+
+    # B C = 0: the curl lands in the kernel of the divergence rows
+    curl = stream.constraint.curl
+    assert np.abs((kkt.div_free @ curl).toarray()).max() <= 1e-12
+    # the cell-by-cell stiffness is C^T M C
+    product = (curl.T @ kkt.mass_free @ curl).toarray()
+    assert np.abs(stream.matrix.toarray() - product).max() \
+        <= 1e-12 * np.abs(product).max()
+
+    # one viscous CN step with a random divergence-free advecting field of
+    # unit norm.  The plain KKT solve of this indefinite system is off its
+    # own refined solution by up to 5e-13 (the stream-function solve by
+    # 1.5e-14), so the oracle takes one refinement pass.
+    advect = linsolve.project_div_free(kkt, rng.normal(size=kkt.n_free))
+    advect.values[:] /= np.sqrt(advect.values @ (mass @ advect.values))
+    conv = forms.convection_matrix(space, advect)
+    free = space.free_dofs
+    sip_free = forms.assemble_sip(space, FormParams(nu=0.01))[free][:, free]
+    rhs = rng.normal(size=kkt.n_free)
+    step = linsolve.cn_solve(linsolve.CNSystem(stream, conv, 0.05, nu=0.01,
+                                               sip_free=sip_free), rhs)
+    oracle = linsolve.CNSystem(kkt, conv, 0.05, nu=0.01, sip_free=sip_free)
+    assert rel_mass_norm(step, oracle.expand(oracle.solve(rhs, refine=True))) <= 1e-12
+
+
+def test_stream_function_rejects_mesh_with_hole():
+    # the two cells of one interior square removed: the mesh is connected
+    # but not simply connected, and the harmonic field around the hole is
+    # divergence-free without being the curl of any stream function
+    base = build_structured(4)
+    square = 2 * (1 * 4 + 1)
+    mesh = Mesh(base.vertices, np.delete(base.cells, [square, square + 1], axis=0))
+    space = RTSpace(mesh, 1)
+    linsolve.build_saddle(space, ScalarDGSpace(mesh, 1))  # connected: accepted
+    with pytest.raises(ValueError, match=r"V - E \+ C = 25 - 55 \+ 30 = 0, not 1"):
+        linsolve.StreamFunctionProjection(space)
+    with pytest.raises(ValueError, match="simply connected"):
+        Discretization(mesh, 1)
 
 
 def test_projection_rejects_disconnected_mesh():
@@ -90,35 +159,34 @@ def test_projection_rejects_full_length_rhs(spaces):
 
 def test_projection_is_contraction(spaces):
     # the constrained projection never beats the unconstrained mass solve
-    entry = spaces(4, 1, with_saddle=True)
-    space, sys = entry["space"], entry["saddle"]
+    entry = spaces(4, 1)
     rng = np.random.default_rng(3)
-    rhs = rng.normal(size=sys.n_free)
-    constrained = linsolve.project_div_free(sys, rhs)
-    free = sp.linalg.spsolve(sys.mass_free.tocsc(), rhs)
-    norm_c = constrained.values @ (sys.mass @ constrained.values)
-    norm_f = free @ (sys.mass_free @ free)
-    assert norm_c <= norm_f * (1 + 1e-10)
+    for sys in projections(entry):
+        rhs = rng.normal(size=sys.n_free)
+        constrained = linsolve.project_div_free(sys, rhs)
+        free = sp.linalg.spsolve(sys.mass_free.tocsc(), rhs)
+        norm_c = constrained.values @ (sys.mass @ constrained.values)
+        norm_f = free @ (sys.mass_free @ free)
+        assert norm_c <= norm_f * (1 + 1e-10), type(sys).__name__
 
 
 def test_solve_residual_contract(spaces):
-    entry = spaces(8, 1, with_saddle=True)
-    sys = entry["saddle"]
-    rhs_free = np.random.default_rng(4).normal(size=sys.n_free)
-    z = sys.solve(rhs_free)
-    rhs = np.zeros(sys.matrix.shape[0])
-    rhs[:sys.n_free] = rhs_free
-    res = np.abs(sys.matrix @ z - rhs).max()
-    assert res <= 1e-10 * np.abs(rhs).max()
+    entry = spaces(8, 1)
+    for sys in projections(entry):
+        rhs_free = np.random.default_rng(4).normal(size=sys.n_free)
+        z = sys.solve(rhs_free)
+        rhs = sys.constraint.lift(rhs_free)
+        res = np.abs(sys.matrix @ z - rhs).max()
+        assert res <= 1e-10 * np.abs(rhs).max(), type(sys).__name__
 
 
 def test_blowup_signal_on_nonfinite_rhs(spaces):
-    entry = spaces(2, 1, perturb=0.0, with_saddle=True)
-    sys = entry["saddle"]
-    rhs = np.zeros(sys.n_free)
-    rhs[0] = np.nan
-    with pytest.raises(linsolve.BlowUpSignal):
-        linsolve.project_div_free(sys, rhs)
+    entry = spaces(2, 1, perturb=0.0)
+    for sys in projections(entry):
+        rhs = np.zeros(sys.n_free)
+        rhs[0] = np.nan
+        with pytest.raises(linsolve.BlowUpSignal):
+            linsolve.project_div_free(sys, rhs)
 
 
 # -- CN system -------------------------------------------------------------------
@@ -127,42 +195,41 @@ def test_cn_pure_mass_step(spaces):
     # nu = 0, zero advection, f = 0: one step is the identity
     entry = spaces(2, 1, perturb=0.0, with_saddle=True)
     space = entry["space"]
-    sys = entry["saddle"]
     rng = np.random.default_rng(5)
     u = random_div_free(entry, rng)
     conv = forms.convection_matrix(space, space.zero())
     tau = 0.1
-    cn = linsolve.CNSystem(sys, conv, tau)
-    rhs = (sys.mass @ u.values) / tau
-    nxt = linsolve.cn_solve(cn, rhs[space.free_dofs])
-    assert np.abs(nxt.values - u.values).max() <= 1e-10
+    for sys in projections(entry):
+        cn = linsolve.CNSystem(sys, conv, tau)
+        rhs = (sys.mass @ u.values) / tau
+        nxt = linsolve.cn_solve(cn, rhs[space.free_dofs])
+        assert np.abs(nxt.values - u.values).max() <= 1e-10, type(sys).__name__
 
 
 def test_cn_step_matches_dense_solve(spaces):
     entry = spaces(2, 1, perturb=0.0, with_saddle=True)
     space = entry["space"]
-    sys = entry["saddle"]
     rng = np.random.default_rng(6)
     u = random_div_free(entry, rng)
     advect = random_div_free(entry, rng)
     conv = forms.convection_matrix(space, advect)
     tau = 0.05
-    cn = linsolve.CNSystem(sys, conv, tau)
-    rhs = (sys.mass @ u.values) / tau - 0.5 * (conv @ u.values)
-    sparse_u = linsolve.cn_solve(cn, rhs[space.free_dofs])
+    for sys in projections(entry):
+        cn = linsolve.CNSystem(sys, conv, tau)
+        rhs = ((sys.mass @ u.values) / tau - 0.5 * (conv @ u.values))[space.free_dofs]
+        sparse_u = linsolve.cn_solve(cn, rhs)
 
-    dense = cn.matrix.toarray()
-    full_rhs = np.zeros(dense.shape[0])
-    full_rhs[:cn.n_free] = rhs[space.free_dofs]
-    z = np.linalg.solve(dense, full_rhs)
-    assert np.abs(sparse_u.values[space.free_dofs] - z[:cn.n_free]).max() <= 1e-9
-    assert manufactured.div_norm(space, sparse_u) <= 1e-9
+        z = np.linalg.solve(cn.matrix.toarray(), cn.constraint.lift(rhs))
+        dense_u = cn.expand(z)
+        assert np.abs(sparse_u.values - dense_u.values).max() <= 1e-9, \
+            type(sys).__name__
+        assert manufactured.div_norm(space, sparse_u) <= 1e-9, type(sys).__name__
 
 
 def test_cn_rejects_nonpositive_tau(spaces):
-    entry = spaces(2, 1, perturb=0.0, with_saddle=True)
+    entry = spaces(2, 1, perturb=0.0)
     space = entry["space"]
-    sys = entry["saddle"]
     conv = forms.convection_matrix(space, space.zero())
-    with pytest.raises(ValueError, match="time step"):
-        linsolve.CNSystem(sys, conv, 0.0)
+    for sys in projections(entry):
+        with pytest.raises(ValueError, match="time step"):
+            linsolve.CNSystem(sys, conv, 0.0)
