@@ -4,8 +4,7 @@ Crank-Nicolson comparator, and the experiment harness around them."""
 
 from .mesh import Mesh, build_structured, load_mesh, save_mesh
 from .quadrature import SegmentRule, TriangleRule, segment_rule, triangle_rule
-from .fe_space import (RTSpace, ScalarDGSpace, CoefVec, rt_interpolate,
-                       evaluate_field)
+from .fe_space import RTSpace, ScalarDGSpace, CoefVec, rt_interpolate
 from .forms import (FormParams, assemble_mass, assemble_div, apply_convection,
                     convection_matrix, assemble_sip, assemble_load,
                     jump_seminorm)

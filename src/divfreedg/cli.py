@@ -273,6 +273,7 @@ def cmd_single_run(cfg):
         ("l2_error", report.l2_err), ("h1_error", report.h1_err),
         ("div_norm_final", report.div_norms[-1]),
         ("max_div_norm", report.max_div),
+        ("factor_fill", report.factor_fill),
     ]
     md = _md_table(RUN_COLUMNS, [dict(tau=tau, **diagnostics.trial_row(report))])
     if not report.completed:
@@ -288,7 +289,8 @@ def cmd_single_run(cfg):
     _write_outputs(cfg, "Single run", [("single-run.csv", csv),
                                        ("single-run.md", md)])
     print(f"completed={report.completed} l2_err={_fmt3(report.l2_err)} "
-          f"max_div={_fmt3(report.max_div)} wall={report.wall_time:.2f}s")
+          f"max_div={_fmt3(report.max_div)} factor_fill={report.factor_fill} "
+          f"wall={report.wall_time:.2f}s")
     return 2 if not report.completed else 0
 
 

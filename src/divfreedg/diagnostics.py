@@ -37,7 +37,9 @@ def energy_residual(mass, prev_u, stage, next_u, diss_u, diss_w, tau):
 
 @dataclass
 class RunReport:
-    """Per-step records plus final errors of one time-stepping run."""
+    """Per-step records plus final errors of one time-stepping run, and the
+    largest LU fill (stored entries of L and U) among the factorizations its
+    completed steps solved with: K for RK2, the step operators for CN."""
 
     config: dict
     times: list = field(default_factory=list)
@@ -52,6 +54,7 @@ class RunReport:
     h1_err: float = NAN
     div_err: float = NAN
     wall_time: float = 0.0
+    factor_fill: int = 0
 
     def record(self, t, l2, div, jump_u=NAN, jump_w=NAN,
                energy_residual=NAN, energy_scale=NAN):
@@ -70,10 +73,6 @@ class RunReport:
     @property
     def n_steps_done(self):
         return len(self.times) - 1
-
-    @property
-    def max_l2(self):
-        return max(self.l2_norms) if self.l2_norms else NAN
 
     @property
     def max_div(self):

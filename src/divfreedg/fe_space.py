@@ -387,21 +387,6 @@ class RTSpace:
                           np.einsum("...i,...iab->...ab", loc, rg, optimize=True))
 
 
-def evaluate_field(space, coeffs, cell, ref_point):
-    """Value and broken-gradient matrix of a discrete field at one point."""
-    if isinstance(coeffs, CoefVec):
-        if coeffs.space is not space:
-            raise ValueError("coefficient vector does not belong to this space")
-        coeffs = coeffs.values
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (space.n_dofs,):
-        raise ValueError("coefficient length does not match the space")
-    val, grad = space.evaluate(coeffs, np.asarray([cell]),
-                               np.asarray(ref_point, dtype=float)[None, :],
-                               with_grad=True)
-    return val[0], grad[0]
-
-
 def rt_interpolate(field, space, enforce_boundary=True, order=None):
     """Raviart-Thomas interpolation of a pointwise-evaluable vector field.
 
@@ -495,7 +480,7 @@ class ScalarDGSpace:
 
 __all__ = [
     "RTReference", "RTSpace", "ScalarDGSpace", "CoefVec",
-    "rt_reference", "rt_interpolate", "evaluate_field",
+    "rt_reference", "rt_interpolate",
     "scalar_monomial_exponents", "eval_scalar_monomials", "eval_rt_monomials",
     "SUPPORTED_DEGREES",
 ]

@@ -6,6 +6,10 @@ All facet convection terms run over interior facets only; the single-valued
 normal velocity a . n_F is read from the shared edge DOFs rather than traced
 from either side.  Assembly is serial and deterministic: per-cell/per-facet
 contributions are accumulated into triplets and compressed by summation.
+One local-block kernel (``convection_blocks``) serves the linearized
+convection: ``convection_matrix`` scatters its blocks as triplets, and the
+reduced CN operator sums them, in a premultiplied basis, into a pattern
+fixed per mesh (``block_pattern``) with one bincount over precomputed slots.
 """
 
 from dataclasses import dataclass
@@ -153,14 +157,13 @@ def _test_edges(space, tab, s):
     return full.reshape(nc, -1) @ tab["val_flat"].T
 
 
-def _edge_basis(space, tab, side, with_grad=False):
-    """Physical basis values (nf, nq, n_loc, 2), and with ``with_grad`` the
-    gradients (nf, nq, n_loc, 2, 2), on the slots ``side`` = (cells, local
-    edges)."""
+def _edge_basis(space, side, val, grad=None):
+    """Physical values (nf, nq, m, 2), and with ``grad`` gradients, on the
+    slots ``side`` = (cells, local edges) of edge tables (3, 2, nq, m, ...)."""
     cells, local = side
     rev = space.mesh.cell_facet_reversed[cells, local]
-    return space.piola(cells[:, None, None], tab["val"][local, rev],
-                       tab["grad"][local, rev] if with_grad else None)
+    return space.piola(cells[:, None, None], val[local, rev],
+                       None if grad is None else grad[local, rev])
 
 
 def _facet_weights(mesh, tab, facets):
@@ -259,46 +262,70 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None):
     return _scatter(space, r_loc)
 
 
-def convection_matrix(space, a, cell_order=None, facet_order=None):
-    """Matrix C with C_ij = c_h(a, phi_j, phi_i), the linearized convection."""
+def convection_blocks(space, a, basis=None, cell_order=None, facet_order=None):
+    """Local blocks blk[:, i, j] = c_h(a, phi_j, phi_i), without cell signs,
+    as (blk, test cells, trial cells): each cell with itself, then across
+    each interior facet plus with minus and minus with plus.  The phi are
+    the RT_k reference basis, or with ``basis`` (n_loc, m) phi @ basis, for
+    which the tables are premultiplied."""
     av = _values(space, a)
     if cell_order is None:
         cell_order = default_cell_order(space.k)
     if facet_order is None:
         facet_order = default_facet_order(space.k)
     mesh = space.mesh
-    nc, n_loc = mesh.n_cells, space.n_loc
+    tab = space.ref_tables(cell_order)
+    etab = space.edge_tables(facet_order)
+    grad, val_w, edge_val = tab["grad"], tab["val_weighted"], etab["val"]
+    if basis is not None:
+        grad = np.einsum("qiab,im->qmab", grad, basis)
+        val_w = val_w @ basis
+        edge_val = np.einsum("erqia,im->erqma", edge_val, basis)
+    nc, nq, m = mesh.n_cells, tab["nq"], grad.shape[1]
 
     # volume: the apply_convection integrand with each trial basis function
     # in place of w, loc[c, i, j] = sum_q w_q (A Ghat_j ahat) . vhat_i
-    tab = space.ref_tables(cell_order)
-    nq = tab["nq"]
     a_hat = (_local(space, av) @ tab["val_flat"]).reshape(nc, nq, 1, 2)
-    s = _matvec2(space.metric[:, None, None], _matvec2(tab["grad"], a_hat))
-    loc = _test_cells(tab, s.transpose(0, 2, 1, 3).reshape(nc * n_loc, nq, 2)) \
-        .reshape(nc, n_loc, n_loc).transpose(0, 2, 1)
+    s = _matvec2(space.metric[:, None, None], _matvec2(grad, a_hat))
+    loc = (s.transpose(0, 2, 1, 3).reshape(nc * m, -1) @ val_w) \
+        .reshape(nc, m, m).transpose(0, 2, 1)
 
     # facets: blocks of the upwind weight times the jump trial, tested on
-    # each side; the same-side blocks go to their slots and join the volume
-    # blocks, so only the cross-side ones add triplets
-    etab = space.edge_tables(facet_order)
+    # each side; the same-side blocks join the volume blocks of their cells
     ii = mesh.interior_facets
     gp, gm = _upwind_weights(_facet_normal_values(space, etab, av)[ii])
     wq = _facet_weights(mesh, etab, ii)
     plus, minus = _sides(mesh, ii)
-    vp, vm = _edge_basis(space, etab, plus), _edge_basis(space, etab, minus)
+    vp, vm = _edge_basis(space, plus, edge_val), _edge_basis(space, minus, edge_val)
 
     def pair(g, trial, test):
         return np.einsum("fq,fqja,fqia->fij", wq * g, trial, test, optimize=True)
 
-    same = np.zeros((nc, 3, n_loc, n_loc))
+    same = np.zeros((nc, 3, m, m))
     same[plus] = pair(gp, vp, vp)
     same[minus] = -pair(gm, vm, vm)
-    cells = slice(None)
-    triplets = [_blocks(space, loc + same.sum(axis=1), cells, cells),
-                _blocks(space, -pair(gp, vm, vp), plus[0], minus[0]),
-                _blocks(space, pair(gm, vp, vm), minus[0], plus[0])]
-    return _to_csr(space.n_dofs, space.n_dofs, triplets)
+    return [(loc + same.sum(axis=1), np.arange(nc), np.arange(nc)),
+            (-pair(gp, vm, vp), plus[0], minus[0]), (pair(gm, vp, vm), minus[0], plus[0])]
+
+
+def convection_matrix(space, a, cell_order=None, facet_order=None):
+    """Matrix C with C_ij = c_h(a, phi_j, phi_i), the linearized convection."""
+    blocks = convection_blocks(space, a, None, cell_order, facet_order)
+    return _to_csr(space.n_dofs, space.n_dofs, [_blocks(space, *b) for b in blocks])
+
+
+def block_pattern(mesh, index, n):
+    """Sorted keys row * n + col of an n x n matrix summed from the blocks of
+    ``convection_blocks`` with rows ``index`` (nc, m; -1 drops one), and the
+    slot of every block entry among the keys (len(keys) when dropped)."""
+    plus, minus = (side[0] for side in _sides(mesh, mesh.interior_facets))
+    pairs = [np.broadcast_arrays(test[:, :, None], trial[:, None, :]) for test, trial
+             in ((index, index), (index[plus], index[minus]), (index[minus], index[plus]))]
+    rows, cols = (np.concatenate([p[i].ravel() for p in pairs]) for i in (0, 1))
+    # a dropped entry gets the key n * n, which sorts after every kept one
+    keys, slots = np.unique(np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n),
+                            return_inverse=True)
+    return keys[keys < n * n], slots
 
 
 def jump_seminorm(space, a, v, facet_order=None):
@@ -347,7 +374,7 @@ def assemble_sip(space, params=None):
         avg_w = 0.5 if two_sided else 1.0
         sides = []
         for side, jump_sign in zip(_sides(mesh, facets)[:1 + two_sided], (1.0, -1.0)):
-            val, grad = _edge_basis(space, etab, side, with_grad=True)
+            val, grad = _edge_basis(space, side, etab["val"], etab["grad"])
             sides.append((side[0], val, np.einsum("fqiab,fb->fqia", grad, nrm),
                           jump_sign))
         for tcells, tv, tgn, st in sides:
@@ -386,7 +413,7 @@ def assemble_sip_boundary_load(space, g, params=None, order=None):
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     wq = _facet_weights(mesh, etab, bb)
     plus = _sides(mesh, bb)[0]
-    val, grad = _edge_basis(space, etab, plus, with_grad=True)
+    val, grad = _edge_basis(space, plus, etab["val"], etab["grad"])
     gn = np.einsum("fqiab,fb->fqia", grad, mesh.facet_normal[bb])
     pen = (params.sigma / mesh.facet_length[bb])[:, None]
     r_loc = np.einsum("fq,fqa,fqia->fi", wq, -gv, gn, optimize=True)

@@ -73,7 +73,7 @@ class SchemeConfig:
 class StepState:
     """State after step n: velocity, previous velocity (for the CN
     extrapolation), the RK predictor of the step that produced u, the L2
-    norm of u^0 and the L2 norm of u, which the blow-up gate computes."""
+    norms of u^0 and of u (from the blow-up gate) and the step's LU fill."""
 
     n: int
     t: float
@@ -82,6 +82,7 @@ class StepState:
     stage: CoefVec = None
     norm0: float = 0.0
     l2: float = None
+    factor_fill: int = 0
 
 
 class Discretization:
@@ -98,10 +99,9 @@ class Discretization:
         self.q_space = ScalarDGSpace(mesh, k)
         self.mass = forms.assemble_mass(self.space, self.params.cell_order)
         self.div = forms.assemble_div(self.space, self.q_space, self.params.cell_order)
-        self.projection = linsolve.StreamFunctionProjection(self.space, self.mass)
         self.sip = forms.assemble_sip(self.space, self.params) if self.params.nu > 0 else None
-        free = self.space.free_dofs
-        self.sip_free = self.sip[free][:, free] if self.sip is not None else None
+        self.projection = linsolve.StreamFunctionProjection(self.space, self.mass,
+                                                            self.sip)
         self._load_memo = {}
 
     @cached_property
@@ -109,7 +109,8 @@ class Discretization:
         """The bordered KKT projection on the same mass and divergence
         matrices, built on first use: the oracle that tests compare the
         stream-function projection with.  No run uses it."""
-        return linsolve.build_saddle(self.space, self.q_space, self.mass, self.div)
+        return linsolve.build_saddle(self.space, self.q_space, self.mass, self.div,
+                                     self.sip)
 
     def load_vectors(self, spatial, boundary=False):
         """Rows: the load vector of each function g(x, y) in ``spatial``, or
@@ -195,7 +196,8 @@ def rk2_step(state, config, disc, problem=None):
     u_next = linsolve.project_div_free(disc.projection, rhs[space.free_dofs])
     l2 = _check_blowup(disc, state, u_next)
     return StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
-                     u_prev=state.u, stage=stage, norm0=state.norm0, l2=l2)
+                     u_prev=state.u, stage=stage, norm0=state.norm0, l2=l2,
+                     factor_fill=disc.projection.fill)
 
 
 def cn_step(state, config, disc, problem=None):
@@ -208,10 +210,7 @@ def cn_step(state, config, disc, problem=None):
     u = state.u.values
 
     if state.n == 0:
-        advect = state.u
-        conv = forms.convection_matrix(space, advect)
-        system = linsolve.CNSystem(disc.projection, conv, tau, nu=nu,
-                                   sip_free=disc.sip_free, theta=1.0)
+        system = linsolve.CNSystem(disc.projection, state.u, tau, nu=nu, theta=1.0)
         rhs = mass @ u / tau
         if problem is not None:
             rhs += _load(disc, problem, state.t + tau)
@@ -219,10 +218,8 @@ def cn_step(state, config, disc, problem=None):
             rhs += nu * _viscous_boundary_load(disc, problem, state.t + tau)
     else:
         advect = CoefVec(space, 1.5 * u - 0.5 * state.u_prev.values)
-        conv = forms.convection_matrix(space, advect)
-        system = linsolve.CNSystem(disc.projection, conv, tau, nu=nu,
-                                   sip_free=disc.sip_free, theta=0.5)
-        rhs = mass @ u / tau - 0.5 * (conv @ u)
+        system = linsolve.CNSystem(disc.projection, advect, tau, nu=nu, theta=0.5)
+        rhs = mass @ u / tau - 0.5 * forms.apply_convection(space, advect, state.u)
         if nu > 0:
             rhs -= 0.5 * nu * (disc.sip @ u)
             rhs += nu * _viscous_boundary_load(disc, problem, state.t + 0.5 * tau)
@@ -232,7 +229,8 @@ def cn_step(state, config, disc, problem=None):
     u_next = linsolve.cn_solve(system, rhs[space.free_dofs])
     l2 = _check_blowup(disc, state, u_next)
     return StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
-                     u_prev=state.u, stage=None, norm0=state.norm0, l2=l2)
+                     u_prev=state.u, stage=None, norm0=state.norm0, l2=l2,
+                     factor_fill=system.fill)
 
 
 def initial_state(config, disc, problem=None):
@@ -315,6 +313,7 @@ def run(config, mesh, problem=None, disc=None):
                 rec["energy_residual"] = res
                 rec["energy_scale"] = max(state.l2 ** 2, 1e-300)
         report.record(**rec)
+        report.factor_fill = max(report.factor_fill, new_state.factor_fill)
         state = new_state
 
     if report.completed and problem is not None and not config.f_zero:

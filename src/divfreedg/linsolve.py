@@ -11,7 +11,9 @@ projection of a functional r is then u = C K^{-1} C^T r, where K = C^T M C
 is the P_{k+1} stiffness matrix on the interior nodes: symmetric positive
 definite, assembled cell by cell and factorized once per mesh and degree.
 B C = 0 holds identically, so the divergence vanishes by construction.  The
-semi-implicit CN operator A is reduced the same way, to C^T A C.
+semi-implicit CN operator C^T (M/tau + theta C(a) + theta nu A) C is
+assembled directly on the stream nodes, on a pattern fixed per mesh, with
+no velocity convection matrix and no triple product per step.
 
 The bordered KKT system [[M, B^T, 0], [B, 0, c], [0, c^T, 0]] on the free
 velocity DOFs, with one zero-mean border row c for the broken multiplier,
@@ -50,8 +52,7 @@ def _factorize(matrix, label, **options):
 
 # -- the two ways of handling the constraint ------------------------------------
 
-# Each maps an operator on the free velocity DOFs to one on its own unknowns
-# (``reduce``), a functional on the free DOFs to its right-hand side
+# Each maps a functional on the free velocity DOFs to its right-hand side
 # (``lift``) and its solution back to the free velocity DOFs (``velocity``).
 
 class _Border:
@@ -84,9 +85,6 @@ class _Curl:
         self.curl = curl
         self.curl_t = curl.T.tocsr()
 
-    def reduce(self, block):
-        return self.curl_t @ (block @ self.curl)
-
     def lift(self, rhs_free):
         return self.curl_t @ rhs_free
 
@@ -107,6 +105,7 @@ class _ConstrainedSystem:
         started = time.perf_counter()
         self.lu = _factorize(matrix, label, **options)
         self.factor_s = time.perf_counter() - started
+        self.fill = self.lu.nnz  # stored entries of L and U; reading L or U would copy them
 
     def solve(self, rhs_free, refine=False):
         # SuperLU already reaches ~1e-14 relative residual on these systems;
@@ -129,10 +128,9 @@ class _ConstrainedSystem:
         return rhs
 
     def stats(self):
-        """Unknowns, matrix nonzeros, factor fill (nonzeros of L and U) and
-        factorization seconds."""
+        """Unknowns, matrix nonzeros, factor fill and factorization seconds."""
         return dict(unknowns=self.matrix.shape[0], nonzeros=self.matrix.nnz,
-                    fill=self.lu.L.nnz + self.lu.U.nnz, factor_s=self.factor_s)
+                    fill=self.fill, factor_s=self.factor_s)
 
 
 # -- topology ---------------------------------------------------------------------
@@ -166,14 +164,18 @@ def _check_simply_connected(mesh):
 class SaddleSystem(_ConstrainedSystem):
     """Factorized mass/divergence saddle operator for the L2 projection.
 
-    Keeps the free-DOF blocks and the border that every CN system on the
-    same discretization reuses.  The mesh must be connected."""
+    Keeps the free-DOF blocks, the border and the SIP matrix ``sip`` that
+    every CN system on the same discretization reuses.  The mesh must be
+    connected."""
 
-    def __init__(self, space, q_space, mass=None, div=None):
+    cn_options = {}
+
+    def __init__(self, space, q_space, mass=None, div=None, sip=None):
         _check_connected(space.mesh)
         self.q_space = q_space
         self.mass = mass if mass is not None else forms.assemble_mass(space)
         self.div = div if div is not None else forms.assemble_div(space, q_space)
+        self.sip = sip
         free = space.free_dofs
         self.mass_free = self.mass[free][:, free].tocsr()
         self.div_free = self.div[:, free].tocsr()
@@ -182,10 +184,17 @@ class SaddleSystem(_ConstrainedSystem):
         super().__init__(space, constraint, constraint.reduce(self.mass_free),
                          "saddle")
 
+    def cn_matrix(self, advect, tau, theta, nu):
+        """The bordered CN operator around the velocity convection matrix."""
+        block = self.mass / tau + theta * forms.convection_matrix(self.space, advect)
+        if nu > 0:
+            block = block + theta * nu * self.sip
+        return self.constraint.reduce(block[self.free][:, self.free].tocsr())
 
-def build_saddle(space, q_space, mass=None, div=None):
+
+def build_saddle(space, q_space, mass=None, div=None, sip=None):
     """Assemble and factorize the bordered KKT projection system."""
-    return SaddleSystem(space, q_space, mass=mass, div=div)
+    return SaddleSystem(space, q_space, mass=mass, div=div, sip=sip)
 
 
 # -- the stream-function projection -------------------------------------------------
@@ -263,21 +272,46 @@ class StreamFunctionProjection(_ConstrainedSystem):
     hole would leave harmonic divergence-free fields out of range(C), and
     the projection would be wrong with zero divergence."""
 
-    def __init__(self, space, mass=None):
+    cn_options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                      options=dict(SymmetricMode=True))
+
+    def __init__(self, space, mass=None, sip=None):
         _check_simply_connected(space.mesh)
         self.mass = mass if mass is not None else forms.assemble_mass(space)
-        cell_nodes, n_nodes = _stream_nodes(space)
+        self.sip = sip
+        self.cell_nodes, n_nodes = _stream_nodes(space)
         super().__init__(
-            space, _Curl(_discrete_curl(space, cell_nodes, n_nodes)),
-            _stiffness(space, cell_nodes, n_nodes), "stream-function",
+            space, _Curl(_discrete_curl(space, self.cell_nodes, n_nodes)),
+            _stiffness(space, self.cell_nodes, n_nodes), "stream-function",
             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True))
 
     @cached_property
-    def mass_free(self):
-        """The mass on the free DOFs, which only the CN operator uses."""
-        free = self.free
-        return self.mass[free][:, free].tocsr()
+    def reduced_cn(self):
+        """The CSR pattern (indices, indptr) of the CN operator over the
+        stream nodes, the slots of the convection blocks in it and the fixed
+        parts K and C^T A C on it; built on the first CN step."""
+        n, curl, free = self.matrix.shape[0], self.constraint.curl, self.free
+        keys, slots = forms.block_pattern(self.space.mesh, self.cell_nodes, n)
+        fixed = [self.matrix] if self.sip is None else \
+            [self.matrix, curl.T @ self.sip[free][:, free] @ curl]
+        placed = [np.bincount(np.searchsorted(keys, m.row * n + m.col), m.data, len(keys))
+                  for m in map(sp.coo_matrix, fixed)]
+        return keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slots, placed
+
+    def cn_matrix(self, advect, tau, theta, nu):
+        """K/tau + theta C^T C(a) C + theta nu C^T A C.  The signed local
+        coefficients of C psi are C_loc psi_loc on every cell, so C^T C(a) C
+        sums the convection blocks in the basis phi @ C_loc: one bincount."""
+        indices, indptr, slots, placed = self.reduced_cn
+        blocks = forms.convection_blocks(self.space, advect, _curl_reference(self.space.k))
+        data = placed[0] / tau + theta * np.bincount(
+            slots, np.concatenate([b.ravel() for b, _, _ in blocks]), len(indices) + 1)[:-1]
+        if nu > 0:
+            data += theta * nu * placed[1]
+        matrix = sp.csr_matrix((data, indices, indptr), shape=self.matrix.shape)
+        matrix.eliminate_zeros()  # the cross blocks of outflow sides
+        return matrix
 
 
 def project_div_free(system, rhs):
@@ -298,27 +332,22 @@ class CNSystem(_ConstrainedSystem):
     """Factorized semi-implicit step operator (1/tau) M + theta C(a) + theta nu A
     on the divergence-free velocities, constrained as ``projection`` is.
 
-    Refreshed every step because the linearized convection C depends on the
-    advecting field; ``sip_free`` is the SIP matrix on the free DOFs.  The
-    operator is nonsymmetric, so SuperLU keeps its default ordering and
-    partial pivoting.
+    Refreshed every step because the linearized convection C(a) depends on
+    the advecting field ``advect``.  The stream-function projection reduces
+    it to C^T (...) C on a fixed pattern, factorized with a symmetric
+    ordering and threshold pivoting, since the pattern is symmetric but the
+    operator is not; the KKT oracle borders it.  A viscous step needs a
+    projection built with the SIP matrix ``sip``.
     """
 
-    def __init__(self, projection, convection, tau, nu=0.0, sip_free=None,
-                 theta=0.5):
+    def __init__(self, projection, advect, tau, nu=0.0, theta=0.5):
         if tau <= 0:
             raise ValueError("time step must be positive")
-        free = projection.free
-        block = (projection.mass_free / tau + theta * convection[free][:, free])
-        if nu > 0:
-            if sip_free is None:
-                raise ValueError("viscous CN step needs the assembled SIP matrix")
-            block = block + theta * nu * sip_free
-        constraint = projection.constraint
-        super().__init__(projection.space, constraint,
-                         constraint.reduce(block.tocsr()), "CN")
-        self.tau = tau
-        self.theta = theta
+        if nu > 0 and projection.sip is None:
+            raise ValueError("viscous CN step needs the assembled SIP matrix")
+        super().__init__(projection.space, projection.constraint,
+                         projection.cn_matrix(advect, tau, theta, nu), "CN",
+                         **projection.cn_options)
 
 
 def cn_solve(system, rhs):

@@ -73,6 +73,17 @@ def test_single_run_viscous_f_zero_energy_identity(tmp_path):
     assert val <= 1e-10
 
 
+@pytest.mark.parametrize("integrator", ["rk2", "cn"])
+def test_single_run_prints_factor_fill(tmp_path, capsys, integrator):
+    code = run_cli(["single-run", "--k", "1", "--n", "8", "--tau", "1/20",
+                    "--T", "0.25", "--integrator", integrator,
+                    "--out-dir", str(tmp_path)])
+    assert code == 0
+    fill = int(re.search(r"factor_fill=(\d+) ", capsys.readouterr().out).group(1))
+    assert fill > 0
+    assert f"summary,factor_fill,{fill}\n" in read(tmp_path / "single-run.csv")
+
+
 def test_convergence_table_layout(tmp_path):
     code = run_cli(["convergence", "--k", "1", "--n-list", "8,16",
                     "--cfl", "fourthirds", "--out-dir", str(tmp_path)])

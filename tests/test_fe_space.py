@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from divfreedg import build_structured, manufactured
+from divfreedg import build_structured, forms, manufactured
 from divfreedg.fe_space import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS,
                                 REF_EDGE_VERTICES, REF_VERTICES, CoefVec,
                                 RTSpace, ScalarDGSpace, eval_scalar_monomials,
-                                evaluate_field, rt_interpolate, rt_reference,
+                                rt_interpolate, rt_reference,
                                 scalar_monomial_exponents)
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
@@ -198,16 +198,23 @@ def test_interpolation_convergence(k):
 
 # -- evaluation -------------------------------------------------------------------
 
+def evaluate_at(space, coeffs, cell, ref_point):
+    """Value and broken-gradient matrix of a field at one reference point."""
+    val, grad = space.evaluate(coeffs.values, np.array([cell]), ref_point[None, :],
+                               with_grad=True)
+    return val[0], grad[0]
+
+
 def test_evaluate_field_trivia():
     mesh = build_structured(2, 0.0)
     space = RTSpace(mesh, 1)
     zero = space.zero()
-    val, grad = evaluate_field(space, zero, 0, np.array([0.2, 0.3]))
+    val, grad = evaluate_at(space, zero, 0, np.array([0.2, 0.3]))
     assert np.all(val == 0) and np.all(grad == 0)
 
     u = lambda x, y: np.stack([0.5 * x + 2.0, -0.5 * y + 1.0], axis=-1)
     c = rt_interpolate(u, space, enforce_boundary=True)
-    val, grad = evaluate_field(space, c, 3, np.array([0.25, 0.25]))
+    val, grad = evaluate_at(space, c, 3, np.array([0.25, 0.25]))
     phys = mesh.map_to_physical(np.array([3]), np.array([[0.25, 0.25]]))[0]
     assert np.allclose(val, u(phys[0], phys[1]), atol=1e-13)
     assert np.allclose(grad, np.array([[0.5, 0.0], [0.0, -0.5]]), atol=1e-12)
@@ -220,7 +227,7 @@ def test_evaluate_field_gradient_matches_finite_differences():
     coeffs = CoefVec(space, rng.normal(size=space.n_dofs))
     cell = 5
     ref = np.array([0.3, 0.25])
-    _, grad = evaluate_field(space, coeffs, cell, ref)
+    _, grad = evaluate_at(space, coeffs, cell, ref)
     x0 = mesh.map_to_physical(np.array([cell]), ref[None, :])[0]
     h = 1e-6
     fd = np.empty((2, 2))
@@ -234,12 +241,13 @@ def test_evaluate_field_gradient_matches_finite_differences():
 
 
 def test_evaluate_field_space_mismatch():
+    # a coefficient vector of another space is rejected, not misread
     mesh = build_structured(2, 0.0)
     s1 = RTSpace(mesh, 1)
     s2 = RTSpace(mesh, 2)
     c = s2.zero()
-    with pytest.raises(ValueError):
-        evaluate_field(s1, c, 0, np.array([0.2, 0.2]))
+    with pytest.raises(ValueError, match="different space"):
+        forms.div_norm_quadrature(s1, c)
 
 
 # -- conformity invariants ---------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divfreedg import build_structured, integrators, manufactured
+from divfreedg import build_structured, forms, integrators, linsolve, manufactured
 from divfreedg.integrators import Discretization, SchemeConfig
 
 
@@ -185,3 +185,48 @@ def test_runs_never_build_the_kkt_system(mesh8, problem, integrator):
                              mesh8, problem, disc=disc)
     assert report.completed
     assert "saddle" not in disc.__dict__
+
+
+@pytest.mark.parametrize("integrator", ["explicit_rk2", "semi_implicit_cn"])
+def test_runs_never_assemble_the_velocity_convection_matrix(mesh8, problem,
+                                                            integrator,
+                                                            monkeypatch):
+    # the CN step assembles its operator on the stream-function nodes, on a
+    # pattern built once per discretization; an RK2 run never builds it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run assembled the velocity convection matrix")
+
+    builds = []
+    block_pattern = forms.block_pattern
+    monkeypatch.setattr(forms, "convection_matrix", forbidden)
+    monkeypatch.setattr(forms, "block_pattern",
+                        lambda *args: builds.append(args) or block_pattern(*args))
+    disc = Discretization(mesh8, 1)
+    cfg = SchemeConfig(tau=1.0 / 20, T=0.25, integrator=integrator)
+    for _ in range(2):
+        report = integrators.run(cfg, mesh8, problem, disc=disc)
+        assert report.completed and report.n_steps_done == 5
+    assert len(builds) == (integrator == "semi_implicit_cn")
+
+
+@pytest.mark.parametrize("integrator", ["explicit_rk2", "semi_implicit_cn"])
+def test_report_factor_fill(mesh8, disc8, problem, integrator, monkeypatch):
+    # the largest LU fill among the factorizations the run solved with
+    fills = []
+
+    class RecordingCN(linsolve.CNSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fills.append(self.stats()["fill"])
+
+    monkeypatch.setattr(linsolve, "CNSystem", RecordingCN)
+    report = integrators.run(SchemeConfig(tau=1.0 / 20, T=0.25,
+                                          integrator=integrator),
+                             mesh8, problem, disc=disc8)
+    assert report.completed
+    if integrator == "explicit_rk2":
+        assert fills == []
+        assert report.factor_fill == disc8.projection.stats()["fill"] > 0
+    else:
+        assert len(fills) == 5
+        assert report.factor_fill == max(fills) > disc8.projection.stats()["fill"]

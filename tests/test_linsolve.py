@@ -87,8 +87,9 @@ def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
                                                       field_seed):
     mesh = build_structured(n, perturb, seed=mesh_seed)
     space = RTSpace(mesh, k)
-    kkt = linsolve.build_saddle(space, ScalarDGSpace(mesh, k))
-    stream = linsolve.StreamFunctionProjection(space, kkt.mass)
+    sip = forms.assemble_sip(space, FormParams(nu=0.01))
+    kkt = linsolve.build_saddle(space, ScalarDGSpace(mesh, k), sip=sip)
+    stream = linsolve.StreamFunctionProjection(space, kkt.mass, sip)
     mass = kkt.mass
 
     def rel_mass_norm(a, b):
@@ -114,14 +115,37 @@ def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
     # 1.5e-14), so the oracle takes one refinement pass.
     advect = linsolve.project_div_free(kkt, rng.normal(size=kkt.n_free))
     advect.values[:] /= np.sqrt(advect.values @ (mass @ advect.values))
-    conv = forms.convection_matrix(space, advect)
-    free = space.free_dofs
-    sip_free = forms.assemble_sip(space, FormParams(nu=0.01))[free][:, free]
     rhs = rng.normal(size=kkt.n_free)
-    step = linsolve.cn_solve(linsolve.CNSystem(stream, conv, 0.05, nu=0.01,
-                                               sip_free=sip_free), rhs)
-    oracle = linsolve.CNSystem(kkt, conv, 0.05, nu=0.01, sip_free=sip_free)
+    step = linsolve.cn_solve(linsolve.CNSystem(stream, advect, 0.05, nu=0.01), rhs)
+    oracle = linsolve.CNSystem(kkt, advect, 0.05, nu=0.01)
     assert rel_mass_norm(step, oracle.expand(oracle.solve(rhs, refine=True))) <= 1e-12
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3),
+       mesh_seed=st.integers(0, 2 ** 32 - 1), field_seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("k", [1, 2])
+def test_reduced_cn_operator_matches_triple_product(k, n, perturb, mesh_seed,
+                                                    field_seed):
+    # the CN operator assembled on the stream-function nodes is
+    # C^T (M/tau + theta C(a) + theta nu A) C with the velocity convection
+    # matrix C(a) of a random divergence-free field
+    mesh = build_structured(n, perturb, seed=mesh_seed)
+    space = RTSpace(mesh, k)
+    sip = forms.assemble_sip(space, FormParams(nu=0.01))
+    stream = linsolve.StreamFunctionProjection(space, sip=sip)
+    rng = np.random.default_rng(field_seed)
+    advect = linsolve.project_div_free(stream, rng.normal(size=stream.n_free))
+    advect.values[:] /= np.sqrt(advect.values @ (stream.mass @ advect.values))
+    free, curl, tau = space.free_dofs, stream.constraint.curl, 0.05
+    conv = forms.convection_matrix(space, advect)
+    for theta in (0.5, 1.0):
+        for nu in (0.0, 0.01):
+            block = (stream.mass / tau + theta * conv + theta * nu * sip)[free][:, free]
+            oracle = (curl.T @ block @ curl).toarray()
+            cn = linsolve.CNSystem(stream, advect, tau, nu=nu, theta=theta)
+            assert np.abs(cn.matrix.toarray() - oracle).max() \
+                <= 1e-13 * np.abs(oracle).max(), (theta, nu)
 
 
 def test_stream_function_rejects_mesh_with_hole():
@@ -161,12 +185,14 @@ def test_projection_is_contraction(spaces):
     # the constrained projection never beats the unconstrained mass solve
     entry = spaces(4, 1)
     rng = np.random.default_rng(3)
+    free_dofs = entry["space"].free_dofs
     for sys in projections(entry):
+        mass_free = sys.mass[free_dofs][:, free_dofs]
         rhs = rng.normal(size=sys.n_free)
         constrained = linsolve.project_div_free(sys, rhs)
-        free = sp.linalg.spsolve(sys.mass_free.tocsc(), rhs)
+        free = sp.linalg.spsolve(mass_free.tocsc(), rhs)
         norm_c = constrained.values @ (sys.mass @ constrained.values)
-        norm_f = free @ (sys.mass_free @ free)
+        norm_f = free @ (mass_free @ free)
         assert norm_c <= norm_f * (1 + 1e-10), type(sys).__name__
 
 
@@ -197,10 +223,9 @@ def test_cn_pure_mass_step(spaces):
     space = entry["space"]
     rng = np.random.default_rng(5)
     u = random_div_free(entry, rng)
-    conv = forms.convection_matrix(space, space.zero())
     tau = 0.1
     for sys in projections(entry):
-        cn = linsolve.CNSystem(sys, conv, tau)
+        cn = linsolve.CNSystem(sys, space.zero(), tau)
         rhs = (sys.mass @ u.values) / tau
         nxt = linsolve.cn_solve(cn, rhs[space.free_dofs])
         assert np.abs(nxt.values - u.values).max() <= 1e-10, type(sys).__name__
@@ -215,7 +240,7 @@ def test_cn_step_matches_dense_solve(spaces):
     conv = forms.convection_matrix(space, advect)
     tau = 0.05
     for sys in projections(entry):
-        cn = linsolve.CNSystem(sys, conv, tau)
+        cn = linsolve.CNSystem(sys, advect, tau)
         rhs = ((sys.mass @ u.values) / tau - 0.5 * (conv @ u.values))[space.free_dofs]
         sparse_u = linsolve.cn_solve(cn, rhs)
 
@@ -229,7 +254,6 @@ def test_cn_step_matches_dense_solve(spaces):
 def test_cn_rejects_nonpositive_tau(spaces):
     entry = spaces(2, 1, perturb=0.0)
     space = entry["space"]
-    conv = forms.convection_matrix(space, space.zero())
     for sys in projections(entry):
         with pytest.raises(ValueError, match="time step"):
-            linsolve.CNSystem(sys, conv, 0.0)
+            linsolve.CNSystem(sys, space.zero(), 0.0)
