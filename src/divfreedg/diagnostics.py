@@ -22,16 +22,14 @@ def energy_residual(mass, prev_u, stage, next_u, diss_u, diss_w, tau):
     with all norms in the mass inner product.  ``diss_u`` and ``diss_w``
     are the dissipations D(v) = |v|^2_up + nu a_h(v, v) of the two stages
     (the jump seminorm alone in an inviscid run).  For the exact scheme
-    this is zero up to solver roundoff.
+    this is zero up to solver roundoff.  The three fields are coefficient
+    vectors (``CoefVec``).
     """
-    def msq(vec):
-        v = vec.values if hasattr(vec, "values") else np.asarray(vec)
+    def msq(v):
         return float(v @ (mass @ v))
 
-    lhs = msq(next_u) - msq(prev_u)
-    diff = (next_u.values if hasattr(next_u, "values") else next_u) - \
-           (stage.values if hasattr(stage, "values") else stage)
-    rhs = -tau * diss_u - tau * diss_w + msq(diff)
+    lhs = msq(next_u.values) - msq(prev_u.values)
+    rhs = -tau * diss_u - tau * diss_w + msq(next_u.values - stage.values)
     return lhs - rhs
 
 

@@ -222,9 +222,6 @@ class CoefVec:
                 f"coefficient length {self.values.shape} does not match "
                 f"space with {self.space.n_dofs} DOFs")
 
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.values)))
-
 
 class RTSpace:
     """Global H(div)-conforming RT_k space on a triangular mesh.
@@ -434,7 +431,8 @@ def rt_interpolate(field, space, enforce_boundary=True, order=None):
 
 
 class ScalarDGSpace:
-    """Broken P_k multiplier space: one monomial block per cell, no coupling."""
+    """Broken P_k multiplier space of the KKT oracle: one monomial block per
+    cell, no coupling."""
 
     def __init__(self, mesh, k):
         self.mesh = mesh
@@ -442,36 +440,12 @@ class ScalarDGSpace:
         self.exponents = scalar_monomial_exponents(k)
         self.n_loc = len(self.exponents)
         self.n_dofs = mesh.n_cells * self.n_loc
-
         rule = triangle_rule(2 * k)
-        mon = eval_scalar_monomials(self.exponents, rule.points)
-        self.local_mass = np.einsum("qi,qj,q->ij", mon, mon, rule.weights)
-        self.local_mass_inv = np.linalg.inv(self.local_mass)
-        self.local_integrals = np.einsum("qi,q->i", mon, rule.weights)
+        self.local_integrals = np.einsum("qi,q->i", self.eval_ref(rule.points),
+                                         rule.weights)
 
     def eval_ref(self, points):
         return eval_scalar_monomials(self.exponents, points)
-
-    def evaluate(self, coeffs, cells, ref_points):
-        cells = np.asarray(cells, dtype=int)
-        loc = coeffs.reshape(-1, self.n_loc)[cells]
-        return np.einsum("...i,...i->...", loc, self.eval_ref(ref_points))
-
-    def project(self, func, order=None):
-        """Local L2 projection of a scalar function onto broken P_k."""
-        if order is None:
-            order = max(2 * self.k + 2, 15)
-        mesh = self.mesh
-        rule = triangle_rule(order)
-        nq = len(rule.weights)
-        cells = np.repeat(np.arange(mesh.n_cells), nq)
-        phys = mesh.map_to_physical(cells, np.tile(rule.points, (mesh.n_cells, 1)))
-        phys = phys.reshape(mesh.n_cells, nq, 2)
-        fvals = np.asarray(func(phys[..., 0], phys[..., 1]), dtype=float)
-        mon = self.eval_ref(rule.points)
-        moments = np.einsum("q,qi,cq->ci", rule.weights, mon, fvals)
-        coeffs = moments @ self.local_mass_inv.T
-        return CoefVec(self, coeffs.ravel())
 
     def integral_vector(self):
         """Functional q -> integral of q over the domain, as a DOF vector."""

@@ -12,6 +12,7 @@ reduced CN operator sums them, in a premultiplied basis, into a pattern
 fixed per mesh (``block_pattern``) with one bincount over precomputed slots.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,14 @@ def default_load_order(k):
     return 2 * k + 7
 
 
+def check_finite(params, *names):
+    """Reject a non-finite value in the fields ``names`` of ``params``."""
+    for name in names:
+        value = getattr(params, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
+
+
 @dataclass
 class FormParams:
     """Penalty, viscosity and quadrature orders for the discrete forms."""
@@ -59,6 +68,7 @@ class FormParams:
         )
 
     def __post_init__(self):
+        check_finite(self, "nu", "sigma")
         if self.nu < 0:
             raise ValueError("viscosity must be nonnegative")
         if self.nu > 0 and self.sigma is not None and self.sigma <= 0:
@@ -434,8 +444,10 @@ def assemble_load(space, f, order=None):
     return _scatter(space, _test_cells(tab, s))
 
 
-def div_norm_quadrature(space, coeffs, order=None):
-    """L2 norm of div u_h by direct quadrature (independent of the B matrix)."""
+def divergence_l2_norm(space, coeffs, order=None):
+    """L2 norm of div u_h by direct quadrature: on each cell div u_h is
+    div_ref u_loc / det J, one GEMM against the ``div`` table, independent
+    of the discrete curl and of any divergence matrix."""
     cv = _values(space, coeffs)
     if order is None:
         order = default_cell_order(space.k)
@@ -445,20 +457,11 @@ def div_norm_quadrature(space, coeffs, order=None):
     return float(np.sqrt(np.sum(_cell_wdet(mesh, tab["rule"]) * dv ** 2)))
 
 
-def divergence_l2_norm(space, q_space, coeffs, div_matrix):
-    """Cheap per-step divergence norm via (Bu)^T Mq^{-1} (Bu)."""
-    cv = _values(space, coeffs)
-    moments = (div_matrix @ cv).reshape(space.mesh.n_cells, q_space.n_loc)
-    sq = np.einsum("ci,ij,cj->c", moments, q_space.local_mass_inv, moments)
-    val = np.sum(sq / space.mesh.cell_detj)
-    return float(np.sqrt(max(val, 0.0)))
-
-
 __all__ = [
     "FormParams", "assemble_mass", "assemble_div", "apply_convection",
     "convection_matrix", "assemble_sip", "assemble_sip_boundary_load",
     "assemble_load", "jump_seminorm",
-    "div_norm_quadrature", "divergence_l2_norm",
+    "divergence_l2_norm", "check_finite",
     "default_sigma", "default_cell_order", "default_facet_order",
     "default_load_order",
 ]

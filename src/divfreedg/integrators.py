@@ -41,6 +41,7 @@ class SchemeConfig:
     f_zero: bool = False
 
     def __post_init__(self):
+        forms.check_finite(self, "tau", "T", "nu", "sigma")
         if self.tau <= 0:
             raise ValueError("time step must be positive")
         if self.T <= 0:
@@ -86,19 +87,17 @@ class StepState:
 
 
 class Discretization:
-    """Spaces, assembled operators and the factorized stream-function
-    projection for one (mesh, degree) pair; shared by all steps and all
-    trial runs on it, and so is every load vector assembled on it (see
-    ``load_vectors``).  The mesh must be simply connected."""
+    """The RT_k space, the mass and SIP matrices and the factorized
+    stream-function projection for one (mesh, degree) pair; shared by all
+    steps and all trial runs on it, and so is every load vector assembled
+    on it (see ``load_vectors``).  The mesh must be simply connected."""
 
     def __init__(self, mesh, k, params=None):
         self.mesh = mesh
         self.k = k
         self.params = (params or FormParams()).resolve(k)
         self.space = RTSpace(mesh, k)
-        self.q_space = ScalarDGSpace(mesh, k)
         self.mass = forms.assemble_mass(self.space, self.params.cell_order)
-        self.div = forms.assemble_div(self.space, self.q_space, self.params.cell_order)
         self.sip = forms.assemble_sip(self.space, self.params) if self.params.nu > 0 else None
         self.projection = linsolve.StreamFunctionProjection(self.space, self.mass,
                                                             self.sip)
@@ -106,11 +105,13 @@ class Discretization:
 
     @cached_property
     def saddle(self):
-        """The bordered KKT projection on the same mass and divergence
-        matrices, built on first use: the oracle that tests compare the
-        stream-function projection with.  No run uses it."""
-        return linsolve.build_saddle(self.space, self.q_space, self.mass, self.div,
-                                     self.sip)
+        """The bordered KKT projection on the same mass matrix, with the
+        broken P_k multipliers and their divergence matrix, built on first
+        use: the oracle that tests compare the stream-function projection
+        with.  No run uses it."""
+        q_space = ScalarDGSpace(self.mesh, self.k)
+        div = forms.assemble_div(self.space, q_space, self.params.cell_order)
+        return linsolve.build_saddle(self.space, q_space, self.mass, div)
 
     def load_vectors(self, spatial, boundary=False):
         """Rows: the load vector of each function g(x, y) in ``spatial``, or
@@ -128,12 +129,10 @@ class Discretization:
         return np.stack(rows)
 
     def l2_norm(self, u):
-        v = u.values if isinstance(u, CoefVec) else u
-        return float(np.sqrt(max(v @ (self.mass @ v), 0.0)))
+        return float(np.sqrt(max(u.values @ (self.mass @ u.values), 0.0)))
 
     def div_l2(self, u):
-        v = u.values if isinstance(u, CoefVec) else u
-        return forms.divergence_l2_norm(self.space, self.q_space, v, self.div)
+        return forms.divergence_l2_norm(self.space, u, self.params.cell_order)
 
 
 def _check_blowup(disc, state, u):

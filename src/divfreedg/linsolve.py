@@ -12,15 +12,15 @@ is the P_{k+1} stiffness matrix on the interior nodes: symmetric positive
 definite, assembled cell by cell and factorized once per mesh and degree.
 B C = 0 holds identically, so the divergence vanishes by construction.  The
 semi-implicit CN operator C^T (M/tau + theta C(a) + theta nu A) C is
-assembled directly on the stream nodes, on a pattern fixed per mesh, with
-no velocity convection matrix and no triple product per step.
+assembled directly on the stream nodes, on a pattern fixed per mesh.  Runs
+solve only these two systems.
 
-The bordered KKT system [[M, B^T, 0], [B, 0, c], [0, c^T, 0]] on the free
-velocity DOFs, with one zero-mean border row c for the broken multiplier,
-realizes the same projection without the topology assumption.  It is kept
-as the oracle the stream-function projection is tested against; no run
-builds it.  Both handle the constraint behind one interface: ``solve``,
-``expand`` and ``stats``.
+The bordered KKT system [[M, B^T, 0], [B, 0, c], [0, c^T, 0]], with one
+zero-mean border row c for the broken multiplier, gives the same
+projection on any connected mesh.  It stays only as the oracle the tests
+compare with; no run builds it.  Each system lifts a functional on the
+free velocity DOFs to its own right-hand side (``lift``) and expands its
+solution to the velocity (``expand``); ``project_div_free`` solves any.
 """
 
 import time
@@ -43,47 +43,25 @@ class BlowUpSignal(Exception):
         self.step = step
 
 
-def _factorize(matrix, label, **options):
-    try:
-        return splu(matrix.tocsc(), **options)
-    except RuntimeError as exc:
-        raise RuntimeError(f"{label} factorization failed: {exc}") from exc
+class _FactorizedSystem:
+    """A factorized operator on the divergence-free velocities of ``space``,
+    whose unknowns are the stream-function values psi at the interior nodes
+    unless a subclass says otherwise: ``lift`` maps a functional r on the
+    free velocity DOFs to the right-hand side C^T r and ``velocity`` maps
+    psi to the free velocity DOFs C psi, with C = ``curl`` and C^T = ``curl_t``."""
 
-
-# -- the two ways of handling the constraint ------------------------------------
-
-# Each maps a functional on the free velocity DOFs to its right-hand side
-# (``lift``) and its solution back to the free velocity DOFs (``velocity``).
-
-class _Border:
-    """The divergence rows B and the zero-mean border c of the bordered KKT
-    system; the unknowns are the free velocity DOFs and the multipliers."""
-
-    def __init__(self, div_free, border):
-        self.div_free = div_free
-        self.border = border
-
-    def reduce(self, block):
-        return sp.bmat([[block, self.div_free.T, None],
-                        [self.div_free, None, self.border],
-                        [None, self.border.T, None]], format="csc")
-
-    def lift(self, rhs_free):
-        rhs = np.zeros(sum(self.div_free.shape) + 1)
-        rhs[:len(rhs_free)] = rhs_free
-        return rhs
-
-    def velocity(self, z):
-        return z[:self.div_free.shape[1]]
-
-
-class _Curl:
-    """The discrete curl C from the interior P_{k+1} nodes to the free
-    velocity DOFs; the unknowns are the stream-function values."""
-
-    def __init__(self, curl):
-        self.curl = curl
-        self.curl_t = curl.T.tocsr()
+    def __init__(self, space, matrix, label, **options):
+        self.space = space
+        self.free = space.free_dofs
+        self.n_free = len(self.free)
+        self.matrix = matrix
+        started = time.perf_counter()
+        try:
+            self.lu = splu(matrix.tocsc(), **options)
+        except RuntimeError as exc:
+            raise RuntimeError(f"{label} factorization failed: {exc}") from exc
+        self.factor_s = time.perf_counter() - started
+        self.fill = self.lu.nnz  # stored entries of L and U; reading L or U would copy them
 
     def lift(self, rhs_free):
         return self.curl_t @ rhs_free
@@ -91,41 +69,13 @@ class _Curl:
     def velocity(self, z):
         return self.curl @ z
 
-
-class _ConstrainedSystem:
-    """A factorized operator on the divergence-free velocities of ``space``;
-    the constraint object says how they are represented."""
-
-    def __init__(self, space, constraint, matrix, label, **options):
-        self.space = space
-        self.constraint = constraint
-        self.free = space.free_dofs
-        self.n_free = len(self.free)
-        self.matrix = matrix
-        started = time.perf_counter()
-        self.lu = _factorize(matrix, label, **options)
-        self.factor_s = time.perf_counter() - started
-        self.fill = self.lu.nnz  # stored entries of L and U; reading L or U would copy them
-
-    def solve(self, rhs_free, refine=False):
-        # SuperLU already reaches ~1e-14 relative residual on these systems;
-        # one refinement pass is available for diagnostics that want roundoff
-        rhs = self.constraint.lift(rhs_free)
-        z = self.lu.solve(rhs)
-        if refine:
-            z += self.lu.solve(rhs - self.matrix @ z)
-        return z
+    def solve(self, rhs_free):
+        return self.lu.solve(self.lift(rhs_free))
 
     def expand(self, z):
         full = np.zeros(self.space.n_dofs)
-        full[self.free] = self.constraint.velocity(z)
+        full[self.free] = self.velocity(z)
         return CoefVec(self.space, full)
-
-    def restrict(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.n_free,):
-            raise ValueError(f"rhs has shape {rhs.shape}, not the {self.n_free} free DOFs")
-        return rhs
 
     def stats(self):
         """Unknowns, matrix nonzeros, factor fill and factorization seconds."""
@@ -161,43 +111,39 @@ def _check_simply_connected(mesh):
 
 # -- the KKT oracle ---------------------------------------------------------------
 
-class SaddleSystem(_ConstrainedSystem):
-    """Factorized mass/divergence saddle operator for the L2 projection.
+class SaddleSystem(_FactorizedSystem):
+    """Factorized mass/divergence saddle operator for the L2 projection,
+    whose unknowns are the free velocity DOFs, then the multipliers and the
+    border's.  The mesh must be connected."""
 
-    Keeps the free-DOF blocks, the border and the SIP matrix ``sip`` that
-    every CN system on the same discretization reuses.  The mesh must be
-    connected."""
-
-    cn_options = {}
-
-    def __init__(self, space, q_space, mass=None, div=None, sip=None):
+    def __init__(self, space, q_space, mass=None, div=None):
         _check_connected(space.mesh)
-        self.q_space = q_space
         self.mass = mass if mass is not None else forms.assemble_mass(space)
-        self.div = div if div is not None else forms.assemble_div(space, q_space)
-        self.sip = sip
+        div = div if div is not None else forms.assemble_div(space, q_space)
         free = space.free_dofs
         self.mass_free = self.mass[free][:, free].tocsr()
-        self.div_free = self.div[:, free].tocsr()
+        self.div_free = div[:, free].tocsr()
         self.border = sp.csr_matrix(q_space.integral_vector()[:, None])
-        constraint = _Border(self.div_free, self.border)
-        super().__init__(space, constraint, constraint.reduce(self.mass_free),
+        super().__init__(space, sp.bmat([[self.mass_free, self.div_free.T, None],
+                                         [self.div_free, None, self.border],
+                                         [None, self.border.T, None]], format="csc"),
                          "saddle")
 
-    def cn_matrix(self, advect, tau, theta, nu):
-        """The bordered CN operator around the velocity convection matrix."""
-        block = self.mass / tau + theta * forms.convection_matrix(self.space, advect)
-        if nu > 0:
-            block = block + theta * nu * self.sip
-        return self.constraint.reduce(block[self.free][:, self.free].tocsr())
+    def lift(self, rhs_free):
+        rhs = np.zeros(self.matrix.shape[0])
+        rhs[:self.n_free] = rhs_free
+        return rhs
+
+    def velocity(self, z):
+        return z[:self.n_free]
 
 
-def build_saddle(space, q_space, mass=None, div=None, sip=None):
+def build_saddle(space, q_space, mass=None, div=None):
     """Assemble and factorize the bordered KKT projection system."""
-    return SaddleSystem(space, q_space, mass=mass, div=div, sip=sip)
+    return SaddleSystem(space, q_space, mass=mass, div=div)
 
 
-# -- the stream-function projection -------------------------------------------------
+# -- the stream-function systems ------------------------------------------------------
 
 def _stream_nodes(space):
     """Interior-node index of every (cell, reference node) of P_{k+1}, -1
@@ -263,35 +209,33 @@ def _stiffness(space, cell_nodes, n_nodes):
                          shape=(n_nodes, n_nodes))
 
 
-class StreamFunctionProjection(_ConstrainedSystem):
+class StreamFunctionProjection(_FactorizedSystem):
     """The divergence-free L2 projection u = C K^{-1} C^T r through the
     stream function: K is the SPD P_{k+1} stiffness on the interior nodes,
-    factorized once with a symmetric ordering and no pivoting.
+    factorized once with a symmetric ordering and no pivoting.  Keeps the
+    SIP matrix ``sip`` that every viscous CN step on it reuses.
 
     The mesh must be simply connected (connected, with V - E + C = 1): a
     hole would leave harmonic divergence-free fields out of range(C), and
     the projection would be wrong with zero divergence."""
-
-    cn_options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                      options=dict(SymmetricMode=True))
 
     def __init__(self, space, mass=None, sip=None):
         _check_simply_connected(space.mesh)
         self.mass = mass if mass is not None else forms.assemble_mass(space)
         self.sip = sip
         self.cell_nodes, n_nodes = _stream_nodes(space)
-        super().__init__(
-            space, _Curl(_discrete_curl(space, self.cell_nodes, n_nodes)),
-            _stiffness(space, self.cell_nodes, n_nodes), "stream-function",
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True))
+        self.curl = _discrete_curl(space, self.cell_nodes, n_nodes)
+        self.curl_t = self.curl.T.tocsr()
+        super().__init__(space, _stiffness(space, self.cell_nodes, n_nodes),
+                         "stream-function", permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
     @cached_property
     def reduced_cn(self):
         """The CSR pattern (indices, indptr) of the CN operator over the
         stream nodes, the slots of the convection blocks in it and the fixed
         parts K and C^T A C on it; built on the first CN step."""
-        n, curl, free = self.matrix.shape[0], self.constraint.curl, self.free
+        n, curl, free = self.matrix.shape[0], self.curl, self.free
         keys, slots = forms.block_pattern(self.space.mesh, self.cell_nodes, n)
         fixed = [self.matrix] if self.sip is None else \
             [self.matrix, curl.T @ self.sip[free][:, free] @ curl]
@@ -314,50 +258,49 @@ class StreamFunctionProjection(_ConstrainedSystem):
         return matrix
 
 
-def project_div_free(system, rhs):
-    """Velocity u in the divergence-free subspace with (u, v) = rhs(v).
-
-    ``system`` is a projection (stream function or KKT) and ``rhs`` a
-    functional vector over the free velocity DOFs.  Non-finite input raises
-    BlowUpSignal.
-    """
-    rhs_free = system.restrict(rhs)
-    if not np.all(np.isfinite(rhs_free)):
-        raise BlowUpSignal(message="non-finite right-hand side in projection")
-    z = system.solve(rhs_free)
-    return system.expand(z)
-
-
-class CNSystem(_ConstrainedSystem):
+class CNSystem(_FactorizedSystem):
     """Factorized semi-implicit step operator (1/tau) M + theta C(a) + theta nu A
-    on the divergence-free velocities, constrained as ``projection`` is.
+    on the divergence-free velocities, reduced by the stream-function
+    ``projection`` to C^T (...) C on its fixed pattern.
 
     Refreshed every step because the linearized convection C(a) depends on
-    the advecting field ``advect``.  The stream-function projection reduces
-    it to C^T (...) C on a fixed pattern, factorized with a symmetric
-    ordering and threshold pivoting, since the pattern is symmetric but the
-    operator is not; the KKT oracle borders it.  A viscous step needs a
-    projection built with the SIP matrix ``sip``.
+    the advecting field ``advect``.  Factorized with a symmetric ordering
+    and threshold pivoting, since the pattern is symmetric but the operator
+    is not.  A viscous step needs a projection built with the SIP matrix.
     """
 
     def __init__(self, projection, advect, tau, nu=0.0, theta=0.5):
+        if not isinstance(projection, StreamFunctionProjection):
+            raise TypeError(f"a CN step is built on the stream-function projection, "
+                            f"not on {type(projection).__name__}")
         if tau <= 0:
             raise ValueError("time step must be positive")
         if nu > 0 and projection.sip is None:
             raise ValueError("viscous CN step needs the assembled SIP matrix")
-        super().__init__(projection.space, projection.constraint,
-                         projection.cn_matrix(advect, tau, theta, nu), "CN",
-                         **projection.cn_options)
+        self.curl, self.curl_t = projection.curl, projection.curl_t
+        super().__init__(projection.space, projection.cn_matrix(advect, tau, theta, nu),
+                         "CN", permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                         options=dict(SymmetricMode=True))
 
 
-def cn_solve(system, rhs):
-    """Solve one semi-implicit step; the result is divergence-free by the
-    constraint."""
-    rhs_free = system.restrict(rhs)
-    if not np.all(np.isfinite(rhs_free)):
-        raise BlowUpSignal(message="non-finite right-hand side in CN step")
-    z = system.solve(rhs_free)
-    return system.expand(z)
+def project_div_free(system, rhs):
+    """The velocity that solves ``system`` for the functional ``rhs`` over
+    the free velocity DOFs: for a projection the u in the divergence-free
+    subspace with (u, v) = rhs(v), for a CNSystem the step's new velocity.
+    Either is divergence-free by construction.  Non-finite input raises
+    BlowUpSignal.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (system.n_free,):
+        raise ValueError(f"rhs has shape {rhs.shape}, not the {system.n_free} free DOFs")
+    if not np.all(np.isfinite(rhs)):
+        raise BlowUpSignal(message="non-finite right-hand side")
+    return system.expand(system.solve(rhs))
+
+
+# One semi-implicit step solve: the same body under a second name, so the
+# benchmark's tracer times projections and CN solves apart.
+cn_solve = project_div_free
 
 
 __all__ = [

@@ -146,8 +146,7 @@ def h1_broken_error(space, coeffs, problem, t, order=None):
 
 def div_norm(space, coeffs, order=None):
     """L2 norm of div u_h by direct quadrature."""
-    return forms.div_norm_quadrature(space, _coeff_values(space, coeffs),
-                                     order=_error_order(space, order))
+    return forms.divergence_l2_norm(space, coeffs, order=_error_order(space, order))
 
 
 def rate_table(h_list, e_list):

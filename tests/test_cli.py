@@ -183,13 +183,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("flag", [["--tau", "-1"], ["--T", "0"], ["--n", "0"]],
-                         ids=["tau", "T", "n"])
+@pytest.mark.parametrize("flag", [
+    ["--tau", "-1"], ["--T", "0"], ["--n", "0"],
+    ["--T", "inf"], ["--tau", "inf", "--T", "0.25"], ["--tau", "nan"],
+    ["--nu", "nan"], ["--sigma", "nan", "--nu", "0.01"],
+], ids=["tau", "T", "n", "T-inf", "tau-inf", "tau-nan", "nu-nan", "sigma-nan"])
 def test_single_run_bad_value_is_usage_error(tmp_path, capsys, flag):
-    code = run_cli(["single-run", *flag, "--out-dir", str(tmp_path)])
+    code = run_cli(["single-run", "--n", "4", *flag, "--out-dir", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("divfree: error: ") and "Traceback" not in err
+    if flag[1] in ("inf", "nan"):
+        # the message names the field
+        assert f"{flag[0][2:]} must be finite" in err
 
 
 @pytest.mark.parametrize("command", ["convergence", "cfl-sweep"])

@@ -9,7 +9,7 @@ from divfreedg.fe_space import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS,
                                 scalar_monomial_exponents)
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
-from conftest import trace_points
+from conftest import dg_evaluate, dg_project, trace_points
 
 
 def piola_map(jacobian, ref_value, ref_div=None, ref_grad=None):
@@ -160,7 +160,7 @@ def test_commuting_property_pointwise(k):
                                np.cos(x) * y ** 2], axis=-1)
     div_u = lambda x, y: np.pi * np.cos(np.pi * x) * (1 + y) + 2 * y * np.cos(x)
     ci = rt_interpolate(u, space)
-    proj = q_space.project(div_u)
+    proj = dg_project(q_space, div_u)
     rng = np.random.default_rng(3)
     for c in range(mesh.n_cells):
         pts = rng.uniform(0.0, 1.0, size=(20, 2))
@@ -168,7 +168,7 @@ def test_commuting_property_pointwise(k):
         cells = np.full(20, c)
         _, grads = space.evaluate(ci.values, cells, pts, with_grad=True)
         div_h = grads[:, 0, 0] + grads[:, 1, 1]
-        pk = q_space.evaluate(proj.values, cells, pts)
+        pk = dg_evaluate(q_space, proj, cells, pts)
         assert np.abs(div_h - pk).max() < 1e-9
 
 
@@ -247,7 +247,7 @@ def test_evaluate_field_space_mismatch():
     s2 = RTSpace(mesh, 2)
     c = s2.zero()
     with pytest.raises(ValueError, match="different space"):
-        forms.div_norm_quadrature(s1, c)
+        forms.divergence_l2_norm(s1, c)
 
 
 # -- conformity invariants ---------------------------------------------------------
@@ -331,14 +331,12 @@ def test_normal_trace_legendre_reconstruction(k):
 
 
 def test_coefvec_validation_and_finiteness():
+    # non-finite values are caught on the public path, by the projection
+    # (test_linsolve.py::test_blowup_signal_on_nonfinite_rhs)
     mesh = build_structured(2, 0.0)
     space = RTSpace(mesh, 1)
     with pytest.raises(ValueError):
         CoefVec(space, np.zeros(3))
-    c = space.zero()
-    assert c.is_finite()
-    c.values[0] = np.nan
-    assert not c.is_finite()
 
 
 def test_scalar_projection_reproduces_polynomials():
@@ -346,9 +344,9 @@ def test_scalar_projection_reproduces_polynomials():
     for k in (1, 2):
         q_space = ScalarDGSpace(mesh, k)
         f = lambda x, y: 1.0 + 2.0 * x - y + (x * y if k > 1 else 0.0)
-        c = q_space.project(f)
+        c = dg_project(q_space, f)
         pts = np.random.default_rng(7).uniform(0.1, 0.4, size=(8, 2))
         cells = np.random.default_rng(8).integers(0, mesh.n_cells, 8)
-        vals = q_space.evaluate(c.values, cells, pts)
+        vals = dg_evaluate(q_space, c, cells, pts)
         phys = mesh.map_to_physical(cells, pts)
         assert np.abs(vals - f(phys[:, 0], phys[:, 1])).max() < 1e-12

@@ -5,7 +5,7 @@ from divfreedg import forms, linsolve, manufactured
 from divfreedg.fe_space import CoefVec, RTSpace, ScalarDGSpace, rt_interpolate
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
-from conftest import random_div_free, trace_points
+from conftest import dg_project, div_l2_through_b, random_div_free, trace_points
 
 
 def one_cell_mesh():
@@ -77,8 +77,8 @@ def test_div_matrix_divergence_theorem(spaces):
     space, q_space = entry["space"], entry["q_space"]
     B = forms.assemble_div(space, q_space)
     c = rt_interpolate(lambda x, y: np.stack([x, y], axis=-1), space)
-    ones = q_space.project(lambda x, y: np.ones_like(x))
-    assert ones.values @ (B @ c.values) == pytest.approx(2.0, abs=1e-10)
+    ones = dg_project(q_space, lambda x, y: np.ones_like(x))
+    assert ones @ (B @ c.values) == pytest.approx(2.0, abs=1e-10)
     assert np.abs(B @ np.zeros(space.n_dofs)).max() == 0.0
 
 
@@ -86,6 +86,31 @@ def test_div_degree_mismatch_rejected(meshes):
     mesh = meshes(2)
     with pytest.raises(ValueError, match="degree"):
         forms.assemble_div(RTSpace(mesh, 1), ScalarDGSpace(mesh, 2))
+
+
+# -- divergence norm --------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_divergence_norm_of_interpolated_radial_field(spaces, k):
+    # div Pi u = pi_k div u = 2 on the unit square, so ||div Pi u|| = 2
+    space = spaces(4, k)["space"]
+    c = rt_interpolate(lambda x, y: np.stack([x, y], axis=-1), space,
+                       enforce_boundary=True)
+    assert forms.divergence_l2_norm(space, c) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_divergence_norm_matches_b_matrix_oracle(spaces, k):
+    # the quadrature measure against the moments B u of the broken P_k
+    # divergence, on fields that are far from solenoidal
+    entry = spaces(4, k)
+    space, q_space = entry["space"], entry["q_space"]
+    div = forms.assemble_div(space, q_space)
+    rng = np.random.default_rng(10 + k)
+    for _ in range(3):
+        c = rng.normal(size=space.n_dofs)
+        oracle = div_l2_through_b(space, q_space, c, div)
+        assert forms.divergence_l2_norm(space, c) == pytest.approx(oracle, rel=1e-12)
 
 
 # -- convection -------------------------------------------------------------------

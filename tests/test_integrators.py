@@ -177,8 +177,15 @@ def test_run_rejects_disc_of_another_mesh_or_sigma(mesh8, disc8, problem):
 
 
 @pytest.mark.parametrize("integrator", ["explicit_rk2", "semi_implicit_cn"])
-def test_runs_never_build_the_kkt_system(mesh8, problem, integrator):
-    # the bordered KKT system is the tests' oracle, built only on request
+def test_runs_never_build_the_kkt_system(mesh8, problem, integrator, monkeypatch):
+    # the bordered KKT system is the tests' oracle, built only on request,
+    # and so are its multiplier space and divergence matrix
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run built part of the KKT system")
+
+    monkeypatch.setattr(forms, "assemble_div", forbidden)
+    monkeypatch.setattr(integrators, "ScalarDGSpace", forbidden)
+    monkeypatch.setattr(linsolve, "SaddleSystem", forbidden)
     disc = Discretization(mesh8, 1)
     report = integrators.run(SchemeConfig(tau=1.0 / 20, T=0.25,
                                           integrator=integrator),

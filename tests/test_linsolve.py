@@ -9,10 +9,20 @@ from divfreedg.forms import FormParams
 from divfreedg.integrators import Discretization
 from divfreedg.mesh import Mesh
 
-from conftest import projections, random_div_free
+from conftest import BorderedCN, projections, random_div_free, refined_solve
 
 # Each property test below runs on both projection objects of
 # ``conftest.projections``: the bordered KKT oracle and the stream function.
+# The CN tests pair the stream-function CNSystem with the bordered CN
+# oracle of ``conftest.BorderedCN`` on the KKT unknowns.
+
+
+def cn_systems(entry, advect, tau, **kwargs):
+    """The CN step on each projection of ``entry``: the bordered KKT oracle
+    and the CNSystem on the stream-function nodes."""
+    saddle, stream = projections(entry)
+    return [BorderedCN(saddle, advect, tau, **kwargs),
+            linsolve.CNSystem(stream, advect, tau, **kwargs)]
 
 
 def test_saddle_roundtrip(spaces):
@@ -88,7 +98,7 @@ def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
     mesh = build_structured(n, perturb, seed=mesh_seed)
     space = RTSpace(mesh, k)
     sip = forms.assemble_sip(space, FormParams(nu=0.01))
-    kkt = linsolve.build_saddle(space, ScalarDGSpace(mesh, k), sip=sip)
+    kkt = linsolve.build_saddle(space, ScalarDGSpace(mesh, k))
     stream = linsolve.StreamFunctionProjection(space, kkt.mass, sip)
     mass = kkt.mass
 
@@ -102,7 +112,7 @@ def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
                          linsolve.project_div_free(kkt, rhs)) <= 1e-12
 
     # B C = 0: the curl lands in the kernel of the divergence rows
-    curl = stream.constraint.curl
+    curl = stream.curl
     assert np.abs((kkt.div_free @ curl).toarray()).max() <= 1e-12
     # the cell-by-cell stiffness is C^T M C
     product = (curl.T @ kkt.mass_free @ curl).toarray()
@@ -117,8 +127,8 @@ def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
     advect.values[:] /= np.sqrt(advect.values @ (mass @ advect.values))
     rhs = rng.normal(size=kkt.n_free)
     step = linsolve.cn_solve(linsolve.CNSystem(stream, advect, 0.05, nu=0.01), rhs)
-    oracle = linsolve.CNSystem(kkt, advect, 0.05, nu=0.01)
-    assert rel_mass_norm(step, oracle.expand(oracle.solve(rhs, refine=True))) <= 1e-12
+    oracle = BorderedCN(kkt, advect, 0.05, nu=0.01, sip=sip)
+    assert rel_mass_norm(step, oracle.expand(refined_solve(oracle, rhs))) <= 1e-12
 
 
 @settings(max_examples=6, deadline=None)
@@ -137,7 +147,7 @@ def test_reduced_cn_operator_matches_triple_product(k, n, perturb, mesh_seed,
     rng = np.random.default_rng(field_seed)
     advect = linsolve.project_div_free(stream, rng.normal(size=stream.n_free))
     advect.values[:] /= np.sqrt(advect.values @ (stream.mass @ advect.values))
-    free, curl, tau = space.free_dofs, stream.constraint.curl, 0.05
+    free, curl, tau = space.free_dofs, stream.curl, 0.05
     conv = forms.convection_matrix(space, advect)
     for theta in (0.5, 1.0):
         for nu in (0.0, 0.01):
@@ -201,7 +211,7 @@ def test_solve_residual_contract(spaces):
     for sys in projections(entry):
         rhs_free = np.random.default_rng(4).normal(size=sys.n_free)
         z = sys.solve(rhs_free)
-        rhs = sys.constraint.lift(rhs_free)
+        rhs = sys.lift(rhs_free)
         res = np.abs(sys.matrix @ z - rhs).max()
         assert res <= 1e-10 * np.abs(rhs).max(), type(sys).__name__
 
@@ -224,11 +234,10 @@ def test_cn_pure_mass_step(spaces):
     rng = np.random.default_rng(5)
     u = random_div_free(entry, rng)
     tau = 0.1
-    for sys in projections(entry):
-        cn = linsolve.CNSystem(sys, space.zero(), tau)
-        rhs = (sys.mass @ u.values) / tau
+    for cn in cn_systems(entry, space.zero(), tau):
+        rhs = (entry["saddle"].mass @ u.values) / tau
         nxt = linsolve.cn_solve(cn, rhs[space.free_dofs])
-        assert np.abs(nxt.values - u.values).max() <= 1e-10, type(sys).__name__
+        assert np.abs(nxt.values - u.values).max() <= 1e-10, type(cn).__name__
 
 
 def test_cn_step_matches_dense_solve(spaces):
@@ -239,21 +248,24 @@ def test_cn_step_matches_dense_solve(spaces):
     advect = random_div_free(entry, rng)
     conv = forms.convection_matrix(space, advect)
     tau = 0.05
-    for sys in projections(entry):
-        cn = linsolve.CNSystem(sys, advect, tau)
-        rhs = ((sys.mass @ u.values) / tau - 0.5 * (conv @ u.values))[space.free_dofs]
+    rhs = ((entry["saddle"].mass @ u.values) / tau - 0.5 * (conv @ u.values))[space.free_dofs]
+    for cn in cn_systems(entry, advect, tau):
         sparse_u = linsolve.cn_solve(cn, rhs)
 
-        z = np.linalg.solve(cn.matrix.toarray(), cn.constraint.lift(rhs))
+        z = np.linalg.solve(cn.matrix.toarray(), cn.lift(rhs))
         dense_u = cn.expand(z)
         assert np.abs(sparse_u.values - dense_u.values).max() <= 1e-9, \
-            type(sys).__name__
-        assert manufactured.div_norm(space, sparse_u) <= 1e-9, type(sys).__name__
+            type(cn).__name__
+        assert manufactured.div_norm(space, sparse_u) <= 1e-9, type(cn).__name__
 
 
 def test_cn_rejects_nonpositive_tau(spaces):
+    # the CN step is built on the stream-function projection only; the KKT
+    # oracle is refused before any other check
     entry = spaces(2, 1, perturb=0.0)
     space = entry["space"]
-    for sys in projections(entry):
-        with pytest.raises(ValueError, match="time step"):
-            linsolve.CNSystem(sys, space.zero(), 0.0)
+    saddle, stream = projections(entry)
+    with pytest.raises(ValueError, match="time step"):
+        linsolve.CNSystem(stream, space.zero(), 0.0)
+    with pytest.raises(TypeError, match="stream-function projection, not on SaddleSystem"):
+        linsolve.CNSystem(saddle, space.zero(), 0.1)
