@@ -99,8 +99,12 @@ def _matvec2(m, v):
 
 
 def _matmul2(a, b):
-    """a @ b for 2x2 matrices with broadcast leading axes, column by column."""
-    return np.stack([_matvec2(a, b[..., :, j]) for j in (0, 1)], axis=-1)
+    """a @ b for 2x2 matrices with broadcast leading axes, column by column,
+    written into one output rather than stacked (one full-size copy fewer)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for j in (0, 1):
+        out[..., j] = _matvec2(a, b[..., :, j])
+    return out
 
 
 class RTReference:
@@ -266,6 +270,7 @@ class RTSpace:
 
         self._ref_tables = {}
         self._edge_tables = {}
+        self._facet_traces = {}
         self._metric = None
 
     def zero(self):
@@ -335,12 +340,49 @@ class RTSpace:
         tab = dict(
             rule=rule, nq=nq, val=val,
             grad=rg.reshape(3, 2, nq, self.n_loc, 2, 2),
-            val_flat=np.ascontiguousarray(
-                val.transpose(3, 0, 1, 2, 4).reshape(self.n_loc, -1)),
             legendre=np.polynomial.legendre.legvander(2.0 * t - 1.0, self.k),
         )
         self._edge_tables[order] = tab
         return tab
+
+    def facet_traces(self, order):
+        """Plain arrays of the facet-trace kernel at the segment rule of
+        ``order``: the gather ``dofs``/``signs`` (n_loc, n_cells), and
+        ``table`` (2 * 3 * nq, n_loc), the reference traces by component,
+        local edge and point, each edge read from its first vertex.  The rule
+        is symmetric, so ``plus``/``minus`` (nq, nfi), the flat indices of
+        the interior facets' points into each component's slot traces, read
+        point nq - 1 - q of a reversed edge.  ``g_plus``/``g_minus`` (2, nfi)
+        are J^T t_F / det J, so t_F . v = g . v_ref, and ``flux`` maps the
+        edge DOFs ``edge_dofs`` (k + 1, nfi) to w_q |F| u . n_F."""
+        ft = self._facet_traces.get(order)
+        if ft is not None:
+            return ft
+        mesh = self.mesh
+        etab = self.edge_tables(order)
+        nq, ne = etab["nq"], self.ref.n_edge_moments
+        ii = mesh.interior_facets
+        tangent = np.stack([-mesh.facet_normal[ii, 1], mesh.facet_normal[ii, 0]], axis=-1)
+        point = np.arange(nq)[:, None]
+
+        def side(cells, local):
+            q = np.where(mesh.cell_facet_reversed[cells, local] == 1, nq - 1 - point, point)
+            g = np.einsum("fab,fa->bf", mesh.cell_jac[cells], tangent) / mesh.cell_detj[cells]
+            return (local * nq + q) * mesh.n_cells + cells, np.ascontiguousarray(g)
+
+        plus, g_plus = side(mesh.facet_plus[ii], mesh.facet_plus_local[ii])
+        minus, g_minus = side(mesh.facet_minus[ii], mesh.facet_minus_local[ii])
+        ft = dict(
+            dofs=np.ascontiguousarray(self.cell_dofs.T),
+            signs=np.ascontiguousarray(self.cell_signs.T),
+            table=np.ascontiguousarray(
+                etab["val"][:, 0].transpose(3, 0, 1, 2).reshape(6 * nq, self.n_loc)),
+            plus=plus, minus=minus, g_plus=g_plus, g_minus=g_minus,
+            flux=etab["rule"].weights[:, None] * etab["legendre"] * (2 * np.arange(ne) + 1),
+            edge_dofs=ii * ne + np.arange(ne)[:, None],
+        )
+        self._facet_traces[order] = ft
+        return ft
 
     def piola(self, cells, ref_val, ref_grad=None):
         """Contravariant Piola map of reference values (and gradients) in

@@ -4,10 +4,12 @@ upwind jump seminorm.
 
 All facet convection terms run over interior facets only; the single-valued
 normal velocity a . n_F is read from the shared edge DOFs rather than traced
-from either side.  Assembly is serial and deterministic: per-cell/per-facet
-contributions are accumulated into triplets and compressed by summation.
-One local-block kernel (``convection_blocks``) serves the linearized
-convection: ``convection_matrix`` scatters its blocks as triplets, and the
+from either side.  Assembly is serial and deterministic: matrices accumulate
+per-cell/per-facet contributions into triplets and compress them by summation.
+The convection apply and the jump seminorm share one facet-trace kernel on
+cell-minor coefficients instead, with one edge orientation and tangential
+jumps only.  One local-block kernel (``convection_blocks``) serves the
+linearized convection: ``convection_matrix`` scatters its blocks as triplets, and the
 reduced CN operator sums them, in a premultiplied basis, into a pattern
 fixed per mesh (``block_pattern``) with one bincount over precomputed slots.
 """
@@ -137,34 +139,27 @@ def _test_cells(tab, s):
 #
 # Traces live on the slots (cell, local edge) in facet-point order; facet F
 # is seen from its plus slot (facet_plus, facet_plus_local) and, inside the
-# domain, from its minus slot.
+# domain, from its minus slot.  Both sides read the same edge DOFs, so
+# w+ . n_F = w- . n_F and the jump is tangential: the apply and the jump
+# seminorm read it on cell-minor coefficients (``RTSpace.facet_traces``).
 
 def _sides(mesh, facets):
     return ((mesh.facet_plus[facets], mesh.facet_plus_local[facets]),
             (mesh.facet_minus[facets], mesh.facet_minus_local[facets]))
 
 
-def _edge_field(space, tab, loc):
-    """Physical traces (nc, 3, nq, 2) of the cell-local fields loc on every
-    slot: one GEMM against the edge tables in both orientations, then each
-    slot's orientation is picked and Piola-mapped."""
-    nc = len(loc)
-    ref = (loc @ tab["val_flat"]).reshape(nc, 3, 2, tab["nq"], 2)
-    cells = np.arange(nc)[:, None]
-    ref = ref[cells, np.arange(3), space.mesh.cell_facet_reversed]
-    return space.piola(cells[:, :, None], ref)
+def _rows(ft, values):
+    """Cell-local coefficients (n_loc, n_cells) of a global vector."""
+    return values[ft["dofs"]] * ft["signs"]
 
 
-def _test_edges(space, tab, s):
-    """Cell-local vectors sum over slots and points of s . phi_i for a
-    physical integrand s (nc, 3, nq, 2) that carries the quadrature
-    weights; the transpose of ``_edge_field``."""
-    nc = len(s)
-    cells = np.arange(nc)[:, None]
-    full = np.zeros((nc, 3, 2, tab["nq"], 2))
-    full[cells, np.arange(3), space.mesh.cell_facet_reversed] = \
-        space.piola_transpose(cells[:, :, None], s)
-    return full.reshape(nc, -1) @ tab["val_flat"].T
+def _tangential_jump(ft, trace):
+    """(w+ - w-) . t_F at the points (nq, nfi) of the interior facets, from
+    the slot traces ``trace`` (2, 3 * nq * n_cells)."""
+    def side(points, g):
+        t = np.take(trace, points, axis=1)
+        return g[0] * t[0] + g[1] * t[1]
+    return side(ft["plus"], ft["g_plus"]) - side(ft["minus"], ft["g_minus"])
 
 
 def _edge_basis(space, side, val, grad=None):
@@ -242,34 +237,34 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None):
         cell_order = default_cell_order(space.k)
     if facet_order is None:
         facet_order = default_facet_order(space.k)
-    mesh = space.mesh
-    a_loc = _local(space, av)
-    w_loc = _local(space, wv)
+    ft = space.facet_traces(facet_order)
+    a_loc = _rows(ft, av)
+    w_loc = a_loc if wv is av else _rows(ft, wv)
 
     # Volume term: with the Piola factors contracted into the cell metric
     # A = J^T J / det^2, the integrand is w_q (Ghat_w ahat)^T A vhat,
-    # leaving three dense GEMMs per apply.
+    # leaving three dense GEMMs per apply, against the transposed tables,
+    # and pointwise products over rows of length n_cells.
     tab = space.ref_tables(cell_order)
-    nq = tab["nq"]
-    nc = mesh.n_cells
-    a_hat = (a_loc @ tab["val_flat"]).reshape(nc, nq, 2)
-    g_hat = (w_loc @ tab["grad_flat"]).reshape(nc, nq, 2, 2)
-    r_loc = _test_cells(tab, _matvec2(space.metric[:, None], _matvec2(g_hat, a_hat)))
+    nq, nc = tab["nq"], space.mesh.n_cells
+    a_hat = (tab["val_flat"].T @ a_loc).reshape(nq, 1, 2, nc)
+    ga = np.sum((tab["grad_flat"].T @ w_loc).reshape(nq, 2, 2, nc) * a_hat, axis=2)
+    A = np.ascontiguousarray(np.moveaxis(space.metric, 0, -1))
+    r_loc = tab["val_weighted"].T @ np.sum(A * ga[:, None], axis=2).reshape(2 * nq, nc)
 
-    # Facets: the upwind weight times the jump w+ - w-, tested on both
-    # sides of every interior facet.
-    etab = space.edge_tables(facet_order)
-    ii = mesh.interior_facets
-    gp, gm = _upwind_weights(_facet_normal_values(space, etab, av)[ii])
-    wq = _facet_weights(mesh, etab, ii)
-    plus, minus = _sides(mesh, ii)
-    trace = _edge_field(space, etab, w_loc)
-    jump = trace[plus] - trace[minus]
+    # Facets: the upwind weight times the tangential jump, tested on both
+    # sides of every interior facet through t_F . phi_i = g . phi_ref.
+    trace = (ft["table"] @ w_loc).reshape(2, -1)
+    jump = _tangential_jump(ft, trace)
+    gp, gm = _upwind_weights(ft["flux"] @ av[ft["edge_dofs"]])  # w_q |F| a . n_F
     s = np.zeros_like(trace)
-    s[plus] = (wq * gp)[..., None] * jump
-    s[minus] = (wq * gm)[..., None] * jump
-    r_loc += _test_edges(space, etab, s)
-    return _scatter(space, r_loc)
+    for side, weight in (("plus", gp), ("minus", gm)):
+        upwind = weight * jump
+        for comp in (0, 1):
+            s[comp][ft[side]] = ft["g_" + side][comp] * upwind
+    r_loc += ft["table"].T @ s.reshape(-1, nc)
+    return np.bincount(ft["dofs"].ravel(), weights=(r_loc * ft["signs"]).ravel(),
+                       minlength=space.n_dofs)
 
 
 def convection_blocks(space, a, basis=None, cell_order=None, facet_order=None):
@@ -344,14 +339,9 @@ def jump_seminorm(space, a, v, facet_order=None):
     vv = _values(space, v)
     if facet_order is None:
         facet_order = default_facet_order(space.k)
-    mesh = space.mesh
-    etab = space.edge_tables(facet_order)
-    ii = mesh.interior_facets
-    an = _facet_normal_values(space, etab, av)[ii]
-    plus, minus = _sides(mesh, ii)
-    trace = _edge_field(space, etab, _local(space, vv))
-    jump2 = np.sum((trace[plus] - trace[minus]) ** 2, axis=-1)
-    return float(np.sum(_facet_weights(mesh, etab, ii) * 0.5 * np.abs(an) * jump2))
+    ft = space.facet_traces(facet_order)
+    jump = _tangential_jump(ft, (ft["table"] @ _rows(ft, vv)).reshape(2, -1))
+    return float(0.5 * np.sum(np.abs(ft["flux"] @ av[ft["edge_dofs"]]) * jump ** 2))
 
 
 def assemble_sip(space, params=None):

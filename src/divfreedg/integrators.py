@@ -172,7 +172,8 @@ def rk2_step(state, config, disc, problem=None):
     tau = config.tau
     u = state.u.values
     t = state.t
-    rhs = mass @ u - tau * forms.apply_convection(space, state.u, state.u)
+    mass_u = mass @ u
+    rhs = mass_u - tau * forms.apply_convection(space, state.u, state.u)
     if config.nu > 0:
         rhs -= tau * config.nu * (disc.sip @ u)
         rhs += tau * config.nu * _viscous_boundary_load(disc, problem, t)
@@ -181,7 +182,7 @@ def rk2_step(state, config, disc, problem=None):
     stage = linsolve.project_div_free(disc.projection, rhs[space.free_dofs])
 
     w = stage.values
-    rhs = 0.5 * (mass @ u + mass @ w) - 0.5 * tau * forms.apply_convection(
+    rhs = 0.5 * (mass_u + mass @ w) - 0.5 * tau * forms.apply_convection(
         space, stage, stage)
     if config.nu > 0:
         rhs -= 0.5 * tau * config.nu * (disc.sip @ w)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms
-from .fe_space import CoefVec
 from .quadrature import triangle_rule
 
 TWO_PI = 2.0 * np.pi
@@ -32,8 +31,8 @@ class ExactProblem:
     The velocity and the forcing have one definition each, the separable
     form u = sum_m u_coeffs(t)[m] u_spatial[m](x, y) and
     f = sum_m f_coeffs(t)[m] f_spatial[m](x, y), with df/dt from
-    dt_f_coeffs.  The pointwise ``u``, ``f`` and ``dt_f`` are derived from
-    it, and the drivers assemble one load vector per spatial part, once per
+    dt_f_coeffs.  The pointwise ``u`` and ``f`` are derived from it, and the
+    drivers assemble one load vector per spatial part, once per
     discretization.
     """
 
@@ -51,9 +50,6 @@ class ExactProblem:
 
     def f(self, x, y, t):
         return _combine(self.f_coeffs(t), self.f_spatial, x, y)
-
-    def dt_f(self, x, y, t):
-        return _combine(self.dt_f_coeffs(t), self.f_spatial, x, y)
 
 
 def _combine(coeffs, spatial, x, y):
@@ -106,12 +102,6 @@ def taylor_green(nu=0.0):
                         f_coeffs=f_coeffs, dt_f_coeffs=dt_f_coeffs)
 
 
-def _coeff_values(space, coeffs):
-    if isinstance(coeffs, CoefVec):
-        coeffs = coeffs.values
-    return np.asarray(coeffs, dtype=float)
-
-
 def _error_order(space, order):
     # squared trig errors carry doubled frequencies, so the rules go deeper
     # than the polynomial minimum until the norms are insensitive to order
@@ -124,7 +114,7 @@ def _cell_samples(space, coeffs, order, with_grad):
     rule = triangle_rule(_error_order(space, order))
     mesh = space.mesh
     cells = np.arange(mesh.n_cells)[:, None]
-    uh = space.evaluate(_coeff_values(space, coeffs), cells, rule.points,
+    uh = space.evaluate(forms._values(space, coeffs), cells, rule.points,
                         with_grad=with_grad)
     pts = mesh.map_to_physical(cells, rule.points)
     return uh, pts, rule.weights[None, :] * mesh.cell_detj[:, None]

@@ -135,12 +135,6 @@ class Mesh:
         origin = self.vertices[self.cells[cells, 0]]
         return origin + np.einsum("...ab,...b->...a", self.cell_jac[cells], ref_points)
 
-    def map_to_reference(self, cells, points):
-        """Inverse affine map of physical points into reference coordinates."""
-        points = np.asarray(points, dtype=float)
-        origin = self.vertices[self.cells[cells, 0]]
-        return np.einsum("...ab,...b->...a", self.cell_jac_inv[cells], points - origin)
-
 
 def build_structured(n, perturb=0.0, seed=0):
     """Structured triangulation of the unit square with 2*n*n cells.

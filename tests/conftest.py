@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from divfreedg import build_structured, forms, linsolve
-from divfreedg.fe_space import RTSpace, ScalarDGSpace
+from divfreedg.fe_space import RTSpace, ScalarDGSpace, _matvec2
 from divfreedg.quadrature import triangle_rule
 
 
@@ -137,6 +137,18 @@ def div_l2_through_b(space, q_space, coeffs, div):
     return float(np.sqrt(max(np.sum(sq / space.mesh.cell_detj), 0.0)))
 
 
+def map_to_reference(mesh, cells, points):
+    """Inverse affine map of physical points into reference coordinates."""
+    points = np.asarray(points, dtype=float)
+    origin = mesh.vertices[mesh.cells[cells, 0]]
+    return np.einsum("...ab,...b->...a", mesh.cell_jac_inv[cells], points - origin)
+
+
+def dt_f(problem, x, y, t):
+    """The pointwise df/dt of ``problem``, from its separable form."""
+    return sum(c * g(x, y) for c, g in zip(problem.dt_f_coeffs(t), problem.f_spatial))
+
+
 def trace_points(mesh, facet, rule):
     """Quadrature points of ``rule`` (on [0, 1]) along ``facet``, from its
     lower-index vertex to the higher one, mapped into the plus cell and the
@@ -151,7 +163,82 @@ def trace_points(mesh, facet, rule):
         if cell < 0:
             continue
         cells = np.full(len(t), cell)
-        ref = mesh.map_to_reference(cells, pts)
+        ref = map_to_reference(mesh, cells, pts)
         setattr(out, f"ref_{side}", ref)
         setattr(out, f"points_{side}", mesh.map_to_physical(cells, ref))
     return out
+
+
+# -- full-vector-jump convection oracles ----------------------------------------------
+#
+# The convection apply and the jump seminorm as they were before the
+# tangential-trace kernel: physical traces of both sides of every interior
+# facet, each slot read in its own orientation of the edge tables and
+# Piola-mapped, with the full vector jump w+ - w-.
+
+def _edge_field(space, etab, loc):
+    """Physical traces (nc, 3, nq, 2) of the cell-local fields loc on every
+    slot: one GEMM against the edge tables in both orientations, then each
+    slot's orientation is picked and Piola-mapped."""
+    nc = len(loc)
+    val_flat = etab["val"].transpose(3, 0, 1, 2, 4).reshape(space.n_loc, -1)
+    ref = (loc @ val_flat).reshape(nc, 3, 2, etab["nq"], 2)
+    cells = np.arange(nc)[:, None]
+    ref = ref[cells, np.arange(3), space.mesh.cell_facet_reversed]
+    return space.piola(cells[:, :, None], ref)
+
+
+def _test_edges(space, etab, s):
+    """Cell-local vectors sum over slots and points of s . phi_i for a
+    physical integrand s (nc, 3, nq, 2) that carries the quadrature
+    weights; the transpose of ``_edge_field``."""
+    nc = len(s)
+    cells = np.arange(nc)[:, None]
+    full = np.zeros((nc, 3, 2, etab["nq"], 2))
+    full[cells, np.arange(3), space.mesh.cell_facet_reversed] = \
+        space.piola_transpose(cells[:, :, None], s)
+    val_flat = etab["val"].transpose(3, 0, 1, 2, 4).reshape(space.n_loc, -1)
+    return full.reshape(nc, -1) @ val_flat.T
+
+
+def full_jump_apply(space, a, w, cell_order=None, facet_order=None):
+    """c_h(a, w, phi_i) for every i, with full vector jumps."""
+    av, wv = forms._values(space, a), forms._values(space, w)
+    cell_order = cell_order or forms.default_cell_order(space.k)
+    facet_order = facet_order or forms.default_facet_order(space.k)
+    mesh = space.mesh
+    a_loc, w_loc = forms._local(space, av), forms._local(space, wv)
+
+    tab = space.ref_tables(cell_order)
+    nq, nc = tab["nq"], mesh.n_cells
+    grad_flat = tab["grad"].transpose(1, 0, 2, 3).reshape(space.n_loc, -1)
+    a_hat = (a_loc @ tab["val_flat"]).reshape(nc, nq, 2)
+    g_hat = (w_loc @ grad_flat).reshape(nc, nq, 2, 2)
+    r_loc = forms._test_cells(tab, _matvec2(space.metric[:, None], _matvec2(g_hat, a_hat)))
+
+    etab = space.edge_tables(facet_order)
+    ii = mesh.interior_facets
+    gp, gm = forms._upwind_weights(forms._facet_normal_values(space, etab, av)[ii])
+    wq = forms._facet_weights(mesh, etab, ii)
+    plus, minus = forms._sides(mesh, ii)
+    trace = _edge_field(space, etab, w_loc)
+    jump = trace[plus] - trace[minus]
+    s = np.zeros_like(trace)
+    s[plus] = (wq * gp)[..., None] * jump
+    s[minus] = (wq * gm)[..., None] * jump
+    r_loc += _test_edges(space, etab, s)
+    return forms._scatter(space, r_loc)
+
+
+def full_jump_seminorm(space, a, v, facet_order=None):
+    """|v|^2_{a,up} over the interior facets, with full vector jumps."""
+    av, vv = forms._values(space, a), forms._values(space, v)
+    facet_order = facet_order or forms.default_facet_order(space.k)
+    mesh = space.mesh
+    etab = space.edge_tables(facet_order)
+    ii = mesh.interior_facets
+    an = forms._facet_normal_values(space, etab, av)[ii]
+    plus, minus = forms._sides(mesh, ii)
+    trace = _edge_field(space, etab, forms._local(space, vv))
+    jump2 = np.sum((trace[plus] - trace[minus]) ** 2, axis=-1)
+    return float(np.sum(forms._facet_weights(mesh, etab, ii) * 0.5 * np.abs(an) * jump2))

@@ -5,7 +5,8 @@ from divfreedg import forms, linsolve, manufactured
 from divfreedg.fe_space import CoefVec, RTSpace, ScalarDGSpace, rt_interpolate
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
-from conftest import dg_project, div_l2_through_b, random_div_free, trace_points
+from conftest import (dg_project, div_l2_through_b, full_jump_apply, full_jump_seminorm,
+                      random_div_free, trace_points)
 
 
 def one_cell_mesh():
@@ -138,6 +139,53 @@ def test_convection_zero_advection(spaces):
     assert np.abs(r).max() == 0.0
     C = forms.convection_matrix(space, space.zero())
     assert abs(C).max() == 0.0
+
+
+def _random_fields(space, rng):
+    """An advecting field with zero boundary-normal DOFs and a field with
+    every DOF set; neither is divergence-free."""
+    a = rng.normal(size=space.n_dofs)
+    a[space.boundary_dofs] = 0.0
+    return CoefVec(space, a), CoefVec(space, rng.normal(size=space.n_dofs))
+
+
+def _rel(got, want):
+    return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_trace_kernel_matches_full_jump_oracle(spaces, k):
+    entry = spaces(6, k, with_saddle=True)
+    space = entry["space"]
+    rng = np.random.default_rng(20 + k)
+    a, w = _random_fields(space, rng)
+    u = random_div_free(entry, rng)
+    for adv, field in ((a, w), (u, w), (a, a), (u, u)):
+        assert _rel(forms.apply_convection(space, adv, field),
+                    full_jump_apply(space, adv, field)) <= 1e-12
+        assert _rel(forms.jump_seminorm(space, adv, field),
+                    full_jump_seminorm(space, adv, field)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_trace_kernel_matches_full_jump_oracle_at_other_orders(spaces, k):
+    # an even and an odd number of facet points: the reversed slots read
+    # q -> nq - 1 - q either way, and the middle point maps to itself
+    space = spaces(4, k, perturb=0.2, seed=3)["space"]
+    a, w = _random_fields(space, np.random.default_rng(30 + k))
+    for cell_order, facet_order in ((2 * k + 5, 2 * k + 4), (4 * k + 2, 2 * k + 6)):
+        assert _rel(forms.apply_convection(space, a, w, cell_order, facet_order),
+                    full_jump_apply(space, a, w, cell_order, facet_order)) <= 1e-12
+        assert _rel(forms.jump_seminorm(space, a, w, facet_order),
+                    full_jump_seminorm(space, a, w, facet_order)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_trace_kernel_zero_advection_is_exactly_zero(spaces, k):
+    space = spaces(6, k)["space"]
+    _, w = _random_fields(space, np.random.default_rng(40 + k))
+    assert np.all(forms.apply_convection(space, space.zero(), w) == 0.0)
+    assert forms.jump_seminorm(space, space.zero(), w) == 0.0
 
 
 def test_convection_single_cell_over_integration_oracle():

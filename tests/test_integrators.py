@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -237,3 +240,21 @@ def test_report_factor_fill(mesh8, disc8, problem, integrator, monkeypatch):
     else:
         assert len(fills) == 5
         assert report.factor_fill == max(fills) > disc8.projection.stats()["fill"]
+
+
+def test_discretization_is_freed_without_the_cycle_collector(problem):
+    # Every table a space caches must be plain data: one that referred back
+    # to the space would keep each finished discretization, its factor
+    # included, alive until the cyclic collector happened to run.
+    gc.disable()
+    try:
+        config = SchemeConfig(tau=0.05, T=0.05)
+        disc = Discretization(build_structured(4, 0.15, seed=0), 1)
+        state = integrators.rk2_step(integrators.initial_state(config, disc, problem),
+                                     config, disc, problem)
+        assert forms.jump_seminorm(disc.space, state.u, state.u) > 0.0
+        space = weakref.ref(disc.space)
+        del disc, state
+        assert space() is None
+    finally:
+        gc.enable()

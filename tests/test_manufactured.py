@@ -3,6 +3,7 @@ import pytest
 
 from divfreedg import build_structured, manufactured
 from divfreedg.fe_space import RTSpace, rt_interpolate
+from conftest import dt_f
 
 
 def _fd(f, x, h=1e-6):
@@ -63,7 +64,7 @@ def test_derivative_callables_match_finite_differences():
         assert np.allclose(_fd(lambda s: prob.u(x, y, s), t),
                            prob.dt_u(x, y, t), atol=1e-8)
         assert np.allclose(_fd(lambda s: prob.f(x, y, s), t),
-                           prob.dt_f(x, y, t), atol=1e-6)
+                           dt_f(prob, x, y, t), atol=1e-6)
         gfd = np.stack([_fd(lambda s: prob.u(s, y, t), x),
                         _fd(lambda s: prob.u(x, s, t), y)], axis=-1)
         assert np.allclose(gfd, prob.grad_u(x, y, t), atol=1e-8)
@@ -81,6 +82,21 @@ def test_error_norms_zero_for_zero_data():
     assert manufactured.l2_error(space, z, zero_prob, 0.0) == 0.0
     assert manufactured.h1_broken_error(space, z, zero_prob, 0.0) == 0.0
     assert manufactured.div_norm(space, z) == 0.0
+
+
+def test_error_norms_reject_a_vector_of_another_space():
+    # same size and degree, other seed: the lengths match, the space does not
+    prob = manufactured.taylor_green(0.0)
+    space = RTSpace(build_structured(4, 0.15, seed=0), 1)
+    other = RTSpace(build_structured(4, 0.15, seed=1), 1)
+    u = rt_interpolate(lambda x, y: prob.u(x, y, 0.0), other)
+    for norm in (manufactured.l2_error, manufactured.h1_broken_error):
+        with pytest.raises(ValueError, match="different space"):
+            norm(space, u, prob, 0.0)
+    with pytest.raises(ValueError, match="different space"):
+        manufactured.div_norm(space, u)
+    # a plain array of the right length is still read as coefficients
+    assert manufactured.l2_error(space, u.values, prob, 0.0) > 0.0
 
 
 @pytest.mark.parametrize("k", [1, 2])
