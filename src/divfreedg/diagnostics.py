@@ -13,23 +13,24 @@ from .manufactured import rate_table
 NAN = float("nan")
 
 
-def energy_residual(mass, prev_u, stage, next_u, diss_u, diss_w, tau):
+def energy_residual(gram, stage, next_u, prev_l2, next_l2, diss_u, diss_w, tau):
     """Defect of the per-step discrete energy identity for unforced RK2 runs:
 
         ||u^{n+1}||^2 - ||u^n||^2
             = -tau D(u^n) - tau D(w^n) + ||u^{n+1} - w^n||^2
 
-    with all norms in the mass inner product.  ``diss_u`` and ``diss_w``
+    with all norms in the mass inner product.  ``prev_l2`` and ``next_l2``
+    are ||u^n|| and ||u^{n+1}||, which the blow-up gate has computed;
+    ``stage`` and ``next_u`` are the coefficients of w^n and u^{n+1} in a
+    basis whose Gram matrix in that inner product is ``gram``: in a run the
+    stream-function values, with the stiffness K.  ``diss_u`` and ``diss_w``
     are the dissipations D(v) = |v|^2_up + nu a_h(v, v) of the two stages
     (the jump seminorm alone in an inviscid run).  For the exact scheme
-    this is zero up to solver roundoff.  The three fields are coefficient
-    vectors (``CoefVec``).
+    this is zero up to solver roundoff.
     """
-    def msq(v):
-        return float(v @ (mass @ v))
-
-    lhs = msq(next_u.values) - msq(prev_u.values)
-    rhs = -tau * diss_u - tau * diss_w + msq(next_u.values - stage.values)
+    gap = next_u - stage
+    lhs = next_l2 ** 2 - prev_l2 ** 2
+    rhs = -tau * diss_u - tau * diss_w + float(gap @ (gram @ gap))
     return lhs - rhs
 
 

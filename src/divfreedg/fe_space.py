@@ -11,7 +11,7 @@ discrete curl of the stream-function projection.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -212,6 +212,28 @@ def _curl_reference(k):
     return c_loc
 
 
+@dataclass(eq=False)
+class LocalBasis:
+    """A global basis read cell by cell, cell-minor: the local coefficients
+    of a global vector ``values`` are ``values[dofs] * signs`` (m, n_cells),
+    on the local functions phi @ ``coeffs`` of the RT_k reference basis phi.
+    ``scatter`` is the transpose of ``gather``, onto ``size`` functions."""
+
+    dofs: np.ndarray
+    signs: np.ndarray
+    size: int
+    coeffs: np.ndarray
+
+    def gather(self, values):
+        if values.shape != (self.size,):
+            raise ValueError(f"{values.shape} coefficients for a basis of {self.size}")
+        return values[self.dofs] * self.signs
+
+    def scatter(self, r_loc):
+        return np.bincount(self.dofs.ravel(), weights=(r_loc * self.signs).ravel(),
+                           minlength=self.size)
+
+
 @dataclass
 class CoefVec:
     """Coefficient vector of a discrete field in a given space."""
@@ -275,6 +297,13 @@ class RTSpace:
 
     def zero(self):
         return CoefVec(self, np.zeros(self.n_dofs))
+
+    @cached_property
+    def basis(self):
+        """This space as a ``LocalBasis``, built on first use."""
+        return LocalBasis(np.ascontiguousarray(self.cell_dofs.T),
+                          np.ascontiguousarray(self.cell_signs.T), self.n_dofs,
+                          np.eye(self.n_loc))
 
     @property
     def metric(self):
@@ -340,46 +369,46 @@ class RTSpace:
         tab = dict(
             rule=rule, nq=nq, val=val,
             grad=rg.reshape(3, 2, nq, self.n_loc, 2, 2),
-            legendre=np.polynomial.legendre.legvander(2.0 * t - 1.0, self.k),
         )
         self._edge_tables[order] = tab
         return tab
 
     def facet_traces(self, order):
         """Plain arrays of the facet-trace kernel at the segment rule of
-        ``order``: the gather ``dofs``/``signs`` (n_loc, n_cells), and
-        ``table`` (2 * 3 * nq, n_loc), the reference traces by component,
-        local edge and point, each edge read from its first vertex.  The rule
-        is symmetric, so ``plus``/``minus`` (nq, nfi), the flat indices of
-        the interior facets' points into each component's slot traces, read
-        point nq - 1 - q of a reversed edge.  ``g_plus``/``g_minus`` (2, nfi)
-        are J^T t_F / det J, so t_F . v = g . v_ref, and ``flux`` maps the
-        edge DOFs ``edge_dofs`` (k + 1, nfi) to w_q |F| u . n_F."""
+        ``order``: ``table`` (2 * 3 * nq, n_loc), the reference traces by
+        component, local edge and point, each edge read from its first
+        vertex.  The rule is symmetric, so ``plus``/``minus`` (nq, nfi), the
+        flat indices of the interior facets' points into each component's
+        slot traces, read point nq - 1 - q of a reversed edge.
+        ``g_plus``/``g_minus`` (2, nfi) are J^T t_F / det J, so
+        t_F . v = g . v_ref, and ``weights`` (nq, 1) times ``n_plus`` (2, nfi)
+        = |F| J^T n_F / det J of the plus cell gives w_q |F| u . n_F from the
+        plus trace."""
         ft = self._facet_traces.get(order)
         if ft is not None:
             return ft
         mesh = self.mesh
         etab = self.edge_tables(order)
-        nq, ne = etab["nq"], self.ref.n_edge_moments
+        nq = etab["nq"]
         ii = mesh.interior_facets
-        tangent = np.stack([-mesh.facet_normal[ii, 1], mesh.facet_normal[ii, 0]], axis=-1)
+        normal = mesh.facet_normal[ii]
+        tangent = np.stack([-normal[:, 1], normal[:, 0]], axis=-1)
         point = np.arange(nq)[:, None]
 
-        def side(cells, local):
+        def side(cells, local, direction):
             q = np.where(mesh.cell_facet_reversed[cells, local] == 1, nq - 1 - point, point)
-            g = np.einsum("fab,fa->bf", mesh.cell_jac[cells], tangent) / mesh.cell_detj[cells]
+            g = np.einsum("fab,fa->bf", mesh.cell_jac[cells], direction) / mesh.cell_detj[cells]
             return (local * nq + q) * mesh.n_cells + cells, np.ascontiguousarray(g)
 
-        plus, g_plus = side(mesh.facet_plus[ii], mesh.facet_plus_local[ii])
-        minus, g_minus = side(mesh.facet_minus[ii], mesh.facet_minus_local[ii])
+        plus_cells, plus_local = mesh.facet_plus[ii], mesh.facet_plus_local[ii]
+        plus, g_plus = side(plus_cells, plus_local, tangent)
+        minus, g_minus = side(mesh.facet_minus[ii], mesh.facet_minus_local[ii], tangent)
+        n_plus = side(plus_cells, plus_local, normal)[1] * mesh.facet_length[ii]
         ft = dict(
-            dofs=np.ascontiguousarray(self.cell_dofs.T),
-            signs=np.ascontiguousarray(self.cell_signs.T),
             table=np.ascontiguousarray(
                 etab["val"][:, 0].transpose(3, 0, 1, 2).reshape(6 * nq, self.n_loc)),
             plus=plus, minus=minus, g_plus=g_plus, g_minus=g_minus,
-            flux=etab["rule"].weights[:, None] * etab["legendre"] * (2 * np.arange(ne) + 1),
-            edge_dofs=ii * ne + np.arange(ne)[:, None],
+            weights=etab["rule"].weights[:, None], n_plus=n_plus,
         )
         self._facet_traces[order] = ft
         return ft
@@ -400,30 +429,30 @@ class RTSpace:
         jac = self.mesh.cell_jac[cells] / self.mesh.cell_detj[cells][..., None, None]
         return _matvec2(np.swapaxes(jac, -1, -2), vec)
 
-    def normal_trace_coeffs(self, coeffs):
-        """Per-facet expansion of u . n_F in Legendre polynomials.
-
-        The normal trace on F lies in P_k(F) and is determined by the k+1
-        shared edge DOFs alone: u.n(s) = sum_j (2j+1)/|F| c_{F,j} P_j(s).
-        """
-        ne = self.ref.n_edge_moments
-        c = coeffs[:self.n_facet_dofs].reshape(-1, ne)
-        scale = (2.0 * np.arange(ne) + 1.0)[None, :] / self.mesh.facet_length[:, None]
-        return c * scale
-
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, coeffs, cells, ref_points, with_grad=False):
         """Field value (and broken gradient) at reference points in cells."""
         cells = np.asarray(cells, dtype=int)
-        rv, _, rg = self.ref.eval_basis(np.asarray(ref_points, dtype=float))
+        rv, _, _ = self.ref.eval_basis(np.asarray(ref_points, dtype=float))
         loc = coeffs[self.cell_dofs[cells]] * self.cell_signs[cells]
         # optimize=True turns the broadcast contraction into one GEMM
-        ref_val = np.einsum("...i,...ia->...a", loc, rv, optimize=True)
+        val = self.piola(cells, np.einsum("...i,...ia->...a", loc, rv, optimize=True))
         if not with_grad:
-            return self.piola(cells, ref_val)
-        return self.piola(cells, ref_val,
-                          np.einsum("...i,...iab->...ab", loc, rg, optimize=True))
+            return val
+        return val, self.evaluate_gradient(coeffs, cells, ref_points)
+
+    def evaluate_gradient(self, coeffs, cells, ref_points):
+        """The broken gradient alone at reference points in cells: the
+        gradient half of ``piola``, J G J^{-1} / det J, written out so that
+        the reference gradient, the largest transient of the error norms, is
+        freed before the second product."""
+        cells = np.asarray(cells, dtype=int)
+        _, _, rg = self.ref.eval_basis(np.asarray(ref_points, dtype=float))
+        loc = coeffs[self.cell_dofs[cells]] * self.cell_signs[cells]
+        jac = self.mesh.cell_jac[cells] / self.mesh.cell_detj[cells][..., None, None]
+        return _matmul2(_matmul2(jac, np.einsum("...i,...iab->...ab", loc, rg, optimize=True)),
+                        self.mesh.cell_jac_inv[cells])
 
 
 def rt_interpolate(field, space, enforce_boundary=True, order=None):
@@ -495,7 +524,7 @@ class ScalarDGSpace:
 
 
 __all__ = [
-    "RTReference", "RTSpace", "ScalarDGSpace", "CoefVec",
+    "RTReference", "RTSpace", "ScalarDGSpace", "CoefVec", "LocalBasis",
     "rt_reference", "rt_interpolate",
     "scalar_monomial_exponents", "eval_scalar_monomials", "eval_rt_monomials",
     "SUPPORTED_DEGREES",

@@ -2,16 +2,20 @@
 convection (residual and linearized matrix), SIP viscosity, loads and the
 upwind jump seminorm.
 
-All facet convection terms run over interior facets only; the single-valued
-normal velocity a . n_F is read from the shared edge DOFs rather than traced
-from either side.  Assembly is serial and deterministic: matrices accumulate
+All facet convection terms run over interior facets only, with the
+single-valued normal velocity a . n_F, which the shared edge DOFs determine.
+Assembly is serial and deterministic: matrices accumulate
 per-cell/per-facet contributions into triplets and compress them by summation.
 The convection apply and the jump seminorm share one facet-trace kernel on
-cell-minor coefficients instead, with one edge orientation and tangential
-jumps only.  One local-block kernel (``convection_blocks``) serves the
-linearized convection: ``convection_matrix`` scatters its blocks as triplets, and the
-reduced CN operator sums them, in a premultiplied basis, into a pattern
-fixed per mesh (``block_pattern``) with one bincount over precomputed slots.
+cell-minor coefficients instead, with one edge orientation, a . n_F read
+from the plus side's trace and tangential jumps only, in any ``LocalBasis``:
+the RT_k basis of the space, or the stream-function basis, whose tables are
+premultiplied by C_loc and whose coefficients are gathered from and
+scattered onto the interior nodes.  One local-block kernel
+(``convection_blocks``) serves the linearized convection:
+``convection_matrix`` scatters its blocks as triplets, and the reduced CN
+operator sums them, in a premultiplied basis, into a pattern fixed per mesh
+(``block_pattern``) with one bincount over precomputed slots.
 """
 
 import math
@@ -88,11 +92,6 @@ def _values(space, field):
     return field
 
 
-def _local(space, values, cells=slice(None)):
-    """Cell-local coefficients of a global vector (the gather)."""
-    return values[space.cell_dofs[cells]] * space.cell_signs[cells]
-
-
 def _scatter(space, r_loc, cells=slice(None)):
     """Global vector summing cell-local vectors (the scatter, transpose of
     the gather)."""
@@ -148,18 +147,30 @@ def _sides(mesh, facets):
             (mesh.facet_minus[facets], mesh.facet_minus_local[facets]))
 
 
-def _rows(ft, values):
-    """Cell-local coefficients (n_loc, n_cells) of a global vector."""
-    return values[ft["dofs"]] * ft["signs"]
+def _basis_values(space, basis, a, w):
+    """The basis a kernel runs in (``space.basis`` when ``basis`` is None)
+    and the coefficients of the fields a and w in it (``gather`` checks
+    their length)."""
+    if basis is None:
+        return space.basis, _values(space, a), _values(space, w)
+    return basis, np.asarray(a, dtype=float), np.asarray(w, dtype=float)
 
 
-def _tangential_jump(ft, trace):
-    """(w+ - w-) . t_F at the points (nq, nfi) of the interior facets, from
-    the slot traces ``trace`` (2, 3 * nq * n_cells)."""
-    def side(points, g):
-        t = np.take(trace, points, axis=1)
-        return g[0] * t[0] + g[1] * t[1]
-    return side(ft["plus"], ft["g_plus"]) - side(ft["minus"], ft["g_minus"])
+def _dot(g, t):
+    return g[0] * t[0] + g[1] * t[1]
+
+
+def _jump_and_flux(ft, table, a_loc, w_loc):
+    """The tangential jump (w+ - w-) . t_F and w_q |F| a . n_F at the points
+    (nq, nfi) of the interior facets, from the slot traces ``table`` @ loc
+    (2, 3 * nq * n_cells) of the cell-local coefficients.  Both sides read
+    the same edge DOFs, so the plus side gives the normal trace."""
+    trace = (table @ w_loc).reshape(2, -1)
+    plus, minus = (np.take(trace, ft[side], axis=1) for side in ("plus", "minus"))
+    plus_a = plus if a_loc is w_loc else \
+        np.take((table @ a_loc).reshape(2, -1), ft["plus"], axis=1)
+    return (_dot(ft["g_plus"], plus) - _dot(ft["g_minus"], minus),
+            ft["weights"] * _dot(ft["n_plus"], plus_a))
 
 
 def _edge_basis(space, side, val, grad=None):
@@ -215,56 +226,61 @@ def assemble_div(space, q_space, order=None):
     return _to_csr(q_space.n_dofs, space.n_dofs, [(rows, cols, loc)])
 
 
-def _facet_normal_values(space, tab, a_values):
-    """a . n_F at the facet quadrature points, from the shared edge DOFs."""
-    coeffs = space.normal_trace_coeffs(a_values)
-    return coeffs @ tab["legendre"].T  # (nf, nq)
-
-
 def _upwind_weights(an):
-    return 0.5 * (np.abs(an) - an), -0.5 * (np.abs(an) + an)
+    # 0.5 (|an| - an) and -0.5 (|an| + an), in two passes
+    return np.maximum(-an, 0.0), np.minimum(-an, 0.0)
 
 
-def apply_convection(space, a, w, cell_order=None, facet_order=None):
+def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None):
     """Residual vector r with r_i = c_h(a, w, phi_i).
 
     Volume term (a . grad) w . v plus the interior-facet upwind flux terms;
-    a must be H(div)-conforming with zero boundary-normal DOFs.
+    a must be H(div)-conforming with zero boundary-normal DOFs.  With a
+    ``basis`` (a ``LocalBasis``), a, w and r are coefficients in it: for the
+    stream-function basis of ``StreamFunctionProjection.basis``, psi_a and
+    psi_w give r = C^T c_h(C psi_a, C psi_w, .) on the interior nodes.
     """
-    av = _values(space, a)
-    wv = _values(space, w)
+    basis, av, wv = _basis_values(space, basis, a, w)
     if cell_order is None:
         cell_order = default_cell_order(space.k)
     if facet_order is None:
         facet_order = default_facet_order(space.k)
     ft = space.facet_traces(facet_order)
-    a_loc = _rows(ft, av)
-    w_loc = a_loc if wv is av else _rows(ft, wv)
+    tab = space.ref_tables(cell_order)
+    a_loc = basis.gather(av)
+    w_loc = a_loc if wv is av else basis.gather(wv)
 
     # Volume term: with the Piola factors contracted into the cell metric
     # A = J^T J / det^2, the integrand is w_q (Ghat_w ahat)^T A vhat,
-    # leaving three dense GEMMs per apply, against the transposed tables,
-    # and pointwise products over rows of length n_cells.
-    tab = space.ref_tables(cell_order)
+    # leaving three dense GEMMs per apply, against the transposed tables in
+    # the basis, and pointwise products over rows of length nq * n_cells:
+    # the tables' rows run by component, then point, so each component of
+    # a GEMM's result is one contiguous block.
     nq, nc = tab["nq"], space.mesh.n_cells
-    a_hat = (tab["val_flat"].T @ a_loc).reshape(nq, 1, 2, nc)
-    ga = np.sum((tab["grad_flat"].T @ w_loc).reshape(nq, 2, 2, nc) * a_hat, axis=2)
+    val, grad, val_w = (t.reshape(nq, -1, space.n_loc).transpose(1, 0, 2).reshape(t.shape)
+                        @ basis.coeffs for t in
+                        (tab["val_flat"].T, tab["grad_flat"].T, tab["val_weighted"]))
+    a_hat = (val @ a_loc).reshape(2, -1)
+    g_hat = (grad @ w_loc).reshape(2, 2, -1)
+    ga = [(g_hat[i, 0] * a_hat[0] + g_hat[i, 1] * a_hat[1]).reshape(nq, nc) for i in (0, 1)]
     A = np.ascontiguousarray(np.moveaxis(space.metric, 0, -1))
-    r_loc = tab["val_weighted"].T @ np.sum(A * ga[:, None], axis=2).reshape(2 * nq, nc)
+    s = np.empty((2, nq, nc))
+    for i in (0, 1):
+        np.multiply(A[i, 0], ga[0], out=s[i])
+        s[i] += A[i, 1] * ga[1]
+    r_loc = val_w.T @ s.reshape(2 * nq, nc)
 
     # Facets: the upwind weight times the tangential jump, tested on both
     # sides of every interior facet through t_F . phi_i = g . phi_ref.
-    trace = (ft["table"] @ w_loc).reshape(2, -1)
-    jump = _tangential_jump(ft, trace)
-    gp, gm = _upwind_weights(ft["flux"] @ av[ft["edge_dofs"]])  # w_q |F| a . n_F
-    s = np.zeros_like(trace)
-    for side, weight in (("plus", gp), ("minus", gm)):
+    table = ft["table"] @ basis.coeffs
+    jump, flux = _jump_and_flux(ft, table, a_loc, w_loc)
+    s = np.zeros((len(table), nc))
+    for side, weight in zip(("plus", "minus"), _upwind_weights(flux)):
         upwind = weight * jump
-        for comp in (0, 1):
-            s[comp][ft[side]] = ft["g_" + side][comp] * upwind
-    r_loc += ft["table"].T @ s.reshape(-1, nc)
-    return np.bincount(ft["dofs"].ravel(), weights=(r_loc * ft["signs"]).ravel(),
-                       minlength=space.n_dofs)
+        for comp, rows in enumerate(s.reshape(2, -1)):
+            rows[ft[side]] = ft["g_" + side][comp] * upwind
+    r_loc += table.T @ s
+    return basis.scatter(r_loc)
 
 
 def convection_blocks(space, a, basis=None, cell_order=None, facet_order=None):
@@ -290,21 +306,21 @@ def convection_blocks(space, a, basis=None, cell_order=None, facet_order=None):
 
     # volume: the apply_convection integrand with each trial basis function
     # in place of w, loc[c, i, j] = sum_q w_q (A Ghat_j ahat) . vhat_i
-    a_hat = (_local(space, av) @ tab["val_flat"]).reshape(nc, nq, 1, 2)
+    a_loc = space.basis.gather(av)
+    a_hat = (a_loc.T @ tab["val_flat"]).reshape(nc, nq, 1, 2)
     s = _matvec2(space.metric[:, None, None], _matvec2(grad, a_hat))
     loc = (s.transpose(0, 2, 1, 3).reshape(nc * m, -1) @ val_w) \
         .reshape(nc, m, m).transpose(0, 2, 1)
 
     # facets: blocks of the upwind weight times the jump trial, tested on
     # each side; the same-side blocks join the volume blocks of their cells
-    ii = mesh.interior_facets
-    gp, gm = _upwind_weights(_facet_normal_values(space, etab, av)[ii])
-    wq = _facet_weights(mesh, etab, ii)
-    plus, minus = _sides(mesh, ii)
+    ft = space.facet_traces(facet_order)
+    gp, gm = _upwind_weights(_jump_and_flux(ft, ft["table"], a_loc, a_loc)[1].T)
+    plus, minus = _sides(mesh, mesh.interior_facets)
     vp, vm = _edge_basis(space, plus, edge_val), _edge_basis(space, minus, edge_val)
 
     def pair(g, trial, test):
-        return np.einsum("fq,fqja,fqia->fij", wq * g, trial, test, optimize=True)
+        return np.einsum("fq,fqja,fqia->fij", g, trial, test, optimize=True)
 
     same = np.zeros((nc, 3, m, m))
     same[plus] = pair(gp, vp, vp)
@@ -333,15 +349,17 @@ def block_pattern(mesh, index, n):
     return keys[keys < n * n], slots
 
 
-def jump_seminorm(space, a, v, facet_order=None):
-    """Squared upwind jump seminorm |v|^2_{a,up} over interior facets."""
-    av = _values(space, a)
-    vv = _values(space, v)
+def jump_seminorm(space, a, v, facet_order=None, basis=None):
+    """Squared upwind jump seminorm |v|^2_{a,up} over interior facets; with
+    a ``basis``, a and v are coefficients in it, as in ``apply_convection``."""
+    basis, av, vv = _basis_values(space, basis, a, v)
     if facet_order is None:
         facet_order = default_facet_order(space.k)
     ft = space.facet_traces(facet_order)
-    jump = _tangential_jump(ft, (ft["table"] @ _rows(ft, vv)).reshape(2, -1))
-    return float(0.5 * np.sum(np.abs(ft["flux"] @ av[ft["edge_dofs"]]) * jump ** 2))
+    v_loc = basis.gather(vv)
+    jump, flux = _jump_and_flux(ft, ft["table"] @ basis.coeffs,
+                                v_loc if vv is av else basis.gather(av), v_loc)
+    return float(0.5 * np.sum(np.abs(flux) * jump ** 2))
 
 
 def assemble_sip(space, params=None):
@@ -443,8 +461,8 @@ def divergence_l2_norm(space, coeffs, order=None):
         order = default_cell_order(space.k)
     tab = space.ref_tables(order)
     mesh = space.mesh
-    dv = (_local(space, cv) @ tab["div"].T) / mesh.cell_detj[:, None]
-    return float(np.sqrt(np.sum(_cell_wdet(mesh, tab["rule"]) * dv ** 2)))
+    dv = (tab["div"] @ space.basis.gather(cv)) / mesh.cell_detj
+    return float(np.sqrt(np.sum(_cell_wdet(mesh, tab["rule"]).T * dv ** 2)))
 
 
 __all__ = [

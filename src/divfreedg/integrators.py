@@ -1,9 +1,10 @@
 """Time stepping: the explicit second-order RK scheme for the inviscid and
 explicit-viscous equations, and the semi-implicit Crank-Nicolson comparator.
 
-Each RK stage assembles an explicit right-hand-side functional and projects it
-onto the exactly divergence-free subspace, so both the predictor and the new
-velocity are divergence-free by construction.  Blow-up is a reportable
+Both integrators advance the stream function psi on the interior P_{k+1}
+nodes: each RK stage adds K^{-1} of an explicit right-hand side on the
+nodes, so the velocities C psi are divergence-free by construction, and u
+is expanded once per step, for the records.  Blow-up is a reportable
 outcome carried by BlowUpSignal, not a solver failure.  Both integrators, and
 so every sweep and study built on them, share one definition of it: a step
 blows up when the new velocity has a non-finite value or
@@ -72,15 +73,19 @@ class SchemeConfig:
 
 @dataclass
 class StepState:
-    """State after step n: velocity, previous velocity (for the CN
-    extrapolation), the RK predictor of the step that produced u, the L2
-    norms of u^0 and of u (from the blow-up gate) and the step's LU fill."""
+    """State after step n: the velocity u = C psi and its stream function
+    psi on the interior P_{k+1} nodes, both of the step before (for the CN
+    extrapolation), psi of the RK predictor of the step, the L2 norms of u^0
+    and of u (from the blow-up gate) and the step's LU fill.  A state given
+    u alone gets psi from one solve when a step reads it."""
 
     n: int
     t: float
     u: CoefVec
+    psi: np.ndarray = None
     u_prev: CoefVec = None
-    stage: CoefVec = None
+    psi_prev: np.ndarray = None
+    stage: np.ndarray = None
     norm0: float = 0.0
     l2: float = None
     factor_fill: int = 0
@@ -90,7 +95,8 @@ class Discretization:
     """The RT_k space, the mass and SIP matrices and the factorized
     stream-function projection for one (mesh, degree) pair; shared by all
     steps and all trial runs on it, and so is every load vector assembled
-    on it (see ``load_vectors``).  The mesh must be simply connected."""
+    on it, reduced to the stream-function nodes (see ``load_vectors``).
+    The mesh must be simply connected."""
 
     def __init__(self, mesh, k, params=None):
         self.mesh = mesh
@@ -114,19 +120,16 @@ class Discretization:
         return linsolve.build_saddle(self.space, q_space, self.mass, div)
 
     def load_vectors(self, spatial, boundary=False):
-        """Rows: the load vector of each function g(x, y) in ``spatial``, or
-        with ``boundary`` its SIP wall data.  Each is assembled on first use
-        and kept, keyed by the function itself."""
-        rows = []
-        for g in spatial:
-            key = (g, boundary)
-            if key not in self._load_memo:
-                self._load_memo[key] = (
-                    forms.assemble_sip_boundary_load(self.space, g, self.params)
-                    if boundary else
-                    forms.assemble_load(self.space, g, self.params.load_order))
-            rows.append(self._load_memo[key])
-        return np.stack(rows)
+        """Rows: C^T l for the load vector l of each function g(x, y) in
+        ``spatial``, or with ``boundary`` of its SIP wall data.  They are
+        assembled on first use and kept, keyed by the functions themselves."""
+        key = (tuple(spatial), boundary)
+        if key not in self._load_memo:
+            self._load_memo[key] = np.stack([self.projection.curl_t @ (
+                forms.assemble_sip_boundary_load(self.space, g, self.params) if boundary
+                else forms.assemble_load(self.space, g, self.params.load_order)
+            )[self.space.free_dofs] for g in spatial])
+        return self._load_memo[key]
 
     def l2_norm(self, u):
         return float(np.sqrt(max(u.values @ (self.mass @ u.values), 0.0)))
@@ -135,19 +138,27 @@ class Discretization:
         return forms.divergence_l2_norm(self.space, u, self.params.cell_order)
 
 
-def _check_blowup(disc, state, u):
+def _check_blowup(disc, state, psi):
     """The blow-up gate of step ``state.n``, shared by both integrators;
-    returns the L2 norm of u."""
-    if not np.all(np.isfinite(u.values)):
+    returns the L2 norm of u = C psi, sqrt(psi^T K psi)."""
+    if not np.all(np.isfinite(psi)):
         raise BlowUpSignal(step=state.n)
-    l2 = disc.l2_norm(u)
+    l2 = float(np.sqrt(max(psi @ (disc.projection.matrix @ psi), 0.0)))
     if l2 > BLOWUP_FACTOR * max(state.norm0, 1.0):
         raise BlowUpSignal(step=state.n)
     return l2
 
 
+def _stream(disc, psi, u):
+    """psi, or for a velocity u alone psi = K^{-1} C^T M u, one solve: C psi
+    is the divergence-free projection of u."""
+    if psi is not None:
+        return psi
+    return disc.projection.solve((disc.mass @ u.values)[disc.space.free_dofs])
+
+
 def _load(disc, problem, t, tau_taylor=None):
-    """Load vector of f(t), or of f(t) + tau df/dt(t) when tau_taylor is set."""
+    """C^T l for the load l of f(t), or of f(t) + tau df/dt(t) with tau_taylor."""
     coeffs = problem.f_coeffs(t)
     if tau_taylor is not None:
         coeffs = coeffs + tau_taylor * problem.dt_f_coeffs(t)
@@ -164,73 +175,76 @@ def _viscous_boundary_load(disc, problem, t):
                                                    boundary=True)
 
 
-def rk2_step(state, config, disc, problem=None):
-    """One explicit RK2 step; the viscous term enters explicitly when nu > 0.
-    A non-finite predictor reaches the second projection, which raises."""
-    space = disc.space
-    mass = disc.mass
-    tau = config.tau
-    u = state.u.values
-    t = state.t
-    mass_u = mass @ u
-    rhs = mass_u - tau * forms.apply_convection(space, state.u, state.u)
+def _stage_rhs(disc, config, psi, problem, t, load_at):
+    """-b(psi, psi) - nu C^T A C psi + nu C^T g_b(t) + C^T l(*load_at) on the
+    stream-function nodes, with b(psi_a, psi_w) = C^T c_h(C psi_a, C psi_w, .):
+    the right-hand side of an RK stage."""
+    proj = disc.projection
+    rhs = -forms.apply_convection(disc.space, psi, psi, basis=proj.basis)
     if config.nu > 0:
-        rhs -= tau * config.nu * (disc.sip @ u)
-        rhs += tau * config.nu * _viscous_boundary_load(disc, problem, t)
+        rhs -= config.nu * (proj.reduced_sip @ psi)
+        rhs += config.nu * _viscous_boundary_load(disc, problem, t)
     if problem is not None:
-        rhs += tau * _load(disc, problem, t)
-    stage = linsolve.project_div_free(disc.projection, rhs[space.free_dofs])
+        rhs += _load(disc, problem, *load_at)
+    return rhs
 
-    w = stage.values
-    rhs = 0.5 * (mass_u + mass @ w) - 0.5 * tau * forms.apply_convection(
-        space, stage, stage)
-    if config.nu > 0:
-        rhs -= 0.5 * tau * config.nu * (disc.sip @ w)
-        rhs += 0.5 * tau * config.nu * _viscous_boundary_load(disc, problem,
-                                                              t + tau)
-    if problem is not None:
-        if config.f_mode == "f_taylor":
-            rhs += 0.5 * tau * _load(disc, problem, t, tau_taylor=tau)
-        else:
-            rhs += 0.5 * tau * _load(disc, problem, t + tau)
-    u_next = linsolve.project_div_free(disc.projection, rhs[space.free_dofs])
-    l2 = _check_blowup(disc, state, u_next)
-    return StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
-                     u_prev=state.u, stage=stage, norm0=state.norm0, l2=l2,
-                     factor_fill=disc.projection.fill)
+
+def _advance(disc, state, config, system, psi, psi_next, stage=None):
+    """The state after step ``state.n`` from psi to ``psi_next``, once that
+    has passed the blow-up gate; u = C psi_next is expanded here, once per
+    step."""
+    l2 = _check_blowup(disc, state, psi_next)
+    return StepState(n=state.n + 1, t=config.time_at(state.n + 1),
+                     u=disc.projection.expand(psi_next), psi=psi_next,
+                     u_prev=state.u, psi_prev=psi, stage=stage, norm0=state.norm0,
+                     l2=l2, factor_fill=system.fill)
+
+
+def rk2_step(state, config, disc, problem=None):
+    """One explicit RK2 step on the stream function, each stage adding K^{-1}
+    of its right-hand side; the viscous term enters explicitly when nu > 0:
+
+        psi_w = psi + K^{-1} tau (-b(psi, psi) + C^T l(t) + ...)
+        psi'  = (psi + psi_w) / 2 + K^{-1} tau/2 (-b(psi_w, psi_w) + ...)
+
+    A non-finite predictor reaches the second solve, which raises."""
+    proj, tau, t = disc.projection, config.tau, state.t
+    psi = _stream(disc, state.psi, state.u)
+    stage = psi + linsolve.project_div_free(
+        proj.on_unknowns, tau * _stage_rhs(disc, config, psi, problem, t, (t,)))
+    load_at = (t, tau) if config.f_mode == "f_taylor" else (t + tau,)
+    psi_next = 0.5 * (psi + stage) + linsolve.project_div_free(
+        proj.on_unknowns, 0.5 * tau * _stage_rhs(disc, config, stage, problem, t + tau,
+                                                 load_at))
+    return _advance(disc, state, config, proj, psi, psi_next, stage)
 
 
 def cn_step(state, config, disc, problem=None):
     """One semi-implicit step: Crank-Nicolson with the extrapolated advecting
-    field 1.5 u^n - 0.5 u^{n-1}; step 0 bootstraps with semi-implicit Euler."""
-    space = disc.space
-    mass = disc.mass
-    tau = config.tau
-    nu = config.nu
-    u = state.u.values
-
+    field 1.5 u^n - 0.5 u^{n-1}; step 0 bootstraps with semi-implicit Euler.
+    The right-hand side K psi / tau - b(a, psi) / 2 + ... lives on the
+    stream-function nodes, as the operator does."""
+    proj = disc.projection
+    tau, nu = config.tau, config.nu
+    psi = _stream(disc, state.psi, state.u)
+    rhs = proj.matrix @ psi / tau
     if state.n == 0:
-        system = linsolve.CNSystem(disc.projection, state.u, tau, nu=nu, theta=1.0)
-        rhs = mass @ u / tau
-        if problem is not None:
-            rhs += _load(disc, problem, state.t + tau)
-        if nu > 0:
-            rhs += nu * _viscous_boundary_load(disc, problem, state.t + tau)
+        system = linsolve.CNSystem(proj, state.u, tau, nu=nu, theta=1.0)
+        t_load = state.t + tau
     else:
-        advect = CoefVec(space, 1.5 * u - 0.5 * state.u_prev.values)
-        system = linsolve.CNSystem(disc.projection, advect, tau, nu=nu, theta=0.5)
-        rhs = mass @ u / tau - 0.5 * forms.apply_convection(space, advect, state.u)
+        advect = CoefVec(disc.space, 1.5 * state.u.values - 0.5 * state.u_prev.values)
+        system = linsolve.CNSystem(proj, advect, tau, nu=nu, theta=0.5)
+        psi_a = 1.5 * psi - 0.5 * _stream(disc, state.psi_prev, state.u_prev)
+        rhs -= 0.5 * forms.apply_convection(disc.space, psi_a, psi, basis=proj.basis)
         if nu > 0:
-            rhs -= 0.5 * nu * (disc.sip @ u)
-            rhs += nu * _viscous_boundary_load(disc, problem, state.t + 0.5 * tau)
-        if problem is not None:
-            rhs += _load(disc, problem, state.t + 0.5 * tau)
-
-    u_next = linsolve.cn_solve(system, rhs[space.free_dofs])
-    l2 = _check_blowup(disc, state, u_next)
-    return StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
-                     u_prev=state.u, stage=None, norm0=state.norm0, l2=l2,
-                     factor_fill=system.fill)
+            rhs -= 0.5 * nu * (proj.reduced_sip @ psi)
+        t_load = state.t + 0.5 * tau
+    if nu > 0:
+        rhs += nu * _viscous_boundary_load(disc, problem, t_load)
+    if problem is not None:
+        rhs += _load(disc, problem, t_load)
+    return _advance(disc, state, config, system, psi,
+                    linsolve.cn_solve(system.on_unknowns, rhs))
 
 
 def initial_state(config, disc, problem=None):
@@ -240,15 +254,17 @@ def initial_state(config, disc, problem=None):
     else:
         u0 = disc.space.zero()
     norm0 = disc.l2_norm(u0)
-    return StepState(n=0, t=0.0, u=u0, norm0=norm0, l2=norm0)
+    return StepState(n=0, t=0.0, u=u0, psi=_stream(disc, None, u0), norm0=norm0,
+                     l2=norm0)
 
 
-def _dissipation(disc, v, jump):
-    """What stage v dissipates in the energy identity: its upwind jump
-    seminorm ``jump`` = |v|^2_up, plus nu a_h(v, v) when the run is viscous."""
+def _dissipation(disc, psi, jump):
+    """What the stage C psi dissipates in the energy identity: its upwind
+    jump seminorm ``jump`` = |C psi|^2_up, plus nu a_h(C psi, C psi) when the
+    run is viscous."""
     if disc.sip is None:
         return jump
-    return jump + disc.params.nu * float(v.values @ (disc.sip @ v.values))
+    return jump + disc.params.nu * float(psi @ (disc.projection.reduced_sip @ psi))
 
 
 def _check_disc(disc, config, mesh):
@@ -287,9 +303,11 @@ def run(config, mesh, problem=None, disc=None):
     from . import manufactured  # local import to keep module deps one-way
 
     report = diagnostics.RunReport(config=config.as_dict())
+    basis = disc.projection.basis
     initial = dict(t=0.0, l2=state.l2, div=disc.div_l2(state.u))
     if track_energy:
-        initial["jump_u"] = forms.jump_seminorm(disc.space, state.u, state.u)
+        initial["jump_u"] = forms.jump_seminorm(disc.space, state.psi, state.psi,
+                                                basis=basis)
     report.record(**initial)
 
     for _ in range(config.n_steps):
@@ -300,15 +318,14 @@ def run(config, mesh, problem=None, disc=None):
             break
         rec = dict(t=new_state.t, l2=new_state.l2, div=disc.div_l2(new_state.u))
         if track_energy:
-            rec["jump_u"] = forms.jump_seminorm(disc.space, new_state.u,
-                                                new_state.u)
+            psi, stage = new_state.psi, new_state.stage
+            rec["jump_u"] = forms.jump_seminorm(disc.space, psi, psi, basis=basis)
             if is_rk2:
-                jump_w = forms.jump_seminorm(disc.space, new_state.stage,
-                                             new_state.stage)
+                jump_w = forms.jump_seminorm(disc.space, stage, stage, basis=basis)
                 res = diagnostics.energy_residual(
-                    disc.mass, state.u, new_state.stage, new_state.u,
-                    _dissipation(disc, state.u, report.jump_u[-1]),
-                    _dissipation(disc, new_state.stage, jump_w), config.tau)
+                    disc.projection.matrix, stage, psi, state.l2, new_state.l2,
+                    _dissipation(disc, state.psi, report.jump_u[-1]),
+                    _dissipation(disc, stage, jump_w), config.tau)
                 rec["jump_w"] = jump_w
                 rec["energy_residual"] = res
                 rec["energy_scale"] = max(state.l2 ** 2, 1e-300)

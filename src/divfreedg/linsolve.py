@@ -13,7 +13,8 @@ definite, assembled cell by cell and factorized once per mesh and degree.
 B C = 0 holds identically, so the divergence vanishes by construction.  The
 semi-implicit CN operator C^T (M/tau + theta C(a) + theta nu A) C is
 assembled directly on the stream nodes, on a pattern fixed per mesh.  Runs
-solve only these two systems.
+solve only these two systems, and on their own unknowns (``on_unknowns``):
+the steps advance psi itself, so no step lifts a velocity functional.
 
 The bordered KKT system [[M, B^T, 0], [B, 0, c], [0, c^T, 0]], with one
 zero-mean border row c for the broken multiplier, gives the same
@@ -25,6 +26,7 @@ solution to the velocity (``expand``); ``project_div_free`` solves any.
 
 import time
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +34,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from . import forms
-from .fe_space import CoefVec, _curl_reference
+from .fe_space import CoefVec, LocalBasis, _curl_reference
 
 
 class BlowUpSignal(Exception):
@@ -81,6 +83,14 @@ class _FactorizedSystem:
         """Unknowns, matrix nonzeros, factor fill and factorization seconds."""
         return dict(unknowns=self.matrix.shape[0], nonzeros=self.matrix.nnz,
                     fill=self.fill, factor_s=self.factor_s)
+
+    @cached_property
+    def on_unknowns(self):
+        """This factor on its own unknowns, whose lift and expand are the
+        identity: ``project_div_free`` and ``cn_solve`` on it take a
+        right-hand side on the stream-function nodes and return psi."""
+        return SimpleNamespace(n_free=self.matrix.shape[0], solve=self.lu.solve,
+                               expand=lambda z: z)
 
 
 # -- topology ---------------------------------------------------------------------
@@ -231,14 +241,26 @@ class StreamFunctionProjection(_FactorizedSystem):
                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
     @cached_property
+    def basis(self):
+        """The stream-function basis phi @ C_loc of the interior nodes, built
+        on first use: psi_loc = psi[cell_nodes], the boundary nodes read as 0."""
+        inner = self.cell_nodes.T >= 0
+        return LocalBasis(np.where(inner, self.cell_nodes.T, 0), inner.astype(float),
+                          self.matrix.shape[0], _curl_reference(self.space.k))
+
+    @cached_property
+    def reduced_sip(self):
+        """C^T A C, the SIP matrix on the stream-function nodes."""
+        return self.curl.T @ self.sip[self.free][:, self.free] @ self.curl
+
+    @cached_property
     def reduced_cn(self):
         """The CSR pattern (indices, indptr) of the CN operator over the
         stream nodes, the slots of the convection blocks in it and the fixed
         parts K and C^T A C on it; built on the first CN step."""
-        n, curl, free = self.matrix.shape[0], self.curl, self.free
+        n = self.matrix.shape[0]
         keys, slots = forms.block_pattern(self.space.mesh, self.cell_nodes, n)
-        fixed = [self.matrix] if self.sip is None else \
-            [self.matrix, curl.T @ self.sip[free][:, free] @ curl]
+        fixed = [self.matrix] if self.sip is None else [self.matrix, self.reduced_sip]
         placed = [np.bincount(np.searchsorted(keys, m.row * n + m.col), m.data, len(keys))
                   for m in map(sp.coo_matrix, fixed)]
         return keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slots, placed

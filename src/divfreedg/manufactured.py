@@ -108,28 +108,28 @@ def _error_order(space, order):
     return max(2 * space.k + 5, 15) if order is None else order
 
 
-def _cell_samples(space, coeffs, order, with_grad):
-    """u_h (and its broken gradient) at the error rule in every cell, with
-    the physical points and the weights times det J."""
+def _error_rule(space, order):
+    """The cells, the reference points of the error rule, its physical
+    points in every cell and its weights times det J."""
     rule = triangle_rule(_error_order(space, order))
     mesh = space.mesh
     cells = np.arange(mesh.n_cells)[:, None]
-    uh = space.evaluate(forms._values(space, coeffs), cells, rule.points,
-                        with_grad=with_grad)
-    pts = mesh.map_to_physical(cells, rule.points)
-    return uh, pts, rule.weights[None, :] * mesh.cell_detj[:, None]
+    return (cells, rule.points, mesh.map_to_physical(cells, rule.points),
+            rule.weights[None, :] * mesh.cell_detj[:, None])
 
 
 def l2_error(space, coeffs, problem, t, order=None):
     """L2 norm of u(t) - u_h over the domain, over-integrated."""
-    uh, pts, wdet = _cell_samples(space, coeffs, order, with_grad=False)
+    cells, ref, pts, wdet = _error_rule(space, order)
+    uh = space.evaluate(forms._values(space, coeffs), cells, ref)
     diff = problem.u(pts[..., 0], pts[..., 1], t) - uh
     return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=-1))))
 
 
 def h1_broken_error(space, coeffs, problem, t, order=None):
     """L2 norm of the broken gradient of u(t) - u_h."""
-    (_, gh), pts, wdet = _cell_samples(space, coeffs, order, with_grad=True)
+    cells, ref, pts, wdet = _error_rule(space, order)
+    gh = space.evaluate_gradient(forms._values(space, coeffs), cells, ref)
     diff = problem.grad_u(pts[..., 0], pts[..., 1], t) - gh
     return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=(-2, -1)))))
 

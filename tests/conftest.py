@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from divfreedg import build_structured, forms, linsolve
-from divfreedg.fe_space import RTSpace, ScalarDGSpace, _matvec2
+from divfreedg import build_structured, forms, integrators, linsolve
+from divfreedg.fe_space import CoefVec, RTSpace, ScalarDGSpace, _matmul2, _matvec2
 from divfreedg.quadrature import triangle_rule
 
 
@@ -201,13 +201,23 @@ def _test_edges(space, etab, s):
     return full.reshape(nc, -1) @ val_flat.T
 
 
+def facet_normal_values(space, etab, a_values):
+    """a . n_F at the facet points of ``etab``, from the shared edge DOFs:
+    on F it lies in P_k(F), u . n(s) = sum_j (2j+1)/|F| c_{F,j} P_j(s)."""
+    ne = space.ref.n_edge_moments
+    coeffs = a_values[:space.n_facet_dofs].reshape(-1, ne) \
+        * (2.0 * np.arange(ne) + 1.0) / space.mesh.facet_length[:, None]
+    return coeffs @ np.polynomial.legendre.legvander(
+        2.0 * etab["rule"].points - 1.0, space.k).T  # (nf, nq)
+
+
 def full_jump_apply(space, a, w, cell_order=None, facet_order=None):
     """c_h(a, w, phi_i) for every i, with full vector jumps."""
     av, wv = forms._values(space, a), forms._values(space, w)
     cell_order = cell_order or forms.default_cell_order(space.k)
     facet_order = facet_order or forms.default_facet_order(space.k)
     mesh = space.mesh
-    a_loc, w_loc = forms._local(space, av), forms._local(space, wv)
+    a_loc, w_loc = space.basis.gather(av).T, space.basis.gather(wv).T
 
     tab = space.ref_tables(cell_order)
     nq, nc = tab["nq"], mesh.n_cells
@@ -218,7 +228,7 @@ def full_jump_apply(space, a, w, cell_order=None, facet_order=None):
 
     etab = space.edge_tables(facet_order)
     ii = mesh.interior_facets
-    gp, gm = forms._upwind_weights(forms._facet_normal_values(space, etab, av)[ii])
+    gp, gm = forms._upwind_weights(facet_normal_values(space, etab, av)[ii])
     wq = forms._facet_weights(mesh, etab, ii)
     plus, minus = forms._sides(mesh, ii)
     trace = _edge_field(space, etab, w_loc)
@@ -237,8 +247,127 @@ def full_jump_seminorm(space, a, v, facet_order=None):
     mesh = space.mesh
     etab = space.edge_tables(facet_order)
     ii = mesh.interior_facets
-    an = forms._facet_normal_values(space, etab, av)[ii]
+    an = facet_normal_values(space, etab, av)[ii]
     plus, minus = forms._sides(mesh, ii)
-    trace = _edge_field(space, etab, forms._local(space, vv))
+    trace = _edge_field(space, etab, space.basis.gather(vv).T)
     jump2 = np.sum((trace[plus] - trace[minus]) ** 2, axis=-1)
     return float(np.sum(forms._facet_weights(mesh, etab, ii) * 0.5 * np.abs(an) * jump2))
+
+
+# -- the error norm through the values ------------------------------------------------
+
+def h1_error_through_values(space, coeffs, problem, t, order=None):
+    """The broken H1 error as ``manufactured.h1_broken_error`` computed it
+    before it evaluated the gradient alone: u_h and its broken gradient at
+    the error rule in every cell, the values thrown away."""
+    rule = triangle_rule(max(2 * space.k + 5, 15) if order is None else order)
+    mesh = space.mesh
+    cells = np.arange(mesh.n_cells)[:, None]
+    rv, _, rg = space.ref.eval_basis(rule.points)
+    loc = coeffs.values[space.cell_dofs[cells]] * space.cell_signs[cells]
+    jac = mesh.cell_jac[cells] / mesh.cell_detj[cells][..., None, None]
+    _matvec2(jac, np.einsum("...i,...ia->...a", loc, rv, optimize=True))
+    gh = _matmul2(_matmul2(jac, np.einsum("...i,...iab->...ab", loc, rg, optimize=True)),
+                  mesh.cell_jac_inv[cells])
+    pts = mesh.map_to_physical(cells, rule.points)
+    wdet = rule.weights[None, :] * mesh.cell_detj[:, None]
+    diff = problem.grad_u(pts[..., 0], pts[..., 1], t) - gh
+    return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=(-2, -1)))))
+
+
+# -- the velocity-space steps -----------------------------------------------------------
+#
+# The RK2 and CN steps as they were before the state moved onto the stream
+# function: each stage forms its right-hand side on the velocity DOFs (mass
+# products, RT loads, the RT apply) and projects it through the lift and
+# expand of ``disc.projection``; the gate reads the mass norm.
+
+def _velocity_load(disc, problem, t, tau_taylor=None):
+    coeffs = problem.f_coeffs(t)
+    if tau_taylor is not None:
+        coeffs = coeffs + tau_taylor * problem.dt_f_coeffs(t)
+    return coeffs @ np.stack([forms.assemble_load(disc.space, g, disc.params.load_order)
+                              for g in problem.f_spatial])
+
+
+def _velocity_wall_load(disc, problem, t):
+    if problem is None:
+        return 0.0
+    return problem.u_coeffs(t) @ np.stack(
+        [forms.assemble_sip_boundary_load(disc.space, g, disc.params)
+         for g in problem.u_spatial])
+
+
+def _velocity_gate(disc, state, u):
+    if not np.all(np.isfinite(u.values)):
+        raise linsolve.BlowUpSignal(step=state.n)
+    l2 = disc.l2_norm(u)
+    if l2 > integrators.BLOWUP_FACTOR * max(state.norm0, 1.0):
+        raise linsolve.BlowUpSignal(step=state.n)
+    return l2
+
+
+def velocity_rk2_step(state, config, disc, problem=None):
+    space, mass, tau, t = disc.space, disc.mass, config.tau, state.t
+    u = state.u.values
+    mass_u = mass @ u
+    rhs = mass_u - tau * forms.apply_convection(space, state.u, state.u)
+    if config.nu > 0:
+        rhs -= tau * config.nu * (disc.sip @ u)
+        rhs += tau * config.nu * _velocity_wall_load(disc, problem, t)
+    if problem is not None:
+        rhs += tau * _velocity_load(disc, problem, t)
+    stage = linsolve.project_div_free(disc.projection, rhs[space.free_dofs])
+    w = stage.values
+    rhs = 0.5 * (mass_u + mass @ w) - 0.5 * tau * forms.apply_convection(space, stage, stage)
+    if config.nu > 0:
+        rhs -= 0.5 * tau * config.nu * (disc.sip @ w)
+        rhs += 0.5 * tau * config.nu * _velocity_wall_load(disc, problem, t + tau)
+    if problem is not None:
+        rhs += 0.5 * tau * (_velocity_load(disc, problem, t, tau_taylor=tau)
+                            if config.f_mode == "f_taylor" else
+                            _velocity_load(disc, problem, t + tau))
+    u_next = linsolve.project_div_free(disc.projection, rhs[space.free_dofs])
+    return integrators.StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
+                                 u_prev=state.u, norm0=state.norm0,
+                                 l2=_velocity_gate(disc, state, u_next))
+
+
+def velocity_cn_step(state, config, disc, problem=None):
+    space, mass, tau, nu = disc.space, disc.mass, config.tau, config.nu
+    u = state.u.values
+    if state.n == 0:
+        system = linsolve.CNSystem(disc.projection, state.u, tau, nu=nu, theta=1.0)
+        rhs = mass @ u / tau
+        t_load = state.t + tau
+    else:
+        advect = CoefVec(space, 1.5 * u - 0.5 * state.u_prev.values)
+        system = linsolve.CNSystem(disc.projection, advect, tau, nu=nu, theta=0.5)
+        rhs = mass @ u / tau - 0.5 * forms.apply_convection(space, advect, state.u)
+        if nu > 0:
+            rhs -= 0.5 * nu * (disc.sip @ u)
+        t_load = state.t + 0.5 * tau
+    if problem is not None:
+        rhs += _velocity_load(disc, problem, t_load)
+    if nu > 0:
+        rhs += nu * _velocity_wall_load(disc, problem, t_load)
+    u_next = linsolve.cn_solve(system, rhs[space.free_dofs])
+    return integrators.StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
+                                 u_prev=state.u, norm0=state.norm0,
+                                 l2=_velocity_gate(disc, state, u_next))
+
+
+def velocity_run(config, disc, problem):
+    """The per-step L2 norms and the blow-up step (None) of a run made of
+    the velocity-space steps, with the forcing of ``integrators.run``."""
+    step = velocity_rk2_step if config.integrator == "explicit_rk2" else velocity_cn_step
+    forcing = None if config.f_zero else problem
+    state = integrators.initial_state(config, disc, problem)
+    l2 = [state.l2]
+    for _ in range(config.n_steps):
+        try:
+            state = step(state, config, disc, forcing)
+        except linsolve.BlowUpSignal:
+            return l2, state.n
+        l2.append(state.l2)
+    return l2, None

@@ -9,7 +9,8 @@ from divfreedg.fe_space import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS,
                                 scalar_monomial_exponents)
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
-from conftest import dg_evaluate, dg_project, map_to_reference, trace_points
+from conftest import (dg_evaluate, dg_project, facet_normal_values, map_to_reference,
+                      trace_points)
 
 
 def piola_map(jacobian, ref_value, ref_div=None, ref_grad=None):
@@ -315,19 +316,26 @@ def test_shared_edge_dofs_have_relative_sign():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_normal_trace_legendre_reconstruction(k):
-    # u . n_F rebuilt from the k+1 shared edge DOFs matches the side traces
+    # u . n_F rebuilt from the k+1 shared edge DOFs matches the side traces,
+    # and the facet-trace kernel's flux w_q |F| u . n_F read from the plus
+    # trace matches it on the interior facets
     mesh = build_structured(4, 0.2, seed=3)
     space = RTSpace(mesh, k)
     coeffs = np.random.default_rng(9).normal(size=space.n_dofs)
-    rule = segment_rule(7)
-    t = rule.points
-    leg = np.polynomial.legendre.legvander(2.0 * t - 1.0, k)
-    rebuilt = space.normal_trace_coeffs(coeffs) @ leg.T
+    order = 7
+    rule = segment_rule(order)
+    rebuilt = facet_normal_values(space, space.edge_tables(order), coeffs)
     for f in range(mesh.n_facets):
         tp = trace_points(mesh, f, rule)
-        cells = np.full(len(t), mesh.facet_plus[f])
+        cells = np.full(len(rule.points), mesh.facet_plus[f])
         traced = space.evaluate(coeffs, cells, tp.ref_plus) @ mesh.facet_normal[f]
         assert np.abs(traced - rebuilt[f]).max() < 1e-11
+    ft = space.facet_traces(order)
+    loc = space.basis.gather(coeffs)
+    _, flux = forms._jump_and_flux(ft, ft["table"], loc, loc)
+    ii = mesh.interior_facets
+    want = rule.weights[:, None] * mesh.facet_length[ii] * rebuilt[ii].T
+    assert np.abs(flux - want).max() < 1e-11 * np.abs(want).max()
 
 
 def test_coefvec_validation_and_finiteness():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from divfreedg import forms, linsolve, manufactured
+from divfreedg import build_structured, forms, linsolve, manufactured
 from divfreedg.fe_space import CoefVec, RTSpace, ScalarDGSpace, rt_interpolate
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
@@ -186,6 +187,38 @@ def test_trace_kernel_zero_advection_is_exactly_zero(spaces, k):
     _, w = _random_fields(space, np.random.default_rng(40 + k))
     assert np.all(forms.apply_convection(space, space.zero(), w) == 0.0)
     assert forms.jump_seminorm(space, space.zero(), w) == 0.0
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3),
+       mesh_seed=st.integers(0, 2 ** 32 - 1), field_seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("k", [1, 2])
+def test_stream_basis_kernels_match_the_velocity_basis(k, n, perturb, mesh_seed,
+                                                       field_seed):
+    # on the stream-function values psi the apply is C^T c_h(C psi_a, C psi_w, .)
+    # and the seminorm that of C psi; a = w passed as one object takes the
+    # shared-trace path
+    space = RTSpace(build_structured(n, perturb, seed=mesh_seed), k)
+    stream = linsolve.StreamFunctionProjection(space)
+    basis, free = stream.basis, space.free_dofs
+    psi_a, psi_w = np.random.default_rng(field_seed).normal(size=(2, basis.size))
+    u_a, u_w = stream.expand(psi_a), stream.expand(psi_w)
+    for (pa, pw), (ua, uw) in (((psi_a, psi_w), (u_a, u_w)), ((psi_a, psi_a), (u_a, u_a))):
+        want = stream.curl_t @ forms.apply_convection(space, ua, uw)[free]
+        assert _rel(forms.apply_convection(space, pa, pw, basis=basis), want) <= 1e-13
+        assert forms.jump_seminorm(space, pa, pw, basis=basis) == \
+            pytest.approx(forms.jump_seminorm(space, ua, uw), rel=1e-13)
+    # the upwind identity psi_v^T b(psi_a, psi_v) = |C psi_v|^2_{a,up}
+    pairing = psi_w @ forms.apply_convection(space, psi_a, psi_w, basis=basis)
+    assert pairing == pytest.approx(forms.jump_seminorm(space, u_a, u_w), rel=1e-11)
+
+
+def test_stream_basis_rejects_a_velocity_vector(spaces):
+    space = spaces(4, 1)["space"]
+    basis = linsolve.StreamFunctionProjection(space).basis
+    with pytest.raises(ValueError, match="coefficients for a basis of"):
+        forms.apply_convection(space, space.zero().values, space.zero().values,
+                               basis=basis)
 
 
 def test_convection_single_cell_over_integration_oracle():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from divfreedg import build_structured, forms, integrators, linsolve, manufactured
+from divfreedg.forms import FormParams
 from divfreedg.integrators import Discretization, SchemeConfig
+from conftest import velocity_run
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +260,74 @@ def test_discretization_is_freed_without_the_cycle_collector(problem):
         assert space() is None
     finally:
         gc.enable()
+
+
+# The runs on the stream function against the velocity-space steps of
+# ``conftest``: the same per-step norms, to roundoff, and the same blow-up.
+EQUIVALENCE_RUNS = {
+    "forced_rk2": dict(n=8, tau=1.0 / 20, T=0.5),
+    "forced_rk2_k2_f_next": dict(n=6, k=2, tau=1.0 / 30, T=0.25, f_mode="f_next"),
+    "unforced_rk2": dict(n=8, tau=1.0 / 25, T=0.5, f_zero=True),
+    "viscous_rk2": dict(n=8, tau=1.0 / 40, T=0.25, nu=1e-3),
+    "viscous_unforced_rk2": dict(n=8, tau=1.0 / 64, T=0.25, nu=0.01, f_zero=True),
+    "blown_up_rk2": dict(n=8, tau=1.0 / 12, T=2.0),
+    "cn": dict(n=8, tau=1.0 / 12, T=0.5, integrator="semi_implicit_cn"),
+    "cn_k2": dict(n=6, k=2, tau=1.0 / 12, T=0.5, integrator="semi_implicit_cn"),
+    "viscous_cn": dict(n=8, tau=1.0 / 12, T=0.5, nu=0.01, integrator="semi_implicit_cn"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_RUNS))
+def test_runs_match_the_velocity_space_steps(case):
+    scheme = dict(EQUIVALENCE_RUNS[case])
+    mesh = build_structured(scheme.pop("n"), 0.15, seed=0)
+    config = SchemeConfig(**scheme)
+    problem = manufactured.taylor_green(config.nu)
+    disc = config.discretization(mesh)
+    report = integrators.run(config, mesh, problem, disc=disc)
+    l2, blow_up = velocity_run(config, disc, problem)
+    assert report.blow_up == blow_up
+    assert (blow_up is not None) == (case == "blown_up_rk2")
+    assert len(report.l2_norms) == len(l2)
+    np.testing.assert_allclose(report.l2_norms, l2, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("integrator,nu", [("explicit_rk2", 0.0), ("explicit_rk2", 1e-3),
+                                           ("semi_implicit_cn", 0.01)])
+def test_steps_stay_on_the_stream_nodes(mesh8, problem, integrator, nu, monkeypatch):
+    # inside a step: no lift of a velocity functional, no velocity mass
+    # product, and one expand, of the new velocity
+    disc = Discretization(mesh8, 1, FormParams(nu=nu))
+    inside, expands = [], []
+
+    def stepping(step):
+        def wrapped(*args, **kwargs):
+            inside.append(True)
+            try:
+                return step(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def forbidden(name, method):
+        def call(*args, **kwargs):
+            if inside:
+                raise AssertionError(f"a step called {name}")
+            return method(*args, **kwargs)
+        return call
+
+    class GuardedMass(type(disc.mass)):
+        __matmul__ = forbidden("a velocity mass product", type(disc.mass).__matmul__)
+
+    expand = linsolve.StreamFunctionProjection.expand
+    monkeypatch.setattr(integrators, "rk2_step", stepping(integrators.rk2_step))
+    monkeypatch.setattr(integrators, "cn_step", stepping(integrators.cn_step))
+    monkeypatch.setattr(linsolve.StreamFunctionProjection, "lift",
+                        forbidden("lift", linsolve.StreamFunctionProjection.lift))
+    monkeypatch.setattr(linsolve.StreamFunctionProjection, "expand",
+                        lambda self, z: expands.append(bool(inside)) or expand(self, z))
+    disc.mass = GuardedMass(disc.mass)
+    config = SchemeConfig(tau=1.0 / 20, T=0.25, nu=nu, integrator=integrator)
+    report = integrators.run(config, mesh8, manufactured.taylor_green(nu), disc=disc)
+    assert report.completed and report.n_steps_done == 5
+    assert expands.count(True) == 5

@@ -217,12 +217,17 @@ def test_solve_residual_contract(spaces):
 
 
 def test_blowup_signal_on_nonfinite_rhs(spaces):
+    # also on the stream-function unknowns, where the steps solve
     entry = spaces(2, 1, perturb=0.0)
-    for sys in projections(entry):
+    saddle, stream = projections(entry)
+    cn = linsolve.CNSystem(stream, entry["space"].zero(), 0.1)
+    for sys in (saddle, stream, stream.on_unknowns, cn.on_unknowns):
         rhs = np.zeros(sys.n_free)
         rhs[0] = np.nan
         with pytest.raises(linsolve.BlowUpSignal):
             linsolve.project_div_free(sys, rhs)
+        with pytest.raises(linsolve.BlowUpSignal):
+            linsolve.cn_solve(sys, rhs)
 
 
 # -- CN system -------------------------------------------------------------------

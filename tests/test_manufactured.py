@@ -3,7 +3,7 @@ import pytest
 
 from divfreedg import build_structured, manufactured
 from divfreedg.fe_space import RTSpace, rt_interpolate
-from conftest import dt_f
+from conftest import dt_f, h1_error_through_values
 
 
 def _fd(f, x, h=1e-6):
@@ -140,3 +140,15 @@ def test_pressure_shift_changes_only_gradient_part():
     rng = np.random.default_rng(5)
     x, y = rng.uniform(0, 1, 10), rng.uniform(0, 1, 10)
     assert np.allclose(shifted(x, y, 0.4) - prob.f(x, y, 0.4), gphi(x, y))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_h1_error_evaluates_the_gradient_alone(spaces, k):
+    # the gradient-only path gives the same bits as the one through the values
+    space = spaces(6, k)["space"]
+    prob = manufactured.taylor_green(0.0)
+    c = rt_interpolate(lambda x, y: prob.u(x, y, 0.0), space)
+    c.values[:] += 0.01 * np.random.default_rng(k).normal(size=space.n_dofs)
+    for order in (None, 2 * k + 3):
+        assert manufactured.h1_broken_error(space, c, prob, 0.3, order) == \
+            h1_error_through_values(space, c, prob, 0.3, order)
