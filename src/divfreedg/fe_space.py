@@ -293,7 +293,7 @@ class RTSpace:
         self._ref_tables = {}
         self._edge_tables = {}
         self._facet_traces = {}
-        self._metric = None
+        self._rule_points = {}
 
     def zero(self):
         return CoefVec(self, np.zeros(self.n_dofs))
@@ -305,15 +305,12 @@ class RTSpace:
                           np.ascontiguousarray(self.cell_signs.T), self.n_dofs,
                           np.eye(self.n_loc))
 
-    @property
+    @cached_property
     def metric(self):
         """(J^T J) / det(J)^2 per cell; contracts Piola factors so volume
-        convection can run on shared reference tables."""
-        if self._metric is None:
-            jac = self.mesh.cell_jac
-            self._metric = np.einsum("cga,cgb->cab", jac, jac) \
-                / self.mesh.cell_detj[:, None, None] ** 2
-        return self._metric
+        convection and the mass apply can run on shared reference tables."""
+        jac = self.mesh.cell_jac
+        return np.einsum("cga,cgb->cab", jac, jac) / self.mesh.cell_detj[:, None, None] ** 2
 
     # -- reference tables ----------------------------------------------------------
     #
@@ -322,7 +319,8 @@ class RTSpace:
 
     def ref_tables(self, order):
         """Reference basis values, divergences and gradients at the volume
-        rule of ``order``, with flattened copies for GEMM-style kernels."""
+        rule of ``order``, with flattened copies for GEMM-style kernels, and
+        the reference mass ``mass[a, b]`` of the components a and b."""
         tab = self._ref_tables.get(order)
         if tab is not None:
             return tab
@@ -338,9 +336,18 @@ class RTSpace:
             val_weighted=np.ascontiguousarray(
                 (rv * rule.weights[:, None, None])
                 .transpose(0, 2, 1).reshape(nq * 2, self.n_loc)),
+            mass=np.einsum("q,qia,qjb->abij", rule.weights, rv, rv),
         )
         self._ref_tables[order] = tab
         return tab
+
+    def rule_points(self, rule):
+        """x and y (nq, n_cells) of the points of a volume ``rule`` in every
+        cell, mapped on first use and kept."""
+        if rule.order not in self._rule_points:
+            pts = self.mesh.map_to_physical(slice(None), rule.points[:, None])
+            self._rule_points[rule.order] = pts[..., 0].copy(), pts[..., 1].copy()
+        return self._rule_points[rule.order]
 
     def edge_tables(self, order):
         """Reference basis traces on the three local edges at the segment
@@ -429,37 +436,19 @@ class RTSpace:
         jac = self.mesh.cell_jac[cells] / self.mesh.cell_detj[cells][..., None, None]
         return _matvec2(np.swapaxes(jac, -1, -2), vec)
 
-    # -- evaluation --------------------------------------------------------------
 
-    def evaluate(self, coeffs, cells, ref_points, with_grad=False):
-        """Field value (and broken gradient) at reference points in cells."""
-        cells = np.asarray(cells, dtype=int)
-        rv, _, _ = self.ref.eval_basis(np.asarray(ref_points, dtype=float))
-        loc = coeffs[self.cell_dofs[cells]] * self.cell_signs[cells]
-        # optimize=True turns the broadcast contraction into one GEMM
-        val = self.piola(cells, np.einsum("...i,...ia->...a", loc, rv, optimize=True))
-        if not with_grad:
-            return val
-        return val, self.evaluate_gradient(coeffs, cells, ref_points)
-
-    def evaluate_gradient(self, coeffs, cells, ref_points):
-        """The broken gradient alone at reference points in cells: the
-        gradient half of ``piola``, J G J^{-1} / det J, written out so that
-        the reference gradient, the largest transient of the error norms, is
-        freed before the second product."""
-        cells = np.asarray(cells, dtype=int)
-        _, _, rg = self.ref.eval_basis(np.asarray(ref_points, dtype=float))
-        loc = coeffs[self.cell_dofs[cells]] * self.cell_signs[cells]
-        jac = self.mesh.cell_jac[cells] / self.mesh.cell_detj[cells][..., None, None]
-        return _matmul2(_matmul2(jac, np.einsum("...i,...iab->...ab", loc, rg, optimize=True)),
-                        self.mesh.cell_jac_inv[cells])
+# Cells per block of the interior moments of ``rt_interpolate``: a block's
+# points, field values and pull-back take a few MB whatever the mesh.
+INTERP_BLOCK = 2048
 
 
 def rt_interpolate(field, space, enforce_boundary=True, order=None):
     """Raviart-Thomas interpolation of a pointwise-evaluable vector field.
 
     Edge DOFs are the Legendre moments of field . n_F along each facet,
-    interior DOFs the orthonormalized moments of the Piola pullback.  With
+    interior DOFs the orthonormalized moments of the Piola pullback
+    det J J^{-1} u, taken over blocks of ``INTERP_BLOCK`` cells with one GEMM
+    against the weighted interior polynomials per block.  With
     ``enforce_boundary`` the boundary edge DOFs come from the field (which is
     then expected to satisfy u.n = 0 on the boundary); otherwise they are
     zeroed so the result lies in the constrained space regardless.
@@ -482,20 +471,21 @@ def rt_interpolate(field, space, enforce_boundary=True, order=None):
     wq = erule.weights[None, :] * mesh.facet_length[:, None]
     edge_moments = np.einsum("fq,qj->fj", wq * un, leg)
 
-    trule = triangle_rule(order)
-    nq = len(trule.weights)
-    cells = np.repeat(np.arange(mesh.n_cells), nq)
-    phys = mesh.map_to_physical(cells, np.tile(trule.points, (mesh.n_cells, 1)))
-    phys = phys.reshape(mesh.n_cells, nq, 2)
-    uc = np.asarray(field(phys[..., 0], phys[..., 1]), dtype=float)
-    pullback = np.einsum("cba,cqa->cqb", mesh.cell_jac_inv, uc)
-    pullback *= mesh.cell_detj[:, None, None]
-    polys = space.ref.interior_polys(trule.points)
-    interior = np.einsum("q,qp,cqb->cpb", trule.weights, polys, pullback)
-
     values = np.empty(space.n_dofs)
     values[:space.n_facet_dofs] = edge_moments.ravel()
-    values[space.n_facet_dofs:] = interior.reshape(mesh.n_cells, -1).ravel()
+    interior = values[space.n_facet_dofs:].reshape(mesh.n_cells, -1, 2)
+    trule = triangle_rule(order)
+    polys = trule.weights[:, None] * space.ref.interior_polys(trule.points)
+    cells = np.arange(mesh.n_cells)[:, None]
+    for start in range(0, mesh.n_cells, INTERP_BLOCK):
+        blk = slice(start, start + INTERP_BLOCK)
+        phys = mesh.map_to_physical(cells[blk], trule.points)
+        uc = np.asarray(field(phys[..., 0], phys[..., 1]), dtype=float)
+        inv, det = mesh.cell_jac_inv[blk, :, :, None], mesh.cell_detj[blk, None]
+        pullback = np.stack([(inv[:, i, 0] * uc[..., 0] + inv[:, i, 1] * uc[..., 1]) * det
+                             for i in (0, 1)], axis=1)
+        interior[blk] = (pullback.reshape(-1, len(polys)) @ polys).reshape(
+            len(det), 2, -1).transpose(0, 2, 1)
     if not enforce_boundary:
         values[space.boundary_dofs] = 0.0
     return CoefVec(space, values)

@@ -204,6 +204,17 @@ def assemble_mass(space, order=None):
     return _to_csr(space.n_dofs, space.n_dofs, [_blocks(space, loc, cells, cells)])
 
 
+def apply_mass(space, v, order=None):
+    """M v without M: on an affine cell M_c = det J sum_ab G_ab R_ab, with
+    the cell metric G and the reference mass tables R_ab, so the product is
+    four GEMMs on the gathered coefficients and one scatter."""
+    tab = space.ref_tables(order or default_cell_order(space.k))
+    loc = space.basis.gather(_values(space, v))
+    scale = space.mesh.cell_detj * space.metric.transpose(1, 2, 0)
+    return space.basis.scatter(sum(scale[a, b] * (tab["mass"][a, b] @ loc)
+                                   for a in (0, 1) for b in (0, 1)))
+
+
 def assemble_div(space, q_space, order=None):
     """Constraint matrix with entries (div phi_j, theta_i)."""
     if q_space.k != space.k:
@@ -466,7 +477,7 @@ def divergence_l2_norm(space, coeffs, order=None):
 
 
 __all__ = [
-    "FormParams", "assemble_mass", "assemble_div", "apply_convection",
+    "FormParams", "assemble_mass", "apply_mass", "assemble_div", "apply_convection",
     "convection_matrix", "assemble_sip", "assemble_sip_boundary_load",
     "assemble_load", "jump_seminorm",
     "divergence_l2_norm", "check_finite",

@@ -74,10 +74,11 @@ class SchemeConfig:
 @dataclass
 class StepState:
     """State after step n: the velocity u = C psi and its stream function
-    psi on the interior P_{k+1} nodes, both of the step before (for the CN
-    extrapolation), psi of the RK predictor of the step, the L2 norms of u^0
-    and of u (from the blow-up gate) and the step's LU fill.  A state given
-    u alone gets psi from one solve when a step reads it."""
+    psi on the interior P_{k+1} nodes (u^0 too, see ``initial_state``), both
+    of the step before (for the CN extrapolation), psi of the RK predictor
+    of the step, the L2 norms of u^0 and of u (sqrt(psi^T K psi), from the
+    blow-up gate) and the step's LU fill.  A state given u alone gets psi
+    from one solve when a step reads it."""
 
     n: int
     t: float
@@ -92,22 +93,26 @@ class StepState:
 
 
 class Discretization:
-    """The RT_k space, the mass and SIP matrices and the factorized
-    stream-function projection for one (mesh, degree) pair; shared by all
-    steps and all trial runs on it, and so is every load vector assembled
-    on it, reduced to the stream-function nodes (see ``load_vectors``).
-    The mesh must be simply connected."""
+    """The RT_k space, the SIP matrix and the factorized stream-function
+    projection for one (mesh, degree) pair; shared by all steps and trial
+    runs on it, as is every load vector (``load_vectors``) and initial field
+    (``interpolants``) made on it.  A run applies M cell by cell
+    (``forms.apply_mass``).  The mesh must be simply connected."""
 
     def __init__(self, mesh, k, params=None):
         self.mesh = mesh
         self.k = k
         self.params = (params or FormParams()).resolve(k)
         self.space = RTSpace(mesh, k)
-        self.mass = forms.assemble_mass(self.space, self.params.cell_order)
         self.sip = forms.assemble_sip(self.space, self.params) if self.params.nu > 0 else None
-        self.projection = linsolve.StreamFunctionProjection(self.space, self.mass,
-                                                            self.sip)
-        self._load_memo = {}
+        self.projection = linsolve.StreamFunctionProjection(self.space, self.sip)
+        self._memo = {}
+
+    @cached_property
+    def mass(self):
+        """The assembled velocity mass matrix, built on first use for the
+        tests and the KKT oracle; no run reads it."""
+        return forms.assemble_mass(self.space, self.params.cell_order)
 
     @cached_property
     def saddle(self):
@@ -124,15 +129,32 @@ class Discretization:
         ``spatial``, or with ``boundary`` of its SIP wall data.  They are
         assembled on first use and kept, keyed by the functions themselves."""
         key = (tuple(spatial), boundary)
-        if key not in self._load_memo:
-            self._load_memo[key] = np.stack([self.projection.curl_t @ (
+        if key not in self._memo:
+            self._memo[key] = np.stack([self.projection.curl_t @ (
                 forms.assemble_sip_boundary_load(self.space, g, self.params) if boundary
                 else forms.assemble_load(self.space, g, self.params.load_order)
             )[self.space.free_dofs] for g in spatial])
-        return self._load_memo[key]
+        return self._memo[key]
+
+    def interpolants(self, spatial):
+        """Rows: the interpolant Pi g of each function g(x, y) in ``spatial``
+        and its stream function K^{-1} C^T M Pi g, interpolated on first use
+        and kept, keyed by the functions as ``load_vectors`` is."""
+        key = (tuple(spatial), "interpolants")
+        if key not in self._memo:
+            pi = np.stack([rt_interpolate(g, self.space).values for g in spatial])
+            self._memo[key] = pi, np.stack([self.stream(row) for row in pi])
+        return self._memo[key]
+
+    def stream(self, u):
+        """psi = K^{-1} C^T M u, one solve: C psi is the divergence-free
+        projection of the velocity u."""
+        mass_u = forms.apply_mass(self.space, u, self.params.cell_order)
+        return self.projection.solve(mass_u[self.space.free_dofs])
 
     def l2_norm(self, u):
-        return float(np.sqrt(max(u.values @ (self.mass @ u.values), 0.0)))
+        u = forms._values(self.space, u)
+        return float(np.sqrt(max(u @ forms.apply_mass(self.space, u, self.params.cell_order), 0)))
 
     def div_l2(self, u):
         return forms.divergence_l2_norm(self.space, u, self.params.cell_order)
@@ -147,14 +169,6 @@ def _check_blowup(disc, state, psi):
     if l2 > BLOWUP_FACTOR * max(state.norm0, 1.0):
         raise BlowUpSignal(step=state.n)
     return l2
-
-
-def _stream(disc, psi, u):
-    """psi, or for a velocity u alone psi = K^{-1} C^T M u, one solve: C psi
-    is the divergence-free projection of u."""
-    if psi is not None:
-        return psi
-    return disc.projection.solve((disc.mass @ u.values)[disc.space.free_dofs])
 
 
 def _load(disc, problem, t, tau_taylor=None):
@@ -209,7 +223,7 @@ def rk2_step(state, config, disc, problem=None):
 
     A non-finite predictor reaches the second solve, which raises."""
     proj, tau, t = disc.projection, config.tau, state.t
-    psi = _stream(disc, state.psi, state.u)
+    psi = disc.stream(state.u) if state.psi is None else state.psi
     stage = psi + linsolve.project_div_free(
         proj.on_unknowns, tau * _stage_rhs(disc, config, psi, problem, t, (t,)))
     load_at = (t, tau) if config.f_mode == "f_taylor" else (t + tau,)
@@ -226,7 +240,7 @@ def cn_step(state, config, disc, problem=None):
     stream-function nodes, as the operator does."""
     proj = disc.projection
     tau, nu = config.tau, config.nu
-    psi = _stream(disc, state.psi, state.u)
+    psi = disc.stream(state.u) if state.psi is None else state.psi
     rhs = proj.matrix @ psi / tau
     if state.n == 0:
         system = linsolve.CNSystem(proj, state.u, tau, nu=nu, theta=1.0)
@@ -234,7 +248,8 @@ def cn_step(state, config, disc, problem=None):
     else:
         advect = CoefVec(disc.space, 1.5 * state.u.values - 0.5 * state.u_prev.values)
         system = linsolve.CNSystem(proj, advect, tau, nu=nu, theta=0.5)
-        psi_a = 1.5 * psi - 0.5 * _stream(disc, state.psi_prev, state.u_prev)
+        psi_a = 1.5 * psi - 0.5 * (disc.stream(state.u_prev) if state.psi_prev is None
+                                    else state.psi_prev)
         rhs -= 0.5 * forms.apply_convection(disc.space, psi_a, psi, basis=proj.basis)
         if nu > 0:
             rhs -= 0.5 * nu * (proj.reduced_sip @ psi)
@@ -248,14 +263,23 @@ def cn_step(state, config, disc, problem=None):
 
 
 def initial_state(config, disc, problem=None):
+    """The state at t = 0: u^0 = C psi_0, with psi_0 = K^{-1} C^T M Pi u^0 the
+    stream function of the interpolant (both from ``disc.interpolants``),
+    and ||u^0|| = sqrt(psi_0^T K psi_0).  An interpolant that C psi_0 misses
+    by more than 1e-10 of its L2 norm (a flow through the walls, say) raises
+    ValueError."""
+    psi, interp = np.zeros(disc.projection.matrix.shape[0]), np.zeros(disc.space.n_dofs)
     if problem is not None:
-        u0 = rt_interpolate(lambda x, y: problem.u(x, y, 0.0), disc.space,
-                            enforce_boundary=True)
-    else:
-        u0 = disc.space.zero()
-    norm0 = disc.l2_norm(u0)
-    return StepState(n=0, t=0.0, u=u0, psi=_stream(disc, None, u0), norm0=norm0,
-                     l2=norm0)
+        coeffs, (rows, psi_rows) = problem.u_coeffs(0.0), disc.interpolants(problem.u_spatial)
+        interp, psi = coeffs @ rows, coeffs @ psi_rows
+    u0 = disc.projection.expand(psi)
+    defect, size = disc.l2_norm(interp - u0.values), disc.l2_norm(interp)
+    if defect > 1e-10 * size:
+        raise ValueError(f"C psi_0 misses the interpolant of the initial velocity by "
+                         f"{defect / size:.3e} of its L2 norm: the velocity must be "
+                         f"divergence-free with no flux through the walls")
+    norm0 = float(np.sqrt(max(psi @ (disc.projection.matrix @ psi), 0.0)))
+    return StepState(n=0, t=0.0, u=u0, psi=psi, norm0=norm0, l2=norm0)
 
 
 def _dissipation(disc, psi, jump):

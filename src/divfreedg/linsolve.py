@@ -9,8 +9,9 @@ continuous P_{k+1} stream functions that vanish on the boundary (Arnold,
 Falk and Winther, Acta Numerica 2006; Girault and Raviart 1986).  The
 projection of a functional r is then u = C K^{-1} C^T r, where K = C^T M C
 is the P_{k+1} stiffness matrix on the interior nodes: symmetric positive
-definite, assembled cell by cell and factorized once per mesh and degree.
-B C = 0 holds identically, so the divergence vanishes by construction.  The
+definite, assembled cell by cell from the reference mass tables, with no
+velocity mass matrix, and factorized once per mesh and degree.  B C = 0
+holds identically, so the divergence vanishes by construction.  The
 semi-implicit CN operator C^T (M/tau + theta C(a) + theta nu A) C is
 assembled directly on the stream nodes, on a pattern fixed per mesh.  Runs
 solve only these two systems, and on their own unknowns (``on_unknowns``):
@@ -205,12 +206,11 @@ def _stiffness(space, cell_nodes, n_nodes):
     """K = C^T M C assembled cell by cell as K_c = C_loc^T M_c C_loc, with
     the compact P_{k+1} stencil.  On an affine cell M_c = det J sum_ab G_ab
     R_ab, where G = J^T J / det J^2 is the cell metric and R_ab the
-    reference mass of components a and b, so K_c combines the four
+    reference mass of components a and b (``ref_tables(order)["mass"]``, the
+    tables ``forms.apply_mass`` applies M with), so K_c combines the four
     reference matrices C_loc^T R_ab C_loc."""
     c_loc = _curl_reference(space.k)
-    tab = space.ref_tables(forms.default_cell_order(space.k))
-    curls = np.einsum("qia,in->qna", tab["val"], c_loc)
-    ref = np.einsum("q,qma,qnb->abmn", tab["rule"].weights, curls, curls)
+    ref = c_loc.T @ space.ref_tables(forms.default_cell_order(space.k))["mass"] @ c_loc
     loc = np.einsum("c,cab,abmn->cmn", space.mesh.cell_detj, space.metric, ref)
     rows = np.broadcast_to(cell_nodes[:, :, None], loc.shape)
     cols = np.broadcast_to(cell_nodes[:, None, :], loc.shape)
@@ -222,16 +222,16 @@ def _stiffness(space, cell_nodes, n_nodes):
 class StreamFunctionProjection(_FactorizedSystem):
     """The divergence-free L2 projection u = C K^{-1} C^T r through the
     stream function: K is the SPD P_{k+1} stiffness on the interior nodes,
-    factorized once with a symmetric ordering and no pivoting.  Keeps the
-    SIP matrix ``sip`` that every viscous CN step on it reuses.
+    factorized once with a symmetric ordering and no pivoting; no velocity
+    mass matrix is assembled.  Keeps the SIP matrix ``sip`` that every
+    viscous CN step on it reuses.
 
     The mesh must be simply connected (connected, with V - E + C = 1): a
     hole would leave harmonic divergence-free fields out of range(C), and
     the projection would be wrong with zero divergence."""
 
-    def __init__(self, space, mass=None, sip=None):
+    def __init__(self, space, sip=None):
         _check_simply_connected(space.mesh)
-        self.mass = mass if mass is not None else forms.assemble_mass(space)
         self.sip = sip
         self.cell_nodes, n_nodes = _stream_nodes(space)
         self.curl = _discrete_curl(space, self.cell_nodes, n_nodes)

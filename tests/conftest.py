@@ -51,8 +51,7 @@ def projections(entry):
     if entry["saddle"] is None:
         entry["saddle"] = linsolve.build_saddle(entry["space"], entry["q_space"])
     if entry["stream"] is None:
-        entry["stream"] = linsolve.StreamFunctionProjection(
-            entry["space"], entry["saddle"].mass)
+        entry["stream"] = linsolve.StreamFunctionProjection(entry["space"])
     return [entry["saddle"], entry["stream"]]
 
 
@@ -254,23 +253,63 @@ def full_jump_seminorm(space, a, v, facet_order=None):
     return float(np.sum(forms._facet_weights(mesh, etab, ii) * 0.5 * np.abs(an) * jump2))
 
 
-# -- the error norm through the values ------------------------------------------------
+# -- point evaluation and the error norms through it -----------------------------------
+
+def evaluate(space, coeffs, cells, ref_points, with_grad=False):
+    """Field value (and broken gradient) at reference points in cells."""
+    cells = np.asarray(cells, dtype=int)
+    rv, _, _ = space.ref.eval_basis(np.asarray(ref_points, dtype=float))
+    loc = coeffs[space.cell_dofs[cells]] * space.cell_signs[cells]
+    # optimize=True turns the broadcast contraction into one GEMM
+    val = space.piola(cells, np.einsum("...i,...ia->...a", loc, rv, optimize=True))
+    if not with_grad:
+        return val
+    return val, evaluate_gradient(space, coeffs, cells, ref_points)
+
+
+def evaluate_gradient(space, coeffs, cells, ref_points):
+    """The broken gradient alone at reference points in cells: the
+    gradient half of ``piola``, J G J^{-1} / det J, written out."""
+    cells = np.asarray(cells, dtype=int)
+    _, _, rg = space.ref.eval_basis(np.asarray(ref_points, dtype=float))
+    loc = coeffs[space.cell_dofs[cells]] * space.cell_signs[cells]
+    jac = space.mesh.cell_jac[cells] / space.mesh.cell_detj[cells][..., None, None]
+    return _matmul2(_matmul2(jac, np.einsum("...i,...iab->...ab", loc, rg, optimize=True)),
+                    space.mesh.cell_jac_inv[cells])
+
+
+def _pointwise_error_rule(space, order):
+    rule = triangle_rule(max(2 * space.k + 5, 15) if order is None else order)
+    mesh = space.mesh
+    cells = np.arange(mesh.n_cells)[:, None]
+    pts = np.einsum("...ab,...b->...a", mesh.cell_jac[cells], rule.points) \
+        + mesh.vertices[mesh.cells[cells, 0]]
+    return cells, rule.points, pts, rule.weights[None, :] * mesh.cell_detj[:, None]
+
+
+def pointwise_l2_error(space, coeffs, problem, t, order=None):
+    """``manufactured.l2_error`` as it was before the GEMM path: u_h by
+    ``evaluate`` at the error rule in every cell, the points mapped by einsum."""
+    cells, ref, pts, wdet = _pointwise_error_rule(space, order)
+    diff = problem.u(pts[..., 0], pts[..., 1], t) \
+        - evaluate(space, forms._values(space, coeffs), cells, ref)
+    return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=-1))))
+
+
+def pointwise_h1_error(space, coeffs, problem, t, order=None):
+    """``manufactured.h1_broken_error`` as it was before the GEMM path."""
+    cells, ref, pts, wdet = _pointwise_error_rule(space, order)
+    diff = problem.grad_u(pts[..., 0], pts[..., 1], t) \
+        - evaluate_gradient(space, forms._values(space, coeffs), cells, ref)
+    return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=(-2, -1)))))
+
 
 def h1_error_through_values(space, coeffs, problem, t, order=None):
     """The broken H1 error as ``manufactured.h1_broken_error`` computed it
     before it evaluated the gradient alone: u_h and its broken gradient at
     the error rule in every cell, the values thrown away."""
-    rule = triangle_rule(max(2 * space.k + 5, 15) if order is None else order)
-    mesh = space.mesh
-    cells = np.arange(mesh.n_cells)[:, None]
-    rv, _, rg = space.ref.eval_basis(rule.points)
-    loc = coeffs.values[space.cell_dofs[cells]] * space.cell_signs[cells]
-    jac = mesh.cell_jac[cells] / mesh.cell_detj[cells][..., None, None]
-    _matvec2(jac, np.einsum("...i,...ia->...a", loc, rv, optimize=True))
-    gh = _matmul2(_matmul2(jac, np.einsum("...i,...iab->...ab", loc, rg, optimize=True)),
-                  mesh.cell_jac_inv[cells])
-    pts = mesh.map_to_physical(cells, rule.points)
-    wdet = rule.weights[None, :] * mesh.cell_detj[:, None]
+    cells, ref, pts, wdet = _pointwise_error_rule(space, order)
+    _, gh = evaluate(space, coeffs.values, cells, ref, with_grad=True)
     diff = problem.grad_u(pts[..., 0], pts[..., 1], t) - gh
     return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=(-2, -1)))))
 

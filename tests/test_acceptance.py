@@ -18,7 +18,7 @@ from divfreedg import (build_structured, diagnostics, forms, integrators,
 from divfreedg.fe_space import RTSpace, ScalarDGSpace, rt_interpolate
 from divfreedg.integrators import Discretization, SchemeConfig
 from divfreedg.quadrature import triangle_rule
-from conftest import dg_evaluate, dg_project
+from conftest import dg_evaluate, dg_project, evaluate
 
 TRACKED_RUNS = []
 
@@ -108,7 +108,7 @@ def test_criterion_04_commuting_property(k):
         proj = dg_project(q_space, div_u)
         rule = triangle_rule(2 * k + 5)
         cells = np.arange(mesh.n_cells)[:, None]
-        _, grad = space.evaluate(interp.values, cells, rule.points,
+        _, grad = evaluate(space, interp.values, cells, rule.points,
                                  with_grad=True)
         div_h = grad[..., 0, 0] + grad[..., 1, 1]
         pk = dg_evaluate(q_space, proj, cells, rule.points[None, :, :])

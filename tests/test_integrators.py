@@ -1,10 +1,11 @@
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from divfreedg import build_structured, forms, integrators, linsolve, manufactured
+from divfreedg import build_structured, fe_space, forms, integrators, linsolve, manufactured
 from divfreedg.forms import FormParams
 from divfreedg.integrators import Discretization, SchemeConfig
 from conftest import velocity_run
@@ -262,6 +263,75 @@ def test_discretization_is_freed_without_the_cycle_collector(problem):
         gc.enable()
 
 
+@pytest.mark.parametrize("integrator,nu", [("explicit_rk2", 0.0), ("explicit_rk2", 1e-3),
+                                           ("semi_implicit_cn", 0.0)])
+def test_runs_never_assemble_the_velocity_mass_matrix(mesh8, integrator, nu, monkeypatch):
+    # the stiffness comes from the reference tables and the run applies M
+    # cell by cell; the assembled M is for the tests and the KKT oracle
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run assembled the velocity mass matrix")
+
+    monkeypatch.setattr(forms, "assemble_mass", forbidden)
+    disc = Discretization(mesh8, 1, FormParams(nu=nu))
+    config = SchemeConfig(tau=1.0 / 20, T=0.25, nu=nu, integrator=integrator)
+    report = integrators.run(config, mesh8, manufactured.taylor_green(nu), disc=disc)
+    assert report.completed and report.n_steps_done == 5
+    assert report.l2_err > 0.0
+    assert "mass" not in disc.__dict__
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_cell_local_mass_apply_matches_the_assembled_matrix(k):
+    disc = Discretization(build_structured(6, 0.3, seed=4), k)
+    v = np.random.default_rng(k).normal(size=disc.space.n_dofs)
+    oracle = disc.mass @ v
+    assert np.abs(forms.apply_mass(disc.space, v) - oracle).max() \
+        <= 1e-14 * np.abs(oracle).max()
+    assert disc.l2_norm(v) == pytest.approx(np.sqrt(v @ oracle), rel=1e-14)
+
+
+def test_initial_field_is_interpolated_once_per_discretization(mesh8, problem, monkeypatch):
+    # two runs on one disc interpolate each spatial part of u^0 once, and
+    # report what runs on fresh discretizations report
+    calls = []
+    interpolate = integrators.rt_interpolate
+    monkeypatch.setattr(integrators, "rt_interpolate",
+                        lambda *args, **kwargs: calls.append(args[0]) or
+                        interpolate(*args, **kwargs))
+    configs = [SchemeConfig(tau=1.0 / 20, T=0.25),
+               SchemeConfig(tau=1.0 / 12, T=0.25, integrator="semi_implicit_cn")]
+    disc = Discretization(mesh8, 1)
+    shared = [integrators.run(config, mesh8, problem, disc=disc) for config in configs]
+    assert calls == list(problem.u_spatial)
+    for config, report in zip(configs, shared):
+        fresh = integrators.run(config, mesh8, problem)
+        report.wall_time = fresh.wall_time
+        np.testing.assert_equal(dataclasses.asdict(report), dataclasses.asdict(fresh))
+
+
+def test_initial_velocity_is_the_curl_of_psi0(mesh8, disc8, problem):
+    # u^0 = C psi_0, the divergence-free projection of the interpolant,
+    # which C psi_0 reproduces on Taylor-Green to roundoff
+    state = integrators.initial_state(SchemeConfig(tau=0.05), disc8, problem)
+    assert np.array_equal(state.u.values, disc8.projection.expand(state.psi).values)
+    assert state.norm0 == state.l2 == pytest.approx(disc8.l2_norm(state.u), rel=1e-12)
+    interp = fe_space.rt_interpolate(lambda x, y: problem.u(x, y, 0.0), disc8.space)
+    assert disc8.l2_norm(interp.values - state.u.values) <= 1e-12 * state.norm0
+
+
+def test_initial_flow_through_the_walls_is_rejected(mesh8, disc8):
+    # the uniform flow (1, 0) has normal flux on the walls, which no stream
+    # function vanishing there carries: the run used to report completed
+    # after dropping ||u|| from 1 to 0 at step 1
+    uniform = lambda x, y: np.stack(np.broadcast_arrays(1.0, 0.0 * x), axis=-1)
+    flow = manufactured.ExactProblem(
+        u_spatial=(uniform,), u_coeffs=lambda t: np.ones(1), grad_u=None, dt_u=None,
+        p=None, f_spatial=(), f_coeffs=None, dt_f_coeffs=None)
+    config = SchemeConfig(tau=1.0 / 40, T=0.1, f_zero=True)
+    with pytest.raises(ValueError, match=r"misses the interpolant .* by \d\.\d+e[+-]\d+ of"):
+        integrators.run(config, mesh8, flow, disc=disc8)
+
+
 # The runs on the stream function against the velocity-space steps of
 # ``conftest``: the same per-step norms, to roundoff, and the same blow-up.
 EQUIVALENCE_RUNS = {
@@ -318,6 +388,9 @@ def test_steps_stay_on_the_stream_nodes(mesh8, problem, integrator, nu, monkeypa
 
     class GuardedMass(type(disc.mass)):
         __matmul__ = forbidden("a velocity mass product", type(disc.mass).__matmul__)
+
+    monkeypatch.setattr(forms, "apply_mass",
+                        forbidden("a velocity mass product", forms.apply_mass))
 
     expand = linsolve.StreamFunctionProjection.expand
     monkeypatch.setattr(integrators, "rk2_step", stepping(integrators.rk2_step))

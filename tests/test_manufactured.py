@@ -3,7 +3,7 @@ import pytest
 
 from divfreedg import build_structured, manufactured
 from divfreedg.fe_space import RTSpace, rt_interpolate
-from conftest import dt_f, h1_error_through_values
+from conftest import dt_f, h1_error_through_values, pointwise_h1_error, pointwise_l2_error
 
 
 def _fd(f, x, h=1e-6):
@@ -144,11 +144,28 @@ def test_pressure_shift_changes_only_gradient_part():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_h1_error_evaluates_the_gradient_alone(spaces, k):
-    # the gradient-only path gives the same bits as the one through the values
+    # the gradient-only GEMM path agrees with the one through the values to
+    # roundoff (bitwise before the norms moved onto the reference tables)
     space = spaces(6, k)["space"]
     prob = manufactured.taylor_green(0.0)
     c = rt_interpolate(lambda x, y: prob.u(x, y, 0.0), space)
     c.values[:] += 0.01 * np.random.default_rng(k).normal(size=space.n_dofs)
     for order in (None, 2 * k + 3):
         assert manufactured.h1_broken_error(space, c, prob, 0.3, order) == \
-            h1_error_through_values(space, c, prob, 0.3, order)
+            pytest.approx(h1_error_through_values(space, c, prob, 0.3, order), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_gemm_error_norms_match_the_pointwise_path(spaces, k):
+    # u_h and its broken gradient as GEMMs against the reference tables, on
+    # points mapped once per rule, against the per-point evaluation
+    space = spaces(8, k, perturb=0.3, seed=3)["space"]
+    prob = manufactured.taylor_green(0.0)
+    c = rt_interpolate(lambda x, y: prob.u(x, y, 0.0), space)
+    c.values[:] += 0.01 * np.random.default_rng(k).normal(size=space.n_dofs)
+    for order in (None, 2 * k + 3):
+        for t in (0.0, 0.3):
+            assert manufactured.l2_error(space, c, prob, t, order) == \
+                pytest.approx(pointwise_l2_error(space, c, prob, t, order), rel=1e-12)
+            assert manufactured.h1_broken_error(space, c, prob, t, order) == \
+                pytest.approx(pointwise_h1_error(space, c, prob, t, order), rel=1e-12)

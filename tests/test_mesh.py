@@ -3,7 +3,7 @@ import pytest
 
 from divfreedg import build_structured, load_mesh, save_mesh
 from divfreedg.mesh import Mesh
-from divfreedg.quadrature import segment_rule
+from divfreedg.quadrature import segment_rule, triangle_rule
 from conftest import trace_points
 
 
@@ -186,3 +186,20 @@ def test_construction_deterministic():
     b = build_structured(8, 0.2, seed=11)
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.cells, b.cells)
+
+
+def test_map_to_physical_matches_the_einsum_form():
+    # the multiply-adds against the broadcast einsum they replace, for flat
+    # (n,) x (n, 2) input and for (n_cells, 1) x (nq, 2)
+    mesh = build_structured(6, 0.3, seed=2)
+    points = triangle_rule(9).points
+
+    def einsum_form(cells, ref):
+        return mesh.vertices[mesh.cells[cells, 0]] + np.einsum(
+            "...ab,...b->...a", mesh.cell_jac[cells], ref)
+
+    cells = np.random.default_rng(0).integers(0, mesh.n_cells, len(points))
+    for args in ((cells, points), (np.arange(mesh.n_cells)[:, None], points)):
+        mapped, oracle = mesh.map_to_physical(*args), einsum_form(*args)
+        assert mapped.shape == oracle.shape
+        np.testing.assert_allclose(mapped, oracle, rtol=0, atol=1e-15)
