@@ -447,8 +447,7 @@ def rt_interpolate(field, space, enforce_boundary=True, order=None):
 
     Edge DOFs are the Legendre moments of field . n_F along each facet,
     interior DOFs the orthonormalized moments of the Piola pullback
-    det J J^{-1} u, taken over blocks of ``INTERP_BLOCK`` cells with one GEMM
-    against the weighted interior polynomials per block.  With
+    det J J^{-1} u, one GEMM per block of ``INTERP_BLOCK`` cells.  With
     ``enforce_boundary`` the boundary edge DOFs come from the field (which is
     then expected to satisfy u.n = 0 on the boundary); otherwise they are
     zeroed so the result lies in the constrained space regardless.
@@ -456,9 +455,9 @@ def rt_interpolate(field, space, enforce_boundary=True, order=None):
     mesh = space.mesh
     k = space.k
     if order is None:
-        # trig moments need depth well beyond the polynomial minimum so that
-        # div(Pi u) of solenoidal data sits at roundoff, not quadrature error
-        order = max(2 * k + 2, 15)
+        # trig moments need depth beyond the polynomial minimum, more on facets
+        # longer than 0.42, so div(Pi u) of solenoidal data sits at roundoff
+        order = max(2 * k + 2, 15, int(np.ceil(36.0 * mesh.facet_length.max())))
 
     erule = segment_rule(order)
     t = erule.points

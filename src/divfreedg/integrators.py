@@ -73,12 +73,11 @@ class SchemeConfig:
 
 @dataclass
 class StepState:
-    """State after step n: the velocity u = C psi and its stream function
-    psi on the interior P_{k+1} nodes (u^0 too, see ``initial_state``), both
-    of the step before (for the CN extrapolation), psi of the RK predictor
-    of the step, the L2 norms of u^0 and of u (sqrt(psi^T K psi), from the
-    blow-up gate) and the step's LU fill.  A state given u alone gets psi
-    from one solve when a step reads it."""
+    """State after step n, u^0 included: the velocity u = C psi and its
+    stream function psi on the interior P_{k+1} nodes, both of the step
+    before (for the CN extrapolation), psi of the RK predictor, the L2 norms
+    sqrt(psi^T K psi) of u^0 and of u and the step's LU fill.  A state given
+    u alone gets psi from one solve when a step reads it."""
 
     n: int
     t: float
@@ -136,9 +135,8 @@ class Discretization:
         return self._memo[key]
 
     def interpolants(self, spatial):
-        """Rows: the interpolant Pi g of each function g(x, y) in ``spatial``
-        and its stream function K^{-1} C^T M Pi g, interpolated on first use
-        and kept, keyed by the functions as ``load_vectors`` is."""
+        """Rows: Pi g and its stream function K^{-1} C^T M Pi g for each g(x, y)
+        in ``spatial``, made on first use and kept as ``load_vectors`` are."""
         key = (tuple(spatial), "interpolants")
         if key not in self._memo:
             pi = np.stack([rt_interpolate(g, self.space).values for g in spatial])
@@ -168,6 +166,11 @@ def _check_blowup(disc, state, psi):
     if l2 > BLOWUP_FACTOR * max(state.norm0, 1.0):
         raise BlowUpSignal(step=state.n)
     return l2
+
+
+def _stream(disc, psi, u):
+    """psi, or for a velocity u alone its stream function ``disc.stream(u)``."""
+    return disc.stream(u) if psi is None else psi
 
 
 def _load(disc, problem, t, tau_taylor=None):
@@ -222,7 +225,7 @@ def rk2_step(state, config, disc, problem=None):
 
     A non-finite predictor reaches the second solve, which raises."""
     proj, tau, t = disc.projection, config.tau, state.t
-    psi = disc.stream(state.u) if state.psi is None else state.psi
+    psi = _stream(disc, state.psi, state.u)
     stage = psi + linsolve.project_div_free(
         proj.on_unknowns, tau * _stage_rhs(disc, config, psi, problem, t, (t,)))
     load_at = (t, tau) if config.f_mode == "f_taylor" else (t + tau,)
@@ -239,7 +242,7 @@ def cn_step(state, config, disc, problem=None):
     stream-function nodes, as the operator does."""
     proj = disc.projection
     tau, nu = config.tau, config.nu
-    psi = disc.stream(state.u) if state.psi is None else state.psi
+    psi = _stream(disc, state.psi, state.u)
     rhs = proj.matrix @ psi / tau
     if state.n == 0:
         system = linsolve.CNSystem(proj, state.u, tau, nu=nu, theta=1.0)
@@ -247,8 +250,7 @@ def cn_step(state, config, disc, problem=None):
     else:
         advect = CoefVec(disc.space, 1.5 * state.u.values - 0.5 * state.u_prev.values)
         system = linsolve.CNSystem(proj, advect, tau, nu=nu, theta=0.5)
-        psi_a = 1.5 * psi - 0.5 * (disc.stream(state.u_prev) if state.psi_prev is None
-                                    else state.psi_prev)
+        psi_a = 1.5 * psi - 0.5 * _stream(disc, state.psi_prev, state.u_prev)
         rhs -= 0.5 * forms.apply_convection(disc.space, psi_a, psi, basis=proj.basis)
         if nu > 0:
             rhs -= 0.5 * nu * (proj.reduced_sip @ psi)
@@ -265,9 +267,8 @@ def initial_state(config, disc, problem=None):
     """The state at t = 0: u^0 = C psi_0, with psi_0 = K^{-1} C^T M Pi u^0 the
     stream function of the interpolant (both from ``disc.interpolants``),
     and ||u^0|| = sqrt(psi_0^T K psi_0).  An interpolant that C psi_0 misses
-    by more than 1e-10 of its L2 norm raises ValueError: a flow through the
-    walls, say, or a field too coarsely resolved for its quadrature (Taylor-
-    Green on n = 2 misses by 6e-10 to 2.4e-9)."""
+    by more than 1e-10 of its L2 norm, such as a flow through the walls,
+    raises ValueError; Taylor-Green misses by at most 1e-12."""
     psi, interp = np.zeros(disc.projection.matrix.shape[0]), np.zeros(disc.space.n_dofs)
     if problem is not None:
         coeffs, (rows, psi_rows) = problem.u_coeffs(0.0), disc.interpolants(problem.u_spatial)
@@ -276,8 +277,8 @@ def initial_state(config, disc, problem=None):
     defect, size = disc.l2_norm(interp - u0.values), disc.l2_norm(interp)
     if defect > 1e-10 * size:
         raise ValueError(f"C psi_0 misses the interpolant of the initial velocity by "
-                         f"{defect / size:.3e} of its L2 norm: the interpolant is not "
-                         f"divergence-free with zero normal flux on the walls")
+                         f"{defect / size:.3e} of its L2 norm: the velocity has flux through "
+                         f"the walls or divergence, or varies too fast for this mesh")
     norm0 = float(np.sqrt(max(psi @ (disc.projection.matrix @ psi), 0.0)))
     return StepState(n=0, t=0.0, u=u0, psi=psi, norm0=norm0, l2=norm0)
 

@@ -304,16 +304,6 @@ def pointwise_h1_error(space, coeffs, problem, t, order=None):
     return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=(-2, -1)))))
 
 
-def h1_error_through_values(space, coeffs, problem, t, order=None):
-    """The broken H1 error as ``manufactured.h1_broken_error`` computed it
-    before it evaluated the gradient alone: u_h and its broken gradient at
-    the error rule in every cell, the values thrown away."""
-    cells, ref, pts, wdet = _pointwise_error_rule(space, order)
-    _, gh = evaluate(space, coeffs.values, cells, ref, with_grad=True)
-    diff = problem.grad_u(pts[..., 0], pts[..., 1], t) - gh
-    return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=(-2, -1)))))
-
-
 # -- the velocity-space steps -----------------------------------------------------------
 #
 # The RK2 and CN steps as they were before the state moved onto the stream

@@ -309,14 +309,19 @@ def test_initial_field_is_interpolated_once_per_discretization(mesh8, problem, m
         np.testing.assert_equal(dataclasses.asdict(report), dataclasses.asdict(fresh))
 
 
-def test_initial_velocity_is_the_curl_of_psi0(mesh8, disc8, problem):
+@pytest.mark.parametrize("k,n,perturb", [(1, 8, 0.15), (1, 2, 0.3), (2, 2, 0.3),
+                                         (1, 3, 0.3), (2, 3, 0.3)])
+def test_initial_velocity_is_the_curl_of_psi0(problem, k, n, perturb):
     # u^0 = C psi_0, the divergence-free projection of the interpolant,
-    # which C psi_0 reproduces on Taylor-Green to roundoff
-    state = integrators.initial_state(SchemeConfig(tau=0.05), disc8, problem)
-    assert np.array_equal(state.u.values, disc8.projection.expand(state.psi).values)
-    assert state.norm0 == state.l2 == pytest.approx(disc8.l2_norm(state.u), rel=1e-12)
-    interp = fe_space.rt_interpolate(lambda x, y: problem.u(x, y, 0.0), disc8.space)
-    assert disc8.l2_norm(interp.values - state.u.values) <= 1e-12 * state.norm0
+    # which C psi_0 reproduces on Taylor-Green to roundoff, on n = 2 and 3
+    # too, where the interpolation's rule deepens with the facet length (at
+    # order 15 it would miss by up to 3.3e-9, and the run would be rejected)
+    disc = Discretization(build_structured(n, perturb, seed=0), k)
+    state = integrators.initial_state(SchemeConfig(tau=0.05, k=k), disc, problem)
+    assert np.array_equal(state.u.values, disc.projection.expand(state.psi).values)
+    assert state.norm0 == state.l2 == pytest.approx(disc.l2_norm(state.u), rel=1e-12)
+    interp = fe_space.rt_interpolate(lambda x, y: problem.u(x, y, 0.0), disc.space)
+    assert disc.l2_norm(interp.values - state.u.values) <= 1e-12 * state.norm0
 
 
 def test_initial_flow_through_the_walls_is_rejected(mesh8, disc8):
