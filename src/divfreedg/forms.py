@@ -6,16 +6,21 @@ All facet convection terms run over interior facets only, with the
 single-valued normal velocity a . n_F, which the shared edge DOFs determine.
 Assembly is serial and deterministic: matrices accumulate
 per-cell/per-facet contributions into triplets and compress them by summation.
-The convection apply and the jump seminorm share one facet-trace kernel on
-cell-minor coefficients instead, with one edge orientation, a . n_F read
-from the plus side's trace and tangential jumps only, in any ``LocalBasis``:
-the RT_k basis of the space, or the stream-function basis, whose tables are
-premultiplied by C_loc and whose coefficients are gathered from and
-scattered onto the interior nodes.  One local-block kernel
-(``convection_blocks``) serves the linearized convection:
-``convection_matrix`` scatters its blocks as triplets, and the reduced CN
-operator sums them, in a premultiplied basis, into a pattern fixed per mesh
-(``block_pattern``) with one bincount over precomputed slots.
+Every convection form reads one facet-trace kernel, with one edge
+orientation, a . n_F from the plus side's trace and tangential traces only.
+Every velocity here is H(div)-conforming (RT_k, or the curl of a continuous
+P_{k+1} stream function), so its normal trace is the same from both sides:
+the jump w+ - w- is tangential, and the normal parts of a local block cancel
+across each facet in the assembled operator (Cockburn, Kanschat and
+Schoetzau, J. Sci. Comput. 31, 2007).  The apply and the jump seminorm run
+on cell-minor coefficients in any ``LocalBasis``: the RT_k basis of the
+space, or the stream-function basis, whose tables are premultiplied by
+C_loc.  The linearized convection is one local-block kernel
+(``convection_blocks``) on tables built once per basis
+(``convection_tables``): ``convection_matrix`` scatters its blocks as
+triplets, and the reduced CN operator sums them into a pattern fixed per
+mesh (``block_pattern``) with one bincount over precomputed slots.  Only
+the SIP forms read physical edge traces (``_edge_basis``).
 """
 
 import math
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fe_space import CoefVec, _matvec2
+from .fe_space import CoefVec
 
 
 def default_sigma(k):
@@ -294,68 +299,74 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None)
     return basis.scatter(r_loc)
 
 
-def convection_blocks(space, a, basis=None, cell_order=None, facet_order=None):
+def convection_tables(space, basis=None, cell_order=None, facet_order=None):
+    """The tables of ``convection_blocks`` that do not depend on a, as plain
+    arrays, in the functions phi @ ``basis`` (phi, the RT_k reference basis,
+    when None): R[(a, b, d, q), (i, j)] = w_q phi_i[a] d_d phi_j[b] at the
+    cell rule, and t_F . phi_j at the facet points of the plus then the
+    minus side of every interior facet (nfi, nq, 2 m)."""
+    coeffs = np.eye(space.n_loc) if basis is None else basis
+    cell_order = cell_order or default_cell_order(space.k)
+    facet_order = facet_order or default_facet_order(space.k)
+    tab, ft = space.ref_tables(cell_order), space.facet_traces(facet_order)
+    volume = np.einsum("q,qka,ki,qlbd,lj->abdqij", tab["rule"].weights, tab["val"], coeffs,
+                       tab["grad"], coeffs, optimize=True)
+    trace = (ft["table"] @ coeffs).reshape(2, -1, coeffs.shape[1])
+    traces = [_dot(ft["g_" + side][:, :, None, None], trace[:, ft[side].T // space.mesh.n_cells])
+              for side in ("plus", "minus")]
+    return dict(cell_order=cell_order, facet_order=facet_order,
+                volume=volume.reshape(8 * tab["nq"], -1), traces=np.concatenate(traces, axis=2))
+
+
+def convection_blocks(space, a, tables):
     """Local blocks blk[:, i, j] = c_h(a, phi_j, phi_i), without cell signs,
     as (blk, test cells, trial cells): each cell with itself, then across
-    each interior facet plus with minus and minus with plus.  The phi are
-    the RT_k reference basis, or with ``basis`` (n_loc, m) phi @ basis, for
-    which the tables are premultiplied."""
-    av = _values(space, a)
-    if cell_order is None:
-        cell_order = default_cell_order(space.k)
-    if facet_order is None:
-        facet_order = default_facet_order(space.k)
-    mesh = space.mesh
-    tab = space.ref_tables(cell_order)
-    etab = space.edge_tables(facet_order)
-    grad, val_w, edge_val = tab["grad"], tab["val_weighted"], etab["val"]
-    if basis is not None:
-        grad = np.einsum("qiab,im->qmab", grad, basis)
-        val_w = val_w @ basis
-        edge_val = np.einsum("erqia,im->erqma", edge_val, basis)
-    nc, nq, m = mesh.n_cells, tab["nq"], grad.shape[1]
+    each interior facet plus with minus and minus with plus, in the basis of
+    ``tables`` (``convection_tables``).  The volume blocks are one GEMM, F @
+    R with F[c, (a, b, d, q)] = G_ab(c) ahat_d(c, q).  The facet blocks pair
+    tangential traces, sum_q g_+- (t . phi_j)(t . phi_i) with the upwind
+    weights g_+- of a . n_F: a block lacks the normal part (n . phi_j)(n .
+    phi_i) of the full-vector pairing, but every trial function here is
+    H(div)-conforming, so those parts cancel across each facet in every
+    assembled entry."""
+    mesh, traces = space.mesh, tables["traces"]
+    nc, nfi, nq, m = mesh.n_cells, *traces.shape[:2], traces.shape[2] // 2
+    a_loc = space.basis.gather(_values(space, a))
+    a_hat = a_loc.T @ space.ref_tables(tables["cell_order"])["val_flat"]
+    loc = ((space.metric[:, :, :, None, None] * a_hat.reshape(nc, 1, 1, -1, 2)
+            .transpose(0, 1, 2, 4, 3)).reshape(nc, -1) @ tables["volume"]).reshape(nc, m, m)
 
-    # volume: the apply_convection integrand with each trial basis function
-    # in place of w, loc[c, i, j] = sum_q w_q (A Ghat_j ahat) . vhat_i
-    a_loc = space.basis.gather(av)
-    a_hat = (a_loc.T @ tab["val_flat"]).reshape(nc, nq, 1, 2)
-    s = _matvec2(space.metric[:, None, None], _matvec2(grad, a_hat))
-    loc = (s.transpose(0, 2, 1, 3).reshape(nc * m, -1) @ val_w) \
-        .reshape(nc, m, m).transpose(0, 2, 1)
-
-    # facets: blocks of the upwind weight times the jump trial, tested on
-    # each side; the same-side blocks join the volume blocks of their cells
-    ft = space.facet_traces(facet_order)
-    gp, gm = _upwind_weights(_jump_and_flux(ft, ft["table"], a_loc, a_loc)[1].T)
+    # facets: each side's upwind weight times its test traces, against the
+    # trial traces [plus | -minus]; the same-side blocks join their cells'
+    ft = space.facet_traces(tables["facet_order"])
+    upwind = np.stack(_upwind_weights(_jump_and_flux(ft, ft["table"], a_loc, a_loc)[1].T), 2)
+    pair = (traces.reshape(nfi, nq, 2, m) * upwind[..., None]).reshape(traces.shape) \
+        .transpose(0, 2, 1) @ traces
+    pair[:, :, m:] *= -1.0
     plus, minus = _sides(mesh, mesh.interior_facets)
-    vp, vm = _edge_basis(space, plus, edge_val), _edge_basis(space, minus, edge_val)
-
-    def pair(g, trial, test):
-        return np.einsum("fq,fqja,fqia->fij", g, trial, test, optimize=True)
-
     same = np.zeros((nc, 3, m, m))
-    same[plus] = pair(gp, vp, vp)
-    same[minus] = -pair(gm, vm, vm)
+    same[plus], same[minus] = pair[:, :m, :m], pair[:, m:, m:]
     return [(loc + same.sum(axis=1), np.arange(nc), np.arange(nc)),
-            (-pair(gp, vm, vp), plus[0], minus[0]), (pair(gm, vp, vm), minus[0], plus[0])]
+            (pair[:, :m, m:], plus[0], minus[0]), (pair[:, m:, :m], minus[0], plus[0])]
 
 
 def convection_matrix(space, a, cell_order=None, facet_order=None):
     """Matrix C with C_ij = c_h(a, phi_j, phi_i), the linearized convection."""
-    blocks = convection_blocks(space, a, None, cell_order, facet_order)
+    blocks = convection_blocks(space, a, convection_tables(space, None, cell_order, facet_order))
     return _to_csr(space.n_dofs, space.n_dofs, [_blocks(space, *b) for b in blocks])
 
 
 def block_pattern(mesh, index, n):
-    """Sorted keys row * n + col of an n x n matrix summed from the blocks of
-    ``convection_blocks`` with rows ``index`` (nc, m; -1 drops one), and the
-    slot of every block entry among the keys (len(keys) when dropped)."""
+    """Sorted column-major keys col * n + row of an n x n matrix summed from
+    the blocks of ``convection_blocks`` with rows ``index`` (nc, m; -1 drops
+    one), and the slot of every block entry among the keys (len(keys) when
+    dropped)."""
     plus, minus = (side[0] for side in _sides(mesh, mesh.interior_facets))
     pairs = [np.broadcast_arrays(test[:, :, None], trial[:, None, :]) for test, trial
              in ((index, index), (index[plus], index[minus]), (index[minus], index[plus]))]
     rows, cols = (np.concatenate([p[i].ravel() for p in pairs]) for i in (0, 1))
     # a dropped entry gets the key n * n, which sorts after every kept one
-    keys, slots = np.unique(np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n),
+    keys, slots = np.unique(np.where((rows >= 0) & (cols >= 0), cols * n + rows, n * n),
                             return_inverse=True)
     return keys[keys < n * n], slots
 

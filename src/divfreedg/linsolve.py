@@ -255,27 +255,29 @@ class StreamFunctionProjection(_FactorizedSystem):
 
     @cached_property
     def reduced_cn(self):
-        """The CSR pattern (indices, indptr) of the CN operator over the
-        stream nodes, the slots of the convection blocks in it and the fixed
-        parts K and C^T A C on it; built on the first CN step."""
+        """The CSC pattern (indices, indptr) of the CN operator over the
+        stream nodes, the slots of the convection blocks in it, the fixed
+        parts K and C^T A C on it and the convection tables in the basis
+        phi @ C_loc; built on the first CN step."""
         n = self.matrix.shape[0]
         keys, slots = forms.block_pattern(self.space.mesh, self.cell_nodes, n)
         fixed = [self.matrix] if self.sip is None else [self.matrix, self.reduced_sip]
-        placed = [np.bincount(np.searchsorted(keys, m.row * n + m.col), m.data, len(keys))
+        placed = [np.bincount(np.searchsorted(keys, m.col * n + m.row), m.data, len(keys))
                   for m in map(sp.coo_matrix, fixed)]
-        return keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slots, placed
+        tables = forms.convection_tables(self.space, _curl_reference(self.space.k))
+        return keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slots, placed, tables
 
     def cn_matrix(self, advect, tau, theta, nu):
-        """K/tau + theta C^T C(a) C + theta nu C^T A C.  The signed local
-        coefficients of C psi are C_loc psi_loc on every cell, so C^T C(a) C
-        sums the convection blocks in the basis phi @ C_loc: one bincount."""
-        indices, indptr, slots, placed = self.reduced_cn
-        blocks = forms.convection_blocks(self.space, advect, _curl_reference(self.space.k))
+        """K/tau + theta C^T C(a) C + theta nu C^T A C, in CSC: the signed
+        local coefficients of C psi are C_loc psi_loc on every cell, so C^T
+        C(a) C sums the convection blocks in the basis phi @ C_loc, in one bincount."""
+        indices, indptr, slots, placed, tables = self.reduced_cn
+        blocks = forms.convection_blocks(self.space, advect, tables)
         data = placed[0] / tau + theta * np.bincount(
             slots, np.concatenate([b.ravel() for b, _, _ in blocks]), len(indices) + 1)[:-1]
         if nu > 0:
             data += theta * nu * placed[1]
-        matrix = sp.csr_matrix((data, indices, indptr), shape=self.matrix.shape)
+        matrix = sp.csc_matrix((data, indices, indptr), shape=self.matrix.shape)
         matrix.eliminate_zeros()  # the cross blocks of outflow sides
         return matrix
 

@@ -253,6 +253,59 @@ def full_jump_seminorm(space, a, v, facet_order=None):
     return float(np.sum(forms._facet_weights(mesh, etab, ii) * 0.5 * np.abs(an) * jump2))
 
 
+def full_vector_convection_blocks(space, a, basis=None, cell_order=None, facet_order=None):
+    """``forms.convection_blocks`` as it was before the tangential-trace
+    kernel, (blk, test cells, trial cells): the volume blocks through
+    two 2x2 products per point, and facet blocks pairing full vectors
+    sum_q g_+- phi_j . phi_i of the physical traces (``forms._edge_basis``
+    on the two-orientation edge tables).  The phi are the RT_k reference
+    basis, or with ``basis`` (n_loc, m) phi @ basis."""
+    av = forms._values(space, a)
+    cell_order = cell_order or forms.default_cell_order(space.k)
+    facet_order = facet_order or forms.default_facet_order(space.k)
+    mesh = space.mesh
+    tab = space.ref_tables(cell_order)
+    etab = space.edge_tables(facet_order)
+    grad, val_w, edge_val = tab["grad"], tab["val_weighted"], etab["val"]
+    if basis is not None:
+        grad = np.einsum("qiab,im->qmab", grad, basis)
+        val_w = val_w @ basis
+        edge_val = np.einsum("erqia,im->erqma", edge_val, basis)
+    nc, nq, m = mesh.n_cells, tab["nq"], grad.shape[1]
+
+    a_loc = space.basis.gather(av)
+    a_hat = (a_loc.T @ tab["val_flat"]).reshape(nc, nq, 1, 2)
+    s = _matvec2(space.metric[:, None, None], _matvec2(grad, a_hat))
+    loc = (s.transpose(0, 2, 1, 3).reshape(nc * m, -1) @ val_w) \
+        .reshape(nc, m, m).transpose(0, 2, 1)
+
+    ft = space.facet_traces(facet_order)
+    gp, gm = forms._upwind_weights(forms._jump_and_flux(ft, ft["table"], a_loc, a_loc)[1].T)
+    plus, minus = forms._sides(mesh, mesh.interior_facets)
+    vp = forms._edge_basis(space, plus, edge_val)
+    vm = forms._edge_basis(space, minus, edge_val)
+
+    def pair(g, trial, test):
+        return np.einsum("fq,fqja,fqia->fij", g, trial, test, optimize=True)
+
+    same = np.zeros((nc, 3, m, m))
+    same[plus] = pair(gp, vp, vp)
+    same[minus] = -pair(gm, vm, vm)
+    return [(loc + same.sum(axis=1), np.arange(nc), np.arange(nc)),
+            (-pair(gp, vm, vp), plus[0], minus[0]), (pair(gm, vp, vm), minus[0], plus[0])]
+
+
+def use_full_vector_kernel(monkeypatch):
+    """Make ``forms.convection_blocks`` the full-vector oracle wherever the
+    library calls it: ``forms.convection_tables`` then returns the basis and
+    orders it was asked for, and the oracle reads them."""
+    monkeypatch.setattr(forms, "convection_tables",
+                        lambda space, basis=None, cell_order=None, facet_order=None:
+                        (basis, cell_order, facet_order))
+    monkeypatch.setattr(forms, "convection_blocks",
+                        lambda space, a, tables: full_vector_convection_blocks(space, a, *tables))
+
+
 # -- point evaluation and the error norms through it -----------------------------------
 
 def evaluate(space, coeffs, cells, ref_points, with_grad=False):

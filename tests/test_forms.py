@@ -7,7 +7,8 @@ from divfreedg.fe_space import CoefVec, RTSpace, ScalarDGSpace, rt_interpolate
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
 from conftest import (dg_project, div_l2_through_b, evaluate, full_jump_apply,
-                      full_jump_seminorm, random_div_free, trace_points)
+                      full_jump_seminorm, random_div_free, trace_points,
+                      use_full_vector_kernel)
 
 
 def one_cell_mesh():
@@ -267,6 +268,39 @@ def test_convection_matrix_nonnegative_on_div_free(spaces):
     for _ in range(5):
         x = random_div_free(entry, rng).values
         assert x @ (C @ x) >= -1e-11
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_tangential_blocks_match_full_vector_oracle(meshes, k, monkeypatch):
+    # single tangential blocks differ from the full-vector ones by normal
+    # parts that cancel across each facet for conforming trial functions, so
+    # the assembled operators agree to roundoff and keep their pattern
+    space = RTSpace(meshes(5, 0.3, seed=2), k)
+    sip = forms.assemble_sip(space, forms.FormParams(nu=0.01))
+    rng = np.random.default_rng(11)
+    kernel = linsolve.StreamFunctionProjection(space, sip=sip)
+    div_free = linsolve.project_div_free(kernel, rng.normal(size=kernel.n_free))
+    fields = [div_free, _random_fields(space, rng)[0]]
+
+    def operators():
+        proj = linsolve.StreamFunctionProjection(space, sip=sip)
+        return [op for a in fields for op in (
+            proj.cn_matrix(a, 0.05, 0.5, 0.01), proj.cn_matrix(a, 1 / 200, 1.0, 0.0),
+            forms.convection_matrix(space, a).tocsc())]
+
+    tangential = operators()
+    use_full_vector_kernel(monkeypatch)
+    for new, old in zip(tangential, operators()):
+        new.eliminate_zeros()
+        old.eliminate_zeros()
+        assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
+        assert np.array_equal(new.indptr, old.indptr)
+        assert np.array_equal(new.indices, old.indices)
+
+    monkeypatch.undo()
+    blocks = forms.convection_blocks(space, space.zero(), forms.convection_tables(space))
+    for blk, _, _ in blocks:
+        assert not np.any(blk)
 
 
 # -- SIP ----------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from divfreedg import build_structured, fe_space, forms, integrators, linsolve, manufactured
 from divfreedg.forms import FormParams
 from divfreedg.integrators import Discretization, SchemeConfig
-from conftest import velocity_run
+from conftest import use_full_vector_kernel, velocity_run
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +222,52 @@ def test_runs_never_assemble_the_velocity_convection_matrix(mesh8, problem,
     assert len(builds) == (integrator == "semi_implicit_cn")
 
 
+def test_cn_steps_read_no_physical_facet_basis(mesh8, problem, monkeypatch):
+    # the SIP matrix reads the physical edge basis at set-up; a CN step reads
+    # the facet-trace tables only, and the convection tables are built once
+    # per discretization
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a CN step read the physical facet basis")
+
+    builds = []
+    convection_tables = forms.convection_tables
+    disc = Discretization(mesh8, 1, FormParams(nu=0.01))
+    monkeypatch.setattr(forms, "_edge_basis", forbidden)
+    monkeypatch.setattr(forms, "convection_tables",
+                        lambda *args: builds.append(args) or convection_tables(*args))
+    cfg = SchemeConfig(tau=1.0 / 20, T=0.25, nu=0.01, f_zero=True,
+                       integrator="semi_implicit_cn")
+    for _ in range(2):
+        report = integrators.run(cfg, mesh8, problem, disc=disc)
+        assert report.completed and report.n_steps_done == 5
+    assert len(builds) == 1
+
+
+# CN runs with the full-vector convection kernel of ``conftest`` in place of
+# the tangential one: the same per-step norms, fill and blow-up.
+FULL_VECTOR_RUNS = {
+    "k1_viscous": dict(n=8, tau=1.0 / 12, T=0.5, nu=0.01),
+    "k1_unforced": dict(n=8, tau=1.0 / 12, T=0.5, f_zero=True),
+    "k2_viscous": dict(n=6, k=2, tau=1.0 / 12, T=0.5, nu=0.01),
+    "k2_unforced": dict(n=6, k=2, tau=1.0 / 12, T=0.5, f_zero=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_VECTOR_RUNS))
+def test_cn_runs_match_the_full_vector_kernel(case, monkeypatch):
+    scheme = dict(FULL_VECTOR_RUNS[case])
+    mesh = build_structured(scheme.pop("n"), 0.15, seed=0)
+    config = SchemeConfig(integrator="semi_implicit_cn", **scheme)
+    problem = manufactured.taylor_green(config.nu)
+    tangential = integrators.run(config, mesh, problem)
+    use_full_vector_kernel(monkeypatch)
+    full_vector = integrators.run(config, mesh, problem)
+    assert tangential.blow_up == full_vector.blow_up
+    assert tangential.factor_fill == full_vector.factor_fill > 0
+    assert len(tangential.l2_norms) == len(full_vector.l2_norms) == config.n_steps + 1
+    np.testing.assert_allclose(tangential.l2_norms, full_vector.l2_norms, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("integrator", ["explicit_rk2", "semi_implicit_cn"])
 def test_report_factor_fill(mesh8, disc8, problem, integrator, monkeypatch):
     # the largest LU fill among the factorizations the run solved with
@@ -256,6 +302,8 @@ def test_discretization_is_freed_without_the_cycle_collector(problem):
         state = integrators.rk2_step(integrators.initial_state(config, disc, problem),
                                      config, disc, problem)
         assert forms.jump_seminorm(disc.space, state.u, state.u) > 0.0
+        state = integrators.cn_step(state, config, disc, problem)
+        assert "reduced_cn" in disc.projection.__dict__
         space = weakref.ref(disc.space)
         del disc, state
         assert space() is None
