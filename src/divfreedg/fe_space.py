@@ -135,10 +135,9 @@ class RTReference:
         self.coeffs = np.linalg.inv(
             self._moments(lambda points: eval_rt_monomials(k, points)[0]))
 
-    def _edge_points(self, i):
-        a = REF_VERTICES[REF_EDGE_VERTICES[i][0]]
-        b = REF_VERTICES[REF_EDGE_VERTICES[i][1]]
-        return a + self._edge_t[:, None] * (b - a)
+    def _edge_points(self, t):
+        return np.stack([REF_VERTICES[a] + t[:, None] * (REF_VERTICES[b] - REF_VERTICES[a])
+                         for a, b in REF_EDGE_VERTICES])
 
     def interior_polys(self, points):
         """Orthonormalized interior moment polynomials at reference points."""
@@ -151,7 +150,7 @@ class RTReference:
         coefficients in the dual basis."""
         rows = []
         for i in range(3):
-            vn = field(self._edge_points(i)) @ REF_EDGE_NORMALS[i]
+            vn = field(self._edge_points(self._edge_t)[i]) @ REF_EDGE_NORMALS[i]
             w = self._edge_w * REF_EDGE_LENGTHS[i]
             rows += [np.einsum("q,qm->m", w * self._edge_leg[:, j], vn)
                      for j in range(self.n_edge_moments)]
@@ -161,6 +160,15 @@ class RTReference:
         rows += [np.einsum("q,qm->m", rule.weights * polys[:, p], vals[:, :, comp])
                  for p in range(polys.shape[1]) for comp in (0, 1)]
         return np.array(rows)
+
+    def edge_traces(self, order):
+        """The segment rule of ``order`` and the values (3, nq, n_dofs, 2)
+        and gradients (3, nq, n_dofs, 2, 2) of the basis at its points on
+        the three edges, each edge read from its first vertex."""
+        rule = segment_rule(order)
+        rv, _, rg = self.eval_basis(self._edge_points(rule.points).reshape(-1, 2))
+        shape = (3, len(rule), self.n_dofs)
+        return rule, rv.reshape(*shape, 2), rg.reshape(*shape, 2, 2)
 
     def eval_basis(self, points):
         """Values, divergences and gradients of the dual basis at points."""
@@ -291,7 +299,6 @@ class RTSpace:
         self.free_dofs = np.flatnonzero(~self.is_boundary_dof)
 
         self._ref_tables = {}
-        self._edge_tables = {}
         self._facet_traces = {}
         self._rule_points = {}
 
@@ -349,37 +356,6 @@ class RTSpace:
             self._rule_points[rule.order] = pts[..., 0].copy(), pts[..., 1].copy()
         return self._rule_points[rule.order]
 
-    def edge_tables(self, order):
-        """Reference basis traces on the three local edges at the segment
-        rule of ``order``, in both orientations.
-
-        ``val[i, r]`` and ``grad[i, r]`` hold the traces on local edge i at
-        the points of the rule traversed from the edge's first vertex
-        (r = 0) or from its second (r = 1).  A facet's points run from its
-        lower-index vertex, so the cell that sees the facet as local edge i
-        reads orientation ``mesh.cell_facet_reversed[c, i]``, and both sides
-        of a facet then agree point by point.
-        """
-        tab = self._edge_tables.get(order)
-        if tab is not None:
-            return tab
-        rule = segment_rule(order)
-        t = rule.points
-        nq = len(t)
-        pts = []
-        for a, b in REF_EDGE_VERTICES:
-            va, vb = REF_VERTICES[a], REF_VERTICES[b]
-            for s in (t, 1.0 - t):
-                pts.append(va + s[:, None] * (vb - va))
-        rv, _, rg = self.ref.eval_basis(np.concatenate(pts))
-        val = rv.reshape(3, 2, nq, self.n_loc, 2)
-        tab = dict(
-            rule=rule, nq=nq, val=val,
-            grad=rg.reshape(3, 2, nq, self.n_loc, 2, 2),
-        )
-        self._edge_tables[order] = tab
-        return tab
-
     def facet_traces(self, order):
         """Plain arrays of the facet-trace kernel at the segment rule of
         ``order``: ``table`` (2 * 3 * nq, n_loc), the reference traces by
@@ -395,8 +371,8 @@ class RTSpace:
         if ft is not None:
             return ft
         mesh = self.mesh
-        etab = self.edge_tables(order)
-        nq = etab["nq"]
+        rule, val, _ = self.ref.edge_traces(order)
+        nq = len(rule)
         ii = mesh.interior_facets
         normal = mesh.facet_normal[ii]
         tangent = np.stack([-normal[:, 1], normal[:, 0]], axis=-1)
@@ -412,23 +388,18 @@ class RTSpace:
         minus, g_minus = side(mesh.facet_minus[ii], mesh.facet_minus_local[ii], tangent)
         n_plus = side(plus_cells, plus_local, normal)[1] * mesh.facet_length[ii]
         ft = dict(
-            table=np.ascontiguousarray(
-                etab["val"][:, 0].transpose(3, 0, 1, 2).reshape(6 * nq, self.n_loc)),
+            table=np.ascontiguousarray(val.transpose(3, 0, 1, 2).reshape(6 * nq, self.n_loc)),
             plus=plus, minus=minus, g_plus=g_plus, g_minus=g_minus,
-            weights=etab["rule"].weights[:, None], n_plus=n_plus,
+            weights=rule.weights[:, None], n_plus=n_plus,
         )
         self._facet_traces[order] = ft
         return ft
 
-    def piola(self, cells, ref_val, ref_grad=None):
-        """Contravariant Piola map of reference values (and gradients) in
-        ``cells``: v = J v_ref / det J, grad v = J G J^{-1} / det J.  The
-        cell array broadcasts against the leading axes of the tables."""
+    def piola(self, cells, ref_val):
+        """Contravariant Piola map v = J v_ref / det J of reference values in
+        ``cells``, which broadcast against their leading axes."""
         jac = self.mesh.cell_jac[cells] / self.mesh.cell_detj[cells][..., None, None]
-        val = _matvec2(jac, ref_val)
-        if ref_grad is None:
-            return val
-        return val, _matmul2(_matmul2(jac, ref_grad), self.mesh.cell_jac_inv[cells])
+        return _matvec2(jac, ref_val)
 
     def piola_transpose(self, cells, vec):
         """J^T vec / det J, the transpose of ``piola`` on values: it pulls a

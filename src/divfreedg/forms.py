@@ -2,25 +2,20 @@
 convection (residual and linearized matrix), SIP viscosity, loads and the
 upwind jump seminorm.
 
-All facet convection terms run over interior facets only, with the
-single-valued normal velocity a . n_F, which the shared edge DOFs determine.
-Assembly is serial and deterministic: matrices accumulate
-per-cell/per-facet contributions into triplets and compress them by summation.
-Every convection form reads one facet-trace kernel, with one edge
-orientation, a . n_F from the plus side's trace and tangential traces only.
-Every velocity here is H(div)-conforming (RT_k, or the curl of a continuous
-P_{k+1} stream function), so its normal trace is the same from both sides:
-the jump w+ - w- is tangential, and the normal parts of a local block cancel
-across each facet in the assembled operator (Cockburn, Kanschat and
-Schoetzau, J. Sci. Comput. 31, 2007).  The apply and the jump seminorm run
-on cell-minor coefficients in any ``LocalBasis``: the RT_k basis of the
-space, or the stream-function basis, whose tables are premultiplied by
-C_loc.  The linearized convection is one local-block kernel
-(``convection_blocks``) on tables built once per basis
-(``convection_tables``): ``convection_matrix`` scatters its blocks as
-triplets, and the reduced CN operator sums them into a pattern fixed per
-mesh (``block_pattern``) with one bincount over precomputed slots.  Only
-the SIP forms read physical edge traces (``_edge_basis``).
+The convection and SIP forms run on per-degree reference tables and on
+one-orientation traces on the slots (cell, local edge), with per-cell and
+per-slot Jacobian factors; no basis is mapped to physical values.
+Convection runs over interior facets only, with a . n_F from the plus
+side's trace and tangential traces: every velocity here is H(div)-conforming
+(RT_k, or the curl of a continuous P_{k+1} stream function), so the jump
+w+ - w- is tangential and the normal parts of a local block cancel across
+each facet in the assembled operator (Cockburn, Kanschat and Schoetzau,
+J. Sci. Comput. 31, 2007).  The apply and the jump seminorm run on
+cell-minor coefficients in any ``LocalBasis`` (the RT_k basis, or the
+stream-function basis phi @ C_loc).  The linearized convection and the SIP
+form are local blocks in one layout (``convection_blocks``, ``sip_blocks``),
+scattered as triplets on the velocity DOFs or summed on the stream nodes
+over a pattern fixed per mesh (``block_pattern``) with one bincount.
 """
 
 import math
@@ -30,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fe_space import CoefVec
+from .quadrature import segment_rule
 
 
 def default_sigma(k):
@@ -176,19 +172,6 @@ def _jump_and_flux(ft, table, a_loc, w_loc):
         np.take((table @ a_loc).reshape(2, -1), ft["plus"], axis=1)
     return (_dot(ft["g_plus"], plus) - _dot(ft["g_minus"], minus),
             ft["weights"] * _dot(ft["n_plus"], plus_a))
-
-
-def _edge_basis(space, side, val, grad=None):
-    """Physical values (nf, nq, m, 2), and with ``grad`` gradients, on the
-    slots ``side`` = (cells, local edges) of edge tables (3, 2, nq, m, ...)."""
-    cells, local = side
-    rev = space.mesh.cell_facet_reversed[cells, local]
-    return space.piola(cells[:, None, None], val[local, rev],
-                       None if grad is None else grad[local, rev])
-
-
-def _facet_weights(mesh, tab, facets):
-    return tab["rule"].weights[None, :] * mesh.facet_length[facets][:, None]
 
 
 # -- forms ----------------------------------------------------------------------------
@@ -384,52 +367,71 @@ def jump_seminorm(space, a, v, facet_order=None, basis=None):
     return float(0.5 * np.sum(np.abs(flux) * jump ** 2))
 
 
-def assemble_sip(space, params=None):
-    """Symmetric interior penalty matrix for the vector Laplacian.
+# -- the SIP form ---------------------------------------------------------------------
+#
+# phi = J phi_ref / det J and grad phi = J G J^{-1} / det J on an affine cell,
+# so d . phi = g . phi_ref and d . (grad phi n_F) = g . G J^{-1} n_F with
+# g = J^T d / det J, for any vector d.
 
-    Runs over all facets; on the boundary the jump and average reduce to the
-    trace itself, enforcing no-slip weakly.
-    """
+def _sip_traces(space, params, facets, sides, dirs, coeffs):
+    """For the vectors d (nf, nd, nq or 1, 2) at the points of ``facets``, in
+    rows (d, q) and columns (side, i) over the slots ``sides`` (plus, then
+    minus inside): the traces X of d . [phi] and Y of d . {grad phi n_F} of
+    phi @ ``coeffs``, Z = w_q |F| (sigma/|F| X - Y) and w_q |F| X."""
+    mesh, n, m = space.mesh, len(sides), coeffs.shape[1]
+    rule, val, grad = space.ref.edge_traces(params.facet_order)
+    val, grad = np.moveaxis(val, 2, -1) @ coeffs, np.moveaxis(grad, 2, -1) @ coeffs
+    nq, point = len(rule), np.arange(len(rule))
+    x, y = [], []
+    for sign, (cells, local) in zip((1.0, -1.0), sides):
+        q = np.where(mesh.cell_facet_reversed[cells, local][:, None] == 1, nq - 1 - point, point)
+        g = space.piola_transpose(cells[:, None, None], dirs)
+        h = np.einsum("fab,fb->fa", mesh.cell_jac_inv[cells], mesh.facet_normal[facets])
+        x.append(sign * np.einsum("fdqa,fqam->fdqm", g, val[local[:, None], q]))
+        y.append(np.einsum("fdqa,fb,fqabm->fdqm", g, h, grad[local[:, None], q]) / n)
+    w = (np.tile(rule.weights, dirs.shape[1]) * mesh.facet_length[facets][:, None])[..., None]
+    x, y = (np.concatenate(t, axis=-1).reshape(w.shape[:2] + (n * m,)) for t in (x, y))
+    return x, y, w * ((params.sigma / mesh.facet_length[facets])[:, None, None] * x - y), w * x
+
+
+def sip_blocks(space, params, coeffs=None):
+    """Local blocks blk[:, i, j] = a_h(phi_j, phi_i) of the SIP form in the
+    layout of ``convection_blocks``, of phi @ ``coeffs`` (the RT_k basis when
+    None); a facet's same-side blocks join their cells'.  The volume blocks are
+    one GEMM of (J^T J) x (J^{-1} J^{-T}) / det J against sum_q w_q G_i[a, c]
+    G_j[b, d]; the facet blocks pair the traces X, Y of ``_sip_traces`` along
+    t_F and n_F: sum w_q |F| (sigma/|F| X_i X_j - Y_i X_j - X_i Y_j)."""
+    coeffs = np.eye(space.n_loc) if coeffs is None else coeffs
+    mesh, m = space.mesh, coeffs.shape[1]
+    tab = space.ref_tables(params.cell_order)
+    grad = np.moveaxis(tab["grad"], 1, -1) @ coeffs
+    ref = np.einsum("q,qacm,qbdn->abcdmn", tab["rule"].weights, grad, grad, optimize=True)
+    scale = np.einsum("c,cab,ceg,cfg->cabef", mesh.cell_detj, space.metric,
+                      mesh.cell_jac_inv, mesh.cell_jac_inv).reshape(-1, 16)
+    loc = (scale @ ref.reshape(16, -1)).reshape(-1, m, m)
+    for facets, n in ((mesh.boundary_facets, 1), (mesh.interior_facets, 2)):
+        sides, normal = _sides(mesh, facets)[:n], mesh.facet_normal[facets]
+        dirs = np.stack([normal @ [[0.0, 1.0], [-1.0, 0.0]], normal], axis=1)[:, :, None]
+        x, y, z, wx = _sip_traces(space, params, facets, sides, dirs, coeffs)
+        pair = np.concatenate([z, -wx], axis=1).transpose(0, 2, 1) @ np.concatenate([x, y], axis=1)
+        for s, (cells, _) in enumerate(sides):
+            np.add.at(loc, cells, pair[:, s * m:(s + 1) * m, s * m:(s + 1) * m])
+    (plus, _), (minus, _) = sides
+    cells = np.arange(mesh.n_cells)
+    return [(loc, cells, cells), (pair[:, :m, m:], plus, minus), (pair[:, m:, :m], minus, plus)]
+
+
+def assemble_sip(space, params=None):
+    """Symmetric interior penalty matrix for the vector Laplacian, scattered
+    from ``sip_blocks``; on the boundary it enforces no-slip weakly."""
     params = (params or FormParams()).resolve(space.k)
     if params.sigma <= 0:
         raise ValueError("SIP penalty sigma must be positive")
-    mesh = space.mesh
-
-    tab = space.ref_tables(params.cell_order)
-    cells = np.arange(mesh.n_cells)
-    _, grad = space.piola(cells[:, None, None], tab["val"], tab["grad"])
-    loc = np.einsum("cqiab,cqjab,cq->cij", grad, grad, _cell_wdet(mesh, tab["rule"]),
-                    optimize=True)
-    triplets = [_blocks(space, loc, cells, cells)]
-
-    etab = space.edge_tables(params.facet_order)
-    penalty = params.sigma / mesh.facet_length
-    for facets, two_sided in ((mesh.interior_facets, True),
-                              (mesh.boundary_facets, False)):
-        if len(facets) == 0:
-            continue
-        wq = _facet_weights(mesh, etab, facets)
-        nrm = mesh.facet_normal[facets]
-        pen = penalty[facets]
-        avg_w = 0.5 if two_sided else 1.0
-        sides = []
-        for side, jump_sign in zip(_sides(mesh, facets)[:1 + two_sided], (1.0, -1.0)):
-            val, grad = _edge_basis(space, side, etab["val"], etab["grad"])
-            sides.append((side[0], val, np.einsum("fqiab,fb->fqia", grad, nrm),
-                          jump_sign))
-        for tcells, tv, tgn, st in sides:
-            for rcells, rv, rgn, sr in sides:
-                blk = -avg_w * st * np.einsum("fq,fqja,fqia->fij", wq, rgn, tv,
-                                              optimize=True)
-                blk += -avg_w * sr * np.einsum("fq,fqja,fqia->fij", wq, rv, tgn,
-                                               optimize=True)
-                blk += st * sr * np.einsum("f,fq,fqja,fqia->fij", pen, wq, rv, tv,
-                                           optimize=True)
-                triplets.append(_blocks(space, blk, tcells, rcells))
-    return _to_csr(space.n_dofs, space.n_dofs, triplets)
+    return _to_csr(space.n_dofs, space.n_dofs,
+                   [_blocks(space, *b) for b in sip_blocks(space, params)])
 
 
-def assemble_sip_boundary_load(space, g, params=None, order=None):
+def assemble_sip_boundary_load(space, g, params=None):
     """Right-hand-side functional of the SIP form for inhomogeneous Dirichlet
     data g on the boundary:
 
@@ -437,28 +439,16 @@ def assemble_sip_boundary_load(space, g, params=None, order=None):
                                           + (sigma/h_F) g . phi_i ] ds
 
     Pairs with assemble_sip so manufactured boundary velocities enter the
-    viscous scheme consistently; with g = 0 this is the zero vector.
+    viscous scheme consistently; ``_sip_traces`` takes d = g(x_q).
     """
     params = (params or FormParams()).resolve(space.k)
-    if order is None:
-        order = params.facet_order
-    mesh = space.mesh
-    bb = mesh.boundary_facets
-    if len(bb) == 0:
-        return np.zeros(space.n_dofs)
-    etab = space.edge_tables(order)
-    a = mesh.vertices[mesh.facet_vertices[bb, 0]]
-    b = mesh.vertices[mesh.facet_vertices[bb, 1]]
-    pts = a[:, None, :] + etab["rule"].points[None, :, None] * (b - a)[:, None, :]
+    mesh, bb = space.mesh, space.mesh.boundary_facets
+    a, b = np.split(mesh.vertices[mesh.facet_vertices[bb]], 2, axis=1)
+    pts = a + segment_rule(params.facet_order).points[:, None] * (b - a)
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-    wq = _facet_weights(mesh, etab, bb)
-    plus = _sides(mesh, bb)[0]
-    val, grad = _edge_basis(space, plus, etab["val"], etab["grad"])
-    gn = np.einsum("fqiab,fb->fqia", grad, mesh.facet_normal[bb])
-    pen = (params.sigma / mesh.facet_length[bb])[:, None]
-    r_loc = np.einsum("fq,fqa,fqia->fi", wq, -gv, gn, optimize=True)
-    r_loc += np.einsum("fq,fqa,fqia->fi", wq * pen, gv, val, optimize=True)
-    return _scatter(space, r_loc, plus[0])
+    sides = _sides(mesh, bb)[:1]
+    z = _sip_traces(space, params, bb, sides, gv[:, None], np.eye(space.n_loc))[2]
+    return _scatter(space, z.sum(axis=1), sides[0][0])
 
 
 def assemble_load(space, f, order=None):

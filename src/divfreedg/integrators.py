@@ -92,10 +92,10 @@ class StepState:
 
 
 class Discretization:
-    """The RT_k space, the SIP matrix and the factorized stream-function
-    projection for one (mesh, degree) pair; shared by all steps and trial
-    runs on it, as is every load vector (``load_vectors``) and initial field
-    (``interpolants``) made on it.  A run applies M cell by cell
+    """The RT_k space and the factorized stream-function projection for one
+    (mesh, degree) pair; shared by all steps and trial runs on it, as is
+    every load vector (``load_vectors``) and initial field (``interpolants``)
+    made on it.  A run applies M cell by cell
     (``forms.apply_mass``).  The mesh must be simply connected."""
 
     def __init__(self, mesh, k, params=None):
@@ -103,14 +103,18 @@ class Discretization:
         self.k = k
         self.params = (params or FormParams()).resolve(k)
         self.space = RTSpace(mesh, k)
-        self.sip = forms.assemble_sip(self.space, self.params) if self.params.nu > 0 else None
-        self.projection = linsolve.StreamFunctionProjection(self.space, self.sip)
+        self.projection = linsolve.StreamFunctionProjection(self.space, self.params)
         self._memo = {}
 
     @cached_property
     def mass(self):
         """The assembled mass matrix, built on first use for the tests and the KKT oracle."""
         return forms.assemble_mass(self.space, self.params.cell_order)
+
+    @cached_property
+    def sip(self):
+        """The velocity SIP matrix, built on first use for the tests; no run uses it."""
+        return forms.assemble_sip(self.space, self.params)
 
     @cached_property
     def saddle(self):
@@ -287,7 +291,7 @@ def _dissipation(disc, psi, jump):
     """What the stage C psi dissipates in the energy identity: its upwind
     jump seminorm ``jump`` = |C psi|^2_up, plus nu a_h(C psi, C psi) when the
     run is viscous."""
-    if disc.sip is None:
+    if disc.params.nu == 0:
         return jump
     return jump + disc.params.nu * float(psi @ (disc.projection.reduced_sip @ psi))
 

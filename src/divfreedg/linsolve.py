@@ -223,16 +223,16 @@ class StreamFunctionProjection(_FactorizedSystem):
     """The divergence-free L2 projection u = C K^{-1} C^T r through the
     stream function: K is the SPD P_{k+1} stiffness on the interior nodes,
     factorized once with a symmetric ordering and no pivoting; no velocity
-    mass matrix is assembled.  Keeps the SIP matrix ``sip`` that every
-    viscous CN step on it reuses.
+    mass or SIP matrix is assembled; the viscous steps read the SIP form of
+    ``params``.
 
     The mesh must be simply connected (connected, with V - E + C = 1): a
     hole would leave harmonic divergence-free fields out of range(C), and
     the projection would be wrong with zero divergence."""
 
-    def __init__(self, space, sip=None):
+    def __init__(self, space, params=None):
         _check_simply_connected(space.mesh)
-        self.sip = sip
+        self.params = (params or forms.FormParams()).resolve(space.k)
         self.cell_nodes, n_nodes = _stream_nodes(space)
         self.curl = _discrete_curl(space, self.cell_nodes, n_nodes)
         self.curl_t = self.curl.T.tocsr()
@@ -249,35 +249,41 @@ class StreamFunctionProjection(_FactorizedSystem):
                           self.matrix.shape[0], _curl_reference(self.space.k))
 
     @cached_property
+    def pattern(self):
+        """``forms.block_pattern`` on the stream nodes, the pattern of the CN
+        operator and of C^T A C, as CSC indices and indptr, with K on it."""
+        n, k = self.matrix.shape[0], self.matrix.tocoo()
+        keys, slots = forms.block_pattern(self.space.mesh, self.cell_nodes, n)
+        return (keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slots,
+                np.bincount(np.searchsorted(keys, k.col * n + k.row), k.data, len(keys)))
+
+    def on_pattern(self, blocks):
+        """The CSC matrix on ``pattern`` summing ``blocks`` in one bincount."""
+        indices, indptr, slots, _ = self.pattern
+        data = np.bincount(slots, np.concatenate([b.ravel() for b, _, _ in blocks]),
+                           len(indices) + 1)[:-1]
+        return sp.csc_matrix((data, indices, indptr), shape=self.matrix.shape)
+
+    @cached_property
     def reduced_sip(self):
-        """C^T A C, the SIP matrix on the stream-function nodes."""
-        return self.curl.T @ self.sip[self.free][:, self.free] @ self.curl
+        """C^T A C, the SIP matrix on the stream-function nodes: the SIP
+        blocks in the basis phi @ C_loc on ``pattern``; built on first use."""
+        return self.on_pattern(forms.sip_blocks(self.space, self.params, self.basis.coeffs))
 
     @cached_property
     def reduced_cn(self):
-        """The CSC pattern (indices, indptr) of the CN operator over the
-        stream nodes, the slots of the convection blocks in it, the fixed
-        parts K and C^T A C on it and the convection tables in the basis
-        phi @ C_loc; built on the first CN step."""
-        n = self.matrix.shape[0]
-        keys, slots = forms.block_pattern(self.space.mesh, self.cell_nodes, n)
-        fixed = [self.matrix] if self.sip is None else [self.matrix, self.reduced_sip]
-        placed = [np.bincount(np.searchsorted(keys, m.col * n + m.row), m.data, len(keys))
-                  for m in map(sp.coo_matrix, fixed)]
-        tables = forms.convection_tables(self.space, _curl_reference(self.space.k))
-        return keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slots, placed, tables
+        """The convection tables in the basis phi @ C_loc, built on the first CN step."""
+        return forms.convection_tables(self.space, _curl_reference(self.space.k))
 
     def cn_matrix(self, advect, tau, theta, nu):
         """K/tau + theta C^T C(a) C + theta nu C^T A C, in CSC: the signed
         local coefficients of C psi are C_loc psi_loc on every cell, so C^T
-        C(a) C sums the convection blocks in the basis phi @ C_loc, in one bincount."""
-        indices, indptr, slots, placed, tables = self.reduced_cn
-        blocks = forms.convection_blocks(self.space, advect, tables)
-        data = placed[0] / tau + theta * np.bincount(
-            slots, np.concatenate([b.ravel() for b, _, _ in blocks]), len(indices) + 1)[:-1]
+        C(a) C sums the convection blocks in the basis phi @ C_loc."""
+        stiffness = self.pattern[3]  # built before the first blocks: a lower peak memory
+        matrix = self.on_pattern(forms.convection_blocks(self.space, advect, self.reduced_cn))
+        matrix.data = stiffness / tau + theta * matrix.data
         if nu > 0:
-            data += theta * nu * placed[1]
-        matrix = sp.csc_matrix((data, indices, indptr), shape=self.matrix.shape)
+            matrix.data += theta * nu * self.reduced_sip.data
         matrix.eliminate_zeros()  # the cross blocks of outflow sides
         return matrix
 
@@ -290,7 +296,7 @@ class CNSystem(_FactorizedSystem):
     Refreshed every step because the linearized convection C(a) depends on
     the advecting field ``advect``.  Factorized with a symmetric ordering
     and threshold pivoting, since the pattern is symmetric but the operator
-    is not.  A viscous step needs a projection built with the SIP matrix.
+    is not.  A viscous step needs a projection built with viscous params.
     """
 
     def __init__(self, projection, advect, tau, nu=0.0, theta=0.5):
@@ -299,8 +305,8 @@ class CNSystem(_FactorizedSystem):
                             f"not on {type(projection).__name__}")
         if tau <= 0:
             raise ValueError("time step must be positive")
-        if nu > 0 and projection.sip is None:
-            raise ValueError("viscous CN step needs the assembled SIP matrix")
+        if nu > 0 and projection.params.nu == 0:
+            raise ValueError("viscous CN step needs a projection built with nu > 0")
         self.curl, self.curl_t = projection.curl, projection.curl_t
         super().__init__(projection.space, projection.cn_matrix(advect, tau, theta, nu),
                          "CN", permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,

@@ -6,8 +6,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from divfreedg import build_structured, forms, integrators, linsolve
-from divfreedg.fe_space import CoefVec, RTSpace, ScalarDGSpace, _matmul2, _matvec2
-from divfreedg.quadrature import triangle_rule
+from divfreedg.fe_space import (REF_EDGE_VERTICES, REF_VERTICES, CoefVec, RTSpace,
+                                ScalarDGSpace, _matmul2, _matvec2)
+from divfreedg.quadrature import segment_rule, triangle_rule
 
 
 @pytest.fixture(scope="session")
@@ -168,6 +169,104 @@ def trace_points(mesh, facet, rule):
     return out
 
 
+# -- the physical facet layer ------------------------------------------------------------
+#
+# The library's facet forms as they were before they ran on one-orientation
+# reference traces: the reference traces on the local edges in both
+# orientations, each slot read in its own and Piola-mapped to physical
+# values and gradients, and the SIP forms as einsum pairs of those.
+
+def edge_tables(space, order):
+    """Reference basis traces on the three local edges at the segment rule of
+    ``order``, in both orientations: ``val[i, r]`` and ``grad[i, r]`` hold
+    the traces on local edge i at the points of the rule traversed from the
+    edge's first vertex (r = 0) or from its second (r = 1).  A facet's points
+    run from its lower-index vertex, so the cell that sees the facet as local
+    edge i reads orientation ``mesh.cell_facet_reversed[c, i]``."""
+    rule = segment_rule(order)
+    t, nq = rule.points, len(rule.points)
+    pts = [REF_VERTICES[a] + s[:, None] * (REF_VERTICES[b] - REF_VERTICES[a])
+           for a, b in REF_EDGE_VERTICES for s in (t, 1.0 - t)]
+    rv, _, rg = space.ref.eval_basis(np.concatenate(pts))
+    return dict(rule=rule, nq=nq, val=rv.reshape(3, 2, nq, space.n_loc, 2),
+                grad=rg.reshape(3, 2, nq, space.n_loc, 2, 2))
+
+
+def piola_gradient(space, cells, ref_grad):
+    """Physical gradients J G J^{-1} / det J of reference gradients G in
+    ``cells``, which broadcast against their leading axes."""
+    jac = space.mesh.cell_jac[cells] / space.mesh.cell_detj[cells][..., None, None]
+    return _matmul2(_matmul2(jac, ref_grad), space.mesh.cell_jac_inv[cells])
+
+
+def edge_basis(space, side, val, grad=None):
+    """Physical values (nf, nq, m, 2), and with ``grad`` gradients, on the
+    slots ``side`` = (cells, local edges) of edge tables (3, 2, nq, m, ...)."""
+    cells, local = side
+    rev = space.mesh.cell_facet_reversed[cells, local]
+    values = space.piola(cells[:, None, None], val[local, rev])
+    if grad is None:
+        return values
+    return values, piola_gradient(space, cells[:, None, None], grad[local, rev])
+
+
+def facet_weights(mesh, tab, facets):
+    return tab["rule"].weights[None, :] * mesh.facet_length[facets][:, None]
+
+
+def physical_sip(space, params=None):
+    """``forms.assemble_sip`` on physical traces, side pair by side pair."""
+    params = (params or forms.FormParams()).resolve(space.k)
+    mesh = space.mesh
+    tab = space.ref_tables(params.cell_order)
+    cells = np.arange(mesh.n_cells)
+    grad = piola_gradient(space, cells[:, None, None], tab["grad"])
+    wdet = tab["rule"].weights[None, :] * mesh.cell_detj[:, None]
+    loc = np.einsum("cqiab,cqjab,cq->cij", grad, grad, wdet, optimize=True)
+    triplets = [forms._blocks(space, loc, cells, cells)]
+
+    etab = edge_tables(space, params.facet_order)
+    penalty = params.sigma / mesh.facet_length
+    for facets, two_sided in ((mesh.interior_facets, True),
+                              (mesh.boundary_facets, False)):
+        wq = facet_weights(mesh, etab, facets)
+        nrm = mesh.facet_normal[facets]
+        pen = penalty[facets]
+        avg_w = 0.5 if two_sided else 1.0
+        sides = []
+        for side, jump_sign in zip(forms._sides(mesh, facets)[:1 + two_sided], (1.0, -1.0)):
+            val, grad = edge_basis(space, side, etab["val"], etab["grad"])
+            sides.append((side[0], val, np.einsum("fqiab,fb->fqia", grad, nrm), jump_sign))
+        for tcells, tv, tgn, st in sides:
+            for rcells, rv, rgn, sr in sides:
+                blk = -avg_w * st * np.einsum("fq,fqja,fqia->fij", wq, rgn, tv, optimize=True)
+                blk -= avg_w * sr * np.einsum("fq,fqja,fqia->fij", wq, rv, tgn, optimize=True)
+                blk += st * sr * np.einsum("f,fq,fqja,fqia->fij", pen, wq, rv, tv,
+                                           optimize=True)
+                triplets.append(forms._blocks(space, blk, tcells, rcells))
+    return forms._to_csr(space.n_dofs, space.n_dofs, triplets)
+
+
+def physical_sip_boundary_load(space, g, params=None):
+    """``forms.assemble_sip_boundary_load`` on physical traces."""
+    params = (params or forms.FormParams()).resolve(space.k)
+    mesh = space.mesh
+    bb = mesh.boundary_facets
+    etab = edge_tables(space, params.facet_order)
+    a = mesh.vertices[mesh.facet_vertices[bb, 0]]
+    b = mesh.vertices[mesh.facet_vertices[bb, 1]]
+    pts = a[:, None, :] + etab["rule"].points[None, :, None] * (b - a)[:, None, :]
+    gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
+    wq = facet_weights(mesh, etab, bb)
+    plus = forms._sides(mesh, bb)[0]
+    val, grad = edge_basis(space, plus, etab["val"], etab["grad"])
+    gn = np.einsum("fqiab,fb->fqia", grad, mesh.facet_normal[bb])
+    pen = (params.sigma / mesh.facet_length[bb])[:, None]
+    r_loc = np.einsum("fq,fqa,fqia->fi", wq, -gv, gn, optimize=True)
+    r_loc += np.einsum("fq,fqa,fqia->fi", wq * pen, gv, val, optimize=True)
+    return forms._scatter(space, r_loc, plus[0])
+
+
 # -- full-vector-jump convection oracles ----------------------------------------------
 #
 # The convection apply and the jump seminorm as they were before the
@@ -225,10 +324,10 @@ def full_jump_apply(space, a, w, cell_order=None, facet_order=None):
     g_hat = (w_loc @ grad_flat).reshape(nc, nq, 2, 2)
     r_loc = forms._test_cells(tab, _matvec2(space.metric[:, None], _matvec2(g_hat, a_hat)))
 
-    etab = space.edge_tables(facet_order)
+    etab = edge_tables(space, facet_order)
     ii = mesh.interior_facets
     gp, gm = forms._upwind_weights(facet_normal_values(space, etab, av)[ii])
-    wq = forms._facet_weights(mesh, etab, ii)
+    wq = facet_weights(mesh, etab, ii)
     plus, minus = forms._sides(mesh, ii)
     trace = _edge_field(space, etab, w_loc)
     jump = trace[plus] - trace[minus]
@@ -244,28 +343,28 @@ def full_jump_seminorm(space, a, v, facet_order=None):
     av, vv = forms._values(space, a), forms._values(space, v)
     facet_order = facet_order or forms.default_facet_order(space.k)
     mesh = space.mesh
-    etab = space.edge_tables(facet_order)
+    etab = edge_tables(space, facet_order)
     ii = mesh.interior_facets
     an = facet_normal_values(space, etab, av)[ii]
     plus, minus = forms._sides(mesh, ii)
     trace = _edge_field(space, etab, space.basis.gather(vv).T)
     jump2 = np.sum((trace[plus] - trace[minus]) ** 2, axis=-1)
-    return float(np.sum(forms._facet_weights(mesh, etab, ii) * 0.5 * np.abs(an) * jump2))
+    return float(np.sum(facet_weights(mesh, etab, ii) * 0.5 * np.abs(an) * jump2))
 
 
 def full_vector_convection_blocks(space, a, basis=None, cell_order=None, facet_order=None):
     """``forms.convection_blocks`` as it was before the tangential-trace
     kernel, (blk, test cells, trial cells): the volume blocks through
     two 2x2 products per point, and facet blocks pairing full vectors
-    sum_q g_+- phi_j . phi_i of the physical traces (``forms._edge_basis``
-    on the two-orientation edge tables).  The phi are the RT_k reference
+    sum_q g_+- phi_j . phi_i of the physical traces (``edge_basis`` on the
+    two-orientation ``edge_tables``).  The phi are the RT_k reference
     basis, or with ``basis`` (n_loc, m) phi @ basis."""
     av = forms._values(space, a)
     cell_order = cell_order or forms.default_cell_order(space.k)
     facet_order = facet_order or forms.default_facet_order(space.k)
     mesh = space.mesh
     tab = space.ref_tables(cell_order)
-    etab = space.edge_tables(facet_order)
+    etab = edge_tables(space, facet_order)
     grad, val_w, edge_val = tab["grad"], tab["val_weighted"], etab["val"]
     if basis is not None:
         grad = np.einsum("qiab,im->qmab", grad, basis)
@@ -282,8 +381,8 @@ def full_vector_convection_blocks(space, a, basis=None, cell_order=None, facet_o
     ft = space.facet_traces(facet_order)
     gp, gm = forms._upwind_weights(forms._jump_and_flux(ft, ft["table"], a_loc, a_loc)[1].T)
     plus, minus = forms._sides(mesh, mesh.interior_facets)
-    vp = forms._edge_basis(space, plus, edge_val)
-    vm = forms._edge_basis(space, minus, edge_val)
+    vp = edge_basis(space, plus, edge_val)
+    vm = edge_basis(space, minus, edge_val)
 
     def pair(g, trial, test):
         return np.einsum("fq,fqja,fqia->fij", g, trial, test, optimize=True)
@@ -321,14 +420,11 @@ def evaluate(space, coeffs, cells, ref_points, with_grad=False):
 
 
 def evaluate_gradient(space, coeffs, cells, ref_points):
-    """The broken gradient alone at reference points in cells: the
-    gradient half of ``piola``, J G J^{-1} / det J, written out."""
+    """The broken gradient alone at reference points in cells."""
     cells = np.asarray(cells, dtype=int)
     _, _, rg = space.ref.eval_basis(np.asarray(ref_points, dtype=float))
     loc = coeffs[space.cell_dofs[cells]] * space.cell_signs[cells]
-    jac = space.mesh.cell_jac[cells] / space.mesh.cell_detj[cells][..., None, None]
-    return _matmul2(_matmul2(jac, np.einsum("...i,...iab->...ab", loc, rg, optimize=True)),
-                    space.mesh.cell_jac_inv[cells])
+    return piola_gradient(space, cells, np.einsum("...i,...iab->...ab", loc, rg, optimize=True))
 
 
 def _pointwise_error_rule(space, order):

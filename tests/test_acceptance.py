@@ -2,8 +2,9 @@
 line (run with -s to see them inline).  Criterion 1 audits the divergence
 norms of every run executed by the other criteria, so it is defined last.
 
-The stability sweep of criterion 9 launches many trial runs and is marked
-slow; deselect with -m "not slow" for a quick pass.
+The convergence studies of criteria 5 and 6 and the stability sweep of
+criterion 9 take most of the suite's time and are marked slow; deselect
+them with -m "not slow" for a quick pass.
 """
 
 import dataclasses
@@ -118,6 +119,7 @@ def test_criterion_04_commuting_property(k):
 
 
 @criterion(5, "k=1 restrictive-CFL study: L2 rates in [1.8,2.3], H1 in [0.85,1.15]")
+@pytest.mark.slow
 def test_criterion_05_table2_reproduction(problem):
     rows = diagnostics.convergence_study([8, 16, 32, 64], k=1,
                                          cfl_form="fourthirds", co=1.0,
@@ -134,6 +136,7 @@ def test_criterion_05_table2_reproduction(problem):
 
 
 @criterion(6, "k=2 restrictive-CFL study: L2 rates >= 2.8")
+@pytest.mark.slow
 def test_criterion_06_table5_reproduction(problem):
     rows = diagnostics.convergence_study([8, 16, 32], k=2,
                                          cfl_form="fourthirds", co=0.04,

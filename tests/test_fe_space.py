@@ -9,7 +9,7 @@ from divfreedg.fe_space import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS,
                                 scalar_monomial_exponents)
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
-from conftest import (dg_evaluate, dg_project, evaluate, facet_normal_values,
+from conftest import (dg_evaluate, dg_project, edge_tables, evaluate, facet_normal_values,
                       map_to_reference, trace_points)
 
 
@@ -324,7 +324,7 @@ def test_normal_trace_legendre_reconstruction(k):
     coeffs = np.random.default_rng(9).normal(size=space.n_dofs)
     order = 7
     rule = segment_rule(order)
-    rebuilt = facet_normal_values(space, space.edge_tables(order), coeffs)
+    rebuilt = facet_normal_values(space, edge_tables(space, order), coeffs)
     for f in range(mesh.n_facets):
         tp = trace_points(mesh, f, rule)
         cells = np.full(len(rule.points), mesh.facet_plus[f])

@@ -7,8 +7,8 @@ from divfreedg.fe_space import CoefVec, RTSpace, ScalarDGSpace, rt_interpolate
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
 from conftest import (dg_project, div_l2_through_b, evaluate, full_jump_apply,
-                      full_jump_seminorm, random_div_free, trace_points,
-                      use_full_vector_kernel)
+                      full_jump_seminorm, physical_sip, physical_sip_boundary_load,
+                      random_div_free, trace_points, use_full_vector_kernel)
 
 
 def one_cell_mesh():
@@ -276,14 +276,14 @@ def test_tangential_blocks_match_full_vector_oracle(meshes, k, monkeypatch):
     # parts that cancel across each facet for conforming trial functions, so
     # the assembled operators agree to roundoff and keep their pattern
     space = RTSpace(meshes(5, 0.3, seed=2), k)
-    sip = forms.assemble_sip(space, forms.FormParams(nu=0.01))
+    params = forms.FormParams(nu=0.01)
     rng = np.random.default_rng(11)
-    stream = linsolve.StreamFunctionProjection(space, sip=sip)
+    stream = linsolve.StreamFunctionProjection(space, params)
     div_free = linsolve.project_div_free(stream, rng.normal(size=stream.n_free))
     fields = [div_free, _random_fields(space, rng)[0]]
 
     def operators():
-        proj = linsolve.StreamFunctionProjection(space, sip=sip)
+        proj = linsolve.StreamFunctionProjection(space, params)
         return [op for a in fields for op in (
             proj.cn_matrix(a, 0.05, 0.5, 0.01), proj.cn_matrix(a, 1 / 200, 1.0, 0.0),
             forms.convection_matrix(space, a).tocsc())]
@@ -305,6 +305,33 @@ def test_tangential_blocks_match_full_vector_oracle(meshes, k, monkeypatch):
 
 
 # -- SIP ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sip_blocks_match_physical_oracle(meshes, k):
+    # the SIP blocks on the reference traces, scattered on the velocity DOFs
+    # (boundary DOFs included) and summed on the stream nodes, against the
+    # physical-trace assembly of ``conftest``
+    space = RTSpace(meshes(5, 0.3, seed=2), k)
+    params = forms.FormParams(nu=0.01)
+    oracle = physical_sip(space, params)
+    A = forms.assemble_sip(space, params)
+    assert np.abs(A - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    g = lambda x, y: np.stack([np.sin(3 * x) * y + 1.0, np.cos(2 * y) - x], axis=-1)
+    load, want = forms.assemble_sip_boundary_load(space, g, params), \
+        physical_sip_boundary_load(space, g, params)
+    assert np.abs(load - want).max() <= 1e-13 * np.abs(want).max()
+
+    stream = linsolve.StreamFunctionProjection(space, params)
+    free = space.free_dofs
+    nodal, product = stream.reduced_sip.tocsc(), (stream.curl.T @ oracle[free][:, free]
+                                                  @ stream.curl).tocsc()
+    assert np.abs(nodal - product).max() <= 1e-13 * np.abs(product).max()
+    for mat in (nodal, product):
+        mat.eliminate_zeros()
+        mat.sort_indices()
+    assert np.array_equal(nodal.indptr, product.indptr)
+    assert np.array_equal(nodal.indices, product.indices)
+
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_sip_symmetry(spaces, k):

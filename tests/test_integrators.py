@@ -4,8 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from divfreedg import build_structured, fe_space, forms, integrators, linsolve, manufactured
+from divfreedg import (build_structured, diagnostics, fe_space, forms, integrators, linsolve,
+                       manufactured)
 from divfreedg.forms import FormParams
 from divfreedg.integrators import Discretization, SchemeConfig
 from conftest import use_full_vector_kernel, velocity_run
@@ -223,24 +225,41 @@ def test_runs_never_assemble_the_velocity_convection_matrix(mesh8, problem,
 
 
 def test_cn_steps_read_no_physical_facet_basis(mesh8, problem, monkeypatch):
-    # the SIP matrix reads the physical edge basis at set-up; a CN step reads
-    # the facet-trace tables only, and the convection tables are built once
-    # per discretization
+    # a viscous CN run, its SIP form on the stream nodes included, reads the
+    # reference facet traces only and maps no basis to physical values; the
+    # convection tables are built once per discretization
     def forbidden(*args, **kwargs):
         raise AssertionError("a CN step read the physical facet basis")
 
     builds = []
     convection_tables = forms.convection_tables
-    disc = Discretization(mesh8, 1, FormParams(nu=0.01))
-    monkeypatch.setattr(forms, "_edge_basis", forbidden)
+    monkeypatch.setattr(fe_space.RTSpace, "piola", forbidden)
     monkeypatch.setattr(forms, "convection_tables",
                         lambda *args: builds.append(args) or convection_tables(*args))
+    disc = Discretization(mesh8, 1, FormParams(nu=0.01))
     cfg = SchemeConfig(tau=1.0 / 20, T=0.25, nu=0.01, f_zero=True,
                        integrator="semi_implicit_cn")
     for _ in range(2):
         report = integrators.run(cfg, mesh8, problem, disc=disc)
         assert report.completed and report.n_steps_done == 5
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("integrator", ["explicit_rk2", "semi_implicit_cn"])
+def test_runs_never_assemble_the_velocity_sip_matrix(mesh8, problem, integrator,
+                                                     monkeypatch):
+    # viscous runs read the SIP form on the stream nodes, summed from its
+    # local blocks; the velocity matrix is built only for the tests
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run assembled the velocity SIP matrix")
+
+    monkeypatch.setattr(forms, "assemble_sip", forbidden)
+    disc = Discretization(mesh8, 1, FormParams(nu=1e-3))
+    report = integrators.run(SchemeConfig(tau=1.0 / 20, T=0.25, nu=1e-3,
+                                          integrator=integrator),
+                             mesh8, manufactured.taylor_green(1e-3), disc=disc)
+    assert report.completed and report.n_steps_done == 5
+    assert "sip" not in disc.__dict__
 
 
 # CN runs with the full-vector convection kernel of ``conftest`` in place of
@@ -355,6 +374,35 @@ def test_initial_field_is_interpolated_once_per_discretization(mesh8, problem, m
         fresh = integrators.run(config, mesh8, problem)
         report.wall_time = fresh.wall_time
         np.testing.assert_equal(dataclasses.asdict(report), dataclasses.asdict(fresh))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3),
+       mesh_seed=st.integers(0, 2 ** 32 - 1), field_seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_rk2_steps_keep_div_and_energy_on_random_meshes(k, nu, n, perturb, mesh_seed,
+                                                        field_seed):
+    # a random stream function of unit velocity norm on a random mesh,
+    # unforced: every step keeps div u = 0 and the energy identity with the
+    # dissipation |v|^2_up + nu a_h(v, v) of the nodal SIP
+    disc = Discretization(build_structured(n, perturb, seed=mesh_seed), k, FormParams(nu=nu))
+    config = SchemeConfig(tau=1e-3, T=1.0, k=k, nu=nu, f_zero=True)
+    proj = disc.projection
+    psi = np.random.default_rng(field_seed).normal(size=proj.matrix.shape[0])
+    psi /= np.sqrt(psi @ (proj.matrix @ psi))
+    state = integrators.StepState(n=0, t=0.0, u=proj.expand(psi), psi=psi, norm0=1.0, l2=1.0)
+    for _ in range(3):
+        new = integrators.rk2_step(state, config, disc)
+        assert disc.div_l2(new.u) <= 1e-10
+        jump_u, jump_w = (forms.jump_seminorm(disc.space, p, p, basis=proj.basis)
+                          for p in (state.psi, new.stage))
+        res = diagnostics.energy_residual(
+            proj.matrix, new.stage, new.psi, state.l2, new.l2,
+            integrators._dissipation(disc, state.psi, jump_u),
+            integrators._dissipation(disc, new.stage, jump_w), config.tau)
+        assert abs(res) <= 1e-10 * state.l2 ** 2
+        state = new
 
 
 @pytest.mark.parametrize("k,n,perturb", [(1, 8, 0.15), (1, 2, 0.3), (2, 2, 0.3),

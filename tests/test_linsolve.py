@@ -9,7 +9,7 @@ from divfreedg.forms import FormParams
 from divfreedg.integrators import Discretization
 from divfreedg.mesh import Mesh
 
-from conftest import BorderedCN, projections, random_div_free, refined_solve
+from conftest import BorderedCN, physical_sip, projections, random_div_free, refined_solve
 
 # Each property test below runs on both projection objects of
 # ``conftest.projections``: the bordered KKT oracle and the stream function.
@@ -101,9 +101,9 @@ def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
                                                       field_seed):
     mesh = build_structured(n, perturb, seed=mesh_seed)
     space = RTSpace(mesh, k)
-    sip = forms.assemble_sip(space, FormParams(nu=0.01))
+    sip = physical_sip(space, FormParams(nu=0.01))
     kkt = linsolve.build_saddle(space, ScalarDGSpace(mesh, k))
-    stream = linsolve.StreamFunctionProjection(space, sip)
+    stream = linsolve.StreamFunctionProjection(space, FormParams(nu=0.01))
     mass = kkt.mass
 
     def rel_mass_norm(a, b):
@@ -146,8 +146,8 @@ def test_reduced_cn_operator_matches_triple_product(k, n, perturb, mesh_seed,
     # matrix C(a) of a random divergence-free field
     mesh = build_structured(n, perturb, seed=mesh_seed)
     space = RTSpace(mesh, k)
-    sip = forms.assemble_sip(space, FormParams(nu=0.01))
-    stream = linsolve.StreamFunctionProjection(space, sip=sip)
+    sip = physical_sip(space, FormParams(nu=0.01))
+    stream = linsolve.StreamFunctionProjection(space, FormParams(nu=0.01))
     rng = np.random.default_rng(field_seed)
     advect = linsolve.project_div_free(stream, rng.normal(size=stream.n_free))
     mass = forms.assemble_mass(space)
