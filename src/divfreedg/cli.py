@@ -16,26 +16,6 @@ from typing import Callable, NamedTuple
 from . import diagnostics, integrators, manufactured
 from .mesh import build_structured
 
-DEFAULTS = {
-    "k": 1,
-    "n": 8,
-    "n_list": None,
-    "tau": None,
-    "tau_list": None,
-    "cfl": None,
-    "co": None,
-    "nu": 0.0,
-    "sigma": None,
-    "T": 2.0,
-    "perturb": 0.15,
-    "seed": 0,
-    "f_mode": "taylor",
-    "integrator": "rk2",
-    "f_zero": False,
-    "out_dir": ".",
-    "format": "both",
-}
-
 STANDARD_CO = 0.5
 FOURTHIRDS_CO = 1.0
 
@@ -55,8 +35,10 @@ class UsageError(ValueError):
 def _parse_tau(text):
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
+        num, den = map(float, text.split("/", 1))
+        if den == 0.0:
+            raise UsageError(f"zero denominator in {text!r}")
+        return num / den
     return float(text)
 
 
@@ -65,6 +47,46 @@ def _parse_list(text, conv):
     if not items:
         raise UsageError("empty list argument")
     return [conv(s) for s in items]
+
+
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _parse_bool(text):
+    if text.lower() not in _TRUE + _FALSE:
+        raise UsageError(f"expected one of {', '.join(_TRUE + _FALSE)}")
+    return text.lower() in _TRUE
+
+
+class Option(NamedTuple):
+    """One option of every subcommand, as a flag (``--key``, dashes for
+    underscores) and as a config-file key: both read its type and choices."""
+
+    key: str
+    type: Callable = str
+    default: object = None
+    choices: tuple = None
+
+
+OPTIONS = {opt.key: opt for opt in (
+    Option("k", int, 1),
+    Option("n", int, 8),
+    Option("n_list", lambda s: _parse_list(s, int)),
+    Option("tau", _parse_tau),
+    Option("tau_list", lambda s: _parse_list(s, _parse_tau)),
+    Option("cfl", choices=("std", "fourthirds", "search")),
+    Option("co", float),
+    Option("nu", float, 0.0),
+    Option("sigma", float),
+    Option("T", float, 2.0),
+    Option("perturb", float, 0.15),
+    Option("seed", int, 0),
+    Option("f_mode", default="taylor", choices=("next", "taylor")),
+    Option("integrator", default="rk2", choices=("rk2", "cn")),
+    Option("f_zero", _parse_bool, False),  # a switch on the command line
+    Option("out_dir", default="."),
+    Option("format", default="both", choices=("csv", "md", "both")),
+)}
 
 
 def _missing(x):
@@ -195,24 +217,26 @@ def _load_config_file(path):
     return values
 
 
-_CONVERTERS = {
-    "k": int, "n": int, "seed": int,
-    "tau": _parse_tau, "co": float, "nu": float, "sigma": float,
-    "T": float, "perturb": float,
-    "n_list": lambda s: _parse_list(s, int),
-    "tau_list": lambda s: _parse_list(s, _parse_tau),
-    "f_zero": lambda s: s.lower() in ("1", "true", "yes", "on"),
-}
+def _from_config(option, text):
+    """The value of ``option`` read from config-file ``text``, checked as
+    its flag is."""
+    try:
+        value = option.type(text)
+    except ValueError as exc:
+        raise UsageError(f"config key {option.key!r}: invalid value {text!r}: {exc}") from exc
+    if option.choices and value not in option.choices:
+        raise UsageError(f"config key {option.key!r}: invalid choice {value!r} "
+                         f"(choose from {', '.join(option.choices)})")
+    return value
 
 
 def _effective_config(args):
-    cfg = dict(DEFAULTS)
+    cfg = {key: opt.default for key, opt in OPTIONS.items()}
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
-            if key not in cfg:
+            if key not in OPTIONS:
                 raise UsageError(f"unknown config key {key!r}")
-            conv = _CONVERTERS.get(key, str)
-            cfg[key] = conv(value)
+            cfg[key] = _from_config(OPTIONS[key], value)
     for key in cfg:
         value = getattr(args, key, None)
         if value is not None and value is not False:
@@ -224,26 +248,12 @@ def _effective_config(args):
 
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file; flags override")
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--n-list", dest="n_list",
-                        type=lambda s: _parse_list(s, int))
-    parser.add_argument("--tau", type=_parse_tau)
-    parser.add_argument("--tau-list", dest="tau_list",
-                        type=lambda s: _parse_list(s, _parse_tau))
-    parser.add_argument("--cfl", choices=["std", "fourthirds", "search"])
-    parser.add_argument("--co", type=float)
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--T", type=float)
-    parser.add_argument("--perturb", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--f-mode", dest="f_mode", choices=["next", "taylor"])
-    parser.add_argument("--integrator", choices=["rk2", "cn"])
-    parser.add_argument("--f-zero", dest="f_zero", action="store_true",
-                        default=None)
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--format", choices=["csv", "md", "both"])
+    for opt in OPTIONS.values():
+        flag = "--" + opt.key.replace("_", "-")
+        if opt.type is _parse_bool:
+            parser.add_argument(flag, dest=opt.key, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, dest=opt.key, type=opt.type, choices=opt.choices)
 
 
 def _scheme(cfg, integrator=None):
@@ -335,7 +345,7 @@ def cmd_cfl_sweep(cfg):
 
 
 def cmd_compare_cn(cfg):
-    if cfg["integrator"] != DEFAULTS["integrator"]:
+    if cfg["integrator"] != OPTIONS["integrator"].default:
         raise UsageError("compare-cn runs both integrators; drop --integrator")
     taus = cfg["tau_list"] or [1.0 / m for m in (12, 14, 16, 18, 20, 22, 24)]
     mesh = build_structured(cfg["n"], perturb=cfg["perturb"], seed=cfg["seed"])

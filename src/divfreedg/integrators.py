@@ -4,7 +4,7 @@ explicit-viscous equations, and the semi-implicit Crank-Nicolson comparator.
 Both integrators advance the stream function psi on the interior P_{k+1}
 nodes: each RK stage adds K^{-1} of an explicit right-hand side on the
 nodes, so the velocities C psi are divergence-free by construction, and u
-is expanded once per step, for the records.  Blow-up is a reportable
+= C psi is formed once per step, for the records.  Blow-up is a reportable
 outcome carried by BlowUpSignal, not a solver failure.  Both integrators, and
 so every sweep and study built on them, share one definition of it: a step
 blows up when the new velocity has a non-finite value or
@@ -73,17 +73,16 @@ class SchemeConfig:
 
 @dataclass
 class StepState:
-    """State after step n, u^0 included: the velocity u = C psi and its
-    stream function psi on the interior P_{k+1} nodes, both of the step
-    before (for the CN extrapolation), psi of the RK predictor, the L2 norms
-    sqrt(psi^T K psi) of u^0 and of u and the step's LU fill.  A state given
-    u alone gets psi from one solve when a step reads it."""
+    """State after step n, u^0 included: the stream function psi on the
+    interior P_{k+1} nodes and its velocity u = C psi, psi of the step
+    before (for the CN extrapolation) and of the RK predictor, the L2 norms
+    sqrt(psi^T K psi) of u^0 and of u and the step's LU fill.  The steps
+    read psi; u is kept for the records."""
 
     n: int
     t: float
     u: CoefVec
-    psi: np.ndarray = None
-    u_prev: CoefVec = None
+    psi: np.ndarray
     psi_prev: np.ndarray = None
     stage: np.ndarray = None
     norm0: float = 0.0
@@ -94,9 +93,10 @@ class StepState:
 class Discretization:
     """The RT_k space and the factorized stream-function projection for one
     (mesh, degree) pair; shared by all steps and trial runs on it, as is
-    every load vector (``load_vectors``) and initial field (``interpolants``)
-    made on it.  A run applies M cell by cell
-    (``forms.apply_mass``).  The mesh must be simply connected."""
+    every load vector C^T l (``load_vectors``) and initial stream function
+    (``interpolants``) made on it.  A run applies M cell by cell
+    (``forms.apply_mass``), and only at set-up.  The mesh must be simply
+    connected."""
 
     def __init__(self, mesh, k, params=None):
         self.mesh = mesh
@@ -143,15 +143,11 @@ class Discretization:
         in ``spatial``, made on first use and kept as ``load_vectors`` are."""
         key = (tuple(spatial), "interpolants")
         if key not in self._memo:
+            proj, free = self.projection, self.space.free_dofs
             pi = np.stack([rt_interpolate(g, self.space).values for g in spatial])
-            self._memo[key] = pi, np.stack([self.stream(row) for row in pi])
+            mass_pi = (forms.apply_mass(self.space, row, self.params.cell_order) for row in pi)
+            self._memo[key] = pi, np.stack([proj.solve(proj.curl_t @ m[free]) for m in mass_pi])
         return self._memo[key]
-
-    def stream(self, u):
-        """psi = K^{-1} C^T M u, one solve: C psi is the divergence-free
-        projection of the velocity u."""
-        mass_u = forms.apply_mass(self.space, u, self.params.cell_order)
-        return self.projection.solve(mass_u[self.space.free_dofs])
 
     def l2_norm(self, u):
         u = forms._values(self.space, u)
@@ -170,11 +166,6 @@ def _check_blowup(disc, state, psi):
     if l2 > BLOWUP_FACTOR * max(state.norm0, 1.0):
         raise BlowUpSignal(step=state.n)
     return l2
-
-
-def _stream(disc, psi, u):
-    """psi, or for a velocity u alone its stream function ``disc.stream(u)``."""
-    return disc.stream(u) if psi is None else psi
 
 
 def _load(disc, problem, t, tau_taylor=None):
@@ -211,13 +202,12 @@ def _stage_rhs(disc, config, psi, problem, t, load_at):
 
 def _advance(disc, state, config, system, psi, psi_next, stage=None):
     """The state after step ``state.n`` from psi to ``psi_next``, once that
-    has passed the blow-up gate; u = C psi_next is expanded here, once per
+    has passed the blow-up gate; u = C psi_next is formed here, once per
     step."""
     l2 = _check_blowup(disc, state, psi_next)
     return StepState(n=state.n + 1, t=config.time_at(state.n + 1),
-                     u=disc.projection.expand(psi_next), psi=psi_next,
-                     u_prev=state.u, psi_prev=psi, stage=stage, norm0=state.norm0,
-                     l2=l2, factor_fill=system.fill)
+                     u=disc.projection.velocity(psi_next), psi=psi_next, psi_prev=psi,
+                     stage=stage, norm0=state.norm0, l2=l2, factor_fill=system.fill)
 
 
 def rk2_step(state, config, disc, problem=None):
@@ -228,33 +218,28 @@ def rk2_step(state, config, disc, problem=None):
         psi'  = (psi + psi_w) / 2 + K^{-1} tau/2 (-b(psi_w, psi_w) + ...)
 
     A non-finite predictor reaches the second solve, which raises."""
-    proj, tau, t = disc.projection, config.tau, state.t
-    psi = _stream(disc, state.psi, state.u)
+    proj, tau, t, psi = disc.projection, config.tau, state.t, state.psi
     stage = psi + linsolve.project_div_free(
-        proj.on_unknowns, tau * _stage_rhs(disc, config, psi, problem, t, (t,)))
+        proj, tau * _stage_rhs(disc, config, psi, problem, t, (t,)))
     load_at = (t, tau) if config.f_mode == "f_taylor" else (t + tau,)
     psi_next = 0.5 * (psi + stage) + linsolve.project_div_free(
-        proj.on_unknowns, 0.5 * tau * _stage_rhs(disc, config, stage, problem, t + tau,
-                                                 load_at))
+        proj, 0.5 * tau * _stage_rhs(disc, config, stage, problem, t + tau, load_at))
     return _advance(disc, state, config, proj, psi, psi_next, stage)
 
 
 def cn_step(state, config, disc, problem=None):
     """One semi-implicit step: Crank-Nicolson with the extrapolated advecting
-    field 1.5 u^n - 0.5 u^{n-1}; step 0 bootstraps with semi-implicit Euler.
-    The right-hand side K psi / tau - b(a, psi) / 2 + ... lives on the
-    stream-function nodes, as the operator does."""
-    proj = disc.projection
-    tau, nu = config.tau, config.nu
-    psi = _stream(disc, state.psi, state.u)
+    field C psi_a, psi_a = 1.5 psi^n - 0.5 psi^{n-1}; step 0 bootstraps with
+    semi-implicit Euler.  The right-hand side K psi / tau - b(psi_a, psi) / 2
+    + ... lives on the stream-function nodes, as the operator does."""
+    proj, tau, nu, psi = disc.projection, config.tau, config.nu, state.psi
     rhs = proj.matrix @ psi / tau
     if state.n == 0:
         system = linsolve.CNSystem(proj, state.u, tau, nu=nu, theta=1.0)
         t_load = state.t + tau
     else:
-        advect = CoefVec(disc.space, 1.5 * state.u.values - 0.5 * state.u_prev.values)
-        system = linsolve.CNSystem(proj, advect, tau, nu=nu, theta=0.5)
-        psi_a = 1.5 * psi - 0.5 * _stream(disc, state.psi_prev, state.u_prev)
+        psi_a = 1.5 * psi - 0.5 * state.psi_prev
+        system = linsolve.CNSystem(proj, proj.velocity(psi_a), tau, nu=nu, theta=0.5)
         rhs -= 0.5 * forms.apply_convection(disc.space, psi_a, psi, basis=proj.basis)
         if nu > 0:
             rhs -= 0.5 * nu * (proj.reduced_sip @ psi)
@@ -263,8 +248,7 @@ def cn_step(state, config, disc, problem=None):
         rhs += nu * _viscous_boundary_load(disc, problem, t_load)
     if problem is not None:
         rhs += _load(disc, problem, t_load)
-    return _advance(disc, state, config, system, psi,
-                    linsolve.cn_solve(system.on_unknowns, rhs))
+    return _advance(disc, state, config, system, psi, linsolve.cn_solve(system, rhs))
 
 
 def initial_state(config, disc, problem=None):
@@ -277,7 +261,7 @@ def initial_state(config, disc, problem=None):
     if problem is not None:
         coeffs, (rows, psi_rows) = problem.u_coeffs(0.0), disc.interpolants(problem.u_spatial)
         interp, psi = coeffs @ rows, coeffs @ psi_rows
-    u0 = disc.projection.expand(psi)
+    u0 = disc.projection.velocity(psi)
     defect, size = disc.l2_norm(interp - u0.values), disc.l2_norm(interp)
     if defect > 1e-10 * size:
         raise ValueError(f"C psi_0 misses the interpolant of the initial velocity by "

@@ -14,20 +14,20 @@ velocity mass matrix, and factorized once per mesh and degree.  B C = 0
 holds identically, so the divergence vanishes by construction.  The
 semi-implicit CN operator C^T (M/tau + theta C(a) + theta nu A) C is
 assembled directly on the stream nodes, on a pattern fixed per mesh.  Runs
-solve only these two systems, and on their own unknowns (``on_unknowns``):
-the steps advance psi itself, so no step lifts a velocity functional.
+solve only these two systems, and both take a right-hand side on the
+interior nodes and return psi there: the steps advance psi itself, and
+``StreamFunctionProjection.velocity`` is the one place C psi becomes a
+velocity.
 
 The bordered KKT system [[M, B^T, 0], [B, 0, c], [0, c^T, 0]], with one
 zero-mean border row c for the broken multiplier, gives the same
 projection on any connected mesh.  It stays only as the oracle the tests
-compare with; no run builds it.  Each system lifts a functional on the
-free velocity DOFs to its own right-hand side (``lift``) and expands its
-solution to the velocity (``expand``); ``project_div_free`` solves any.
+compare with; no run builds it.  Its ``solve`` takes a functional on the
+free velocity DOFs and returns the velocity.
 """
 
 import time
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,17 +47,12 @@ class BlowUpSignal(Exception):
 
 
 class _FactorizedSystem:
-    """A factorized operator on the divergence-free velocities of ``space``,
-    whose unknowns are the stream-function values psi at the interior nodes
-    unless a subclass says otherwise: ``lift`` maps a functional r on the
-    free velocity DOFs to the right-hand side C^T r and ``velocity`` maps
-    psi to the free velocity DOFs C psi, with C = ``curl`` and C^T = ``curl_t``."""
+    """A sparse LU factorization of ``matrix``; ``solve`` solves on its
+    unknowns, a right-hand side of length ``n_free``."""
 
-    def __init__(self, space, matrix, label, **options):
-        self.space = space
-        self.free = space.free_dofs
-        self.n_free = len(self.free)
+    def __init__(self, matrix, label, **options):
         self.matrix = matrix
+        self.n_free = matrix.shape[0]
         started = time.perf_counter()
         try:
             self.lu = splu(matrix.tocsc(), **options)
@@ -66,32 +61,13 @@ class _FactorizedSystem:
         self.factor_s = time.perf_counter() - started
         self.fill = self.lu.nnz  # stored entries of L and U; reading L or U would copy them
 
-    def lift(self, rhs_free):
-        return self.curl_t @ rhs_free
-
-    def velocity(self, z):
-        return self.curl @ z
-
-    def solve(self, rhs_free):
-        return self.lu.solve(self.lift(rhs_free))
-
-    def expand(self, z):
-        full = np.zeros(self.space.n_dofs)
-        full[self.free] = self.velocity(z)
-        return CoefVec(self.space, full)
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
 
     def stats(self):
         """Unknowns, matrix nonzeros, factor fill and factorization seconds."""
         return dict(unknowns=self.matrix.shape[0], nonzeros=self.matrix.nnz,
                     fill=self.fill, factor_s=self.factor_s)
-
-    @cached_property
-    def on_unknowns(self):
-        """This factor on its own unknowns, whose lift and expand are the
-        identity: ``project_div_free`` and ``cn_solve`` on it take a
-        right-hand side on the stream-function nodes and return psi."""
-        return SimpleNamespace(n_free=self.matrix.shape[0], solve=self.lu.solve,
-                               expand=lambda z: z)
 
 
 # -- topology ---------------------------------------------------------------------
@@ -125,28 +101,36 @@ def _check_simply_connected(mesh):
 class SaddleSystem(_FactorizedSystem):
     """Factorized mass/divergence saddle operator for the L2 projection,
     whose unknowns are the free velocity DOFs, then the multipliers and the
-    border's.  The mesh must be connected."""
+    border's.  Its ``solve`` takes a functional on the free velocity DOFs
+    (``lift``) and returns the velocity (``expand``).  The mesh must be
+    connected."""
 
     def __init__(self, space, q_space, mass=None, div=None):
         _check_connected(space.mesh)
+        self.space = space
+        self.free = space.free_dofs
         self.mass = mass if mass is not None else forms.assemble_mass(space)
         div = div if div is not None else forms.assemble_div(space, q_space)
-        free = space.free_dofs
-        self.mass_free = self.mass[free][:, free].tocsr()
-        self.div_free = div[:, free].tocsr()
+        self.mass_free = self.mass[self.free][:, self.free].tocsr()
+        self.div_free = div[:, self.free].tocsr()
         self.border = sp.csr_matrix(q_space.integral_vector()[:, None])
-        super().__init__(space, sp.bmat([[self.mass_free, self.div_free.T, None],
-                                         [self.div_free, None, self.border],
-                                         [None, self.border.T, None]], format="csc"),
-                         "saddle")
+        super().__init__(sp.bmat([[self.mass_free, self.div_free.T, None],
+                                  [self.div_free, None, self.border],
+                                  [None, self.border.T, None]], format="csc"), "saddle")
+        self.n_free = len(self.free)
 
     def lift(self, rhs_free):
         rhs = np.zeros(self.matrix.shape[0])
         rhs[:self.n_free] = rhs_free
         return rhs
 
-    def velocity(self, z):
-        return z[:self.n_free]
+    def expand(self, z):
+        full = np.zeros(self.space.n_dofs)
+        full[self.free] = z[:self.n_free]
+        return CoefVec(self.space, full)
+
+    def solve(self, rhs_free):
+        return self.expand(self.lu.solve(self.lift(rhs_free)))
 
 
 def build_saddle(space, q_space, mass=None, div=None):
@@ -233,12 +217,19 @@ class StreamFunctionProjection(_FactorizedSystem):
     def __init__(self, space, params=None):
         _check_simply_connected(space.mesh)
         self.params = (params or forms.FormParams()).resolve(space.k)
+        self.space = space
         self.cell_nodes, n_nodes = _stream_nodes(space)
         self.curl = _discrete_curl(space, self.cell_nodes, n_nodes)
         self.curl_t = self.curl.T.tocsr()
-        super().__init__(space, _stiffness(space, self.cell_nodes, n_nodes),
+        super().__init__(_stiffness(space, self.cell_nodes, n_nodes),
                          "stream-function", permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+    def velocity(self, psi):
+        """The divergence-free velocity C psi of the node values ``psi``."""
+        full = np.zeros(self.space.n_dofs)
+        full[self.space.free_dofs] = self.curl @ psi
+        return CoefVec(self.space, full)
 
     @cached_property
     def basis(self):
@@ -291,7 +282,8 @@ class StreamFunctionProjection(_FactorizedSystem):
 class CNSystem(_FactorizedSystem):
     """Factorized semi-implicit step operator (1/tau) M + theta C(a) + theta nu A
     on the divergence-free velocities, reduced by the stream-function
-    ``projection`` to C^T (...) C on its fixed pattern.
+    ``projection`` to C^T (...) C on its fixed pattern: its unknowns are
+    the projection's interior nodes.
 
     Refreshed every step because the linearized convection C(a) depends on
     the advecting field ``advect``.  Factorized with a symmetric ordering
@@ -307,25 +299,26 @@ class CNSystem(_FactorizedSystem):
             raise ValueError("time step must be positive")
         if nu > 0 and projection.params.nu == 0:
             raise ValueError("viscous CN step needs a projection built with nu > 0")
-        self.curl, self.curl_t = projection.curl, projection.curl_t
-        super().__init__(projection.space, projection.cn_matrix(advect, tau, theta, nu),
-                         "CN", permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+        super().__init__(projection.cn_matrix(advect, tau, theta, nu), "CN",
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                          options=dict(SymmetricMode=True))
 
 
 def project_div_free(system, rhs):
-    """The velocity that solves ``system`` for the functional ``rhs`` over
-    the free velocity DOFs: for a projection the u in the divergence-free
-    subspace with (u, v) = rhs(v), for a CNSystem the step's new velocity.
-    Either is divergence-free by construction.  Non-finite input raises
-    BlowUpSignal.
+    """``system.solve(rhs)`` once ``rhs`` has the system's length and is
+    finite; non-finite input raises BlowUpSignal.  The stream-function
+    systems take a right-hand side on the interior nodes and return psi
+    there: K psi = C^T r for a projection makes C psi the divergence-free
+    projection of the functional r, and a CNSystem gives the step's new
+    psi.  The KKT oracle takes r on the free velocity DOFs and returns the
+    projected velocity.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (system.n_free,):
         raise ValueError(f"rhs has shape {rhs.shape}, not the {system.n_free} free DOFs")
     if not np.all(np.isfinite(rhs)):
         raise BlowUpSignal(message="non-finite right-hand side")
-    return system.expand(system.solve(rhs))
+    return system.solve(rhs)
 
 
 # One semi-implicit step solve: the same body under a second name, so the

@@ -56,6 +56,18 @@ def projections(entry):
     return [entry["saddle"], entry["stream"]]
 
 
+def project_velocity(system, rhs_free, projection=None):
+    """The velocity that ``system`` gives for a functional ``rhs_free`` on the
+    free velocity DOFs.  The KKT oracles take the functional as it is; a
+    stream-function system solves on its lift C^T rhs_free and returns
+    C psi, with the curl of ``projection`` for a CNSystem."""
+    if isinstance(system, (linsolve.SaddleSystem, BorderedCN)):
+        return linsolve.project_div_free(system, rhs_free)
+    projection = projection or system
+    return projection.velocity(
+        linsolve.project_div_free(system, projection.curl_t @ rhs_free))
+
+
 def random_div_free(entry, rng):
     """A random exactly divergence-free field via the L2 projection."""
     rhs = rng.normal(size=len(entry["space"].free_dofs))
@@ -94,7 +106,7 @@ class BorderedCN:
         return self.saddle.lift(rhs_free)
 
     def solve(self, rhs_free):
-        return self.lu.solve(self.lift(rhs_free))
+        return self.expand(self.lu.solve(self.lift(rhs_free)))
 
     def expand(self, z):
         return self.saddle.expand(z)
@@ -457,8 +469,9 @@ def pointwise_h1_error(space, coeffs, problem, t, order=None):
 #
 # The RK2 and CN steps as they were before the state moved onto the stream
 # function: each stage forms its right-hand side on the velocity DOFs (mass
-# products, RT loads, the RT apply) and projects it through the lift and
-# expand of ``disc.projection``; the gate reads the mass norm.
+# products, RT loads, the RT apply) and projects it through C^T and C of
+# ``disc.projection`` (``project_velocity``); the gate reads the mass norm.
+# Their state is the velocity and the velocity of the step before.
 
 def _velocity_load(disc, problem, t, tau_taylor=None):
     coeffs = problem.f_coeffs(t)
@@ -476,13 +489,16 @@ def _velocity_wall_load(disc, problem, t):
          for g in problem.u_spatial])
 
 
-def _velocity_gate(disc, state, u):
+def _velocity_state(disc, config, state, u):
+    """The state after step ``state.n`` with the new velocity ``u``, once
+    its mass norm has passed the blow-up gate."""
     if not np.all(np.isfinite(u.values)):
         raise linsolve.BlowUpSignal(step=state.n)
     l2 = disc.l2_norm(u)
     if l2 > integrators.BLOWUP_FACTOR * max(state.norm0, 1.0):
         raise linsolve.BlowUpSignal(step=state.n)
-    return l2
+    return SimpleNamespace(n=state.n + 1, t=config.time_at(state.n + 1), u=u,
+                           u_prev=state.u, norm0=state.norm0, l2=l2)
 
 
 def velocity_rk2_step(state, config, disc, problem=None):
@@ -495,7 +511,7 @@ def velocity_rk2_step(state, config, disc, problem=None):
         rhs += tau * config.nu * _velocity_wall_load(disc, problem, t)
     if problem is not None:
         rhs += tau * _velocity_load(disc, problem, t)
-    stage = linsolve.project_div_free(disc.projection, rhs[space.free_dofs])
+    stage = project_velocity(disc.projection, rhs[space.free_dofs])
     w = stage.values
     rhs = 0.5 * (mass_u + mass @ w) - 0.5 * tau * forms.apply_convection(space, stage, stage)
     if config.nu > 0:
@@ -505,10 +521,8 @@ def velocity_rk2_step(state, config, disc, problem=None):
         rhs += 0.5 * tau * (_velocity_load(disc, problem, t, tau_taylor=tau)
                             if config.f_mode == "f_taylor" else
                             _velocity_load(disc, problem, t + tau))
-    u_next = linsolve.project_div_free(disc.projection, rhs[space.free_dofs])
-    return integrators.StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
-                                 u_prev=state.u, norm0=state.norm0,
-                                 l2=_velocity_gate(disc, state, u_next))
+    return _velocity_state(disc, config, state,
+                           project_velocity(disc.projection, rhs[space.free_dofs]))
 
 
 def velocity_cn_step(state, config, disc, problem=None):
@@ -529,10 +543,8 @@ def velocity_cn_step(state, config, disc, problem=None):
         rhs += _velocity_load(disc, problem, t_load)
     if nu > 0:
         rhs += nu * _velocity_wall_load(disc, problem, t_load)
-    u_next = linsolve.cn_solve(system, rhs[space.free_dofs])
-    return integrators.StepState(n=state.n + 1, t=config.time_at(state.n + 1), u=u_next,
-                                 u_prev=state.u, norm0=state.norm0,
-                                 l2=_velocity_gate(disc, state, u_next))
+    return _velocity_state(disc, config, state,
+                           project_velocity(system, rhs[space.free_dofs], disc.projection))
 
 
 def velocity_run(config, disc, problem):
@@ -540,7 +552,9 @@ def velocity_run(config, disc, problem):
     the velocity-space steps, with the forcing of ``integrators.run``."""
     step = velocity_rk2_step if config.integrator == "explicit_rk2" else velocity_cn_step
     forcing = None if config.f_zero else problem
-    state = integrators.initial_state(config, disc, problem)
+    start = integrators.initial_state(config, disc, problem)
+    state = SimpleNamespace(n=0, t=0.0, u=start.u, u_prev=None, norm0=start.norm0,
+                            l2=start.l2)
     l2 = [state.l2]
     for _ in range(config.n_steps):
         try:

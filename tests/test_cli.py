@@ -174,6 +174,22 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["format=xyz", "f_zero=maybe", "tau=1/0"],
+                         ids=["format", "f_zero", "tau"])
+def test_config_values_are_checked_as_flags_are(tmp_path, capsys, line):
+    # a config value gets the checks of its flag: an unknown format used to
+    # write no file and exit 0, f_zero=maybe used to run forced, and a zero
+    # denominator used to end in a ZeroDivisionError traceback
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"n=4\ntau=1/8\nT=0.25\n{line}\n")
+    out = tmp_path / "out"
+    code = run_cli(["single-run", "--config", str(cfgfile), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("divfree: error: ") and repr(line.split("=")[0]) in err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["single-run", "--unknown-flag"])

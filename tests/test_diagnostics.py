@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from divfreedg import build_structured, diagnostics, forms, integrators, manufactured
-from divfreedg.fe_space import CoefVec
 from divfreedg.integrators import Discretization, SchemeConfig
 from conftest import refined_solve
 
@@ -40,7 +39,7 @@ def test_energy_residual_single_step(setup8):
     assert abs(res) <= 1e-10 * scale
     # the gate's norms and K on the stream function give the residual that
     # M gives on the expanded velocities
-    stage = disc.projection.expand(new.stage)
+    stage = disc.projection.velocity(new.stage)
     in_velocity = diagnostics.energy_residual(
         disc.mass, stage.values, new.u.values, disc.l2_norm(state.u),
         disc.l2_norm(new.u), ju, jw, cfg.tau)
@@ -59,13 +58,11 @@ def test_energy_residual_scales_quadratically(setup8):
     cfg = SchemeConfig(tau=1.0 / 100, T=2.0, f_zero=True)
     base = integrators.initial_state(cfg, disc, problem)
     for s in (0.5, 1.0, 2.0):
-        # a state given by its velocity alone: the step solves for psi
-        state = integrators.StepState(
-            n=0, t=0.0, u=CoefVec(disc.space, s * base.u.values),
-            norm0=s * base.norm0)
+        psi = s * base.psi
+        state = integrators.StepState(n=0, t=0.0, u=disc.projection.velocity(psi), psi=psi,
+                                      norm0=s * base.norm0)
         new = integrators.rk2_step(state, cfg, disc, None)
-        ju = _jump(disc, disc.projection.solve((disc.mass @ state.u.values)[disc.space.free_dofs]))
-        jw = _jump(disc, new.stage)
+        ju, jw = _jump(disc, psi), _jump(disc, new.stage)
         res = diagnostics.energy_residual(disc.projection.matrix, new.stage, new.psi,
                                           disc.l2_norm(state.u), new.l2, ju, jw, cfg.tau)
         assert abs(res) <= 1e-10 * s ** 2 * base.norm0 ** 2

@@ -8,7 +8,8 @@ from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
 from conftest import (dg_project, div_l2_through_b, evaluate, full_jump_apply,
                       full_jump_seminorm, physical_sip, physical_sip_boundary_load,
-                      random_div_free, trace_points, use_full_vector_kernel)
+                      project_velocity, random_div_free, trace_points,
+                      use_full_vector_kernel)
 
 
 def one_cell_mesh():
@@ -203,7 +204,7 @@ def test_stream_basis_kernels_match_the_velocity_basis(k, n, perturb, mesh_seed,
     stream = linsolve.StreamFunctionProjection(space)
     basis, free = stream.basis, space.free_dofs
     psi_a, psi_w = np.random.default_rng(field_seed).normal(size=(2, basis.size))
-    u_a, u_w = stream.expand(psi_a), stream.expand(psi_w)
+    u_a, u_w = stream.velocity(psi_a), stream.velocity(psi_w)
     for (pa, pw), (ua, uw) in (((psi_a, psi_w), (u_a, u_w)), ((psi_a, psi_a), (u_a, u_a))):
         want = stream.curl_t @ forms.apply_convection(space, ua, uw)[free]
         assert _rel(forms.apply_convection(space, pa, pw, basis=basis), want) <= 1e-13
@@ -279,7 +280,7 @@ def test_tangential_blocks_match_full_vector_oracle(meshes, k, monkeypatch):
     params = forms.FormParams(nu=0.01)
     rng = np.random.default_rng(11)
     stream = linsolve.StreamFunctionProjection(space, params)
-    div_free = linsolve.project_div_free(stream, rng.normal(size=stream.n_free))
+    div_free = project_velocity(stream, rng.normal(size=len(space.free_dofs)))
     fields = [div_free, _random_fields(space, rng)[0]]
 
     def operators():

@@ -391,7 +391,7 @@ def test_rk2_steps_keep_div_and_energy_on_random_meshes(k, nu, n, perturb, mesh_
     proj = disc.projection
     psi = np.random.default_rng(field_seed).normal(size=proj.matrix.shape[0])
     psi /= np.sqrt(psi @ (proj.matrix @ psi))
-    state = integrators.StepState(n=0, t=0.0, u=proj.expand(psi), psi=psi, norm0=1.0, l2=1.0)
+    state = integrators.StepState(n=0, t=0.0, u=proj.velocity(psi), psi=psi, norm0=1.0, l2=1.0)
     for _ in range(3):
         new = integrators.rk2_step(state, config, disc)
         assert disc.div_l2(new.u) <= 1e-10
@@ -414,7 +414,7 @@ def test_initial_velocity_is_the_curl_of_psi0(problem, k, n, perturb):
     # order 15 it would miss by up to 3.3e-9, and the run would be rejected)
     disc = Discretization(build_structured(n, perturb, seed=0), k)
     state = integrators.initial_state(SchemeConfig(tau=0.05, k=k), disc, problem)
-    assert np.array_equal(state.u.values, disc.projection.expand(state.psi).values)
+    assert np.array_equal(state.u.values, disc.projection.velocity(state.psi).values)
     assert state.norm0 == state.l2 == pytest.approx(disc.l2_norm(state.u), rel=1e-12)
     interp = fe_space.rt_interpolate(lambda x, y: problem.u(x, y, 0.0), disc.space)
     assert disc.l2_norm(interp.values - state.u.values) <= 1e-12 * state.norm0
@@ -466,10 +466,12 @@ def test_runs_match_the_velocity_space_steps(case):
 @pytest.mark.parametrize("integrator,nu", [("explicit_rk2", 0.0), ("explicit_rk2", 1e-3),
                                            ("semi_implicit_cn", 0.01)])
 def test_steps_stay_on_the_stream_nodes(mesh8, problem, integrator, nu, monkeypatch):
-    # inside a step: no lift of a velocity functional, no velocity mass
-    # product, and one expand, of the new velocity
+    # inside a step: no velocity mass product, and every solve takes a
+    # right-hand side on the stream nodes.  C psi becomes a velocity once
+    # for u^0, once per step, for the new u, and once more per CN step
+    # after step 0, for the advecting field
     disc = Discretization(mesh8, 1, FormParams(nu=nu))
-    inside, expands = [], []
+    inside, velocities, rhs_sizes = [], [], []
 
     def stepping(step):
         def wrapped(*args, **kwargs):
@@ -487,21 +489,28 @@ def test_steps_stay_on_the_stream_nodes(mesh8, problem, integrator, nu, monkeypa
             return method(*args, **kwargs)
         return call
 
+    def solving(solve):
+        return lambda system, rhs: rhs_sizes.append(len(rhs)) or solve(system, rhs)
+
     class GuardedMass(type(disc.mass)):
         __matmul__ = forbidden("a velocity mass product", type(disc.mass).__matmul__)
 
     monkeypatch.setattr(forms, "apply_mass",
                         forbidden("a velocity mass product", forms.apply_mass))
 
-    expand = linsolve.StreamFunctionProjection.expand
+    velocity = linsolve.StreamFunctionProjection.velocity
     monkeypatch.setattr(integrators, "rk2_step", stepping(integrators.rk2_step))
     monkeypatch.setattr(integrators, "cn_step", stepping(integrators.cn_step))
-    monkeypatch.setattr(linsolve.StreamFunctionProjection, "lift",
-                        forbidden("lift", linsolve.StreamFunctionProjection.lift))
-    monkeypatch.setattr(linsolve.StreamFunctionProjection, "expand",
-                        lambda self, z: expands.append(bool(inside)) or expand(self, z))
+    monkeypatch.setattr(linsolve, "project_div_free", solving(linsolve.project_div_free))
+    monkeypatch.setattr(linsolve, "cn_solve", solving(linsolve.cn_solve))
+    monkeypatch.setattr(linsolve.StreamFunctionProjection, "velocity",
+                        lambda self, psi: velocities.append(bool(inside))
+                        or velocity(self, psi))
     disc.mass = GuardedMass(disc.mass)
     config = SchemeConfig(tau=1.0 / 20, T=0.25, nu=nu, integrator=integrator)
     report = integrators.run(config, mesh8, manufactured.taylor_green(nu), disc=disc)
     assert report.completed and report.n_steps_done == 5
-    assert expands.count(True) == 5
+    is_rk2 = integrator == "explicit_rk2"
+    assert rhs_sizes == [disc.projection.n_free] * (10 if is_rk2 else 5)
+    assert velocities.count(False) == 1
+    assert velocities.count(True) == (5 if is_rk2 else 9)

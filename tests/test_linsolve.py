@@ -9,12 +9,14 @@ from divfreedg.forms import FormParams
 from divfreedg.integrators import Discretization
 from divfreedg.mesh import Mesh
 
-from conftest import BorderedCN, physical_sip, projections, random_div_free, refined_solve
+from conftest import (BorderedCN, physical_sip, project_velocity, projections,
+                      random_div_free, refined_solve)
 
 # Each property test below runs on both projection objects of
-# ``conftest.projections``: the bordered KKT oracle and the stream function.
-# The CN tests pair the stream-function CNSystem with the bordered CN
-# oracle of ``conftest.BorderedCN`` on the KKT unknowns.
+# ``conftest.projections``: the bordered KKT oracle and the stream function,
+# compared as velocities through ``conftest.project_velocity``.  The CN tests
+# pair the stream-function CNSystem with the bordered CN oracle of
+# ``conftest.BorderedCN`` on the KKT unknowns.
 
 
 def cn_systems(entry, advect, tau, **kwargs):
@@ -33,7 +35,7 @@ def test_saddle_roundtrip(spaces):
     c = random_div_free(entry, rng)
     mass = entry["saddle"].mass
     for sys in projections(entry):
-        back = linsolve.project_div_free(sys, (mass @ c.values)[space.free_dofs])
+        back = project_velocity(sys, (mass @ c.values)[space.free_dofs])
         assert np.abs(back.values - c.values).max() <= 1e-10, type(sys).__name__
 
 
@@ -44,7 +46,7 @@ def test_projection_of_gradient_load_vanishes(spaces):
                                      axis=-1)
     load = forms.assemble_load(space, grad_phi)
     for sys in projections(entry):
-        u = linsolve.project_div_free(sys, load[space.free_dofs])
+        u = project_velocity(sys, load[space.free_dofs])
         mass = entry["saddle"].mass
         assert np.sqrt(u.values @ (mass @ u.values)) <= 1e-10, type(sys).__name__
 
@@ -64,12 +66,12 @@ def test_projection_idempotent_and_div_free(spaces):
     for sys in projections(entry):
         rng = np.random.default_rng(2)
         for _ in range(3):
-            rhs = rng.normal(size=sys.n_free)
-            u = linsolve.project_div_free(sys, rhs)
+            rhs = rng.normal(size=len(space.free_dofs))
+            u = project_velocity(sys, rhs)
             assert manufactured.div_norm(space, u) <= 1e-11, type(sys).__name__
             assert np.all(u.values[space.boundary_dofs] == 0.0)
             mass_u = entry["saddle"].mass @ u.values
-            again = linsolve.project_div_free(sys, mass_u[space.free_dofs])
+            again = project_velocity(sys, mass_u[space.free_dofs])
             assert np.abs(again.values - u.values).max() <= 1e-10, type(sys).__name__
 
 
@@ -87,9 +89,9 @@ def test_projection_property_on_random_meshes(k, n, perturb, mesh_seed, field_se
     mass = saddle.mass
     c /= np.sqrt(c @ (mass @ c))
     for sys in (saddle, linsolve.StreamFunctionProjection(space)):
-        u = linsolve.project_div_free(sys, (mass @ c)[space.free_dofs])
+        u = project_velocity(sys, (mass @ c)[space.free_dofs])
         assert manufactured.div_norm(space, u) <= 1e-11, type(sys).__name__
-        again = linsolve.project_div_free(sys, (mass @ u.values)[space.free_dofs])
+        again = project_velocity(sys, (mass @ u.values)[space.free_dofs])
         assert np.abs(again.values - u.values).max() <= 1e-10, type(sys).__name__
 
 
@@ -112,7 +114,7 @@ def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
 
     rng = np.random.default_rng(field_seed)
     rhs = rng.normal(size=kkt.n_free)
-    assert rel_mass_norm(linsolve.project_div_free(stream, rhs),
+    assert rel_mass_norm(project_velocity(stream, rhs),
                          linsolve.project_div_free(kkt, rhs)) <= 1e-12
 
     # B C = 0: the curl lands in the kernel of the divergence rows
@@ -130,7 +132,7 @@ def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
     advect = linsolve.project_div_free(kkt, rng.normal(size=kkt.n_free))
     advect.values[:] /= np.sqrt(advect.values @ (mass @ advect.values))
     rhs = rng.normal(size=kkt.n_free)
-    step = linsolve.cn_solve(linsolve.CNSystem(stream, advect, 0.05, nu=0.01), rhs)
+    step = project_velocity(linsolve.CNSystem(stream, advect, 0.05, nu=0.01), rhs, stream)
     oracle = BorderedCN(kkt, advect, 0.05, nu=0.01, sip=sip)
     assert rel_mass_norm(step, oracle.expand(refined_solve(oracle, rhs))) <= 1e-12
 
@@ -149,7 +151,7 @@ def test_reduced_cn_operator_matches_triple_product(k, n, perturb, mesh_seed,
     sip = physical_sip(space, FormParams(nu=0.01))
     stream = linsolve.StreamFunctionProjection(space, FormParams(nu=0.01))
     rng = np.random.default_rng(field_seed)
-    advect = linsolve.project_div_free(stream, rng.normal(size=stream.n_free))
+    advect = project_velocity(stream, rng.normal(size=len(space.free_dofs)))
     mass = forms.assemble_mass(space)
     advect.values[:] /= np.sqrt(advect.values @ (mass @ advect.values))
     free, curl, tau = space.free_dofs, stream.curl, 0.05
@@ -204,8 +206,8 @@ def test_projection_is_contraction(spaces):
     for sys in projections(entry):
         mass = entry["saddle"].mass
         mass_free = mass[free_dofs][:, free_dofs]
-        rhs = rng.normal(size=sys.n_free)
-        constrained = linsolve.project_div_free(sys, rhs)
+        rhs = rng.normal(size=len(free_dofs))
+        constrained = project_velocity(sys, rhs)
         free = sp.linalg.spsolve(mass_free.tocsc(), rhs)
         norm_c = constrained.values @ (mass @ constrained.values)
         norm_f = free @ (mass_free @ free)
@@ -213,21 +215,29 @@ def test_projection_is_contraction(spaces):
 
 
 def test_solve_residual_contract(spaces):
+    # each factor solves its own matrix: the KKT oracle's on the lifted
+    # functional, the stream-function systems' on a right-hand side on the
+    # nodes, as the steps solve them
     entry = spaces(8, 1)
-    for sys in projections(entry):
-        rhs_free = np.random.default_rng(4).normal(size=sys.n_free)
-        z = sys.solve(rhs_free)
-        rhs = sys.lift(rhs_free)
+    saddle, stream = projections(entry)
+    cn = linsolve.CNSystem(stream, random_div_free(entry, np.random.default_rng(4)), 0.05)
+    for sys in (saddle, stream, cn):
+        rhs = np.random.default_rng(4).normal(size=sys.n_free)
+        if sys is saddle:
+            rhs = saddle.lift(rhs)
+            z = saddle.lu.solve(rhs)
+        else:
+            z = linsolve.project_div_free(sys, rhs)
         res = np.abs(sys.matrix @ z - rhs).max()
         assert res <= 1e-10 * np.abs(rhs).max(), type(sys).__name__
 
 
 def test_blowup_signal_on_nonfinite_rhs(spaces):
-    # also on the stream-function unknowns, where the steps solve
+    # on the KKT oracle and on the stream-function nodes, where the steps solve
     entry = spaces(2, 1, perturb=0.0)
     saddle, stream = projections(entry)
     cn = linsolve.CNSystem(stream, entry["space"].zero(), 0.1)
-    for sys in (saddle, stream, stream.on_unknowns, cn.on_unknowns):
+    for sys in (saddle, stream, cn):
         rhs = np.zeros(sys.n_free)
         rhs[0] = np.nan
         with pytest.raises(linsolve.BlowUpSignal):
@@ -245,9 +255,10 @@ def test_cn_pure_mass_step(spaces):
     rng = np.random.default_rng(5)
     u = random_div_free(entry, rng)
     tau = 0.1
+    stream = projections(entry)[1]
     for cn in cn_systems(entry, space.zero(), tau):
         rhs = (entry["saddle"].mass @ u.values) / tau
-        nxt = linsolve.cn_solve(cn, rhs[space.free_dofs])
+        nxt = project_velocity(cn, rhs[space.free_dofs], stream)
         assert np.abs(nxt.values - u.values).max() <= 1e-10, type(cn).__name__
 
 
@@ -260,14 +271,41 @@ def test_cn_step_matches_dense_solve(spaces):
     conv = forms.convection_matrix(space, advect)
     tau = 0.05
     rhs = ((entry["saddle"].mass @ u.values) / tau - 0.5 * (conv @ u.values))[space.free_dofs]
-    for cn in cn_systems(entry, advect, tau):
-        sparse_u = linsolve.cn_solve(cn, rhs)
+    stream = projections(entry)[1]
+    bordered, cn = cn_systems(entry, advect, tau)
+    # the KKT oracle solves the functional, the CNSystem its lift on the nodes
+    psi = linsolve.cn_solve(cn, stream.curl_t @ rhs)
+    dense_psi = np.linalg.solve(cn.matrix.toarray(), stream.curl_t @ rhs)
+    dense_kkt = bordered.expand(np.linalg.solve(bordered.matrix.toarray(), bordered.lift(rhs)))
+    for name, sparse_u, dense_u in (("KKT", linsolve.cn_solve(bordered, rhs), dense_kkt),
+                                    ("CN", stream.velocity(psi), stream.velocity(dense_psi))):
+        assert np.abs(sparse_u.values - dense_u.values).max() <= 1e-9, name
+        assert manufactured.div_norm(space, sparse_u) <= 1e-9, name
 
-        z = np.linalg.solve(cn.matrix.toarray(), cn.lift(rhs))
-        dense_u = cn.expand(z)
-        assert np.abs(sparse_u.values - dense_u.values).max() <= 1e-9, \
-            type(cn).__name__
-        assert manufactured.div_norm(space, sparse_u) <= 1e-9, type(cn).__name__
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3),
+       mesh_seed=st.integers(0, 2 ** 32 - 1), field_seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_cn_solve_matches_dense_solve_on_random_meshes(k, nu, theta, n, perturb, mesh_seed,
+                                                       field_seed):
+    # on the node contract the sparse CN solve is the dense solve of the
+    # assembled operator, to the bound of test_cn_step_matches_dense_solve,
+    # and the curl of its psi is divergence-free; the advecting field is a
+    # random one of unit L2 norm
+    proj = linsolve.StreamFunctionProjection(
+        RTSpace(build_structured(n, perturb, seed=mesh_seed), k), FormParams(nu=nu))
+    rng = np.random.default_rng(field_seed)
+    psi_a = rng.normal(size=proj.n_free)
+    psi_a /= np.sqrt(psi_a @ (proj.matrix @ psi_a))
+    system = linsolve.CNSystem(proj, proj.velocity(psi_a), 0.05, nu=nu, theta=theta)
+    rhs = rng.normal(size=proj.n_free)
+    psi = linsolve.cn_solve(system, rhs)
+    dense = np.linalg.solve(system.matrix.toarray(), rhs)
+    assert np.abs(psi - dense).max() <= 1e-9 * np.abs(dense).max()
+    assert forms.divergence_l2_norm(proj.space, proj.velocity(psi)) <= 1e-10
 
 
 def test_cn_rejects_nonpositive_tau(spaces):
