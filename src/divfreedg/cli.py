@@ -253,7 +253,19 @@ def _add_common(parser):
         if opt.type is _parse_bool:
             parser.add_argument(flag, dest=opt.key, action="store_true", default=None)
         else:
-            parser.add_argument(flag, dest=opt.key, type=opt.type, choices=opt.choices)
+            parser.add_argument(flag, dest=opt.key, type=_flag_type(opt.type),
+                                choices=opt.choices)
+
+
+def _flag_type(conv):
+    """``conv`` for argparse, whose own message for a ValueError names the
+    converter function and drops the reason."""
+    def convert(text):
+        try:
+            return conv(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from exc
+    return convert
 
 
 def _scheme(cfg, integrator=None):

@@ -47,7 +47,6 @@ class RunReport:
     jump_u: list = field(default_factory=list)
     jump_w: list = field(default_factory=list)
     energy_residuals: list = field(default_factory=list)
-    energy_scales: list = field(default_factory=list)
     blow_up: int = None
     l2_err: float = NAN
     h1_err: float = NAN
@@ -55,15 +54,13 @@ class RunReport:
     wall_time: float = 0.0
     factor_fill: int = 0
 
-    def record(self, t, l2, div, jump_u=NAN, jump_w=NAN,
-               energy_residual=NAN, energy_scale=NAN):
+    def record(self, t, l2, div, jump_u=NAN, jump_w=NAN, energy_residual=NAN):
         self.times.append(t)
         self.l2_norms.append(l2)
         self.div_norms.append(div)
         self.jump_u.append(jump_u)
         self.jump_w.append(jump_w)
         self.energy_residuals.append(energy_residual)
-        self.energy_scales.append(energy_scale)
 
     @property
     def completed(self):
@@ -78,8 +75,9 @@ class RunReport:
         return max(self.div_norms) if self.div_norms else NAN
 
     def max_relative_energy_residual(self):
-        res = np.asarray(self.energy_residuals, dtype=float)
-        scale = np.asarray(self.energy_scales, dtype=float)
+        """The largest energy residual of a step relative to ||u^n||^2 at its start."""
+        res = np.asarray(self.energy_residuals[1:], dtype=float)
+        scale = np.array([max(l2 ** 2, 1e-300) for l2 in self.l2_norms[:-1]])
         ok = np.isfinite(res) & np.isfinite(scale)
         if not np.any(ok):
             return NAN

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .quadrature import segment_rule, triangle_rule
 
@@ -222,10 +223,12 @@ def _curl_reference(k):
 
 @dataclass(eq=False)
 class LocalBasis:
-    """A global basis read cell by cell, cell-minor: the local coefficients
-    of a global vector ``values`` are ``values[dofs] * signs`` (m, n_cells),
-    on the local functions phi @ ``coeffs`` of the RT_k reference basis phi.
-    ``scatter`` is the transpose of ``gather``, onto ``size`` functions."""
+    """The local-to-global map of a space, cell-minor: local function i of
+    cell c is ``signs[i, c]`` times global function ``dofs[i, c]``, one of
+    ``size``, and the local functions are phi @ ``coeffs`` of the reference
+    basis phi.  A local function of sign 0 stands for no global one (a
+    boundary node of the stream-function basis): ``gather`` and ``scatter``
+    weight it by 0, and ``assemble`` leaves it out."""
 
     dofs: np.ndarray
     signs: np.ndarray
@@ -237,9 +240,27 @@ class LocalBasis:
             raise ValueError(f"{values.shape} coefficients for a basis of {self.size}")
         return values[self.dofs] * self.signs
 
-    def scatter(self, r_loc):
-        return np.bincount(self.dofs.ravel(), weights=(r_loc * self.signs).ravel(),
-                           minlength=self.size)
+    def scatter(self, r_loc, cells=slice(None)):
+        """The transpose of ``gather``: the global vector summing the local
+        vectors r_loc (m, len(cells)) of ``cells``."""
+        return np.bincount(self.dofs[:, cells].ravel(),
+                           weights=(r_loc * self.signs[:, cells]).ravel(), minlength=self.size)
+
+    def assemble(self, blocks, test=None):
+        """The COO sum of local blocks (blk, test cells, trial cells), with
+        blk[:, i, j] = form(phi_j, phi_i): phi_j in this basis on the trial
+        cells, phi_i in ``test`` (this basis when None) on the test cells."""
+        test = self if test is None else test
+        rows, cols, vals = [], [], []
+        for blk, test_cells, trial_cells in blocks:
+            s_test = test.signs[:, test_cells].T[:, :, None]
+            s_trial = self.signs[:, trial_cells].T[:, None, :]
+            keep = np.broadcast_to((s_test != 0) & (s_trial != 0), blk.shape)
+            vals.append((blk * s_test * s_trial)[keep])
+            rows.append(np.broadcast_to(test.dofs[:, test_cells].T[:, :, None], blk.shape)[keep])
+            cols.append(np.broadcast_to(self.dofs[:, trial_cells].T[:, None, :], blk.shape)[keep])
+        return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(test.size, self.size))
 
 
 @dataclass
@@ -261,7 +282,7 @@ class RTSpace:
     """Global H(div)-conforming RT_k space on a triangular mesh.
 
     Edge DOFs are shared between the two cells of an interior facet; the
-    per-cell sign arrays absorb normal and tangential orientation flips so a
+    signs of ``basis`` absorb normal and tangential orientation flips, so a
     cell-local coefficient is sign * global coefficient.
     """
 
@@ -276,20 +297,18 @@ class RTSpace:
         self.n_facet_dofs = nf * ne
         self.n_dofs = nf * ne + nc * ni
 
-        cell_dofs = np.empty((nc, self.n_loc), dtype=int)
-        cell_signs = np.ones((nc, self.n_loc))
+        dofs = np.empty((self.n_loc, nc), dtype=int)
+        signs = np.ones((self.n_loc, nc))
         cell_ids = np.arange(nc)
         for i in range(3):
             f = mesh.cell_facets[:, i]
             sigma_t = 1.0 - 2.0 * mesh.cell_facet_reversed[:, i]
             sigma_n = np.where(mesh.facet_plus[f] == cell_ids, 1.0, -1.0)
             for j in range(ne):
-                cell_dofs[:, i * ne + j] = f * ne + j
-                cell_signs[:, i * ne + j] = sigma_n * sigma_t ** j
-        for m in range(ni):
-            cell_dofs[:, 3 * ne + m] = nf * ne + cell_ids * ni + m
-        self.cell_dofs = cell_dofs
-        self.cell_signs = cell_signs
+                dofs[i * ne + j] = f * ne + j
+                signs[i * ne + j] = sigma_n * sigma_t ** j
+        dofs[3 * ne:] = nf * ne + cell_ids * ni + np.arange(ni)[:, None]
+        self.basis = LocalBasis(dofs, signs, self.n_dofs, np.eye(self.n_loc))
 
         self.boundary_dofs = (
             mesh.boundary_facets[:, None] * ne + np.arange(ne)[None, :]
@@ -304,13 +323,6 @@ class RTSpace:
 
     def zero(self):
         return CoefVec(self, np.zeros(self.n_dofs))
-
-    @cached_property
-    def basis(self):
-        """This space as a ``LocalBasis``, built on first use."""
-        return LocalBasis(np.ascontiguousarray(self.cell_dofs.T),
-                          np.ascontiguousarray(self.cell_signs.T), self.n_dofs,
-                          np.eye(self.n_loc))
 
     @cached_property
     def metric(self):
@@ -471,6 +483,8 @@ class ScalarDGSpace:
         self.exponents = scalar_monomial_exponents(k)
         self.n_loc = len(self.exponents)
         self.n_dofs = mesh.n_cells * self.n_loc
+        dofs = np.arange(self.n_dofs).reshape(-1, self.n_loc).T
+        self.basis = LocalBasis(dofs, np.ones(dofs.shape), self.n_dofs, np.eye(self.n_loc))
         rule = triangle_rule(2 * k)
         self.local_integrals = np.einsum("qi,q->i", self.eval_ref(rule.points),
                                          rule.weights)

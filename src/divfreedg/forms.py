@@ -14,15 +14,15 @@ J. Sci. Comput. 31, 2007).  The apply and the jump seminorm run on
 cell-minor coefficients in any ``LocalBasis`` (the RT_k basis, or the
 stream-function basis phi @ C_loc).  The linearized convection and the SIP
 form are local blocks in one layout (``convection_blocks``, ``sip_blocks``),
-scattered as triplets on the velocity DOFs or summed on the stream nodes
-over a pattern fixed per mesh (``block_pattern``) with one bincount.
+assembled on the velocity DOFs by ``LocalBasis.assemble``, as the mass and
+divergence blocks are, or summed on the stream nodes over a pattern fixed
+per mesh (``block_pattern``) with one bincount.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fe_space import CoefVec
 from .quadrature import segment_rule
@@ -93,46 +93,10 @@ def _values(space, field):
     return field
 
 
-def _scatter(space, r_loc, cells=slice(None)):
-    """Global vector summing cell-local vectors (the scatter, transpose of
-    the gather)."""
-    return np.bincount(space.cell_dofs[cells].ravel(),
-                       weights=(r_loc * space.cell_signs[cells]).ravel(),
-                       minlength=space.n_dofs)
-
-
-def _blocks(space, blk, test_cells, trial_cells):
-    """COO triplets of local blocks blk[:, i, j] = form(phi_j, phi_i), with
-    phi_j on the trial cells and phi_i on the test cells."""
-    blk = blk * space.cell_signs[test_cells][:, :, None] \
-        * space.cell_signs[trial_cells][:, None, :]
-    return (np.broadcast_to(space.cell_dofs[test_cells][:, :, None], blk.shape),
-            np.broadcast_to(space.cell_dofs[trial_cells][:, None, :], blk.shape),
-            blk)
-
-
-def _to_csr(n_rows, n_cols, triplets):
-    rows, cols, vals = zip(*triplets)
-    mat = sp.coo_matrix(
-        (np.concatenate([v.ravel() for v in vals]),
-         (np.concatenate([r.ravel() for r in rows]),
-          np.concatenate([c.ravel() for c in cols]))),
-        shape=(n_rows, n_cols),
-    )
-    return mat.tocsr()
-
-
 # -- the volume kernel ------------------------------------------------------------
 
 def _cell_wdet(mesh, rule):
     return rule.weights[None, :] * mesh.cell_detj[:, None]
-
-
-def _test_cells(tab, s):
-    """Cell-local vectors sum_q w_q s_q . phi_i(x_q) det J for an integrand
-    s (nc, nq, 2) pulled back to the reference frame (s = J^T f for the
-    physical integrand f), on the volume reference tables ``tab``."""
-    return s.reshape(len(s), -1) @ tab["val_weighted"]
 
 
 # -- the facet-trace kernel -----------------------------------------------------------
@@ -188,8 +152,7 @@ def assemble_mass(space, order=None):
     val /= mesh.cell_detj[:, None, None, None]
     loc = np.einsum("cqia,cqja,cq->cij", val, val, _cell_wdet(mesh, tab["rule"]),
                     optimize=True)
-    cells = slice(None)
-    return _to_csr(space.n_dofs, space.n_dofs, [_blocks(space, loc, cells, cells)])
+    return space.basis.assemble([(loc, slice(None), slice(None))]).tocsr()
 
 
 def apply_mass(space, v, order=None):
@@ -217,12 +180,7 @@ def assemble_div(space, q_space, order=None):
     div = tab["div"][None, :, :] / mesh.cell_detj[:, None, None]
     loc = np.einsum("qi,cqj,cq->cij", qv, div, _cell_wdet(mesh, tab["rule"]),
                     optimize=True)
-    loc *= space.cell_signs[:, None, :]
-    nc = mesh.n_cells
-    qdofs = np.arange(nc)[:, None] * q_space.n_loc + np.arange(q_space.n_loc)[None, :]
-    rows = np.broadcast_to(qdofs[:, :, None], loc.shape)
-    cols = np.broadcast_to(space.cell_dofs[:, None, :], loc.shape)
-    return _to_csr(q_space.n_dofs, space.n_dofs, [(rows, cols, loc)])
+    return space.basis.assemble([(loc, slice(None), slice(None))], test=q_space.basis).tocsr()
 
 
 def _upwind_weights(an):
@@ -335,15 +293,16 @@ def convection_blocks(space, a, tables):
 
 def convection_matrix(space, a, cell_order=None, facet_order=None):
     """Matrix C with C_ij = c_h(a, phi_j, phi_i), the linearized convection."""
-    blocks = convection_blocks(space, a, convection_tables(space, None, cell_order, facet_order))
-    return _to_csr(space.n_dofs, space.n_dofs, [_blocks(space, *b) for b in blocks])
+    tables = convection_tables(space, None, cell_order, facet_order)
+    return space.basis.assemble(convection_blocks(space, a, tables)).tocsr()
 
 
-def block_pattern(mesh, index, n):
-    """Sorted column-major keys col * n + row of an n x n matrix summed from
-    the blocks of ``convection_blocks`` with rows ``index`` (nc, m; -1 drops
-    one), and the slot of every block entry among the keys (len(keys) when
-    dropped)."""
+def block_pattern(mesh, basis):
+    """Sorted column-major keys col * n + row of the n x n matrix summed from
+    the blocks of ``convection_blocks`` in ``basis`` (n = ``basis.size``), and
+    the slot of every block entry among the keys (len(keys) for a function of
+    sign 0, which is dropped)."""
+    n, index = basis.size, np.where(basis.signs != 0, basis.dofs, -1).T
     plus, minus = (side[0] for side in _sides(mesh, mesh.interior_facets))
     pairs = [np.broadcast_arrays(test[:, :, None], trial[:, None, :]) for test, trial
              in ((index, index), (index[plus], index[minus]), (index[minus], index[plus]))]
@@ -427,8 +386,7 @@ def assemble_sip(space, params=None):
     params = (params or FormParams()).resolve(space.k)
     if params.sigma <= 0:
         raise ValueError("SIP penalty sigma must be positive")
-    return _to_csr(space.n_dofs, space.n_dofs,
-                   [_blocks(space, *b) for b in sip_blocks(space, params)])
+    return space.basis.assemble(sip_blocks(space, params)).tocsr()
 
 
 def assemble_sip_boundary_load(space, g, params=None):
@@ -448,7 +406,7 @@ def assemble_sip_boundary_load(space, g, params=None):
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     sides = _sides(mesh, bb)[:1]
     z = _sip_traces(space, params, bb, sides, gv[:, None], np.eye(space.n_loc))[2]
-    return _scatter(space, z.sum(axis=1), sides[0][0])
+    return space.basis.scatter(z.sum(axis=1).T, sides[0][0])
 
 
 def assemble_load(space, f, order=None):
@@ -461,7 +419,7 @@ def assemble_load(space, f, order=None):
     pts = mesh.map_to_physical(cells, tab["rule"].points)
     fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     s = mesh.cell_detj[:, None, None] * space.piola_transpose(cells, fv)
-    return _scatter(space, _test_cells(tab, s))
+    return space.basis.scatter((s.reshape(len(s), -1) @ tab["val_weighted"]).T)
 
 
 def divergence_l2_norm(space, coeffs, order=None):
@@ -479,9 +437,9 @@ def divergence_l2_norm(space, coeffs, order=None):
 
 __all__ = [
     "FormParams", "assemble_mass", "apply_mass", "assemble_div", "apply_convection",
-    "convection_matrix", "assemble_sip", "assemble_sip_boundary_load",
-    "assemble_load", "jump_seminorm",
-    "divergence_l2_norm", "check_finite",
+    "convection_tables", "convection_blocks", "convection_matrix", "block_pattern",
+    "sip_blocks", "assemble_sip", "assemble_sip_boundary_load",
+    "assemble_load", "jump_seminorm", "divergence_l2_norm", "check_finite",
     "default_sigma", "default_cell_order", "default_facet_order",
     "default_load_order",
 ]

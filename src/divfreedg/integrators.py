@@ -341,7 +341,6 @@ def run(config, mesh, problem=None, disc=None):
                     _dissipation(disc, stage, jump_w), config.tau)
                 rec["jump_w"] = jump_w
                 rec["energy_residual"] = res
-                rec["energy_scale"] = max(state.l2 ** 2, 1e-300)
         report.record(**rec)
         report.factor_fill = max(report.factor_fill, new_state.factor_fill)
         state = new_state

@@ -9,7 +9,8 @@ continuous P_{k+1} stream functions that vanish on the boundary (Arnold,
 Falk and Winther, Acta Numerica 2006; Girault and Raviart 1986).  The
 projection of a functional r is then u = C K^{-1} C^T r, where K = C^T M C
 is the P_{k+1} stiffness matrix on the interior nodes: symmetric positive
-definite, assembled cell by cell from the reference mass tables, with no
+definite, assembled cell by cell from the reference mass tables in the
+stream-function ``LocalBasis`` (boundary nodes of sign 0), as C is, with no
 velocity mass matrix, and factorized once per mesh and degree.  B C = 0
 holds identically, so the divergence vanishes by construction.  The
 semi-implicit CN operator C^T (M/tau + theta C(a) + theta nu A) C is
@@ -140,9 +141,9 @@ def build_saddle(space, q_space, mass=None, div=None):
 
 # -- the stream-function systems ------------------------------------------------------
 
-def _stream_nodes(space):
-    """Interior-node index of every (cell, reference node) of P_{k+1}, -1
-    on the boundary, and the number of interior nodes.
+def _stream_basis(space):
+    """The stream-function basis phi @ C_loc of the interior P_{k+1} nodes:
+    the boundary nodes have sign 0.
 
     The global nodes are the vertices, then k nodes per facet from its
     lower-index vertex to the higher one, then the interior nodes of each
@@ -163,44 +164,39 @@ def _stream_nodes(space):
     on_boundary[nv + walls[:, None] * k + j] = True
     index = np.full(len(on_boundary), -1)
     index[~on_boundary] = np.arange(np.count_nonzero(~on_boundary))
-    return index[nodes], np.count_nonzero(~on_boundary)
+    nodes = index[nodes].T
+    return LocalBasis(np.where(nodes >= 0, nodes, 0), (nodes >= 0).astype(float),
+                      np.count_nonzero(~on_boundary), _curl_reference(k))
 
 
-def _discrete_curl(space, cell_nodes, n_nodes):
-    """C = cell_signs x C_loc on the free velocity DOFs.  Both cells of an
-    interior facet give its edge DOFs the same value; the plus cell sets
-    them, once."""
-    mesh = space.mesh
+def _discrete_curl(space, basis):
+    """C on the free velocity DOFs: the blocks C_loc from the stream
+    ``basis`` to the RT_k basis of each cell.  Both cells of an interior
+    facet give its edge DOFs the same value; the plus cell sets them, once,
+    and the other cell's slots get sign 0."""
+    mesh, rt = space.mesh, space.basis
     nc, ne = mesh.n_cells, space.ref.n_edge_moments
-    owner = np.ones((nc, space.n_loc), dtype=bool)
-    for i in range(3):
-        owner[:, i * ne:(i + 1) * ne] = \
-            (mesh.facet_plus[mesh.cell_facets[:, i]] == np.arange(nc))[:, None]
-    c_loc = _curl_reference(space.k)
-    vals = space.cell_signs[:, :, None] * c_loc
-    rows = np.broadcast_to(space.cell_dofs[:, :, None], vals.shape)
-    cols = np.broadcast_to(cell_nodes[:, None, :], vals.shape)
-    keep = owner[:, :, None] & (cols >= 0) & (vals != 0.0)
-    curl = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(space.n_dofs, n_nodes))
+    owner = np.ones(rt.signs.shape, dtype=bool)
+    owner[:3 * ne] = np.repeat(mesh.facet_plus[mesh.cell_facets] == np.arange(nc)[:, None],
+                               ne, axis=1).T
+    owned = LocalBasis(rt.dofs, rt.signs * owner, rt.size, rt.coeffs)
+    blocks = np.broadcast_to(basis.coeffs, (nc,) + basis.coeffs.shape)
+    curl = basis.assemble([(blocks, slice(None), slice(None))], test=owned).tocsr()
+    curl.eliminate_zeros()  # the exact zeros of C_loc
     return curl[space.free_dofs]
 
 
-def _stiffness(space, cell_nodes, n_nodes):
+def _stiffness(space, basis):
     """K = C^T M C assembled cell by cell as K_c = C_loc^T M_c C_loc, with
     the compact P_{k+1} stencil.  On an affine cell M_c = det J sum_ab G_ab
     R_ab, where G = J^T J / det J^2 is the cell metric and R_ab the
     reference mass of components a and b (``ref_tables(order)["mass"]``, the
     tables ``forms.apply_mass`` applies M with), so K_c combines the four
     reference matrices C_loc^T R_ab C_loc."""
-    c_loc = _curl_reference(space.k)
+    c_loc = basis.coeffs
     ref = c_loc.T @ space.ref_tables(forms.default_cell_order(space.k))["mass"] @ c_loc
     loc = np.einsum("c,cab,abmn->cmn", space.mesh.cell_detj, space.metric, ref)
-    rows = np.broadcast_to(cell_nodes[:, :, None], loc.shape)
-    cols = np.broadcast_to(cell_nodes[:, None, :], loc.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.csc_matrix((loc[keep], (rows[keep], cols[keep])),
-                         shape=(n_nodes, n_nodes))
+    return basis.assemble([(loc, slice(None), slice(None))]).tocsc()
 
 
 class StreamFunctionProjection(_FactorizedSystem):
@@ -218,10 +214,10 @@ class StreamFunctionProjection(_FactorizedSystem):
         _check_simply_connected(space.mesh)
         self.params = (params or forms.FormParams()).resolve(space.k)
         self.space = space
-        self.cell_nodes, n_nodes = _stream_nodes(space)
-        self.curl = _discrete_curl(space, self.cell_nodes, n_nodes)
+        self.basis = _stream_basis(space)
+        self.curl = _discrete_curl(space, self.basis)
         self.curl_t = self.curl.T.tocsr()
-        super().__init__(_stiffness(space, self.cell_nodes, n_nodes),
+        super().__init__(_stiffness(space, self.basis),
                          "stream-function", permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
@@ -232,19 +228,11 @@ class StreamFunctionProjection(_FactorizedSystem):
         return CoefVec(self.space, full)
 
     @cached_property
-    def basis(self):
-        """The stream-function basis phi @ C_loc of the interior nodes, built
-        on first use: psi_loc = psi[cell_nodes], the boundary nodes read as 0."""
-        inner = self.cell_nodes.T >= 0
-        return LocalBasis(np.where(inner, self.cell_nodes.T, 0), inner.astype(float),
-                          self.matrix.shape[0], _curl_reference(self.space.k))
-
-    @cached_property
     def pattern(self):
         """``forms.block_pattern`` on the stream nodes, the pattern of the CN
         operator and of C^T A C, as CSC indices and indptr, with K on it."""
         n, k = self.matrix.shape[0], self.matrix.tocoo()
-        keys, slots = forms.block_pattern(self.space.mesh, self.cell_nodes, n)
+        keys, slots = forms.block_pattern(self.space.mesh, self.basis)
         return (keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slots,
                 np.bincount(np.searchsorted(keys, k.col * n + k.row), k.data, len(keys)))
 
@@ -264,7 +252,7 @@ class StreamFunctionProjection(_FactorizedSystem):
     @cached_property
     def reduced_cn(self):
         """The convection tables in the basis phi @ C_loc, built on the first CN step."""
-        return forms.convection_tables(self.space, _curl_reference(self.space.k))
+        return forms.convection_tables(self.space, self.basis.coeffs)
 
     def cn_matrix(self, advect, tau, theta, nu):
         """K/tau + theta C^T C(a) C + theta nu C^T A C, in CSC: the signed

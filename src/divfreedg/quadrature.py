@@ -55,3 +55,6 @@ def segment_rule(order):
 @lru_cache(maxsize=None)
 def triangle_rule(order):
     return TriangleRule(order)
+
+
+__all__ = ["SegmentRule", "TriangleRule", "segment_rule", "triangle_rule"]

@@ -235,7 +235,7 @@ def physical_sip(space, params=None):
     grad = piola_gradient(space, cells[:, None, None], tab["grad"])
     wdet = tab["rule"].weights[None, :] * mesh.cell_detj[:, None]
     loc = np.einsum("cqiab,cqjab,cq->cij", grad, grad, wdet, optimize=True)
-    triplets = [forms._blocks(space, loc, cells, cells)]
+    blocks = [(loc, cells, cells)]
 
     etab = edge_tables(space, params.facet_order)
     penalty = params.sigma / mesh.facet_length
@@ -255,8 +255,8 @@ def physical_sip(space, params=None):
                 blk -= avg_w * sr * np.einsum("fq,fqja,fqia->fij", wq, rv, tgn, optimize=True)
                 blk += st * sr * np.einsum("f,fq,fqja,fqia->fij", pen, wq, rv, tv,
                                            optimize=True)
-                triplets.append(forms._blocks(space, blk, tcells, rcells))
-    return forms._to_csr(space.n_dofs, space.n_dofs, triplets)
+                blocks.append((blk, tcells, rcells))
+    return space.basis.assemble(blocks).tocsr()
 
 
 def physical_sip_boundary_load(space, g, params=None):
@@ -276,7 +276,7 @@ def physical_sip_boundary_load(space, g, params=None):
     pen = (params.sigma / mesh.facet_length[bb])[:, None]
     r_loc = np.einsum("fq,fqa,fqia->fi", wq, -gv, gn, optimize=True)
     r_loc += np.einsum("fq,fqa,fqia->fi", wq * pen, gv, val, optimize=True)
-    return forms._scatter(space, r_loc, plus[0])
+    return space.basis.scatter(r_loc.T, plus[0])
 
 
 # -- full-vector-jump convection oracles ----------------------------------------------
@@ -334,7 +334,8 @@ def full_jump_apply(space, a, w, cell_order=None, facet_order=None):
     grad_flat = tab["grad"].transpose(1, 0, 2, 3).reshape(space.n_loc, -1)
     a_hat = (a_loc @ tab["val_flat"]).reshape(nc, nq, 2)
     g_hat = (w_loc @ grad_flat).reshape(nc, nq, 2, 2)
-    r_loc = forms._test_cells(tab, _matvec2(space.metric[:, None], _matvec2(g_hat, a_hat)))
+    s = _matvec2(space.metric[:, None], _matvec2(g_hat, a_hat))
+    r_loc = s.reshape(nc, -1) @ tab["val_weighted"]
 
     etab = edge_tables(space, facet_order)
     ii = mesh.interior_facets
@@ -347,7 +348,7 @@ def full_jump_apply(space, a, w, cell_order=None, facet_order=None):
     s[plus] = (wq * gp)[..., None] * jump
     s[minus] = (wq * gm)[..., None] * jump
     r_loc += _test_edges(space, etab, s)
-    return forms._scatter(space, r_loc)
+    return space.basis.scatter(r_loc.T)
 
 
 def full_jump_seminorm(space, a, v, facet_order=None):
@@ -423,7 +424,7 @@ def evaluate(space, coeffs, cells, ref_points, with_grad=False):
     """Field value (and broken gradient) at reference points in cells."""
     cells = np.asarray(cells, dtype=int)
     rv, _, _ = space.ref.eval_basis(np.asarray(ref_points, dtype=float))
-    loc = coeffs[space.cell_dofs[cells]] * space.cell_signs[cells]
+    loc = np.moveaxis(coeffs[space.basis.dofs[:, cells]] * space.basis.signs[:, cells], 0, -1)
     # optimize=True turns the broadcast contraction into one GEMM
     val = space.piola(cells, np.einsum("...i,...ia->...a", loc, rv, optimize=True))
     if not with_grad:
@@ -435,7 +436,7 @@ def evaluate_gradient(space, coeffs, cells, ref_points):
     """The broken gradient alone at reference points in cells."""
     cells = np.asarray(cells, dtype=int)
     _, _, rg = space.ref.eval_basis(np.asarray(ref_points, dtype=float))
-    loc = coeffs[space.cell_dofs[cells]] * space.cell_signs[cells]
+    loc = np.moveaxis(coeffs[space.basis.dofs[:, cells]] * space.basis.signs[:, cells], 0, -1)
     return piola_gradient(space, cells, np.einsum("...i,...iab->...ab", loc, rg, optimize=True))
 
 

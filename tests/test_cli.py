@@ -190,6 +190,23 @@ def test_config_values_are_checked_as_flags_are(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--n-list", "x", "invalid literal for int()"),
+    ("--n-list", "", "empty list argument"),
+    ("--tau", "1/0", "zero denominator"),
+    ("--tau-list", "1/2,x", "could not convert string to float"),
+], ids=["n-list-item", "n-list-empty", "tau-zero", "tau-list-item"])
+def test_flag_errors_give_the_reason(capsys, flag, value, reason):
+    # argparse names the converter of a failed flag ("invalid <lambda>
+    # value") and drops its reason unless the converter says otherwise
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["single-run", flag, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid value {value!r}: " in err and reason in err
+    assert "<lambda>" not in err and "_parse" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["single-run", "--unknown-flag"])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from divfreedg import build_structured, forms, manufactured
+from divfreedg import build_structured, forms, linsolve, manufactured
 from divfreedg.fe_space import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS,
                                 REF_EDGE_VERTICES, REF_VERTICES, CoefVec,
                                 RTSpace, ScalarDGSpace, eval_scalar_monomials,
@@ -305,13 +306,59 @@ def test_shared_edge_dofs_have_relative_sign():
         im = list(mesh.cell_facets[cm]).index(f)
         for j in range(ne):
             g = f * ne + j
-            assert space.cell_dofs[cp, ip * ne + j] == g
-            assert space.cell_dofs[cm, im * ne + j] == g
-            sp = space.cell_signs[cp, ip * ne + j]
-            sm = space.cell_signs[cm, im * ne + j]
+            assert space.basis.dofs[ip * ne + j, cp] == g
+            assert space.basis.dofs[im * ne + j, cm] == g
+            sp = space.basis.signs[ip * ne + j, cp]
+            sm = space.basis.signs[im * ne + j, cm]
             # lowest moment always sees an orientation flip across the facet
             if j == 0:
                 assert sp * sm == -1
+
+
+def _dense_sum(trial, test, blocks):
+    """The sum of local blocks, one cell or cell pair at a time, with every
+    local function of sign 0 left out."""
+    out = np.zeros((test.size, trial.size))
+    n_test, n_trial = test.dofs.shape[1], trial.dofs.shape[1]
+    for blk, test_cells, trial_cells in blocks:
+        for b, ct, cr in zip(blk, np.arange(n_test)[test_cells], np.arange(n_trial)[trial_cells]):
+            i, j = np.flatnonzero(test.signs[:, ct]), np.flatnonzero(trial.signs[:, cr])
+            out[np.ix_(test.dofs[i, ct], trial.dofs[j, cr])] += \
+                np.outer(test.signs[i, ct], trial.signs[j, cr]) * b[np.ix_(i, j)]
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("k", [1, 2])
+def test_local_bases_gather_scatter_and_assemble(k, n, perturb, seed):
+    # the RT_k, stream-function and broken P_k bases: scatter is the
+    # transpose of gather, and assemble is the loop sum of the local blocks,
+    # on cells and across interior facets, within and between bases
+    mesh = build_structured(n, perturb, seed=seed)
+    space = RTSpace(mesh, k)
+    proj = linsolve.StreamFunctionProjection(space)
+    rt, stream, dg = space.basis, proj.basis, ScalarDGSpace(mesh, k).basis
+    rng = np.random.default_rng(seed)
+    for basis in (rt, stream, dg):
+        x, y = rng.normal(size=basis.size), rng.normal(size=basis.dofs.shape)
+        assert np.sum(basis.gather(x) * y) == pytest.approx(x @ basis.scatter(y), rel=1e-12)
+    cells, plus, minus = (slice(None), mesh.facet_plus[mesh.interior_facets],
+                          mesh.facet_minus[mesh.interior_facets])
+    for trial, test in ((rt, rt), (stream, stream), (rt, dg), (stream, rt)):
+        shape = (len(test.dofs), len(trial.dofs))
+        blocks = [(rng.normal(size=(mesh.n_cells, *shape)), cells, cells),
+                  (rng.normal(size=(len(plus), *shape)), plus, minus)]
+        coo = trial.assemble(blocks, test=test)
+        assert np.all(coo.data != 0)  # no triplet of a function of sign 0
+        got = coo.toarray()
+        assert np.abs(got - _dense_sum(trial, test, blocks)).max() <= 1e-12 * np.abs(got).max()
+    # K lives on the interior nodes alone: every row holds a positive diagonal
+    walls = mesh.boundary_facets
+    n_nodes = mesh.n_vertices + k * mesh.n_facets + mesh.n_cells * k * (k - 1) // 2
+    n_inner = n_nodes - len(np.unique(mesh.facet_vertices[walls])) - k * len(walls)
+    assert stream.size == proj.matrix.shape[0] == n_inner
+    assert np.all(proj.matrix.diagonal() > 0)
 
 
 @pytest.mark.parametrize("k", [1, 2])

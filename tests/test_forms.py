@@ -242,8 +242,8 @@ def test_convection_single_cell_over_integration_oracle():
     rv, _, _ = space.ref.eval_basis(rule.points)
     phys = np.einsum("ab,qib->qia", mesh.cell_jac[0], rv) / mesh.cell_detj[0]
     oracle = np.einsum("q,qa,qia->i", rule.weights * mesh.cell_detj[0], conv, phys)
-    oracle = oracle * space.cell_signs[0]
-    r_loc = r[space.cell_dofs[0]]
+    oracle = oracle * space.basis.signs[:, 0]
+    r_loc = r[space.basis.dofs[:, 0]]
     assert np.abs(r_loc - oracle).max() < 1e-11 * max(1.0, np.abs(oracle).max())
 
 
@@ -449,7 +449,7 @@ def test_manufactured_load_matches_direct_quadrature(spaces):
         pv = np.einsum("ab,qib->qia", mesh.cell_jac[c], rv) / mesh.cell_detj[c]
         vals = np.einsum("q,qa,qia->i", rule.weights * mesh.cell_detj[c],
                          f0(phys[:, 0], phys[:, 1]), pv)
-        oracle[space.cell_dofs[c]] += vals * space.cell_signs[c]
+        oracle[space.basis.dofs[:, c]] += vals * space.basis.signs[:, c]
     assert np.linalg.norm(base - oracle) <= 1e-10 * np.linalg.norm(oracle)
     # the default order is converged to well below discretization error
     default = forms.assemble_load(space, f0)
