@@ -10,7 +10,7 @@ curls of the P_{k+1} Lagrange basis, written in the RT_k basis, give the
 discrete curl of the stream-function projection.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -226,14 +226,28 @@ class LocalBasis:
     """The local-to-global map of a space, cell-minor: local function i of
     cell c is ``signs[i, c]`` times global function ``dofs[i, c]``, one of
     ``size``, and the local functions are phi @ ``coeffs`` of the reference
-    basis phi.  A local function of sign 0 stands for no global one (a
-    boundary node of the stream-function basis): ``gather`` and ``scatter``
-    weight it by 0, and ``assemble`` leaves it out."""
+    basis phi, polynomials of ``degree``.  A local function of sign 0 stands
+    for no global one (a boundary node of the stream-function basis):
+    ``gather`` and ``scatter`` weight it by 0, and ``assemble`` leaves it out.
+
+    The degree sizes the volume rules of the kernels that run in the basis:
+    k+1 on the RT_k basis, k on the stream-function basis, whose functions
+    are curls of P_{k+1} (see ``forms.apply_convection``).  Facet rules do
+    not follow it, since the upwind weight |a . n| is no polynomial."""
 
     dofs: np.ndarray
     signs: np.ndarray
     size: int
     coeffs: np.ndarray
+    degree: int
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
+
+    def kept(self, key, build):
+        """``build()``, made on the first call with ``key`` and kept on the
+        basis: a kernel's reference tables in phi @ ``coeffs``."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     def gather(self, values):
         if values.shape != (self.size,):
@@ -308,7 +322,7 @@ class RTSpace:
                 dofs[i * ne + j] = f * ne + j
                 signs[i * ne + j] = sigma_n * sigma_t ** j
         dofs[3 * ne:] = nf * ne + cell_ids * ni + np.arange(ni)[:, None]
-        self.basis = LocalBasis(dofs, signs, self.n_dofs, np.eye(self.n_loc))
+        self.basis = LocalBasis(dofs, signs, self.n_dofs, np.eye(self.n_loc), k + 1)
 
         self.boundary_dofs = (
             mesh.boundary_facets[:, None] * ne + np.arange(ne)[None, :]
@@ -378,7 +392,11 @@ class RTSpace:
         ``g_plus``/``g_minus`` (2, nfi) are J^T t_F / det J, so
         t_F . v = g . v_ref, and ``weights`` (nq, 1) times ``n_plus`` (2, nfi)
         = |F| J^T n_F / det J of the plus cell gives w_q |F| u . n_F from the
-        plus trace."""
+        plus trace.  n_F points out of the plus cell, so ``n_plus`` is the
+        plus edge's |F_ref| n_ref, and ``normal`` (3 * nq, n_loc), the
+        reference normal traces |F_ref| n_ref . phi by local edge and point,
+        gives u . n_F alone: w_q |F| u . n_F is ``weights`` times the plus
+        slot's entry of ``normal`` @ loc, read at ``plus``."""
         ft = self._facet_traces.get(order)
         if ft is not None:
             return ft
@@ -399,8 +417,10 @@ class RTSpace:
         plus, g_plus = side(plus_cells, plus_local, tangent)
         minus, g_minus = side(mesh.facet_minus[ii], mesh.facet_minus_local[ii], tangent)
         n_plus = side(plus_cells, plus_local, normal)[1] * mesh.facet_length[ii]
+        normal = np.einsum("eqia,ea->eqi", val, REF_EDGE_NORMALS * REF_EDGE_LENGTHS[:, None])
         ft = dict(
             table=np.ascontiguousarray(val.transpose(3, 0, 1, 2).reshape(6 * nq, self.n_loc)),
+            normal=normal.reshape(3 * nq, self.n_loc),
             plus=plus, minus=minus, g_plus=g_plus, g_minus=g_minus,
             weights=rule.weights[:, None], n_plus=n_plus,
         )
@@ -484,7 +504,7 @@ class ScalarDGSpace:
         self.n_loc = len(self.exponents)
         self.n_dofs = mesh.n_cells * self.n_loc
         dofs = np.arange(self.n_dofs).reshape(-1, self.n_loc).T
-        self.basis = LocalBasis(dofs, np.ones(dofs.shape), self.n_dofs, np.eye(self.n_loc))
+        self.basis = LocalBasis(dofs, np.ones(dofs.shape), self.n_dofs, np.eye(self.n_loc), k)
         rule = triangle_rule(2 * k)
         self.local_integrals = np.einsum("qi,q->i", self.eval_ref(rule.points),
                                          rule.weights)

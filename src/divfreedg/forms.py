@@ -16,7 +16,10 @@ stream-function basis phi @ C_loc).  The linearized convection and the SIP
 form are local blocks in one layout (``convection_blocks``, ``sip_blocks``),
 assembled on the velocity DOFs by ``LocalBasis.assemble``, as the mass and
 divergence blocks are, or summed on the stream nodes over a pattern fixed
-per mesh (``block_pattern``) with one bincount.
+per mesh (``block_pattern``) with one bincount.  The volume rules of the
+convection kernels are the exact ones for the degrees of their arguments
+(``_volume_order``); the facet rules are not exact, since the upwind
+weight |a . n| is no polynomial.
 """
 
 import math
@@ -33,6 +36,8 @@ def default_sigma(k):
 
 
 def default_cell_order(k):
+    # sized for the RT_k basis (degree k+1): its mass has degree 2k+2; the
+    # kernels on the stream nodes take the exact rules of ``_volume_order``
     return 2 * k + 3
 
 
@@ -99,6 +104,32 @@ def _cell_wdet(mesh, rule):
     return rule.weights[None, :] * mesh.cell_detj[:, None]
 
 
+def _volume_order(space, advect, basis):
+    """The volume rule of a convection kernel with a in the basis ``advect``
+    and w, v in ``basis``: on an affine cell a . grad w . v has degree
+    deg a + 2 deg w - 1, so that rule is exact, capped at
+    ``default_cell_order``.  With all three on the stream basis (degree k)
+    it is 3k - 1: 4 points instead of 9 at k = 1 and 9 instead of 16 at
+    k = 2.  With a in RT_k (degree k+1) and w, v on the stream basis it is
+    3k, the same 16-point rule as 2k + 3 at k = 2.  The RT_k basis keeps
+    2k + 3, which its test oracles share; at k = 2 that is one degree short
+    of its 3k + 2."""
+    return min(advect.degree + 2 * basis.degree - 1, default_cell_order(space.k))
+
+
+def _volume_tables(space, basis, order):
+    """The reference values (2 nq, m), gradients (4 nq, m) and weighted
+    values (2 nq, m) of phi @ ``basis.coeffs`` at the volume rule of
+    ``order``, rows by component then point; built once per (basis, order)
+    and kept on the basis."""
+    def build():
+        tab = space.ref_tables(order)
+        return tuple(t.reshape(tab["nq"], -1, space.n_loc).transpose(1, 0, 2).reshape(t.shape)
+                     @ basis.coeffs for t in
+                     (tab["val_flat"].T, tab["grad_flat"].T, tab["val_weighted"]))
+    return basis.kept(("volume", order), build)
+
+
 # -- the facet-trace kernel -----------------------------------------------------------
 #
 # Traces live on the slots (cell, local edge) in facet-point order; facet F
@@ -125,17 +156,38 @@ def _dot(g, t):
     return g[0] * t[0] + g[1] * t[1]
 
 
-def _jump_and_flux(ft, table, a_loc, w_loc):
+def _trace_tables(space, basis, order):
+    """The slot traces ``table`` and normal traces ``normal`` of
+    ``RTSpace.facet_traces(order)`` in phi @ ``basis.coeffs``, built once
+    per (basis, order) and kept on the basis."""
+    ft = space.facet_traces(order)
+    return basis.kept(("traces", order),
+                      lambda: (ft["table"] @ basis.coeffs, ft["normal"] @ basis.coeffs))
+
+
+def _flux(ft, normal, a_loc):
+    """w_q |F| a . n_F at the points (nq, nfi) of the interior facets, from
+    the plus side's normal traces ``normal`` @ a_loc (3 * nq, n_cells)."""
+    return ft["weights"] * np.take(normal @ a_loc, ft["plus"])
+
+
+def _jump_and_flux(ft, table, a_loc, w_loc, normal=None):
     """The tangential jump (w+ - w-) . t_F and w_q |F| a . n_F at the points
     (nq, nfi) of the interior facets, from the slot traces ``table`` @ loc
     (2, 3 * nq * n_cells) of the cell-local coefficients.  Both sides read
-    the same edge DOFs, so the plus side gives the normal trace."""
+    the same edge DOFs, so the plus side gives the normal trace: of w's
+    slot traces when a is w, else of a's ``normal`` traces alone."""
     trace = (table @ w_loc).reshape(2, -1)
     plus, minus = (np.take(trace, ft[side], axis=1) for side in ("plus", "minus"))
-    plus_a = plus if a_loc is w_loc else \
-        np.take((table @ a_loc).reshape(2, -1), ft["plus"], axis=1)
-    return (_dot(ft["g_plus"], plus) - _dot(ft["g_minus"], minus),
-            ft["weights"] * _dot(ft["n_plus"], plus_a))
+    jump = _dot(ft["g_plus"], plus) - _dot(ft["g_minus"], minus)
+    if a_loc is w_loc:
+        return jump, ft["weights"] * _dot(ft["n_plus"], plus)
+    return jump, _flux(ft, normal, a_loc)
+
+
+def _seminorm(jump, flux):
+    """0.5 sum_F sum_q w_q |F| |a . n_F| [w . t_F]^2, the upwind seminorm."""
+    return float(0.5 * np.sum(np.abs(flux) * jump ** 2))
 
 
 # -- forms ----------------------------------------------------------------------------
@@ -188,7 +240,8 @@ def _upwind_weights(an):
     return np.maximum(-an, 0.0), np.minimum(-an, 0.0)
 
 
-def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None):
+def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None,
+                     seminorm=False):
     """Residual vector r with r_i = c_h(a, w, phi_i).
 
     Volume term (a . grad) w . v plus the interior-facet upwind flux terms;
@@ -196,14 +249,21 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None)
     ``basis`` (a ``LocalBasis``), a, w and r are coefficients in it: for the
     stream-function basis of ``StreamFunctionProjection.basis``, psi_a and
     psi_w give r = C^T c_h(C psi_a, C psi_w, .) on the interior nodes.
+    With ``seminorm`` it returns (r, |w|^2_{a,up}), the seminorm formed from
+    the apply's own jump and flux, bitwise what ``jump_seminorm`` returns.
+
+    The volume rule defaults to the exact one for the basis degree
+    (``_volume_order``): order 3k - 1 on the stream basis, 2k + 3 on RT_k.
+    The facet rule stays ``default_facet_order``: the upwind weight |a . n|
+    is no polynomial, so no facet rule is exact, and moving it by 2 moves
+    the apply by 7-18%.
     """
     basis, av, wv = _basis_values(space, basis, a, w)
     if cell_order is None:
-        cell_order = default_cell_order(space.k)
+        cell_order = _volume_order(space, basis, basis)
     if facet_order is None:
         facet_order = default_facet_order(space.k)
     ft = space.facet_traces(facet_order)
-    tab = space.ref_tables(cell_order)
     a_loc = basis.gather(av)
     w_loc = a_loc if wv is av else basis.gather(wv)
 
@@ -213,10 +273,8 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None)
     # the basis, and pointwise products over rows of length nq * n_cells:
     # the tables' rows run by component, then point, so each component of
     # a GEMM's result is one contiguous block.
-    nq, nc = tab["nq"], space.mesh.n_cells
-    val, grad, val_w = (t.reshape(nq, -1, space.n_loc).transpose(1, 0, 2).reshape(t.shape)
-                        @ basis.coeffs for t in
-                        (tab["val_flat"].T, tab["grad_flat"].T, tab["val_weighted"]))
+    val, grad, val_w = _volume_tables(space, basis, cell_order)
+    nq, nc = len(val) // 2, space.mesh.n_cells
     a_hat = (val @ a_loc).reshape(2, -1)
     g_hat = (grad @ w_loc).reshape(2, 2, -1)
     ga = [(g_hat[i, 0] * a_hat[0] + g_hat[i, 1] * a_hat[1]).reshape(nq, nc) for i in (0, 1)]
@@ -229,25 +287,30 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None)
 
     # Facets: the upwind weight times the tangential jump, tested on both
     # sides of every interior facet through t_F . phi_i = g . phi_ref.
-    table = ft["table"] @ basis.coeffs
-    jump, flux = _jump_and_flux(ft, table, a_loc, w_loc)
+    table, normal = _trace_tables(space, basis, facet_order)
+    jump, flux = _jump_and_flux(ft, table, a_loc, w_loc, normal)
     s = np.zeros((len(table), nc))
     for side, weight in zip(("plus", "minus"), _upwind_weights(flux)):
         upwind = weight * jump
         for comp, rows in enumerate(s.reshape(2, -1)):
             rows[ft[side]] = ft["g_" + side][comp] * upwind
     r_loc += table.T @ s
-    return basis.scatter(r_loc)
+    r = basis.scatter(r_loc)
+    return (r, _seminorm(jump, flux)) if seminorm else r
 
 
 def convection_tables(space, basis=None, cell_order=None, facet_order=None):
     """The tables of ``convection_blocks`` that do not depend on a, as plain
-    arrays, in the functions phi @ ``basis`` (phi, the RT_k reference basis,
-    when None): R[(a, b, d, q), (i, j)] = w_q phi_i[a] d_d phi_j[b] at the
-    cell rule, and t_F . phi_j at the facet points of the plus then the
-    minus side of every interior facet (nfi, nq, 2 m)."""
-    coeffs = np.eye(space.n_loc) if basis is None else basis
-    cell_order = cell_order or default_cell_order(space.k)
+    arrays, in the functions phi @ coeffs of a ``LocalBasis`` (the RT_k
+    basis when None): R[(a, b, d, q), (i, j)] = w_q phi_i[a] d_d phi_j[b]
+    at the cell rule, and t_F . phi_j at the facet points of the plus then
+    the minus side of every interior facet (nfi, nq, 2 m).  a enters
+    ``convection_blocks`` as an RT_k vector, so the cell rule is the one
+    exact for a in RT_k and w, v in the basis (``_volume_order``: 3k on
+    the stream basis); the facet rule is that of ``apply_convection``."""
+    basis = space.basis if basis is None else basis
+    coeffs = basis.coeffs
+    cell_order = cell_order or _volume_order(space, space.basis, basis)
     facet_order = facet_order or default_facet_order(space.k)
     tab, ft = space.ref_tables(cell_order), space.facet_traces(facet_order)
     volume = np.einsum("q,qka,ki,qlbd,lj->abdqij", tab["rule"].weights, tab["val"], coeffs,
@@ -280,7 +343,7 @@ def convection_blocks(space, a, tables):
     # facets: each side's upwind weight times its test traces, against the
     # trial traces [plus | -minus]; the same-side blocks join their cells'
     ft = space.facet_traces(tables["facet_order"])
-    upwind = np.stack(_upwind_weights(_jump_and_flux(ft, ft["table"], a_loc, a_loc)[1].T), 2)
+    upwind = np.stack(_upwind_weights(_flux(ft, ft["normal"], a_loc).T), 2)
     pair = (traces.reshape(nfi, nq, 2, m) * upwind[..., None]).reshape(traces.shape) \
         .transpose(0, 2, 1) @ traces
     pair[:, :, m:] *= -1.0
@@ -321,9 +384,9 @@ def jump_seminorm(space, a, v, facet_order=None, basis=None):
         facet_order = default_facet_order(space.k)
     ft = space.facet_traces(facet_order)
     v_loc = basis.gather(vv)
-    jump, flux = _jump_and_flux(ft, ft["table"] @ basis.coeffs,
-                                v_loc if vv is av else basis.gather(av), v_loc)
-    return float(0.5 * np.sum(np.abs(flux) * jump ** 2))
+    table, normal = _trace_tables(space, basis, facet_order)
+    return _seminorm(*_jump_and_flux(ft, table, v_loc if vv is av else basis.gather(av),
+                                     v_loc, normal))
 
 
 # -- the SIP form ---------------------------------------------------------------------
@@ -425,10 +488,11 @@ def assemble_load(space, f, order=None):
 def divergence_l2_norm(space, coeffs, order=None):
     """L2 norm of div u_h by direct quadrature: on each cell div u_h is
     div_ref u_loc / det J, one GEMM against the ``div`` table, independent
-    of the discrete curl and of any divergence matrix."""
+    of the discrete curl and of any divergence matrix.  div u_h is in P_k,
+    so the default rule of order 2k is exact for its square."""
     cv = _values(space, coeffs)
     if order is None:
-        order = default_cell_order(space.k)
+        order = 2 * space.k
     tab = space.ref_tables(order)
     mesh = space.mesh
     dv = (tab["div"] @ space.basis.gather(cv)) / mesh.cell_detj

@@ -75,9 +75,10 @@ class SchemeConfig:
 class StepState:
     """State after step n, u^0 included: the stream function psi on the
     interior P_{k+1} nodes and its velocity u = C psi, psi of the step
-    before (for the CN extrapolation) and of the RK predictor, the L2 norms
-    sqrt(psi^T K psi) of u^0 and of u and the step's LU fill.  The steps
-    read psi; u is kept for the records."""
+    before (for the CN extrapolation) and of the RK predictor, with the
+    predictor's upwind seminorm |C stage|^2_up from its own apply, the L2
+    norms sqrt(psi^T K psi) of u^0 and of u and the step's LU fill.  The
+    steps read psi; u is kept for the records."""
 
     n: int
     t: float
@@ -85,6 +86,7 @@ class StepState:
     psi: np.ndarray
     psi_prev: np.ndarray = None
     stage: np.ndarray = None
+    stage_jump: float = None
     norm0: float = 0.0
     l2: float = None
     factor_fill: int = 0
@@ -154,7 +156,8 @@ class Discretization:
         return float(np.sqrt(max(u @ forms.apply_mass(self.space, u, self.params.cell_order), 0)))
 
     def div_l2(self, u):
-        return forms.divergence_l2_norm(self.space, u, self.params.cell_order)
+        """||div u||, at the rule of order 2k that is exact for div u in P_k."""
+        return forms.divergence_l2_norm(self.space, u)
 
 
 def _check_blowup(disc, state, psi):
@@ -189,25 +192,27 @@ def _viscous_boundary_load(disc, problem, t):
 def _stage_rhs(disc, config, psi, problem, t, load_at):
     """-b(psi, psi) - nu C^T A C psi + nu C^T g_b(t) + C^T l(*load_at) on the
     stream-function nodes, with b(psi_a, psi_w) = C^T c_h(C psi_a, C psi_w, .):
-    the right-hand side of an RK stage."""
+    the right-hand side of an RK stage, and |C psi|^2_up from the same apply."""
     proj = disc.projection
-    rhs = -forms.apply_convection(disc.space, psi, psi, basis=proj.basis)
+    convection, jump = forms.apply_convection(disc.space, psi, psi, basis=proj.basis,
+                                              seminorm=True)
+    rhs = -convection
     if config.nu > 0:
         rhs -= config.nu * (proj.reduced_sip @ psi)
         rhs += config.nu * _viscous_boundary_load(disc, problem, t)
     if problem is not None:
         rhs += _load(disc, problem, *load_at)
-    return rhs
+    return rhs, jump
 
 
-def _advance(disc, state, config, system, psi, psi_next, stage=None):
+def _advance(disc, state, config, system, psi, psi_next, stage=None, stage_jump=None):
     """The state after step ``state.n`` from psi to ``psi_next``, once that
     has passed the blow-up gate; u = C psi_next is formed here, once per
     step."""
     l2 = _check_blowup(disc, state, psi_next)
     return StepState(n=state.n + 1, t=config.time_at(state.n + 1),
                      u=disc.projection.velocity(psi_next), psi=psi_next, psi_prev=psi,
-                     stage=stage, norm0=state.norm0, l2=l2, factor_fill=system.fill)
+                     stage=stage, stage_jump=stage_jump, norm0=state.norm0, l2=l2, factor_fill=system.fill)
 
 
 def rk2_step(state, config, disc, problem=None):
@@ -217,14 +222,16 @@ def rk2_step(state, config, disc, problem=None):
         psi_w = psi + K^{-1} tau (-b(psi, psi) + C^T l(t) + ...)
         psi'  = (psi + psi_w) / 2 + K^{-1} tau/2 (-b(psi_w, psi_w) + ...)
 
-    A non-finite predictor reaches the second solve, which raises."""
+    A non-finite predictor reaches the second solve, which raises.  The
+    second apply also gives the predictor's seminorm, which the state
+    carries for the energy identity."""
     proj, tau, t, psi = disc.projection, config.tau, state.t, state.psi
-    stage = psi + linsolve.project_div_free(
-        proj, tau * _stage_rhs(disc, config, psi, problem, t, (t,)))
+    rhs, _ = _stage_rhs(disc, config, psi, problem, t, (t,))
+    stage = psi + linsolve.project_div_free(proj, tau * rhs)
     load_at = (t, tau) if config.f_mode == "f_taylor" else (t + tau,)
-    psi_next = 0.5 * (psi + stage) + linsolve.project_div_free(
-        proj, 0.5 * tau * _stage_rhs(disc, config, stage, problem, t + tau, load_at))
-    return _advance(disc, state, config, proj, psi, psi_next, stage)
+    rhs, stage_jump = _stage_rhs(disc, config, stage, problem, t + tau, load_at)
+    psi_next = 0.5 * (psi + stage) + linsolve.project_div_free(proj, 0.5 * tau * rhs)
+    return _advance(disc, state, config, proj, psi, psi_next, stage, stage_jump)
 
 
 def cn_step(state, config, disc, problem=None):
@@ -334,13 +341,11 @@ def run(config, mesh, problem=None, disc=None):
             psi, stage = new_state.psi, new_state.stage
             rec["jump_u"] = forms.jump_seminorm(disc.space, psi, psi, basis=basis)
             if is_rk2:
-                jump_w = forms.jump_seminorm(disc.space, stage, stage, basis=basis)
-                res = diagnostics.energy_residual(
+                rec["jump_w"] = new_state.stage_jump
+                rec["energy_residual"] = diagnostics.energy_residual(
                     disc.projection.matrix, stage, psi, state.l2, new_state.l2,
                     _dissipation(disc, state.psi, report.jump_u[-1]),
-                    _dissipation(disc, stage, jump_w), config.tau)
-                rec["jump_w"] = jump_w
-                rec["energy_residual"] = res
+                    _dissipation(disc, stage, rec["jump_w"]), config.tau)
         report.record(**rec)
         report.factor_fill = max(report.factor_fill, new_state.factor_fill)
         state = new_state

@@ -143,7 +143,8 @@ def build_saddle(space, q_space, mass=None, div=None):
 
 def _stream_basis(space):
     """The stream-function basis phi @ C_loc of the interior P_{k+1} nodes:
-    the boundary nodes have sign 0.
+    the boundary nodes have sign 0, and its functions, curls of P_{k+1},
+    have degree k.
 
     The global nodes are the vertices, then k nodes per facet from its
     lower-index vertex to the higher one, then the interior nodes of each
@@ -166,7 +167,7 @@ def _stream_basis(space):
     index[~on_boundary] = np.arange(np.count_nonzero(~on_boundary))
     nodes = index[nodes].T
     return LocalBasis(np.where(nodes >= 0, nodes, 0), (nodes >= 0).astype(float),
-                      np.count_nonzero(~on_boundary), _curl_reference(k))
+                      np.count_nonzero(~on_boundary), _curl_reference(k), k)
 
 
 def _discrete_curl(space, basis):
@@ -179,7 +180,7 @@ def _discrete_curl(space, basis):
     owner = np.ones(rt.signs.shape, dtype=bool)
     owner[:3 * ne] = np.repeat(mesh.facet_plus[mesh.cell_facets] == np.arange(nc)[:, None],
                                ne, axis=1).T
-    owned = LocalBasis(rt.dofs, rt.signs * owner, rt.size, rt.coeffs)
+    owned = LocalBasis(rt.dofs, rt.signs * owner, rt.size, rt.coeffs, rt.degree)
     blocks = np.broadcast_to(basis.coeffs, (nc,) + basis.coeffs.shape)
     curl = basis.assemble([(blocks, slice(None), slice(None))], test=owned).tocsr()
     curl.eliminate_zeros()  # the exact zeros of C_loc
@@ -252,7 +253,7 @@ class StreamFunctionProjection(_FactorizedSystem):
     @cached_property
     def reduced_cn(self):
         """The convection tables in the basis phi @ C_loc, built on the first CN step."""
-        return forms.convection_tables(self.space, self.basis.coeffs)
+        return forms.convection_tables(self.space, self.basis)
 
     def cn_matrix(self, advect, tau, theta, nu):
         """K/tau + theta C^T C(a) C + theta nu C^T A C, in CSC: the signed

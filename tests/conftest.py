@@ -409,11 +409,12 @@ def full_vector_convection_blocks(space, a, basis=None, cell_order=None, facet_o
 
 def use_full_vector_kernel(monkeypatch):
     """Make ``forms.convection_blocks`` the full-vector oracle wherever the
-    library calls it: ``forms.convection_tables`` then returns the basis and
-    orders it was asked for, and the oracle reads them."""
+    library calls it: ``forms.convection_tables`` then returns the
+    coefficients of the basis and the orders it was asked for, and the
+    oracle reads them."""
     monkeypatch.setattr(forms, "convection_tables",
                         lambda space, basis=None, cell_order=None, facet_order=None:
-                        (basis, cell_order, facet_order))
+                        (None if basis is None else basis.coeffs, cell_order, facet_order))
     monkeypatch.setattr(forms, "convection_blocks",
                         lambda space, a, tables: full_vector_convection_blocks(space, a, *tables))
 

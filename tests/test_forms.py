@@ -215,6 +215,41 @@ def test_stream_basis_kernels_match_the_velocity_basis(k, n, perturb, mesh_seed,
     assert pairing == pytest.approx(forms.jump_seminorm(space, u_a, u_w), rel=1e-11)
 
 
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3),
+       mesh_seed=st.integers(0, 2 ** 32 - 1), field_seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("k", [1, 2])
+def test_volume_rules_of_the_basis_degree_are_exact(k, n, perturb, mesh_seed, field_seed):
+    # a . grad w . v of degree-k curls has degree 3k - 1, and div u_h in P_k
+    # squared has degree 2k: the default rules give what order 2k + 3 gives,
+    # and a rule with fewer points (order 2k - 1) does not
+    space = RTSpace(build_structured(n, perturb, seed=mesh_seed), k)
+    stream = linsolve.StreamFunctionProjection(space)
+    basis, full, coarse = stream.basis, forms.default_cell_order(k), 2 * k - 1
+    rng = np.random.default_rng(field_seed)
+    psi_a, psi_w = rng.normal(size=(2, basis.size))
+
+    def apply(order):
+        return forms.apply_convection(space, psi_a, psi_w, order, basis=basis)
+
+    assert _rel(apply(None), apply(full)) <= 1e-13
+    assert _rel(apply(coarse), apply(full)) > 1e-8
+
+    def cn_blocks(a, order):
+        return forms.convection_blocks(space, a, forms.convection_tables(space, basis, order))
+
+    for a in (stream.velocity(psi_a), _random_fields(space, rng)[0]):
+        want = cn_blocks(a, full)
+        assert all(_rel(got, old) <= 1e-13 for (got, _, _), (old, _, _)
+                   in zip(cn_blocks(a, None), want))
+        assert _rel(cn_blocks(a, coarse)[0][0], want[0][0]) > 1e-8
+
+    u = rng.normal(size=space.n_dofs)
+    norm = forms.divergence_l2_norm(space, u, full)
+    assert abs(forms.divergence_l2_norm(space, u) - norm) <= 1e-13 * norm
+    assert abs(forms.divergence_l2_norm(space, u, 2 * k - 2) - norm) > 1e-8 * norm
+
+
 def test_stream_basis_rejects_a_velocity_vector(spaces):
     space = spaces(4, 1)["space"]
     basis = linsolve.StreamFunctionProjection(space).basis

@@ -405,6 +405,29 @@ def test_rk2_steps_keep_div_and_energy_on_random_meshes(k, nu, n, perturb, mesh_
         state = new
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_rk2_carries_the_stage_seminorm_of_its_own_apply(problem, k, nu):
+    # the second stage's apply forms |C stage|^2_up from its own jump and
+    # flux: to the bit what jump_seminorm gives, forced or not, and what an
+    # unforced run records as jump_w
+    mesh = build_structured(6, 0.2, seed=1)
+    disc = Discretization(mesh, k, FormParams(nu=nu))
+    config = SchemeConfig(tau=1.0 / 200, T=0.02, k=k, nu=nu, f_zero=True)
+    basis = disc.projection.basis
+    state = integrators.initial_state(config, disc, problem)
+    forced = integrators.rk2_step(state, config, disc, problem)
+    assert forced.stage_jump == forms.jump_seminorm(disc.space, forced.stage, forced.stage,
+                                                    basis=basis)
+    stage_jumps = []
+    for _ in range(config.n_steps):
+        state = integrators.rk2_step(state, config, disc)
+        assert state.stage_jump == forms.jump_seminorm(disc.space, state.stage, state.stage,
+                                                       basis=basis)
+        stage_jumps.append(state.stage_jump)
+    assert integrators.run(config, mesh, problem, disc=disc).jump_w[1:] == stage_jumps
+
+
 @pytest.mark.parametrize("k,n,perturb", [(1, 8, 0.15), (1, 2, 0.3), (2, 2, 0.3),
                                          (1, 3, 0.3), (2, 3, 0.3)])
 def test_initial_velocity_is_the_curl_of_psi0(problem, k, n, perturb):
