@@ -135,6 +135,7 @@ class RTReference:
 
         self.coeffs = np.linalg.inv(
             self._moments(lambda points: eval_rt_monomials(k, points)[0]))
+        self._tables = {}
 
     def _edge_points(self, t):
         return np.stack([REF_VERTICES[a] + t[:, None] * (REF_VERTICES[b] - REF_VERTICES[a])
@@ -170,6 +171,28 @@ class RTReference:
         rv, _, rg = self.eval_basis(self._edge_points(rule.points).reshape(-1, 2))
         shape = (3, len(rule), self.n_dofs)
         return rule, rv.reshape(*shape, 2), rg.reshape(*shape, 2, 2)
+
+    def tables(self, order):
+        """Basis values, divergences and gradients at the volume rule of
+        ``order``, with flattened copies for GEMM-style kernels, and the
+        reference mass ``mass[a, b]`` of the components a and b; built on
+        first use and shared by every space of this degree."""
+        tab = self._tables.get(order)
+        if tab is not None:
+            return tab
+        rule = triangle_rule(order)
+        rv, rd, rg = self.eval_basis(rule.points)
+        nq, n = len(rule.weights), self.n_dofs
+        tab = dict(
+            rule=rule, nq=nq, val=rv, div=rd, grad=rg,
+            val_flat=np.ascontiguousarray(rv.transpose(1, 0, 2).reshape(n, nq * 2)),
+            grad_flat=np.ascontiguousarray(rg.transpose(1, 0, 2, 3).reshape(n, nq * 4)),
+            val_weighted=np.ascontiguousarray(
+                (rv * rule.weights[:, None, None]).transpose(0, 2, 1).reshape(nq * 2, n)),
+            mass=np.einsum("q,qia,qjb->abij", rule.weights, rv, rv),
+        )
+        self._tables[order] = tab
+        return tab
 
     def eval_basis(self, points):
         """Values, divergences and gradients of the dual basis at points."""
@@ -331,7 +354,6 @@ class RTSpace:
         self.is_boundary_dof[self.boundary_dofs] = True
         self.free_dofs = np.flatnonzero(~self.is_boundary_dof)
 
-        self._ref_tables = {}
         self._facet_traces = {}
         self._rule_points = {}
 
@@ -351,28 +373,8 @@ class RTSpace:
     # time with the per-cell Jacobian (see ``piola`` and ``metric``).
 
     def ref_tables(self, order):
-        """Reference basis values, divergences and gradients at the volume
-        rule of ``order``, with flattened copies for GEMM-style kernels, and
-        the reference mass ``mass[a, b]`` of the components a and b."""
-        tab = self._ref_tables.get(order)
-        if tab is not None:
-            return tab
-        rule = triangle_rule(order)
-        rv, rd, rg = self.ref.eval_basis(rule.points)
-        nq = len(rule.weights)
-        tab = dict(
-            rule=rule, nq=nq, val=rv, div=rd, grad=rg,
-            val_flat=np.ascontiguousarray(
-                rv.transpose(1, 0, 2).reshape(self.n_loc, nq * 2)),
-            grad_flat=np.ascontiguousarray(
-                rg.transpose(1, 0, 2, 3).reshape(self.n_loc, nq * 4)),
-            val_weighted=np.ascontiguousarray(
-                (rv * rule.weights[:, None, None])
-                .transpose(0, 2, 1).reshape(nq * 2, self.n_loc)),
-            mass=np.einsum("q,qia,qjb->abij", rule.weights, rv, rv),
-        )
-        self._ref_tables[order] = tab
-        return tab
+        """``RTReference.tables(order)`` of the space's degree."""
+        return self.ref.tables(order)
 
     def rule_points(self, rule):
         """x and y (nq, n_cells) of the points of a volume ``rule`` in every

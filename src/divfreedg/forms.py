@@ -112,8 +112,9 @@ def _volume_order(space, advect, basis):
     it is 3k - 1: 4 points instead of 9 at k = 1 and 9 instead of 16 at
     k = 2.  With a in RT_k (degree k+1) and w, v on the stream basis it is
     3k, the same 16-point rule as 2k + 3 at k = 2.  The RT_k basis keeps
-    2k + 3, which its test oracles share; at k = 2 that is one degree short
-    of its 3k + 2."""
+    2k + 3, which its test oracles share: exact at k = 1, and at k = 2 for a
+    divergence-free a, which lies in [P_k]^2 (degree 3k + 1), though not
+    for a general a (3k + 2)."""
     return min(advect.degree + 2 * basis.degree - 1, default_cell_order(space.k))
 
 
