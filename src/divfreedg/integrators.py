@@ -212,7 +212,8 @@ def _advance(disc, state, config, system, psi, psi_next, stage=None, stage_jump=
     l2 = _check_blowup(disc, state, psi_next)
     return StepState(n=state.n + 1, t=config.time_at(state.n + 1),
                      u=disc.projection.velocity(psi_next), psi=psi_next, psi_prev=psi,
-                     stage=stage, stage_jump=stage_jump, norm0=state.norm0, l2=l2, factor_fill=system.fill)
+                     stage=stage, stage_jump=stage_jump, norm0=state.norm0, l2=l2,
+                     factor_fill=system.fill)
 
 
 def rk2_step(state, config, disc, problem=None):
