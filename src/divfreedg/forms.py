@@ -304,8 +304,11 @@ def convection_tables(space, basis=None, cell_order=None, facet_order=None):
     """The tables of ``convection_blocks`` that do not depend on a, as plain
     arrays, in the functions phi @ coeffs of a ``LocalBasis`` (the RT_k
     basis when None): R[(a, b, d, q), (i, j)] = w_q phi_i[a] d_d phi_j[b]
-    at the cell rule, and t_F . phi_j at the facet points of the plus then
-    the minus side of every interior facet (nfi, nq, 2 m).  a enters
+    at the cell rule, t_F . phi_j at the facet points of the plus then the
+    minus side of every interior facet (nfi, nq, 2 m), and for each slot
+    (cell, local edge) the index of its same-side facet block among the
+    plus blocks, then the minus blocks, then one zero block for the slots
+    on the boundary (n_cells, 3).  a enters
     ``convection_blocks`` as an RT_k vector, so the cell rule is the one
     exact for a in RT_k and w, v in the basis (``_volume_order``: 3k on
     the stream basis); the facet rule is that of ``apply_convection``."""
@@ -319,8 +322,14 @@ def convection_tables(space, basis=None, cell_order=None, facet_order=None):
     trace = (ft["table"] @ coeffs).reshape(2, -1, coeffs.shape[1])
     traces = [_dot(ft["g_" + side][:, :, None, None], trace[:, ft[side].T // space.mesh.n_cells])
               for side in ("plus", "minus")]
+    mesh = space.mesh
+    nfi = len(mesh.interior_facets)
+    same_slots = np.full((mesh.n_cells, 3), 2 * nfi)
+    for i, side in enumerate(_sides(mesh, mesh.interior_facets)):
+        same_slots[side] = np.arange(i * nfi, (i + 1) * nfi)
     return dict(cell_order=cell_order, facet_order=facet_order,
-                volume=volume.reshape(8 * tab["nq"], -1), traces=np.concatenate(traces, axis=2))
+                volume=volume.reshape(8 * tab["nq"], -1), traces=np.concatenate(traces, axis=2),
+                same_slots=same_slots)
 
 
 def convection_blocks(space, a, tables):
@@ -342,17 +351,21 @@ def convection_blocks(space, a, tables):
             .transpose(0, 1, 2, 4, 3)).reshape(nc, -1) @ tables["volume"]).reshape(nc, m, m)
 
     # facets: each side's upwind weight times its test traces, against the
-    # trial traces [plus | -minus]; the same-side blocks join their cells'
+    # trial traces [plus | -minus]; each cell gathers the same-side blocks
+    # of its three slots
     ft = space.facet_traces(tables["facet_order"])
     upwind = np.stack(_upwind_weights(_flux(ft, ft["normal"], a_loc).T), 2)
     pair = (traces.reshape(nfi, nq, 2, m) * upwind[..., None]).reshape(traces.shape) \
         .transpose(0, 2, 1) @ traces
     pair[:, :, m:] *= -1.0
-    plus, minus = _sides(mesh, mesh.interior_facets)
-    same = np.zeros((nc, 3, m, m))
-    same[plus], same[minus] = pair[:, :m, :m], pair[:, m:, m:]
-    return [(loc + same.sum(axis=1), np.arange(nc), np.arange(nc)),
-            (pair[:, :m, m:], plus[0], minus[0]), (pair[:, m:, :m], minus[0], plus[0])]
+    same = np.concatenate([pair[:, :m, :m], pair[:, m:, m:], np.zeros((1, m, m))])
+    slots = tables["same_slots"]
+    gathered = np.take(same, slots[:, 0], axis=0)
+    gathered += np.take(same, slots[:, 1], axis=0)
+    gathered += np.take(same, slots[:, 2], axis=0)
+    plus, minus = (side[0] for side in _sides(mesh, mesh.interior_facets))
+    return [(loc + gathered, np.arange(nc), np.arange(nc)),
+            (pair[:, :m, m:], plus, minus), (pair[:, m:, :m], minus, plus)]
 
 
 def convection_matrix(space, a, cell_order=None, facet_order=None):

@@ -76,9 +76,10 @@ class StepState:
     """State after step n, u^0 included: the stream function psi on the
     interior P_{k+1} nodes and its velocity u = C psi, psi of the step
     before (for the CN extrapolation) and of the RK predictor, with the
-    predictor's upwind seminorm |C stage|^2_up from its own apply, the L2
-    norms sqrt(psi^T K psi) of u^0 and of u and the step's LU fill.  The
-    steps read psi; u is kept for the records."""
+    upwind seminorms |C psi_prev|^2_up and |C stage|^2_up that the RK
+    stages' own applies formed, the L2 norms sqrt(psi^T K psi) of u^0 and
+    of u and the step's LU fill.  The steps read psi; u is kept for the
+    records."""
 
     n: int
     t: float
@@ -87,6 +88,7 @@ class StepState:
     psi_prev: np.ndarray = None
     stage: np.ndarray = None
     stage_jump: float = None
+    prev_jump: float = None
     norm0: float = 0.0
     l2: float = None
     factor_fill: int = 0
@@ -205,15 +207,14 @@ def _stage_rhs(disc, config, psi, problem, t, load_at):
     return rhs, jump
 
 
-def _advance(disc, state, config, system, psi, psi_next, stage=None, stage_jump=None):
+def _advance(disc, state, config, system, psi, psi_next, **stages):
     """The state after step ``state.n`` from psi to ``psi_next``, once that
     has passed the blow-up gate; u = C psi_next is formed here, once per
-    step."""
+    step.  ``stages`` holds an RK step's predictor and seminorms."""
     l2 = _check_blowup(disc, state, psi_next)
     return StepState(n=state.n + 1, t=config.time_at(state.n + 1),
                      u=disc.projection.velocity(psi_next), psi=psi_next, psi_prev=psi,
-                     stage=stage, stage_jump=stage_jump, norm0=state.norm0, l2=l2,
-                     factor_fill=system.fill)
+                     norm0=state.norm0, l2=l2, factor_fill=system.fill, **stages)
 
 
 def rk2_step(state, config, disc, problem=None):
@@ -223,16 +224,18 @@ def rk2_step(state, config, disc, problem=None):
         psi_w = psi + K^{-1} tau (-b(psi, psi) + C^T l(t) + ...)
         psi'  = (psi + psi_w) / 2 + K^{-1} tau/2 (-b(psi_w, psi_w) + ...)
 
-    A non-finite predictor reaches the second solve, which raises.  The
-    second apply also gives the predictor's seminorm, which the state
-    carries for the energy identity."""
+    A non-finite predictor reaches the second solve, which raises.  Each
+    apply also gives the seminorm of its field, |C psi|^2_up and |C
+    psi_w|^2_up, which the state carries for the records and the energy
+    identity."""
     proj, tau, t, psi = disc.projection, config.tau, state.t, state.psi
-    rhs, _ = _stage_rhs(disc, config, psi, problem, t, (t,))
+    rhs, prev_jump = _stage_rhs(disc, config, psi, problem, t, (t,))
     stage = psi + linsolve.project_div_free(proj, tau * rhs)
     load_at = (t, tau) if config.f_mode == "f_taylor" else (t + tau,)
     rhs, stage_jump = _stage_rhs(disc, config, stage, problem, t + tau, load_at)
     psi_next = 0.5 * (psi + stage) + linsolve.project_div_free(proj, 0.5 * tau * rhs)
-    return _advance(disc, state, config, proj, psi, psi_next, stage, stage_jump)
+    return _advance(disc, state, config, proj, psi, psi_next, stage=stage,
+                    stage_jump=stage_jump, prev_jump=prev_jump)
 
 
 def cn_step(state, config, disc, problem=None):
@@ -306,9 +309,12 @@ def run(config, mesh, problem=None, disc=None):
 
     With ``config.f_zero`` the forcing is suppressed (the initial value still
     comes from the problem) and the per-step energy identity is monitored,
-    with the viscous dissipation nu a_h(v, v) counted in viscous runs.
-    A ``disc`` passed in must be built on ``mesh`` with the config's k, sigma
-    and nu; any other raises ValueError.
+    with the viscous dissipation nu a_h(v, v) counted in viscous runs.  In
+    an RK2 run a record's |u|^2_up is the one the next step's first stage
+    formed; only the last record, after which no step ran, makes a
+    ``jump_seminorm`` call of its own.  A ``disc`` passed in must be built
+    on ``mesh`` with the config's k, sigma and nu; any other raises
+    ValueError.
     """
     started = time.perf_counter()
     if disc is None:
@@ -325,10 +331,13 @@ def run(config, mesh, problem=None, disc=None):
 
     report = diagnostics.RunReport(config=config.as_dict())
     basis = disc.projection.basis
+
+    def jump_u(psi):
+        return forms.jump_seminorm(disc.space, psi, psi, basis=basis)
+
     initial = dict(t=0.0, l2=state.l2, div=disc.div_l2(state.u))
-    if track_energy:
-        initial["jump_u"] = forms.jump_seminorm(disc.space, state.psi, state.psi,
-                                                basis=basis)
+    if track_energy and not is_rk2:
+        initial["jump_u"] = jump_u(state.psi)
     report.record(**initial)
 
     for _ in range(config.n_steps):
@@ -338,18 +347,21 @@ def run(config, mesh, problem=None, disc=None):
             report.blow_up = state.n
             break
         rec = dict(t=new_state.t, l2=new_state.l2, div=disc.div_l2(new_state.u))
-        if track_energy:
+        if track_energy and not is_rk2:
+            rec["jump_u"] = jump_u(new_state.psi)
+        elif track_energy:
             psi, stage = new_state.psi, new_state.stage
-            rec["jump_u"] = forms.jump_seminorm(disc.space, psi, psi, basis=basis)
-            if is_rk2:
-                rec["jump_w"] = new_state.stage_jump
-                rec["energy_residual"] = diagnostics.energy_residual(
-                    disc.projection.matrix, stage, psi, state.l2, new_state.l2,
-                    _dissipation(disc, state.psi, report.jump_u[-1]),
-                    _dissipation(disc, stage, rec["jump_w"]), config.tau)
+            report.jump_u[-1] = new_state.prev_jump  # the record of psi_prev
+            rec["jump_w"] = new_state.stage_jump
+            rec["energy_residual"] = diagnostics.energy_residual(
+                disc.projection.matrix, stage, psi, state.l2, new_state.l2,
+                _dissipation(disc, state.psi, report.jump_u[-1]),
+                _dissipation(disc, stage, rec["jump_w"]), config.tau)
         report.record(**rec)
         report.factor_fill = max(report.factor_fill, new_state.factor_fill)
         state = new_state
+    if track_energy and is_rk2:
+        report.jump_u[-1] = jump_u(state.psi)
 
     if report.completed and problem is not None and not config.f_zero:
         report.l2_err = manufactured.l2_error(disc.space, state.u, problem, state.t)

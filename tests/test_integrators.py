@@ -376,6 +376,63 @@ def test_initial_field_is_interpolated_once_per_discretization(mesh8, problem, m
         np.testing.assert_equal(dataclasses.asdict(report), dataclasses.asdict(fresh))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_shared_discretization_gives_cn_runs_the_fresh_factorizations(problem, k, nu):
+    # CN runs with another tau, or unforced, after a first one on the same
+    # disc report to the bit what runs on fresh discretizations report, and
+    # leave the pattern and its renumbering in the column ordering as they
+    # were (a viscous config needs a viscous disc, so each nu has its own)
+    mesh = build_structured(6, 0.2, seed=3)
+    disc = Discretization(mesh, k, FormParams(nu=nu))
+    tables = disc.projection.pattern + disc.projection.cn_order
+    before = [table.copy() for table in tables]
+    for kwargs in (dict(tau=1.0 / 20, T=0.25), dict(tau=1.0 / 8, T=0.5),
+                   dict(tau=1.0 / 20, T=0.25, f_zero=True)):
+        config = SchemeConfig(k=k, nu=nu, integrator="semi_implicit_cn", **kwargs)
+        shared = integrators.run(config, mesh, problem, disc=disc)
+        fresh = integrators.run(config, mesh, problem)
+        shared.wall_time = fresh.wall_time
+        np.testing.assert_equal(dataclasses.asdict(shared), dataclasses.asdict(fresh))
+    for table, copy in zip(disc.projection.pattern + disc.projection.cn_order, before):
+        assert table.dtype == copy.dtype
+        np.testing.assert_array_equal(table, copy)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_cn_ordering_is_computed_once_per_projection(problem, k, monkeypatch):
+    # the minimum-degree ordering is computed once, from the pattern, and
+    # every CN step of every run on the projection factorizes in its natural
+    # order; each step's solve is still the dense solve of its operator, to
+    # the bound of test_linsolve's test_cn_step_matches_dense_solve
+    disc = Discretization(build_structured(6, 0.2, seed=3), k)
+    orderings, solves = [], []
+
+    def recording(factorize):
+        def factor(matrix, **kwargs):
+            orderings.append(kwargs["permc_spec"])
+            return factorize(matrix, **kwargs)
+        return factor
+
+    def solving(system, rhs):
+        psi = cn_solve(system, rhs)
+        solves.append((system, rhs, psi))
+        return psi
+
+    cn_solve = linsolve.cn_solve
+    monkeypatch.setattr(linsolve, "splu", recording(linsolve.splu))
+    monkeypatch.setattr(linsolve, "spilu", recording(linsolve.spilu))
+    monkeypatch.setattr(linsolve, "cn_solve", solving)
+    config = SchemeConfig(tau=1.0 / 24, T=0.25, k=k, integrator="semi_implicit_cn")
+    for _ in range(2):
+        assert integrators.run(config, disc.mesh, problem, disc=disc).completed
+    assert orderings[0].startswith("MMD") and orderings[1:] == ["NATURAL"] * 12
+    assert len(solves) == 12
+    for system, rhs, psi in solves:
+        dense = np.linalg.solve(system.matrix.toarray(), rhs)
+        assert np.abs(psi - dense).max() <= 1e-9 * np.abs(dense).max()
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3),
        mesh_seed=st.integers(0, 2 ** 32 - 1), field_seed=st.integers(0, 2 ** 32 - 1))
