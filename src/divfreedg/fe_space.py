@@ -286,16 +286,21 @@ class LocalBasis:
     def assemble(self, blocks, test=None):
         """The COO sum of local blocks (blk, test cells, trial cells), with
         blk[:, i, j] = form(phi_j, phi_i): phi_j in this basis on the trial
-        cells, phi_i in ``test`` (this basis when None) on the test cells."""
+        cells, phi_i in ``test`` (this basis when None) on the test cells.  A
+        2-D blk is one block on every cell, and its zeros make no triplets."""
         test = self if test is None else test
+        # int32 indices where they fit: scipy would copy wider ones down
+        index = np.promote_types(np.int32, np.min_scalar_type(-max(test.size, self.size)))
         rows, cols, vals = [], [], []
         for blk, test_cells, trial_cells in blocks:
-            s_test = test.signs[:, test_cells].T[:, :, None]
-            s_trial = self.signs[:, trial_cells].T[:, None, :]
-            keep = np.broadcast_to((s_test != 0) & (s_trial != 0), blk.shape)
-            vals.append((blk * s_test * s_trial)[keep])
-            rows.append(np.broadcast_to(test.dofs[:, test_cells].T[:, :, None], blk.shape)[keep])
-            cols.append(np.broadcast_to(self.dofs[:, trial_cells].T[:, None, :], blk.shape)[keep])
+            i, j = np.nonzero(blk) if blk.ndim == 2 else np.indices(blk.shape[1:]).reshape(2, -1)
+            s_test = test.signs.T[test_cells].take(i, axis=1)
+            s_trial = self.signs.T[trial_cells].take(j, axis=1)
+            live = (s_test != 0) & (s_trial != 0)
+            entries = (blk[i, j] if blk.ndim == 2 else blk.reshape(len(blk), -1)) * s_test
+            vals.append(np.multiply(entries, s_trial, out=entries)[live])
+            rows.append(test.dofs.T[test_cells].astype(index).take(i, axis=1)[live])
+            cols.append(self.dofs.T[trial_cells].astype(index).take(j, axis=1)[live])
         return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(test.size, self.size))
 

@@ -10,17 +10,17 @@ Falk and Winther, Acta Numerica 2006; Girault and Raviart 1986).  The
 projection of a functional r is then u = C K^{-1} C^T r, where K = C^T M C
 is the P_{k+1} stiffness matrix on the interior nodes: symmetric positive
 definite, assembled cell by cell from the reference mass tables in the
-stream-function ``LocalBasis`` (boundary nodes of sign 0), as C is, with no
-velocity mass matrix, and factorized once per mesh and degree.  B C = 0
+stream-function ``LocalBasis`` (boundary nodes of sign 0), with no velocity
+mass matrix, and factorized once per mesh and degree, in one-column panels
+(``_LU_PANELS``).  C is assembled from the nonzeros of C_loc alone.  B C = 0
 holds identically, so the divergence vanishes by construction.  The
 semi-implicit CN operator C^T (M/tau + theta C(a) + theta nu A) C is
 assembled directly on the stream nodes, on a pattern fixed per mesh, and
 factorized every step in one column ordering computed once per mesh from
-that pattern alone (``StreamFunctionProjection.cn_order``).  Runs
-solve only these two systems, and both take a right-hand side on the
-interior nodes and return psi there: the steps advance psi itself, and
-``StreamFunctionProjection.velocity`` is the one place C psi becomes a
-velocity.
+that pattern alone (``StreamFunctionProjection.cn_order``).  Runs solve
+only these two systems, each with a right-hand side on the interior nodes
+and psi there as its result: the steps advance psi itself, and
+``StreamFunctionProjection.velocity`` alone turns C psi into a velocity.
 
 The bordered KKT system [[M, B^T, 0], [B, 0, c], [0, c^T, 0]], with one
 zero-mean border row c for the broken multiplier, gives the same
@@ -176,20 +176,17 @@ def _stream_basis(space):
 
 
 def _discrete_curl(space, basis):
-    """C on the free velocity DOFs: the blocks C_loc from the stream
-    ``basis`` to the RT_k basis of each cell.  Both cells of an interior
-    facet give its edge DOFs the same value; the plus cell sets them, once,
-    and the other cell's slots get sign 0."""
-    mesh, rt = space.mesh, space.basis
+    """C on the free velocity DOFs from the nonzeros of C_loc, the block from the
+    stream ``basis`` to the RT_k basis on every cell.  An interior edge's plus cell
+    sets its DOFs; the minus cell's slots and the wall DOFs have sign 0."""
+    mesh, rt, wall = space.mesh, space.basis, space.is_boundary_dof
     nc, ne = mesh.n_cells, space.ref.n_edge_moments
-    owner = np.ones(rt.signs.shape, dtype=bool)
-    owner[:3 * ne] = np.repeat(mesh.facet_plus[mesh.cell_facets] == np.arange(nc)[:, None],
-                               ne, axis=1).T
-    owned = LocalBasis(rt.dofs, rt.signs * owner, rt.size, rt.coeffs, rt.degree)
-    blocks = np.broadcast_to(basis.coeffs, (nc,) + basis.coeffs.shape)
-    curl = basis.assemble([(blocks, slice(None), slice(None))], test=owned).tocsr()
-    curl.eliminate_zeros()  # the exact zeros of C_loc
-    return curl[space.free_dofs]
+    owner = ~wall[rt.dofs]
+    owner[:3 * ne] &= np.repeat(mesh.facet_plus[mesh.cell_facets] == np.arange(nc)[:, None],
+                                ne, axis=1).T
+    owned = LocalBasis(np.where(owner, np.cumsum(~wall)[rt.dofs] - 1, 0), rt.signs * owner,
+                       len(space.free_dofs), rt.coeffs, rt.degree)
+    return basis.assemble([(basis.coeffs, slice(None), slice(None))], test=owned).tocsr()
 
 
 def _stiffness(space, basis):
@@ -221,11 +218,17 @@ class StreamFunctionProjection(_FactorizedSystem):
         self.params = (params or forms.FormParams()).resolve(space.k)
         self.space = space
         self.basis = _stream_basis(space)
+        started = time.perf_counter()
         self.curl = _discrete_curl(space, self.basis)
         self.curl_t = self.curl.T.tocsr()
-        super().__init__(_stiffness(space, self.basis),
-                         "stream-function", permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        stiffness = _stiffness(space, self.basis)
+        self.assemble_s = time.perf_counter() - started
+        super().__init__(stiffness, "stream-function", permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, **_LU_PANELS)
+
+    def stats(self):
+        """The factorization's stats and the seconds that assembled C and K."""
+        return dict(super().stats(), assemble_s=self.assemble_s)
 
     def velocity(self, psi):
         """The divergence-free velocity C psi of the node values ``psi``."""
@@ -308,10 +311,11 @@ class StreamFunctionProjection(_FactorizedSystem):
         return matrix
 
 
-# SuperLU's options for the CN operator: threshold pivoting that prefers the
-# diagonal of the symmetric pattern, and panels of one column without relaxed
-# supernodes, which factorized it 5-10% faster at k = 1, 2 and n = 12 to 32.
-_CN_LU = dict(diag_pivot_thresh=0.1, relax=1, panel_size=1, options=dict(SymmetricMode=True))
+# SuperLU's options for K and the CN operator, on symmetric patterns: panels of
+# one column without relaxed supernodes factorized K 10-25% and the CN operator
+# 5-10% faster, at the same fill.  CN adds pivoting that prefers the diagonal.
+_LU_PANELS = dict(relax=1, panel_size=1, options=dict(SymmetricMode=True))
+_CN_LU = dict(diag_pivot_thresh=0.1, **_LU_PANELS)
 
 
 def _without_zeros(data, indices, indptr, shape):

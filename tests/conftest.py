@@ -68,6 +68,27 @@ def project_velocity(system, rhs_free, projection=None):
         linsolve.project_div_free(system, projection.curl_t @ rhs_free))
 
 
+def loop_assemble(trial, test, blocks):
+    """The oracle of ``trial.assemble(blocks, test=test)``: its triplets made
+    one cell or cell pair at a time, row-major within a block, from every
+    local pair whose two functions have nonzero signs and, in a 2-D block
+    shared by every cell, whose entry is nonzero."""
+    rows, cols, vals = [], [], []
+    n_test, n_trial = test.dofs.shape[1], trial.dofs.shape[1]
+    for blk, test_cells, trial_cells in blocks:
+        cells = zip(np.arange(n_test)[test_cells], np.arange(n_trial)[trial_cells])
+        for c, (ct, cr) in enumerate(cells):
+            b = blk if blk.ndim == 2 else blk[c]
+            s_i, s_j = test.signs[:, ct], trial.signs[:, cr]
+            live = (s_i != 0)[:, None] & (s_j != 0)[None, :]
+            i, j = np.nonzero(live & (b != 0) if blk.ndim == 2 else live)
+            rows.append(test.dofs[i, ct])
+            cols.append(trial.dofs[j, cr])
+            vals.append(b[i, j] * s_i[i] * s_j[j])
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(test.size, trial.size))
+
+
 def random_div_free(entry, rng):
     """A random exactly divergence-free field via the L2 projection."""
     rhs = rng.normal(size=len(entry["space"].free_dofs))

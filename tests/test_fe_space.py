@@ -4,14 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from divfreedg import build_structured, forms, linsolve, manufactured
 from divfreedg.fe_space import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS,
-                                REF_EDGE_VERTICES, REF_VERTICES, CoefVec,
+                                REF_EDGE_VERTICES, REF_VERTICES, CoefVec, LocalBasis,
                                 RTSpace, ScalarDGSpace, eval_scalar_monomials,
                                 rt_interpolate, rt_reference,
                                 scalar_monomial_exponents)
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
 from conftest import (dg_evaluate, dg_project, edge_tables, evaluate, facet_normal_values,
-                      map_to_reference, trace_points)
+                      loop_assemble, map_to_reference, trace_points)
 
 
 def piola_map(jacobian, ref_value, ref_div=None, ref_grad=None):
@@ -315,19 +315,6 @@ def test_shared_edge_dofs_have_relative_sign():
                 assert sp * sm == -1
 
 
-def _dense_sum(trial, test, blocks):
-    """The sum of local blocks, one cell or cell pair at a time, with every
-    local function of sign 0 left out."""
-    out = np.zeros((test.size, trial.size))
-    n_test, n_trial = test.dofs.shape[1], trial.dofs.shape[1]
-    for blk, test_cells, trial_cells in blocks:
-        for b, ct, cr in zip(blk, np.arange(n_test)[test_cells], np.arange(n_trial)[trial_cells]):
-            i, j = np.flatnonzero(test.signs[:, ct]), np.flatnonzero(trial.signs[:, cr])
-            out[np.ix_(test.dofs[i, ct], trial.dofs[j, cr])] += \
-                np.outer(test.signs[i, ct], trial.signs[j, cr]) * b[np.ix_(i, j)]
-    return out
-
-
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 32 - 1))
 @pytest.mark.parametrize("k", [1, 2])
@@ -351,14 +338,48 @@ def test_local_bases_gather_scatter_and_assemble(k, n, perturb, seed):
                   (rng.normal(size=(len(plus), *shape)), plus, minus)]
         coo = trial.assemble(blocks, test=test)
         assert np.all(coo.data != 0)  # no triplet of a function of sign 0
-        got = coo.toarray()
-        assert np.abs(got - _dense_sum(trial, test, blocks)).max() <= 1e-12 * np.abs(got).max()
+        _assert_same_triplets(coo, loop_assemble(trial, test, blocks))
     # K lives on the interior nodes alone: every row holds a positive diagonal
     walls = mesh.boundary_facets
     n_nodes = mesh.n_vertices + k * mesh.n_facets + mesh.n_cells * k * (k - 1) // 2
     n_inner = n_nodes - len(np.unique(mesh.facet_vertices[walls])) - k * len(walls)
     assert stream.size == proj.matrix.shape[0] == n_inner
     assert np.all(proj.matrix.diagonal() > 0)
+
+
+def _assert_same_triplets(got, want):
+    assert np.array_equal(got.row, want.row) and np.array_equal(got.col, want.col)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 6), perturb=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("k", [1, 2])
+def test_assemble_matches_the_cell_loop_on_the_curl_k_and_mass(k, n, perturb, seed):
+    # the curl (C_loc, one 2-D block on every cell, tested in the owner basis
+    # on the free DOFs), K and the mass (3-D blocks per cell): the triplets
+    # are the oracle's bit for bit, no function of sign 0 makes one, and the
+    # shared block stores no zero
+    calls, assemble = [], LocalBasis.assemble
+
+    def spy(trial, blocks, test=None):
+        calls.append((trial, test or trial, blocks, assemble(trial, blocks, test)))
+        return calls[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LocalBasis, "assemble", spy)
+        space = RTSpace(build_structured(n, perturb, seed=seed), k)
+        proj = linsolve.StreamFunctionProjection(space)
+        forms.assemble_mass(space)
+    assert [blocks[0][0].ndim for _, _, blocks, _ in calls] == [2, 3, 3]
+    for trial, test, blocks, coo in calls:
+        _assert_same_triplets(coo, loop_assemble(trial, test, blocks))
+    (stream, owned, _, curl), (_, _, (stiffness,), k_coo) = calls[:2]
+    assert np.count_nonzero(owned.signs == 0) > np.count_nonzero(space.basis.signs == 0) == 0
+    assert np.count_nonzero(stream.signs == 0) > 0
+    assert np.all(curl.data != 0) and np.count_nonzero(proj.curl.data) == proj.curl.nnz == curl.nnz
+    live = (stream.signs != 0).sum(axis=0)
+    assert k_coo.nnz == np.sum(live ** 2) < stiffness[0].size
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -250,6 +250,31 @@ def test_volume_rules_of_the_basis_degree_are_exact(k, n, perturb, mesh_seed, fi
     assert abs(forms.divergence_l2_norm(space, u, 2 * k - 2) - norm) > 1e-8 * norm
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_velocity_basis_convection_is_exact_for_a_curl(k):
+    # on RTSpace.basis the default volume rule 2k + 3 integrates a . grad w
+    # . v exactly when a = C psi lies in [P_k]^2 (degree 3k + 1 with w in
+    # RT_k): the apply and the matrix equal their order-10 evaluations.  A
+    # random, not solenoidal a has degree 3k + 2, which the rule misses at
+    # k = 2 (orders 7 and 8 differ) and meets at k = 1
+    space = RTSpace(build_structured(6, 0.2, seed=1), k)
+    stream = linsolve.StreamFunctionProjection(space)
+    rng = np.random.default_rng(40 + k)
+    a = stream.velocity(rng.normal(size=stream.basis.size))
+    w = CoefVec(space, rng.normal(size=space.n_dofs))
+
+    def apply(order=None):
+        return forms.apply_convection(space, a, w, order)
+
+    assert _rel(apply(), apply(10)) <= 1e-13
+    want = forms.convection_matrix(space, a, 10).toarray()
+    assert _rel(forms.convection_matrix(space, a).toarray(), want) <= 1e-13
+
+    a, w = _random_fields(space, rng)
+    moved = _rel(apply(7), apply(8))
+    assert moved > 0.05 if k == 2 else moved <= 1e-13
+
+
 def test_stream_basis_rejects_a_velocity_vector(spaces):
     space = spaces(4, 1)["space"]
     basis = linsolve.StreamFunctionProjection(space).basis

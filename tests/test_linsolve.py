@@ -165,6 +165,19 @@ def test_reduced_cn_operator_matches_triple_product(k, n, perturb, mesh_seed,
                 <= 1e-13 * np.abs(oracle).max(), (theta, nu)
 
 
+@pytest.mark.parametrize("k, fill", [(1, 39_160), (2, 76_194)])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stiffness_fill_is_pinned(k, fill, seed):
+    # K's LU fill is structural (minimum degree on its pattern, diagonal
+    # pivots), so it is exact: a change to the ordering or to the factor
+    # options cannot raise it unseen.  The stats time the assembly of C and
+    # K beside the factorization
+    proj = linsolve.StreamFunctionProjection(RTSpace(build_structured(16, 0.15, seed=seed), k))
+    stats = proj.stats()
+    assert stats["fill"] == proj.lu.nnz == fill
+    assert stats["assemble_s"] > 0 and stats["factor_s"] > 0
+
+
 def test_stream_function_rejects_mesh_with_hole():
     # the two cells of one interior square removed: the mesh is connected
     # but not simply connected, and the harmonic field around the hole is
