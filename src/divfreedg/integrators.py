@@ -267,7 +267,8 @@ def initial_state(config, disc, problem=None):
     stream function of the interpolant (both from ``disc.interpolants``),
     and ||u^0|| = sqrt(psi_0^T K psi_0).  An interpolant that C psi_0 misses
     by more than 1e-10 of its L2 norm, such as a flow through the walls,
-    raises ValueError; Taylor-Green misses by at most 1e-12."""
+    raises ValueError; Taylor-Green misses by the K solve's roundoff, 1e-14
+    on coarse meshes and 1e-13 at n = 64."""
     psi, interp = np.zeros(disc.projection.matrix.shape[0]), np.zeros(disc.space.n_dofs)
     if problem is not None:
         coeffs, (rows, psi_rows) = problem.u_coeffs(0.0), disc.interpolants(problem.u_spatial)

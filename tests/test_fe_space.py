@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divfreedg import build_structured, forms, linsolve, manufactured
+from divfreedg import build_structured, fe_space, forms, linsolve, manufactured
 from divfreedg.fe_space import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS,
                                 REF_EDGE_VERTICES, REF_VERTICES, CoefVec, LocalBasis,
                                 RTSpace, ScalarDGSpace, eval_scalar_monomials,
@@ -181,6 +181,28 @@ def test_interpolant_of_solenoidal_field_is_div_free(k):
     prob = manufactured.taylor_green(0.0)
     c = rt_interpolate(lambda x, y: prob.u(x, y, 0.0), space)
     assert manufactured.div_norm(space, c) <= 1e-11
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("perturb", [0.0, 0.3])
+def test_default_interpolation_rule_follows_the_mesh(k, perturb, monkeypatch):
+    # the default rule deepens with the longest facet, enough that Pi u of
+    # Taylor-Green sits within 2e-14 (of its largest coefficient) of an
+    # order-35 interpolant, and no more: finer meshes take shallower rules,
+    # under the fixed order 15 of earlier versions that missed by 2.5e-14 to
+    # 1.9e-12 at n = 3 and 4
+    problem = manufactured.taylor_green(0.0)
+    u = lambda x, y: problem.u(x, y, 0.0)
+    rule, used = fe_space.triangle_rule, []
+    for n in (2, 3, 4, 8, 16, 32):
+        space = RTSpace(build_structured(n, perturb, seed=0), k)
+        exact = rt_interpolate(u, space, order=35).values
+        monkeypatch.setattr(fe_space, "triangle_rule",
+                            lambda order: used.append(order) or rule(order))
+        default = rt_interpolate(u, space).values
+        monkeypatch.setattr(fe_space, "triangle_rule", rule)
+        assert np.abs(default - exact).max() <= 2e-14 * np.abs(exact).max(), n
+    assert used == sorted(used, reverse=True) and used[-1] <= 11, used
 
 
 @pytest.mark.parametrize("k", [1, 2])

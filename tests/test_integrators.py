@@ -141,6 +141,29 @@ def test_cn_error_decreases_then_saturates(mesh8, disc8, problem):
     assert errs[1] / errs[2] < errs[0] / errs[1] + 0.5
 
 
+# The time half of the paper's O(h^{k+1/2} + tau^2): on one mesh, halving
+# tau three times quarters ||u_tau - u_{tau/2}|| at T.  RK2 at k = 2 starts
+# at tau = 1/100, four times below 1/25, where its rates leave the window.
+@pytest.mark.parametrize("integrator,k,f_mode,steps", [
+    ("explicit_rk2", 1, "f_taylor", 40), ("explicit_rk2", 1, "f_next", 40),
+    ("explicit_rk2", 2, "f_taylor", 100), ("explicit_rk2", 2, "f_next", 100),
+    ("semi_implicit_cn", 1, "f_taylor", 40)])
+def test_temporal_order_is_two(mesh8, disc8, problem, integrator, k, f_mode, steps):
+    disc = disc8 if k == 1 else Discretization(mesh8, k)
+    step = integrators.rk2_step if integrator == "explicit_rk2" else integrators.cn_step
+    finals = []
+    for halvings in range(4):
+        config = SchemeConfig(tau=1.0 / (steps << halvings), k=k, T=0.5, f_mode=f_mode,
+                              integrator=integrator)
+        state = integrators.initial_state(config, disc, problem)
+        for _ in range(config.n_steps):
+            state = step(state, config, disc, problem)
+        finals.append(state.u.values)
+    gaps = [disc.l2_norm(a - b) for a, b in zip(finals, finals[1:])]
+    rates = np.log2(np.divide(gaps[:-1], gaps[1:]))
+    assert np.all((1.9 <= rates) & (rates <= 2.1)), rates
+
+
 def test_viscous_rk2_runs(problem):
     mesh = build_structured(8, 0.15, seed=0)
     prob = manufactured.taylor_green(1e-3)
@@ -498,6 +521,18 @@ def test_initial_velocity_is_the_curl_of_psi0(problem, k, n, perturb):
     assert state.norm0 == state.l2 == pytest.approx(disc.l2_norm(state.u), rel=1e-12)
     interp = fe_space.rt_interpolate(lambda x, y: problem.u(x, y, 0.0), disc.space)
     assert disc.l2_norm(interp.values - state.u.values) <= 1e-12 * state.norm0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_coarse_mesh_initial_defect_is_at_roundoff(problem, n):
+    # the rule of the interpolation deepens enough on coarse k = 2 meshes
+    # that C psi_0 reproduces Pi u^0 to roundoff; the fixed order 15 of
+    # earlier versions left up to 7.6e-13 of ||u^0|| at n = 4
+    for seed in range(4):
+        disc = Discretization(build_structured(n, 0.3, seed=seed), 2)
+        state = integrators.initial_state(SchemeConfig(tau=0.05, k=2), disc, problem)
+        interp = fe_space.rt_interpolate(lambda x, y: problem.u(x, y, 0.0), disc.space)
+        assert disc.l2_norm(interp.values - state.u.values) <= 1e-13 * state.norm0, seed
 
 
 def test_initial_flow_through_the_walls_is_rejected(mesh8, disc8):
