@@ -186,11 +186,11 @@ def test_interpolant_of_solenoidal_field_is_div_free(k):
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("perturb", [0.0, 0.3])
 def test_default_interpolation_rule_follows_the_mesh(k, perturb, monkeypatch):
-    # the default rule deepens with the longest facet, enough that Pi u of
-    # Taylor-Green sits within 2e-14 (of its largest coefficient) of an
-    # order-35 interpolant, and no more: finer meshes take shallower rules,
-    # under the fixed order 15 of earlier versions that missed by 2.5e-14 to
-    # 1.9e-12 at n = 3 and 4
+    # the default rule deepens with the longest facet just enough that Pi u
+    # of Taylor-Green sits within 2e-14 (of its largest coefficient) of an
+    # order-35 interpolant: it never deepens as n grows, and at n = 32 it is
+    # shallower than the fixed order 15 of earlier versions, which missed by
+    # 2.5e-14 to 1.6e-12 at n = 3 and 4
     problem = manufactured.taylor_green(0.0)
     u = lambda x, y: problem.u(x, y, 0.0)
     rule, used = fe_space.triangle_rule, []
