@@ -2,7 +2,8 @@
 output mirroring the solver's standard experiment tables.
 
 Exit codes: 0 success, 1 usage/IO error, 2 blow-up detected (single-run only;
-study commands encode blow-up as nan rows and exit 0).
+study commands encode blow-up as nan rows and exit 0).  A subcommand accepts
+only the options it reads (``COMMANDS``), as flags or as config-file keys.
 """
 
 import argparse
@@ -59,8 +60,8 @@ def _parse_bool(text):
 
 
 class Option(NamedTuple):
-    """One option of every subcommand, as a flag (``--key``, dashes for
-    underscores) and as a config-file key: both read its type and choices."""
+    """One option, as a flag (``--key``, dashes for underscores) and as a
+    config-file key: both read its type and choices."""
 
     key: str
     type: Callable = str
@@ -231,15 +232,19 @@ def _from_config(option, text):
 
 
 def _effective_config(args):
-    cfg = {key: opt.default for key, opt in OPTIONS.items()}
-    if getattr(args, "config", None):
+    """The defaults of the options ``args.command`` reads, overridden by its
+    config file, then by its flags; any other option is a UsageError."""
+    cfg = {key: OPTIONS[key].default for key in SHARED + COMMANDS[args.command][1]}
+    if args.config:
         for key, value in _load_config_file(args.config).items():
-            if key not in OPTIONS:
-                raise UsageError(f"unknown config key {key!r}")
+            if key not in cfg:
+                raise UsageError(f"{args.command} reads no config key {key!r}")
             cfg[key] = _from_config(OPTIONS[key], value)
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
+    for key in OPTIONS:
+        value = getattr(args, key)
+        if value is not None:
+            if key not in cfg:
+                raise UsageError(f"{args.command} reads no option --{key.replace('_', '-')}")
             cfg[key] = value
     if cfg["k"] not in (1, 2):
         raise UsageError(f"unsupported degree k={cfg['k']}; supported degrees: 1, 2")
@@ -357,8 +362,6 @@ def cmd_cfl_sweep(cfg):
 
 
 def cmd_compare_cn(cfg):
-    if cfg["integrator"] != OPTIONS["integrator"].default:
-        raise UsageError("compare-cn runs both integrators; drop --integrator")
     taus = cfg["tau_list"] or [1.0 / m for m in (12, 14, 16, 18, 20, 22, 24)]
     mesh = build_structured(cfg["n"], perturb=cfg["perturb"], seed=cfg["seed"])
     problem = manufactured.taylor_green(cfg["nu"])
@@ -380,25 +383,28 @@ def cmd_compare_cn(cfg):
     return 0
 
 
+# The options every subcommand reads, and each subcommand's own.  Every flag
+# parses on every subcommand, so a bad value gets its flag's message first.
+SHARED = ("k", "T", "nu", "sigma", "f_mode", "f_zero", "perturb", "seed", "out_dir", "format")
+COMMANDS = {
+    "single-run": (cmd_single_run, ("n", "tau", "co", "integrator")),
+    "convergence": (cmd_convergence, ("n_list", "cfl", "co", "integrator")),
+    "cfl-sweep": (cmd_cfl_sweep, ("n_list", "cfl", "co", "integrator")),
+    "compare-cn": (cmd_compare_cn, ("n", "tau_list")),
+}
+
+
 def main(argv=None):
     parser = _Parser(prog="divfree",
                      description="Exactly divergence-free DG flow solver")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for name in ("single-run", "convergence", "cfl-sweep", "compare-cn"):
-        p = sub.add_parser(name)
-        _add_common(p)
+    for name in COMMANDS:
+        _add_common(sub.add_parser(name))
 
     args = parser.parse_args(argv)
-    handlers = {
-        "single-run": cmd_single_run,
-        "convergence": cmd_convergence,
-        "cfl-sweep": cmd_cfl_sweep,
-        "compare-cn": cmd_compare_cn,
-    }
     try:
-        cfg = _effective_config(args)
-        return handlers[args.command](cfg)
+        return COMMANDS[args.command][0](_effective_config(args))
     except (ValueError, OSError) as exc:
         # UsageError and the library's input checks (bad tau, T, n or a
         # duplicate mesh size) are all ValueErrors

@@ -452,27 +452,26 @@ class RTSpace:
 INTERP_BLOCK = 1 << 16
 
 
-def rt_interpolate(field, space, enforce_boundary=True, order=None):
+def rt_interpolate(field, space, enforce_boundary=True):
     """Raviart-Thomas interpolation of a pointwise-evaluable vector field.
 
     Edge DOFs are the Legendre moments of field . n_F along each facet,
     interior DOFs the orthonormalized moments of the Piola pullback
     det J J^{-1} u.  J is constant on a cell, so each block of about
     ``INTERP_BLOCK`` points takes the moments of the physical components in
-    one GEMM and applies det J J^{-1} once per cell.  The default rule
-    deepens with the longest facet (see below).  With ``enforce_boundary``
+    one GEMM and applies det J J^{-1} once per cell.  The rule deepens
+    with the longest facet (see below).  With ``enforce_boundary``
     the boundary edge DOFs come from the field (which is then expected to
     satisfy u.n = 0 on the boundary); otherwise they are zeroed so the
     result lies in the constrained space regardless.
     """
     mesh = space.mesh
     k = space.k
-    if order is None:
-        # trig moments need depth beyond the polynomial minimum 2k + 2, more
-        # on longer facets: Pi u of Taylor-Green then sits within 1e-14 of
-        # its exact moments (order 9 at n = 80, 11 at n = 32, 31 at n = 4),
-        # and two orders less misses by up to 6e-11 at n = 48 to 80
-        order = int(np.ceil(7.0 + 60.0 * mesh.facet_length.max()))
+    # trig moments need depth beyond the polynomial minimum 2k + 2, more on
+    # longer facets: Pi u of Taylor-Green then sits within 1e-14 of its
+    # exact moments (order 9 at n = 80, 11 at n = 32, 31 at n = 4), and two
+    # orders less misses by up to 6e-11 at n = 48 to 80
+    order = int(np.ceil(7.0 + 60.0 * mesh.facet_length.max()))
 
     erule = segment_rule(order)
     t = erule.points

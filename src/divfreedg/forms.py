@@ -62,22 +62,15 @@ def check_finite(params, *names):
 
 @dataclass
 class FormParams:
-    """Penalty, viscosity and quadrature orders for the discrete forms."""
+    """The SIP penalty sigma and the viscosity nu: with the mesh and k they
+    fix the discrete operator, since every form integrates on the one rule
+    its code picks for k."""
 
     sigma: float = None
     nu: float = 0.0
-    cell_order: int = None
-    facet_order: int = None
-    load_order: int = None
 
     def resolve(self, k):
-        return FormParams(
-            sigma=default_sigma(k) if self.sigma is None else self.sigma,
-            nu=self.nu,
-            cell_order=default_cell_order(k) if self.cell_order is None else self.cell_order,
-            facet_order=default_facet_order(k) if self.facet_order is None else self.facet_order,
-            load_order=default_load_order(k) if self.load_order is None else self.load_order,
-        )
+        return FormParams(default_sigma(k) if self.sigma is None else self.sigma, self.nu)
 
     def __post_init__(self):
         check_finite(self, "nu", "sigma")
@@ -194,13 +187,11 @@ def _seminorm(jump, flux):
 
 # -- forms ----------------------------------------------------------------------------
 
-def assemble_mass(space, order=None):
+def assemble_mass(space):
     """Velocity mass matrix, symmetric positive definite."""
-    if order is None:
-        order = default_cell_order(space.k)
     # The projection's LU fill follows the last bits of M and B through
     # COLAMD, so these two keep their physical-value arithmetic.
-    tab = space.ref_tables(order)
+    tab = space.ref_tables(default_cell_order(space.k))
     mesh = space.mesh
     val = np.einsum("cab,qib->cqia", mesh.cell_jac, tab["val"], optimize=True)
     val /= mesh.cell_detj[:, None, None, None]
@@ -209,26 +200,24 @@ def assemble_mass(space, order=None):
     return space.basis.assemble([(loc, slice(None), slice(None))]).tocsr()
 
 
-def apply_mass(space, v, order=None):
+def apply_mass(space, v):
     """M v without M: on an affine cell M_c = det J sum_ab G_ab R_ab, with
     the cell metric G and the reference mass tables R_ab, so the product is
     four GEMMs on the gathered coefficients and one scatter."""
-    tab = space.ref_tables(order or default_cell_order(space.k))
+    tab = space.ref_tables(default_cell_order(space.k))
     loc = space.basis.gather(_values(space, v))
     scale = space.mesh.cell_detj * space.metric.transpose(1, 2, 0)
     return space.basis.scatter(sum(scale[a, b] * (tab["mass"][a, b] @ loc)
                                    for a in (0, 1) for b in (0, 1)))
 
 
-def assemble_div(space, q_space, order=None):
+def assemble_div(space, q_space):
     """Constraint matrix with entries (div phi_j, theta_i)."""
     if q_space.k != space.k:
         raise ValueError("multiplier degree must match the velocity degree")
     if q_space.mesh is not space.mesh:
         raise ValueError("spaces live on different meshes")
-    if order is None:
-        order = default_cell_order(space.k)
-    tab = space.ref_tables(order)
+    tab = space.ref_tables(default_cell_order(space.k))
     mesh = space.mesh
     qv = q_space.eval_ref(tab["rule"].points)
     div = tab["div"][None, :, :] / mesh.cell_detj[:, None, None]
@@ -242,8 +231,7 @@ def _upwind_weights(an):
     return np.maximum(-an, 0.0), np.minimum(-an, 0.0)
 
 
-def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None,
-                     seminorm=False):
+def apply_convection(space, a, w, basis=None, seminorm=False):
     """Residual vector r with r_i = c_h(a, w, phi_i).
 
     Volume term (a . grad) w . v plus the interior-facet upwind flux terms;
@@ -254,17 +242,14 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None,
     With ``seminorm`` it returns (r, |w|^2_{a,up}), the seminorm formed from
     the apply's own jump and flux, bitwise what ``jump_seminorm`` returns.
 
-    The volume rule defaults to the exact one for the basis degree
+    The volume rule is the exact one for the basis degree
     (``_volume_order``): order 3k - 1 on the stream basis, 2k + 3 on RT_k.
-    The facet rule stays ``default_facet_order``: the upwind weight |a . n|
+    The facet rule is ``default_facet_order``: the upwind weight |a . n|
     is no polynomial, so no facet rule is exact, and moving it by 2 moves
     the apply by 7-18%.
     """
     basis, av, wv = _basis_values(space, basis, a, w)
-    if cell_order is None:
-        cell_order = _volume_order(space, basis, basis)
-    if facet_order is None:
-        facet_order = default_facet_order(space.k)
+    facet_order = default_facet_order(space.k)
     ft = space.facet_traces(facet_order)
     a_loc = basis.gather(av)
     w_loc = a_loc if wv is av else basis.gather(wv)
@@ -275,7 +260,7 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None,
     # the basis, and pointwise products over rows of length nq * n_cells:
     # the tables' rows run by component, then point, so each component of
     # a GEMM's result is one contiguous block.
-    val, grad, val_w = _volume_tables(space, basis, cell_order)
+    val, grad, val_w = _volume_tables(space, basis, _volume_order(space, basis, basis))
     nq, nc = len(val) // 2, space.mesh.n_cells
     a_hat = (val @ a_loc).reshape(2, -1)
     g_hat = (grad @ w_loc).reshape(2, 2, -1)
@@ -301,7 +286,7 @@ def apply_convection(space, a, w, cell_order=None, facet_order=None, basis=None,
     return (r, _seminorm(jump, flux)) if seminorm else r
 
 
-def convection_tables(space, basis=None, cell_order=None, facet_order=None):
+def convection_tables(space, basis=None):
     """The tables of ``convection_blocks`` that do not depend on a, as plain
     arrays, in the functions phi @ coeffs of a ``LocalBasis`` (the RT_k
     basis when None): R[(a, b, d, q), (i, j)] = w_q phi_i[a] d_d phi_j[b]
@@ -315,8 +300,8 @@ def convection_tables(space, basis=None, cell_order=None, facet_order=None):
     the stream basis); the facet rule is that of ``apply_convection``."""
     basis = space.basis if basis is None else basis
     coeffs = basis.coeffs
-    cell_order = cell_order or _volume_order(space, space.basis, basis)
-    facet_order = facet_order or default_facet_order(space.k)
+    cell_order = _volume_order(space, space.basis, basis)
+    facet_order = default_facet_order(space.k)
     tab, ft = space.ref_tables(cell_order), space.facet_traces(facet_order)
     volume = np.einsum("q,qka,ki,qlbd,lj->abdqij", tab["rule"].weights, tab["val"], coeffs,
                        tab["grad"], coeffs, optimize=True)
@@ -369,10 +354,9 @@ def convection_blocks(space, a, tables):
             (pair[:, :m, m:], plus, minus), (pair[:, m:, :m], minus, plus)]
 
 
-def convection_matrix(space, a, cell_order=None, facet_order=None):
+def convection_matrix(space, a):
     """Matrix C with C_ij = c_h(a, phi_j, phi_i), the linearized convection."""
-    tables = convection_tables(space, None, cell_order, facet_order)
-    return space.basis.assemble(convection_blocks(space, a, tables)).tocsr()
+    return space.basis.assemble(convection_blocks(space, a, convection_tables(space))).tocsr()
 
 
 def block_pattern(mesh, basis):
@@ -391,12 +375,11 @@ def block_pattern(mesh, basis):
     return keys[keys < n * n], slots
 
 
-def jump_seminorm(space, a, v, facet_order=None, basis=None):
+def jump_seminorm(space, a, v, basis=None):
     """Squared upwind jump seminorm |v|^2_{a,up} over interior facets; with
     a ``basis``, a and v are coefficients in it, as in ``apply_convection``."""
     basis, av, vv = _basis_values(space, basis, a, v)
-    if facet_order is None:
-        facet_order = default_facet_order(space.k)
+    facet_order = default_facet_order(space.k)
     ft = space.facet_traces(facet_order)
     v_loc = basis.gather(vv)
     table, normal = _trace_tables(space, basis, facet_order)
@@ -410,13 +393,13 @@ def jump_seminorm(space, a, v, facet_order=None, basis=None):
 # so d . phi = g . phi_ref and d . (grad phi n_F) = g . G J^{-1} n_F with
 # g = J^T d / det J, for any vector d.
 
-def _sip_traces(space, params, facets, sides, dirs, coeffs):
+def _sip_traces(space, sigma, facets, sides, dirs, coeffs):
     """For the vectors d (nf, nd, nq or 1, 2) at the points of ``facets``, in
     rows (d, q) and columns (side, i) over the slots ``sides`` (plus, then
     minus inside): the traces X of d . [phi] and Y of d . {grad phi n_F} of
     phi @ ``coeffs``, Z = w_q |F| (sigma/|F| X - Y) and w_q |F| X."""
     mesh, n, m = space.mesh, len(sides), coeffs.shape[1]
-    rule, val, grad = space.ref.edge_traces(params.facet_order)
+    rule, val, grad = space.ref.edge_traces(default_facet_order(space.k))
     val, grad = np.moveaxis(val, 2, -1) @ coeffs, np.moveaxis(grad, 2, -1) @ coeffs
     nq, point = len(rule), np.arange(len(rule))
     x, y = [], []
@@ -428,7 +411,7 @@ def _sip_traces(space, params, facets, sides, dirs, coeffs):
         y.append(np.einsum("fdqa,fb,fqabm->fdqm", g, h, grad[local[:, None], q]) / n)
     w = (np.tile(rule.weights, dirs.shape[1]) * mesh.facet_length[facets][:, None])[..., None]
     x, y = (np.concatenate(t, axis=-1).reshape(w.shape[:2] + (n * m,)) for t in (x, y))
-    return x, y, w * ((params.sigma / mesh.facet_length[facets])[:, None, None] * x - y), w * x
+    return x, y, w * ((sigma / mesh.facet_length[facets])[:, None, None] * x - y), w * x
 
 
 def sip_blocks(space, params, coeffs=None):
@@ -440,7 +423,7 @@ def sip_blocks(space, params, coeffs=None):
     t_F and n_F: sum w_q |F| (sigma/|F| X_i X_j - Y_i X_j - X_i Y_j)."""
     coeffs = np.eye(space.n_loc) if coeffs is None else coeffs
     mesh, m = space.mesh, coeffs.shape[1]
-    tab = space.ref_tables(params.cell_order)
+    tab = space.ref_tables(default_cell_order(space.k))
     grad = np.moveaxis(tab["grad"], 1, -1) @ coeffs
     ref = np.einsum("q,qacm,qbdn->abcdmn", tab["rule"].weights, grad, grad, optimize=True)
     scale = np.einsum("c,cab,ceg,cfg->cabef", mesh.cell_detj, space.metric,
@@ -449,7 +432,7 @@ def sip_blocks(space, params, coeffs=None):
     for facets, n in ((mesh.boundary_facets, 1), (mesh.interior_facets, 2)):
         sides, normal = _sides(mesh, facets)[:n], mesh.facet_normal[facets]
         dirs = np.stack([normal @ [[0.0, 1.0], [-1.0, 0.0]], normal], axis=1)[:, :, None]
-        x, y, z, wx = _sip_traces(space, params, facets, sides, dirs, coeffs)
+        x, y, z, wx = _sip_traces(space, params.sigma, facets, sides, dirs, coeffs)
         pair = np.concatenate([z, -wx], axis=1).transpose(0, 2, 1) @ np.concatenate([x, y], axis=1)
         for s, (cells, _) in enumerate(sides):
             np.add.at(loc, cells, pair[:, s * m:(s + 1) * m, s * m:(s + 1) * m])
@@ -480,18 +463,16 @@ def assemble_sip_boundary_load(space, g, params=None):
     params = (params or FormParams()).resolve(space.k)
     mesh, bb = space.mesh, space.mesh.boundary_facets
     a, b = np.split(mesh.vertices[mesh.facet_vertices[bb]], 2, axis=1)
-    pts = a + segment_rule(params.facet_order).points[:, None] * (b - a)
+    pts = a + segment_rule(default_facet_order(space.k)).points[:, None] * (b - a)
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     sides = _sides(mesh, bb)[:1]
-    z = _sip_traces(space, params, bb, sides, gv[:, None], np.eye(space.n_loc))[2]
+    z = _sip_traces(space, params.sigma, bb, sides, gv[:, None], np.eye(space.n_loc))[2]
     return space.basis.scatter(z.sum(axis=1).T, sides[0][0])
 
 
-def assemble_load(space, f, order=None):
+def assemble_load(space, f):
     """Load vector with entries (f, phi_i) for a pointwise-evaluable f."""
-    if order is None:
-        order = default_load_order(space.k)
-    tab = space.ref_tables(order)
+    tab = space.ref_tables(default_load_order(space.k))
     mesh = space.mesh
     cells = np.arange(mesh.n_cells)[:, None]
     pts = mesh.map_to_physical(cells, tab["rule"].points)

@@ -96,11 +96,11 @@ class StepState:
 
 class Discretization:
     """The RT_k space and the factorized stream-function projection for one
-    (mesh, degree) pair; shared by all steps and trial runs on it, as is
-    every load vector C^T l (``load_vectors``) and initial stream function
-    (``interpolants``) made on it.  A run applies M cell by cell
-    (``forms.apply_mass``), and only at set-up.  The mesh must be simply
-    connected."""
+    (mesh, k, sigma, nu), which fix the discrete operator; shared by all
+    steps and trial runs on it, as is every load vector C^T l
+    (``load_vectors``) and initial stream function (``interpolants``) made
+    on it.  A run applies M cell by cell (``forms.apply_mass``), and only at
+    set-up.  The mesh must be simply connected."""
 
     def __init__(self, mesh, k, params=None):
         self.mesh = mesh
@@ -113,7 +113,7 @@ class Discretization:
     @cached_property
     def mass(self):
         """The assembled mass matrix, built on first use for the tests and the KKT oracle."""
-        return forms.assemble_mass(self.space, self.params.cell_order)
+        return forms.assemble_mass(self.space)
 
     @cached_property
     def sip(self):
@@ -127,8 +127,8 @@ class Discretization:
         use: the oracle that tests compare the stream-function projection
         with.  No run uses it."""
         q_space = ScalarDGSpace(self.mesh, self.k)
-        div = forms.assemble_div(self.space, q_space, self.params.cell_order)
-        return linsolve.build_saddle(self.space, q_space, self.mass, div)
+        return linsolve.build_saddle(self.space, q_space, self.mass,
+                                     forms.assemble_div(self.space, q_space))
 
     def load_vectors(self, spatial, boundary=False):
         """Rows: C^T l for the load vector l of each function g(x, y) in
@@ -138,7 +138,7 @@ class Discretization:
         if key not in self._memo:
             self._memo[key] = np.stack([self.projection.curl_t @ (
                 forms.assemble_sip_boundary_load(self.space, g, self.params) if boundary
-                else forms.assemble_load(self.space, g, self.params.load_order)
+                else forms.assemble_load(self.space, g)
             )[self.space.free_dofs] for g in spatial])
         return self._memo[key]
 
@@ -149,13 +149,13 @@ class Discretization:
         if key not in self._memo:
             proj, free = self.projection, self.space.free_dofs
             pi = np.stack([rt_interpolate(g, self.space).values for g in spatial])
-            mass_pi = (forms.apply_mass(self.space, row, self.params.cell_order) for row in pi)
+            mass_pi = (forms.apply_mass(self.space, row) for row in pi)
             self._memo[key] = pi, np.stack([proj.solve(proj.curl_t @ m[free]) for m in mass_pi])
         return self._memo[key]
 
     def l2_norm(self, u):
         u = forms._values(self.space, u)
-        return float(np.sqrt(max(u @ forms.apply_mass(self.space, u, self.params.cell_order), 0)))
+        return float(np.sqrt(max(u @ forms.apply_mass(self.space, u), 0)))
 
     def div_l2(self, u):
         """||div u||, at the rule of order 2k that is exact for div u in P_k."""
@@ -191,17 +191,18 @@ def _viscous_boundary_load(disc, problem, t):
                                                    boundary=True)
 
 
-def _stage_rhs(disc, config, psi, problem, t, load_at):
+def _stage_rhs(disc, psi, problem, t, load_at):
     """-b(psi, psi) - nu C^T A C psi + nu C^T g_b(t) + C^T l(*load_at) on the
-    stream-function nodes, with b(psi_a, psi_w) = C^T c_h(C psi_a, C psi_w, .):
-    the right-hand side of an RK stage, and |C psi|^2_up from the same apply."""
+    stream-function nodes, with b(psi_a, psi_w) = C^T c_h(C psi_a, C psi_w, .)
+    and the nu of ``disc.params``: the right-hand side of an RK stage, and
+    |C psi|^2_up from the same apply."""
     proj = disc.projection
     convection, jump = forms.apply_convection(disc.space, psi, psi, basis=proj.basis,
                                               seminorm=True)
-    rhs = -convection
-    if config.nu > 0:
-        rhs -= config.nu * (proj.reduced_sip @ psi)
-        rhs += config.nu * _viscous_boundary_load(disc, problem, t)
+    rhs, nu = -convection, disc.params.nu
+    if nu > 0:
+        rhs -= nu * (proj.reduced_sip @ psi)
+        rhs += nu * _viscous_boundary_load(disc, problem, t)
     if problem is not None:
         rhs += _load(disc, problem, *load_at)
     return rhs, jump
@@ -229,10 +230,10 @@ def rk2_step(state, config, disc, problem=None):
     psi_w|^2_up, which the state carries for the records and the energy
     identity."""
     proj, tau, t, psi = disc.projection, config.tau, state.t, state.psi
-    rhs, prev_jump = _stage_rhs(disc, config, psi, problem, t, (t,))
+    rhs, prev_jump = _stage_rhs(disc, psi, problem, t, (t,))
     stage = psi + linsolve.project_div_free(proj, tau * rhs)
     load_at = (t, tau) if config.f_mode == "f_taylor" else (t + tau,)
-    rhs, stage_jump = _stage_rhs(disc, config, stage, problem, t + tau, load_at)
+    rhs, stage_jump = _stage_rhs(disc, stage, problem, t + tau, load_at)
     psi_next = 0.5 * (psi + stage) + linsolve.project_div_free(proj, 0.5 * tau * rhs)
     return _advance(disc, state, config, proj, psi, psi_next, stage=stage,
                     stage_jump=stage_jump, prev_jump=prev_jump)
@@ -243,14 +244,14 @@ def cn_step(state, config, disc, problem=None):
     field C psi_a, psi_a = 1.5 psi^n - 0.5 psi^{n-1}; step 0 bootstraps with
     semi-implicit Euler.  The right-hand side K psi / tau - b(psi_a, psi) / 2
     + ... lives on the stream-function nodes, as the operator does."""
-    proj, tau, nu, psi = disc.projection, config.tau, config.nu, state.psi
+    proj, tau, nu, psi = disc.projection, config.tau, disc.params.nu, state.psi
     rhs = proj.matrix @ psi / tau
     if state.n == 0:
-        system = linsolve.CNSystem(proj, state.u, tau, nu=nu, theta=1.0)
+        system = linsolve.CNSystem(proj, state.u, tau, theta=1.0)
         t_load = state.t + tau
     else:
         psi_a = 1.5 * psi - 0.5 * state.psi_prev
-        system = linsolve.CNSystem(proj, proj.velocity(psi_a), tau, nu=nu, theta=0.5)
+        system = linsolve.CNSystem(proj, proj.velocity(psi_a), tau, theta=0.5)
         rhs -= 0.5 * forms.apply_convection(disc.space, psi_a, psi, basis=proj.basis)
         if nu > 0:
             rhs -= 0.5 * nu * (proj.reduced_sip @ psi)
@@ -314,15 +315,17 @@ def run(config, mesh, problem=None, disc=None):
     an RK2 run a record's |u|^2_up is the one the next step's first stage
     formed; only the last record, after which no step ran, makes a
     ``jump_seminorm`` call of its own.  A ``disc`` passed in must be built
-    on ``mesh`` with the config's k, sigma and nu; any other raises
-    ValueError.
+    on ``mesh`` with the config's k, sigma and nu, and the problem of a
+    forced run derived for the config's nu; any other raises ValueError.
     """
     started = time.perf_counter()
-    if disc is None:
-        disc = config.discretization(mesh)
-    else:
+    if disc is not None:
         _check_disc(disc, config, mesh)
     forcing = problem if (problem is not None and not config.f_zero) else None
+    if forcing is not None and forcing.nu != config.nu:
+        raise ValueError(f"the problem was derived for nu={forcing.nu} but the config "
+                         f"asks for nu={config.nu}")
+    disc = disc or config.discretization(mesh)
     track_energy = config.f_zero or problem is None
     is_rk2 = config.integrator == "explicit_rk2"
     step_fn = rk2_step if is_rk2 else cn_step

@@ -298,16 +298,17 @@ class StreamFunctionProjection(_FactorizedSystem):
         """The convection tables in the basis phi @ C_loc, built on the first CN step."""
         return forms.convection_tables(self.space, self.basis)
 
-    def cn_matrix(self, advect, tau, theta, nu):
-        """K/tau + theta C^T C(a) C + theta nu C^T A C, in CSC on the whole
+    def cn_matrix(self, advect, tau, theta):
+        """K/tau + theta C^T C(a) C + theta nu C^T A C, with the nu of
+        ``params``, in CSC on the whole
         of ``pattern``, the zero cross blocks of outflow sides included: the
         signed local coefficients of C psi are C_loc psi_loc on every cell,
         so C^T C(a) C sums the convection blocks in the basis phi @ C_loc."""
         stiffness = self.pattern[3]  # built before the first blocks: a lower peak memory
         matrix = self.on_pattern(forms.convection_blocks(self.space, advect, self.reduced_cn))
         matrix.data = stiffness / tau + theta * matrix.data
-        if nu > 0:
-            matrix.data += theta * nu * self.reduced_sip.data
+        if self.params.nu > 0:
+            matrix.data += theta * self.params.nu * self.reduced_sip.data
         return matrix
 
 
@@ -339,19 +340,17 @@ class CNSystem(_FactorizedSystem):
     operator renumbered in it, in its natural order, with threshold
     pivoting, since the pattern is symmetric but the operator is not.
     ``matrix`` stays in the node numbering; ``solve`` permutes the
-    right-hand side and the solution.  A viscous step needs a projection
-    built with viscous params.
+    right-hand side and the solution.  The viscosity is that of the
+    projection's params.
     """
 
-    def __init__(self, projection, advect, tau, nu=0.0, theta=0.5):
+    def __init__(self, projection, advect, tau, theta=0.5):
         if not isinstance(projection, StreamFunctionProjection):
             raise TypeError(f"a CN step is built on the stream-function projection, "
                             f"not on {type(projection).__name__}")
         if tau <= 0:
             raise ValueError("time step must be positive")
-        if nu > 0 and projection.params.nu == 0:
-            raise ValueError("viscous CN step needs a projection built with nu > 0")
-        self.full = projection.cn_matrix(advect, tau, theta, nu)
+        self.full = projection.cn_matrix(advect, tau, theta)
         self.order, take, indices, indptr = projection.cn_order
         self.factorize(_without_zeros(self.full.data[take], indices, indptr, self.full.shape),
                        "CN", permc_spec="NATURAL", **_CN_LU)

@@ -24,7 +24,7 @@ TWO_PI = 2.0 * np.pi
 @dataclass
 class ExactProblem:
     """Closed-form velocity/pressure pair with forcing for the momentum
-    equation, the viscosity folded into the forcing.  All callables of
+    equation, the viscosity ``nu`` folded into the forcing.  All callables of
     (x, y, t) take x, y arrays of any common shape and return arrays with
     component axes appended.
 
@@ -44,6 +44,7 @@ class ExactProblem:
     f_spatial: tuple
     f_coeffs: callable
     dt_f_coeffs: callable
+    nu: float = 0.0
 
     def u(self, x, y, t):
         return _combine(self.u_coeffs(t), self.u_spatial, x, y)
@@ -99,36 +100,36 @@ def taylor_green(nu=0.0):
                         u_coeffs=lambda t: np.array([np.cos(TWO_PI * t)]),
                         grad_u=grad_u, dt_u=dt_u, p=p,
                         f_spatial=(_vortex, _gradient_shape),
-                        f_coeffs=f_coeffs, dt_f_coeffs=dt_f_coeffs)
+                        f_coeffs=f_coeffs, dt_f_coeffs=dt_f_coeffs, nu=nu)
 
 
-def _error_order(space, order):
+def _error_order(space):
     # squared trig errors carry doubled frequencies, so the rules go deeper
     # than the polynomial minimum until the norms are insensitive to order
-    return max(2 * space.k + 5, 15) if order is None else order
+    return max(2 * space.k + 5, 15)
 
 
-def _error_rule(space, coeffs, order):
+def _error_rule(space, coeffs):
     """The error rule's reference tables, the coefficients (n_loc, n_cells),
     the points x, y (nq, n_cells) in every cell and the weights times det J."""
-    tab = space.ref_tables(_error_order(space, order))
+    tab = space.ref_tables(_error_order(space))
     return (tab, space.basis.gather(forms._values(space, coeffs)),
             *space.rule_points(tab["rule"]), tab["rule"].weights[:, None] * space.mesh.cell_detj)
 
 
-def l2_error(space, coeffs, problem, t, order=None):
+def l2_error(space, coeffs, problem, t):
     """L2 norm of u(t) - u_h over the domain, over-integrated: u_h is one
     GEMM against the reference values, then the Piola map."""
-    tab, loc, x, y, wdet = _error_rule(space, coeffs, order)
+    tab, loc, x, y, wdet = _error_rule(space, coeffs)
     ref = (tab["val_flat"].T @ loc).reshape(tab["nq"], 2, -1).transpose(0, 2, 1)
     diff = problem.u(x, y, t) - space.piola(slice(None), ref)
     return float(np.sqrt(np.einsum("qc,qca,qca->", wdet, diff, diff)))
 
 
-def h1_broken_error(space, coeffs, problem, t, order=None):
+def h1_broken_error(space, coeffs, problem, t):
     """L2 norm of the broken gradient of u(t) - u_h: grad u_h is one GEMM
     against the reference gradients, then J G J^{-1} / det J."""
-    tab, loc, x, y, wdet = _error_rule(space, coeffs, order)
+    tab, loc, x, y, wdet = _error_rule(space, coeffs)
     mesh = space.mesh
     ref = (tab["grad_flat"].T @ loc).reshape(tab["nq"], 2, 2, -1).transpose(0, 3, 1, 2)
     gh = _matmul2(_matmul2(mesh.cell_jac / mesh.cell_detj[:, None, None], ref),
@@ -137,9 +138,9 @@ def h1_broken_error(space, coeffs, problem, t, order=None):
     return float(np.sqrt(np.einsum("qc,qcab,qcab->", wdet, diff, diff)))
 
 
-def div_norm(space, coeffs, order=None):
-    """L2 norm of div u_h by direct quadrature."""
-    return forms.divergence_l2_norm(space, coeffs, order=_error_order(space, order))
+def div_norm(space, coeffs):
+    """L2 norm of div u_h by direct quadrature, at the error rule."""
+    return forms.divergence_l2_norm(space, coeffs, order=_error_order(space))
 
 
 def rate_table(h_list, e_list):

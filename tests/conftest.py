@@ -251,14 +251,14 @@ def physical_sip(space, params=None):
     """``forms.assemble_sip`` on physical traces, side pair by side pair."""
     params = (params or forms.FormParams()).resolve(space.k)
     mesh = space.mesh
-    tab = space.ref_tables(params.cell_order)
+    tab = space.ref_tables(forms.default_cell_order(space.k))
     cells = np.arange(mesh.n_cells)
     grad = piola_gradient(space, cells[:, None, None], tab["grad"])
     wdet = tab["rule"].weights[None, :] * mesh.cell_detj[:, None]
     loc = np.einsum("cqiab,cqjab,cq->cij", grad, grad, wdet, optimize=True)
     blocks = [(loc, cells, cells)]
 
-    etab = edge_tables(space, params.facet_order)
+    etab = edge_tables(space, forms.default_facet_order(space.k))
     penalty = params.sigma / mesh.facet_length
     for facets, two_sided in ((mesh.interior_facets, True),
                               (mesh.boundary_facets, False)):
@@ -285,7 +285,7 @@ def physical_sip_boundary_load(space, g, params=None):
     params = (params or forms.FormParams()).resolve(space.k)
     mesh = space.mesh
     bb = mesh.boundary_facets
-    etab = edge_tables(space, params.facet_order)
+    etab = edge_tables(space, forms.default_facet_order(space.k))
     a = mesh.vertices[mesh.facet_vertices[bb, 0]]
     b = mesh.vertices[mesh.facet_vertices[bb, 1]]
     pts = a[:, None, :] + etab["rule"].points[None, :, None] * (b - a)[:, None, :]
@@ -431,11 +431,9 @@ def full_vector_convection_blocks(space, a, basis=None, cell_order=None, facet_o
 def use_full_vector_kernel(monkeypatch):
     """Make ``forms.convection_blocks`` the full-vector oracle wherever the
     library calls it: ``forms.convection_tables`` then returns the
-    coefficients of the basis and the orders it was asked for, and the
-    oracle reads them."""
+    coefficients of the basis, and the oracle reads them."""
     monkeypatch.setattr(forms, "convection_tables",
-                        lambda space, basis=None, cell_order=None, facet_order=None:
-                        (None if basis is None else basis.coeffs, cell_order, facet_order))
+                        lambda space, basis=None: (None if basis is None else basis.coeffs,))
     monkeypatch.setattr(forms, "convection_blocks",
                         lambda space, a, tables: full_vector_convection_blocks(space, a, *tables))
 
@@ -500,8 +498,7 @@ def _velocity_load(disc, problem, t, tau_taylor=None):
     coeffs = problem.f_coeffs(t)
     if tau_taylor is not None:
         coeffs = coeffs + tau_taylor * problem.dt_f_coeffs(t)
-    return coeffs @ np.stack([forms.assemble_load(disc.space, g, disc.params.load_order)
-                              for g in problem.f_spatial])
+    return coeffs @ np.stack([forms.assemble_load(disc.space, g) for g in problem.f_spatial])
 
 
 def _velocity_wall_load(disc, problem, t):
@@ -552,12 +549,12 @@ def velocity_cn_step(state, config, disc, problem=None):
     space, mass, tau, nu = disc.space, disc.mass, config.tau, config.nu
     u = state.u.values
     if state.n == 0:
-        system = linsolve.CNSystem(disc.projection, state.u, tau, nu=nu, theta=1.0)
+        system = linsolve.CNSystem(disc.projection, state.u, tau, theta=1.0)
         rhs = mass @ u / tau
         t_load = state.t + tau
     else:
         advect = CoefVec(space, 1.5 * u - 0.5 * state.u_prev.values)
-        system = linsolve.CNSystem(disc.projection, advect, tau, nu=nu, theta=0.5)
+        system = linsolve.CNSystem(disc.projection, advect, tau, theta=0.5)
         rhs = mass @ u / tau - 0.5 * forms.apply_convection(space, advect, state.u)
         if nu > 0:
             rhs -= 0.5 * nu * (disc.sip @ u)

@@ -288,7 +288,33 @@ def test_compare_cn_rejects_integrator(tmp_path, capsys):
     code = run_cli(["compare-cn", "--n", "4", "--integrator", "cn",
                     "--out-dir", str(tmp_path)])
     assert code == 1
-    assert "compare-cn runs both integrators" in capsys.readouterr().err
+    assert "compare-cn reads no option --integrator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args", [
+    ("convergence", ["--n-list", "4,8", "--tau", "0.01"]),
+    ("single-run", ["--n-list", "4,8"]),
+    ("single-run", ["--tau-list", "1/8"]),
+    ("single-run", ["--cfl", "std"]),
+    ("compare-cn", ["--tau", "0.1"]),
+], ids=["convergence-tau", "single-run-n-list", "single-run-tau-list", "single-run-cfl",
+        "compare-cn-tau"])
+def test_subcommand_rejects_an_option_it_does_not_read(tmp_path, capsys, command, args):
+    # each of these used to run and ignore the option: convergence --tau
+    # 0.01 echoed "# tau=0.01" and ran tau = h^(4/3), 0.157 at n = 4
+    code = run_cli([command, *args, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"divfree: error: {command} reads no option {args[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_key_a_subcommand_does_not_read(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n_list=4\ntau=0.01\n")
+    code = run_cli(["convergence", "--config", str(cfgfile), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "divfree: error: convergence reads no config key 'tau'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 RUN_MD = ("| tau | ||u_h||_L2 | ||u - u_h||_L2 | ||grad_h(u - u_h)||_L2 "
@@ -318,6 +344,24 @@ TABLE_HEADERS = {
                             "blow_up_step"]},
         [RUN_MD, "|---|---|---|---|---|"]),
 }
+
+
+# The keys each subcommand echoes besides k, T, nu, sigma, f_mode, f_zero,
+# perturb and seed, which every one reads
+OWN_KEYS = {"single-run": {"n", "tau", "co", "integrator"},
+            "convergence": {"n_list", "cfl", "co", "integrator"},
+            "cfl-sweep": {"n_list", "cfl", "co", "integrator"},
+            "compare-cn": {"n", "tau_list"}}
+
+
+@pytest.mark.parametrize("command", list(TABLE_HEADERS))
+def test_config_echo_lists_the_keys_the_subcommand_reads(tmp_path, command):
+    args, csv_headers, _ = TABLE_HEADERS[command]
+    assert run_cli(args + ["--format", "csv", "--out-dir", str(tmp_path)]) in (0, 2)
+    lines = read(tmp_path / next(iter(csv_headers))).splitlines()
+    keys = {l[2:].split("=", 1)[0] for l in lines if l.startswith("# ")}
+    shared = {"k", "T", "nu", "sigma", "f_mode", "f_zero", "perturb", "seed"}
+    assert keys == shared | OWN_KEYS[command]
 
 
 @pytest.mark.parametrize("command", list(TABLE_HEADERS))

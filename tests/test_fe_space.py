@@ -193,10 +193,13 @@ def test_default_interpolation_rule_follows_the_mesh(k, perturb, monkeypatch):
     # 2.5e-14 to 1.6e-12 at n = 3 and 4
     problem = manufactured.taylor_green(0.0)
     u = lambda x, y: problem.u(x, y, 0.0)
-    rule, used = fe_space.triangle_rule, []
+    rule, segment, used = fe_space.triangle_rule, fe_space.segment_rule, []
     for n in (2, 3, 4, 8, 16, 32):
         space = RTSpace(build_structured(n, perturb, seed=0), k)
-        exact = rt_interpolate(u, space, order=35).values
+        with monkeypatch.context() as deep:
+            deep.setattr(fe_space, "triangle_rule", lambda order: rule(35))
+            deep.setattr(fe_space, "segment_rule", lambda order: segment(35))
+            exact = rt_interpolate(u, space).values
         monkeypatch.setattr(fe_space, "triangle_rule",
                             lambda order: used.append(order) or rule(order))
         default = rt_interpolate(u, space).values

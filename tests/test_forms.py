@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,17 @@ from conftest import (dg_project, div_l2_through_b, evaluate, full_jump_apply,
 def one_cell_mesh():
     return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]))
+
+
+@contextmanager
+def fixed_rule(picker, order):
+    """``forms.<picker>``, the function that picks a form's rule, returning
+    ``order`` inside the block; with ``order`` None the rule is the default.
+    A context, not the ``monkeypatch`` fixture, so hypothesis tests use it."""
+    with pytest.MonkeyPatch.context() as patch:
+        if order is not None:
+            patch.setattr(forms, picker, lambda *_: order)
+        yield
 
 
 def cell_samples(space, coeffs, order):
@@ -56,8 +69,9 @@ def test_mass_norm_matches_direct_quadrature(spaces):
 def test_mass_rule_refinement_single_cell():
     mesh = one_cell_mesh()
     space = RTSpace(mesh, 1)
-    coarse = forms.assemble_mass(space, order=5).toarray()
-    fine = forms.assemble_mass(space, order=9).toarray()
+    coarse = forms.assemble_mass(space).toarray()  # order 5
+    with fixed_rule("default_cell_order", 9):
+        fine = forms.assemble_mass(space).toarray()
     assert np.abs(coarse - fine).max() < 1e-12
 
 
@@ -177,10 +191,11 @@ def test_trace_kernel_matches_full_jump_oracle_at_other_orders(spaces, k):
     space = spaces(4, k, perturb=0.2, seed=3)["space"]
     a, w = _random_fields(space, np.random.default_rng(30 + k))
     for cell_order, facet_order in ((2 * k + 5, 2 * k + 4), (4 * k + 2, 2 * k + 6)):
-        assert _rel(forms.apply_convection(space, a, w, cell_order, facet_order),
-                    full_jump_apply(space, a, w, cell_order, facet_order)) <= 1e-12
-        assert _rel(forms.jump_seminorm(space, a, w, facet_order),
-                    full_jump_seminorm(space, a, w, facet_order)) <= 1e-12
+        with fixed_rule("_volume_order", cell_order), \
+                fixed_rule("default_facet_order", facet_order):
+            apply, seminorm = forms.apply_convection(space, a, w), forms.jump_seminorm(space, a, w)
+        assert _rel(apply, full_jump_apply(space, a, w, cell_order, facet_order)) <= 1e-12
+        assert _rel(seminorm, full_jump_seminorm(space, a, w, facet_order)) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -230,13 +245,15 @@ def test_volume_rules_of_the_basis_degree_are_exact(k, n, perturb, mesh_seed, fi
     psi_a, psi_w = rng.normal(size=(2, basis.size))
 
     def apply(order):
-        return forms.apply_convection(space, psi_a, psi_w, order, basis=basis)
+        with fixed_rule("_volume_order", order):
+            return forms.apply_convection(space, psi_a, psi_w, basis=basis)
 
     assert _rel(apply(None), apply(full)) <= 1e-13
     assert _rel(apply(coarse), apply(full)) > 1e-8
 
     def cn_blocks(a, order):
-        return forms.convection_blocks(space, a, forms.convection_tables(space, basis, order))
+        with fixed_rule("_volume_order", order):
+            return forms.convection_blocks(space, a, forms.convection_tables(space, basis))
 
     for a in (stream.velocity(psi_a), _random_fields(space, rng)[0]):
         want = cn_blocks(a, full)
@@ -264,10 +281,12 @@ def test_velocity_basis_convection_is_exact_for_a_curl(k):
     w = CoefVec(space, rng.normal(size=space.n_dofs))
 
     def apply(order=None):
-        return forms.apply_convection(space, a, w, order)
+        with fixed_rule("_volume_order", order):
+            return forms.apply_convection(space, a, w)
 
     assert _rel(apply(), apply(10)) <= 1e-13
-    want = forms.convection_matrix(space, a, 10).toarray()
+    with fixed_rule("_volume_order", 10):
+        want = forms.convection_matrix(space, a).toarray()
     assert _rel(forms.convection_matrix(space, a).toarray(), want) <= 1e-13
 
     a, w = _random_fields(space, rng)
@@ -344,9 +363,10 @@ def test_tangential_blocks_match_full_vector_oracle(meshes, k, monkeypatch):
     fields = [div_free, _random_fields(space, rng)[0]]
 
     def operators():
-        proj = linsolve.StreamFunctionProjection(space, params)
+        viscous, inviscid = (linsolve.StreamFunctionProjection(space, p)
+                             for p in (params, forms.FormParams()))
         return [op for a in fields for op in (
-            proj.cn_matrix(a, 0.05, 0.5, 0.01), proj.cn_matrix(a, 1 / 200, 1.0, 0.0),
+            viscous.cn_matrix(a, 0.05, 0.5), inviscid.cn_matrix(a, 1 / 200, 1.0),
             forms.convection_matrix(space, a).tocsc())]
 
     tangential = operators()
@@ -495,7 +515,8 @@ def test_manufactured_load_matches_direct_quadrature(spaces):
     space, mesh = entry["space"], entry["mesh"]
     prob = manufactured.taylor_green(0.0)
     f0 = lambda x, y: prob.f(x, y, 0.0)
-    base = forms.assemble_load(space, f0, order=20)
+    with fixed_rule("default_load_order", 20):
+        base = forms.assemble_load(space, f0)
     assert np.all(np.isfinite(base))
     # oracle: rebuild every entry from pointwise basis evaluation, without
     # the assembly tables (both converged at this depth for the 4pi forcing)
@@ -563,22 +584,19 @@ def test_assembled_entries_stable_under_order_doubling(spaces, k):
     entry = spaces(4, k, with_saddle=True)
     space, q_space = entry["space"], entry["q_space"]
     co, fo = forms.default_cell_order(k), forms.default_facet_order(k)
-
-    pairs = [
-        (forms.assemble_mass(space), forms.assemble_mass(space, order=2 * co)),
-        (forms.assemble_div(space, q_space),
-         forms.assemble_div(space, q_space, order=2 * co)),
-    ]
     a = rt_interpolate(lambda x, y: np.stack(
         [np.full_like(x, 0.9), np.full_like(y, 0.35)], axis=-1),
         space, enforce_boundary=True)
-    pairs.append((forms.convection_matrix(space, a),
-                  forms.convection_matrix(space, a, cell_order=2 * co,
-                                          facet_order=2 * fo)))
-    params = forms.FormParams(nu=1.0)
-    doubled = forms.FormParams(nu=1.0, cell_order=2 * co, facet_order=2 * fo)
-    pairs.append((forms.assemble_sip(space, params),
-                  forms.assemble_sip(space, doubled)))
-    for base, fine in pairs:
+
+    def entries():
+        return [forms.assemble_mass(space), forms.assemble_div(space, q_space),
+                forms.convection_matrix(space, a),
+                forms.assemble_sip(space, forms.FormParams(nu=1.0))]
+
+    default = entries()
+    with fixed_rule("default_cell_order", 2 * co), fixed_rule("_volume_order", 2 * co), \
+            fixed_rule("default_facet_order", 2 * fo):
+        doubled = entries()
+    for base, fine in zip(default, doubled):
         scale = np.abs(base).max()
         assert np.abs(base - fine).max() <= 1e-11 * scale

@@ -198,6 +198,21 @@ def test_run_rejects_inviscid_disc_for_viscous_config(mesh8, disc8, problem):
                         disc=disc8)
 
 
+def test_forced_run_rejects_a_problem_of_another_viscosity(mesh8):
+    # the forcing folds in the nu it was derived for: an inviscid forcing in
+    # a run at nu = 0.01 used to complete with l2_err 7.66e-2 at T = 0.25,
+    # against 1.86e-2 with the matched problem.  An unforced run reads u^0
+    # alone, so any problem will do
+    inviscid = manufactured.taylor_green(0.0)
+    assert manufactured.taylor_green(0.01).nu == 0.01 and inviscid.nu == 0.0
+    config = SchemeConfig(tau=1.0 / 200, T=0.25, nu=0.01)
+    with pytest.raises(ValueError, match="problem was derived for nu=0.0 but the config "
+                                         "asks for nu=0.01"):
+        integrators.run(config, mesh8, inviscid)
+    unforced = SchemeConfig(tau=1.0 / 40, T=0.05, nu=0.01, f_zero=True)
+    assert integrators.run(unforced, mesh8, inviscid).completed
+
+
 def test_run_rejects_disc_of_another_mesh_or_sigma(mesh8, disc8, problem):
     other = build_structured(8, 0.15, seed=0)
     with pytest.raises(ValueError, match="different mesh"):
@@ -401,11 +416,13 @@ def test_initial_field_is_interpolated_once_per_discretization(mesh8, problem, m
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("nu", [0.0, 0.01])
-def test_shared_discretization_gives_cn_runs_the_fresh_factorizations(problem, k, nu):
+def test_shared_discretization_gives_cn_runs_the_fresh_factorizations(k, nu):
     # CN runs with another tau, or unforced, after a first one on the same
     # disc report to the bit what runs on fresh discretizations report, and
     # leave the pattern and its renumbering in the column ordering as they
-    # were (a viscous config needs a viscous disc, so each nu has its own)
+    # were (a viscous config needs a viscous disc and problem, so each nu
+    # has its own)
+    problem = manufactured.taylor_green(nu)
     mesh = build_structured(6, 0.2, seed=3)
     disc = Discretization(mesh, k, FormParams(nu=nu))
     tables = disc.projection.pattern + disc.projection.cn_order

@@ -132,7 +132,7 @@ def test_stream_function_matches_kkt_on_random_meshes(k, n, perturb, mesh_seed,
     advect = linsolve.project_div_free(kkt, rng.normal(size=kkt.n_free))
     advect.values[:] /= np.sqrt(advect.values @ (mass @ advect.values))
     rhs = rng.normal(size=kkt.n_free)
-    step = project_velocity(linsolve.CNSystem(stream, advect, 0.05, nu=0.01), rhs, stream)
+    step = project_velocity(linsolve.CNSystem(stream, advect, 0.05), rhs, stream)
     oracle = BorderedCN(kkt, advect, 0.05, nu=0.01, sip=sip)
     assert rel_mass_norm(step, oracle.expand(refined_solve(oracle, rhs))) <= 1e-12
 
@@ -149,7 +149,10 @@ def test_reduced_cn_operator_matches_triple_product(k, n, perturb, mesh_seed,
     mesh = build_structured(n, perturb, seed=mesh_seed)
     space = RTSpace(mesh, k)
     sip = physical_sip(space, FormParams(nu=0.01))
-    stream = linsolve.StreamFunctionProjection(space, FormParams(nu=0.01))
+    # the CN operator reads nu from its projection: one inviscid, one viscous
+    streams = {nu: linsolve.StreamFunctionProjection(space, FormParams(nu=nu))
+               for nu in (0.0, 0.01)}
+    stream = streams[0.01]
     rng = np.random.default_rng(field_seed)
     advect = project_velocity(stream, rng.normal(size=len(space.free_dofs)))
     mass = forms.assemble_mass(space)
@@ -160,7 +163,7 @@ def test_reduced_cn_operator_matches_triple_product(k, n, perturb, mesh_seed,
         for nu in (0.0, 0.01):
             block = (mass / tau + theta * conv + theta * nu * sip)[free][:, free]
             oracle = (curl.T @ block @ curl).toarray()
-            cn = linsolve.CNSystem(stream, advect, tau, nu=nu, theta=theta)
+            cn = linsolve.CNSystem(streams[nu], advect, tau, theta=theta)
             assert np.abs(cn.matrix.toarray() - oracle).max() \
                 <= 1e-13 * np.abs(oracle).max(), (theta, nu)
 
@@ -313,7 +316,7 @@ def test_cn_solve_matches_dense_solve_on_random_meshes(k, nu, theta, n, perturb,
     rng = np.random.default_rng(field_seed)
     psi_a = rng.normal(size=proj.n_free)
     psi_a /= np.sqrt(psi_a @ (proj.matrix @ psi_a))
-    system = linsolve.CNSystem(proj, proj.velocity(psi_a), 0.05, nu=nu, theta=theta)
+    system = linsolve.CNSystem(proj, proj.velocity(psi_a), 0.05, theta=theta)
     rhs = rng.normal(size=proj.n_free)
     psi = linsolve.cn_solve(system, rhs)
     dense = np.linalg.solve(system.matrix.toarray(), rhs)
