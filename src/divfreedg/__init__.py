@@ -2,7 +2,7 @@
 flow, with explicit second-order Runge-Kutta time stepping, a semi-implicit
 Crank-Nicolson comparator, and the experiment harness around them."""
 
-from .mesh import Mesh, build_structured, load_mesh, save_mesh
+from .mesh import Mesh, build_structured
 from .quadrature import SegmentRule, TriangleRule, segment_rule, triangle_rule
 from .fe_space import RTSpace, ScalarDGSpace, CoefVec, rt_interpolate
 from .forms import (FormParams, assemble_mass, assemble_div, apply_convection,

@@ -3,7 +3,10 @@ output mirroring the solver's standard experiment tables.
 
 Exit codes: 0 success, 1 usage/IO error, 2 blow-up detected (single-run only;
 study commands encode blow-up as nan rows and exit 0).  A subcommand accepts
-only the options it reads (``COMMANDS``), as flags or as config-file keys.
+only the options it reads (``COMMANDS``), as flags or as config-file keys,
+and exits 1 on a pair of options its run would ignore one of: single-run's
+--co with --tau, and the pairs ``integrators.SchemeConfig`` refuses (--f-mode
+next on a CN or --f-zero run, --sigma at --nu 0).
 """
 
 import argparse
@@ -75,7 +78,7 @@ OPTIONS = {opt.key: opt for opt in (
     Option("n_list", lambda s: _parse_list(s, int)),
     Option("tau", _parse_tau),
     Option("tau_list", lambda s: _parse_list(s, _parse_tau)),
-    Option("cfl", choices=("std", "fourthirds", "search")),
+    Option("cfl", default="fourthirds", choices=("std", "fourthirds")),
     Option("co", float),
     Option("nu", float, 0.0),
     Option("sigma", float),
@@ -282,6 +285,9 @@ def _scheme(cfg, integrator=None):
 
 
 def cmd_single_run(cfg):
+    if cfg["tau"] is not None and cfg["co"] is not None:
+        raise UsageError("single-run reads no option --co when --tau is given: "
+                         "--co scales the default step co h^(4/3)")
     mesh = build_structured(cfg["n"], perturb=cfg["perturb"], seed=cfg["seed"])
     if cfg["tau"] is None:
         cfg["tau"] = (cfg["co"] if cfg["co"] is not None else FOURTHIRDS_CO) \
@@ -324,9 +330,7 @@ def cmd_single_run(cfg):
 def cmd_convergence(cfg):
     if cfg["n_list"] is None:
         raise UsageError("convergence needs --n-list")
-    cfl = cfg["cfl"] or "fourthirds"
-    if cfl == "search":
-        raise UsageError("convergence supports --cfl std or fourthirds")
+    cfl = cfg["cfl"]
     co = cfg["co"] if cfg["co"] is not None else \
         (STANDARD_CO if cfl == "std" else FOURTHIRDS_CO)
     rows = diagnostics.convergence_study(
@@ -335,7 +339,7 @@ def cmd_convergence(cfg):
         **_scheme(cfg))
     schedule = "h^(4/3)" if cfl == "fourthirds" else "h"
     _write_outputs(
-        {**cfg, "cfl": cfl, "co": co},
+        {**cfg, "co": co},
         f"Convergence under tau = {co} * {schedule}, k={cfg['k']}",
         [("convergence.csv", _csv_table(STUDY_COLUMNS, rows)),
          ("convergence.md", _md_table(STUDY_COLUMNS, rows))])
@@ -345,16 +349,13 @@ def cmd_convergence(cfg):
 def cmd_cfl_sweep(cfg):
     if cfg["n_list"] is None:
         raise UsageError("cfl-sweep needs --n-list")
-    cfl = cfg["cfl"] or "search"
-    co = cfg["co"] if cfg["co"] is not None else STANDARD_CO
     result = diagnostics.cfl_sweep(
-        cfg["n_list"], cfl_form=cfl, co=co, perturb=cfg["perturb"],
-        seed=cfg["seed"], problem=manufactured.taylor_green(cfg["nu"]),
-        **_scheme(cfg))
+        cfg["n_list"], perturb=cfg["perturb"], seed=cfg["seed"],
+        problem=manufactured.taylor_green(cfg["nu"]), **_scheme(cfg))
     trace = [dict(h=h, tau=tau, stable=int(stable))
              for h, tau, stable in result.trace]
     _write_outputs(
-        {**cfg, "cfl": cfl, "co": co}, "Maximum stable time steps",
+        cfg, "Maximum stable time steps",
         [("cfl-sweep.csv", _csv_table(SWEEP_COLUMNS, result.rows)),
          ("cfl-sweep.md", _md_table(SWEEP_COLUMNS, result.rows)),
          ("cfl-sweep-trace.csv", _csv_table(TRACE_COLUMNS, trace))])
@@ -368,9 +369,11 @@ def cmd_compare_cn(cfg):
 
     rows, md, disc = [], [], None
     for name, scheme in (("Explicit RK", "rk2"), ("Semi-implicit CN", "cn")):
-        block = []
+        block, fields = [], _scheme(cfg, scheme)
+        if scheme == "cn":
+            del fields["f_mode"]  # --f-mode places the load of RK2's second stage
         for tau in taus:
-            config = integrators.SchemeConfig(tau=tau, **_scheme(cfg, scheme))
+            config = integrators.SchemeConfig(tau=tau, **fields)
             disc = disc or config.discretization(mesh)
             report = integrators.run(config, mesh, problem, disc)
             block.append(dict(scheme=scheme, tau=report.config["tau"],
@@ -389,7 +392,7 @@ SHARED = ("k", "T", "nu", "sigma", "f_mode", "f_zero", "perturb", "seed", "out_d
 COMMANDS = {
     "single-run": (cmd_single_run, ("n", "tau", "co", "integrator")),
     "convergence": (cmd_convergence, ("n_list", "cfl", "co", "integrator")),
-    "cfl-sweep": (cmd_cfl_sweep, ("n_list", "cfl", "co", "integrator")),
+    "cfl-sweep": (cmd_cfl_sweep, ("n_list", "integrator")),
     "compare-cn": (cmd_compare_cn, ("n", "tau_list")),
 }
 

@@ -3,7 +3,6 @@ maximum-step search and exponent fitting, and convergence-study orchestration.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,17 +145,18 @@ def _problem(problem, scheme):
     return taylor_green(scheme.get("nu", 0.0))
 
 
-def cfl_sweep(n_list, *, cfl_form="search", co=0.5, perturb=0.15, seed=0,
-              problem=None, tau_floor=1e-5, **scheme):
-    """Stability sweep over mesh sizes h = 1/n; ``scheme`` holds the
+def cfl_sweep(n_list, *, perturb=0.15, seed=0, problem=None, tau_floor=1e-5,
+              **scheme):
+    """Largest stable step over mesh sizes h = 1/n; ``scheme`` holds the
     SchemeConfig fields other than tau, and the problem defaults to
     Taylor-Green at the scheme's nu.
 
-    In search mode tau = 1/m is scanned with the integer denominator starting
-    at the standard-CFL value m = ceil(2 n) and increasing by 2 until the
-    first run that completes; fixed forms run tau = co*h or co*h^(4/3) once
-    per h.  All trials on one mesh share one Discretization.  alpha is the
-    observed rate of tau_max in h.
+    tau = 1/m is scanned with the integer denominator starting at the
+    standard-CFL value m = 2n (tau = h/2) and increasing by 2 until the
+    first run that completes; a mesh on which no tau down to ``tau_floor``
+    completes gets a nan row.  All trials on one mesh share one
+    Discretization.  alpha is the observed rate of tau_max in h.  A fixed
+    schedule, tau = co h or co h^(4/3), is ``convergence_study``'s.
     """
     problem = _problem(problem, scheme)
     from . import integrators
@@ -166,14 +166,10 @@ def cfl_sweep(n_list, *, cfl_form="search", co=0.5, perturb=0.15, seed=0,
     for n in _mesh_sizes(n_list):
         h = 1.0 / n
         mesh = build_structured(n, perturb=perturb, seed=seed)
-        if cfl_form == "search":
-            start = math.ceil(1.0 / (0.5 * h))
-            schedule = ((1.0 / m, m) for m in itertools.takewhile(
-                lambda m: 1.0 / m >= tau_floor, itertools.count(start, 2)))
-        else:
-            schedule = [(_tau_for(cfl_form, co, h), None)]
         disc, row = None, None
-        for tau, m in schedule:
+        for m in itertools.takewhile(lambda m: 1.0 / m >= tau_floor,
+                                     itertools.count(2 * n, 2)):
+            tau = 1.0 / m
             config = integrators.SchemeConfig(tau=tau, **scheme)
             disc = disc or config.discretization(mesh)
             report = integrators.run(config, mesh, problem, disc)
@@ -189,7 +185,8 @@ def cfl_sweep(n_list, *, cfl_form="search", co=0.5, perturb=0.15, seed=0,
 
 def convergence_study(n_list, *, cfl_form="fourthirds", co=1.0, perturb=0.15,
                       seed=0, problem=None, **scheme):
-    """Error/rate table over a sequence of meshes at the given CFL schedule;
+    """Error/rate table over a sequence of meshes at the fixed CFL schedule
+    tau = co h (``cfl_form`` "std") or co h^(4/3) ("fourthirds");
     ``scheme`` and ``problem`` as in ``cfl_sweep``.
 
     Blown-up runs appear as nan rows (the standard-CFL fragility experiment

@@ -30,7 +30,14 @@ BLOWUP_FACTOR = 10.0
 @dataclass
 class SchemeConfig:
     """Run parameters.  The time step is snapped to T/round(T/tau) so every
-    run ends exactly at the final time."""
+    run ends exactly at the final time.
+
+    Each field changes the run, and a field the run would not read raises
+    ValueError: ``f_mode`` places the load of RK2's second stage (at t with
+    the Taylor term tau df/dt, or at t + tau), which a CN run and an
+    unforced (``f_zero``) run do not have, so those take the default
+    "f_taylor"; ``sigma`` (None: ``forms.default_sigma(k)``) is the SIP
+    penalty of the viscous term, so an inviscid run leaves it None."""
 
     tau: float
     k: int = 1
@@ -55,6 +62,13 @@ class SchemeConfig:
         self.integrator = int_aliases.get(self.integrator, self.integrator)
         if self.integrator not in INTEGRATOR_NAMES:
             raise ValueError(f"integrator must be one of {INTEGRATOR_NAMES}")
+        if self.f_mode == "f_next" and (self.integrator == "semi_implicit_cn" or self.f_zero):
+            run = "an unforced (f_zero) run" if self.f_zero else "a CN run"
+            raise ValueError(f"f_mode='f_next' moves the load of RK2's second stage to "
+                             f"t + tau, and {run} has no such load")
+        if self.sigma is not None and self.nu == 0:
+            raise ValueError(f"sigma={self.sigma} is the SIP penalty of the viscous term, "
+                             f"which an inviscid run (nu=0) does not have")
         self.n_steps = max(1, round(self.T / self.tau))
         self.tau = self.T / self.n_steps
 

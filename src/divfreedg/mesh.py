@@ -1,9 +1,10 @@
 """Conforming triangular meshes with oriented facets.
 
-Structured meshes of the unit square (optionally perturbed) or meshes loaded
-from a plain-text file.  A mesh is immutable after construction and is held
-in arrays only; the facet normal n_F is fixed once (pointing from the plus
-cell toward the minus cell, outward on the boundary) and never flipped.
+Structured meshes of the unit square (optionally perturbed), or any
+counterclockwise triangulation given as vertex and cell arrays.  A mesh is
+immutable after construction and is held in arrays only; the facet normal
+n_F is fixed once (pointing from the plus cell toward the minus cell,
+outward on the boundary) and never flipped.
 """
 
 import numpy as np
@@ -193,40 +194,4 @@ def _structured_attempt(n, perturb, seed):
     return Mesh(verts, cells)
 
 
-def load_mesh(path):
-    """Read a mesh from the plain-text format (see ``save_mesh``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError("mesh file is missing the 'nv nc' header")
-    try:
-        nv, nc = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise ValueError("malformed vertex/cell counts") from exc
-    need = 2 + 2 * nv + 3 * nc
-    if len(tokens) != need:
-        raise ValueError(f"expected {need} tokens for nv={nv}, nc={nc}, found {len(tokens)}")
-    try:
-        values = np.array(tokens[2:2 + 2 * nv], dtype=float).reshape(nv, 2)
-    except ValueError as exc:
-        raise ValueError("malformed vertex coordinates") from exc
-    try:
-        cells = np.array(tokens[2 + 2 * nv:], dtype=int).reshape(nc, 3)
-    except ValueError as exc:
-        raise ValueError("malformed cell connectivity") from exc
-    if cells.size and (cells.min() < 0 or cells.max() >= nv):
-        raise ValueError("vertex index out of range")
-    return Mesh(values, cells)
-
-
-def save_mesh(mesh, path):
-    """Write the plain-text format: 'nv nc', vertex lines, cell lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_cells}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for a, b, c in mesh.cells:
-            fh.write(f"{a} {b} {c}\n")
-
-
-__all__ = ["Mesh", "build_structured", "load_mesh", "save_mesh"]
+__all__ = ["Mesh", "build_structured"]

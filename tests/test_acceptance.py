@@ -184,11 +184,12 @@ def test_criterion_08_table1_reproduction(mesh8, disc8, problem):
     assert cn_errs[-1] <= 1.0e-01
 
 
-@criterion(9, "stability exponent alpha >= 1.05 for the (1/40, 1/80) pair")
+@criterion(9, "tau_max = 1/[20, 42, 90, 216]; alpha >= 1.05 for the (1/40, 1/80) pair")
 @pytest.mark.slow
 def test_criterion_09_table4_alpha(problem):
-    result = diagnostics.cfl_sweep([10, 20, 40, 80], k=1, cfl_form="search",
-                                   problem=problem)
+    result = diagnostics.cfl_sweep([10, 20, 40, 80], k=1, problem=problem)
+    # tau_max = 1/m: the denominators the search has always found
+    assert [r["denominator"] for r in result.rows] == [20, 42, 90, 216]
     taus = {r["n"]: r["tau_max"] for r in result.rows}
     assert all(math.isfinite(t) for t in taus.values()), taus
     alpha = math.log(taus[40] / taus[80]) / math.log(2.0)

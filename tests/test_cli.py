@@ -276,6 +276,40 @@ def test_cfl_sweep_uses_scheme_flag(tmp_path, trial_configs, flag, field, value)
     assert all(getattr(c, field) == value for c in trial_configs)
 
 
+@pytest.mark.parametrize("command, args, message", [
+    ("single-run", ["--integrator", "cn", "--f-mode", "next"], "a CN run has no such load"),
+    ("single-run", ["--f-zero", "--f-mode", "next"], r"an unforced \(f_zero\) run has no"),
+    ("single-run", ["--sigma", "5"], r"sigma=5.0 is the SIP penalty"),
+    ("compare-cn", ["--sigma", "5"], r"sigma=5.0 is the SIP penalty"),
+    ("compare-cn", ["--f-zero", "--f-mode", "next"], r"an unforced \(f_zero\) run has no"),
+], ids=["single-run-cn-f-mode", "single-run-f-zero-f-mode", "single-run-sigma-inviscid",
+        "compare-cn-sigma-inviscid", "compare-cn-f-zero-f-mode"])
+def test_option_pair_a_run_would_ignore_is_usage_error(tmp_path, capsys, command, args,
+                                                        message):
+    # the run would have read one option of each pair and not the other
+    code = run_cli([command, "--n", "4", "--tau" if command == "single-run" else "--tau-list",
+                    "1/8", "--T", "0.5", *args, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert re.search("divfree: error: .*" + message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_cn_reads_f_mode_in_its_rk2_runs(tmp_path, trial_configs):
+    # --f-mode places the load of RK2's second stage: the CN rows keep the
+    # default, and the RK2 rows change with it
+    rows = {}
+    for mode in ("taylor", "next"):
+        out = tmp_path / mode
+        assert run_cli(["compare-cn", "--n", "4", "--tau-list", "1/8", "--T", "0.5",
+                        "--f-mode", mode, "--format", "csv", "--out-dir", str(out)]) == 0
+        rows[mode] = csv_rows(read(out / "compare-cn.csv"))[1:]
+    assert [(c.integrator, c.f_mode) for c in trial_configs] == [
+        ("explicit_rk2", "f_taylor"), ("semi_implicit_cn", "f_taylor"),
+        ("explicit_rk2", "f_next"), ("semi_implicit_cn", "f_taylor")]
+    assert rows["taylor"][0] != rows["next"][0]
+    assert rows["taylor"][1] == rows["next"][1]
+
+
 def test_convergence_f_zero_is_usage_error(tmp_path, capsys):
     code = run_cli(["convergence", "--n-list", "4", "--T", "0.25", "--f-zero",
                     "--out-dir", str(tmp_path)])
@@ -297,11 +331,16 @@ def test_compare_cn_rejects_integrator(tmp_path, capsys):
     ("single-run", ["--tau-list", "1/8"]),
     ("single-run", ["--cfl", "std"]),
     ("compare-cn", ["--tau", "0.1"]),
+    ("single-run", ["--n", "4", "--tau", "1/8", "--co", "2"]),
+    ("cfl-sweep", ["--n-list", "4", "--co", "2"]),
+    ("cfl-sweep", ["--n-list", "4", "--cfl", "std"]),
 ], ids=["convergence-tau", "single-run-n-list", "single-run-tau-list", "single-run-cfl",
-        "compare-cn-tau"])
+        "compare-cn-tau", "single-run-tau-co", "cfl-sweep-co", "cfl-sweep-cfl"])
 def test_subcommand_rejects_an_option_it_does_not_read(tmp_path, capsys, command, args):
     # each of these used to run and ignore the option: convergence --tau
-    # 0.01 echoed "# tau=0.01" and ran tau = h^(4/3), 0.157 at n = 4
+    # 0.01 echoed "# tau=0.01" and ran tau = h^(4/3), 0.157 at n = 4;
+    # single-run's --co scales only the default step, and the CFL search
+    # has no co and no fixed schedule
     code = run_cli([command, *args, "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert f"divfree: error: {command} reads no option {args[-2]}" in capsys.readouterr().err
@@ -350,7 +389,7 @@ TABLE_HEADERS = {
 # perturb and seed, which every one reads
 OWN_KEYS = {"single-run": {"n", "tau", "co", "integrator"},
             "convergence": {"n_list", "cfl", "co", "integrator"},
-            "cfl-sweep": {"n_list", "cfl", "co", "integrator"},
+            "cfl-sweep": {"n_list", "integrator"},
             "compare-cn": {"n", "tau_list"}}
 
 
@@ -390,4 +429,4 @@ def test_table_headers_and_config_echo(tmp_path, command):
     md_keys = set(re.findall(r"(?:Config: |, )(\w+)=", md[2]))
     assert md_keys == csv_keys | {"out_dir", "format"}
     if command == "cfl-sweep":
-        assert "cfl=search" in md[2] and "co=0.5" in md[2]
+        assert "cfl=" not in md[2] and "co=" not in md[2]

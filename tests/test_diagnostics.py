@@ -69,7 +69,7 @@ def test_energy_residual_scales_quadratically(setup8):
 
 
 def test_cfl_sweep_search_mode():
-    result = diagnostics.cfl_sweep([4, 8], k=1, cfl_form="search")
+    result = diagnostics.cfl_sweep([4, 8], k=1)
     assert len(result.rows) == 2
     taus = [r["tau_max"] for r in result.rows]
     assert all(math.isfinite(t) for t in taus)
@@ -87,11 +87,21 @@ def test_cfl_sweep_search_mode():
 
 
 def test_cfl_sweep_fixed_form_blow_up_row():
-    # standard CFL on a finer mesh is unstable and yields a nan row
-    result = diagnostics.cfl_sweep([16], k=1, cfl_form="std", co=0.5)
-    row = result.rows[0]
-    assert math.isnan(row["tau_max"])
+    # standard CFL on a finer mesh is unstable and yields a nan row; a fixed
+    # schedule is the convergence study's, the sweep only searches
+    row, = diagnostics.convergence_study([16], k=1, cfl_form="std", co=0.5)
+    assert row["tau"] == 0.5 / 16
+    assert row["blow_up"] is not None
     assert math.isnan(row["l2_err"])
+    assert math.isnan(row["max_div"])
+
+
+def test_cfl_sweep_starts_at_the_standard_cfl_denominator():
+    # the search starts at m = 2n exactly: ceil(1 / (0.5 h)) with h = 1/49
+    # rounds up to 99, and the search then ran the odd denominators only
+    result = diagnostics.cfl_sweep([49], k=1, T=1.0 / 98)
+    assert result.rows[0]["denominator"] == 98
+    assert result.trace == [(1.0 / 49, 1.0 / 98, True)]
 
 
 def test_cfl_sweep_rejects_empty():

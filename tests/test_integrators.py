@@ -46,9 +46,22 @@ def test_config_validation():
         SchemeConfig(tau=0.1, f_mode="bogus")
     with pytest.raises(ValueError):
         SchemeConfig(tau=0.1, integrator="bogus")
-    cfg = SchemeConfig(tau=0.1, f_mode="next", integrator="cn")
-    assert cfg.f_mode == "f_next"
-    assert cfg.integrator == "semi_implicit_cn"
+    assert SchemeConfig(tau=0.1, f_mode="next").f_mode == "f_next"
+    assert SchemeConfig(tau=0.1, integrator="cn").integrator == "semi_implicit_cn"
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(f_mode="next", integrator="cn"), "f_mode='f_next' .* a CN run has no such load"),
+    (dict(f_mode="f_next", f_zero=True), r"an unforced \(f_zero\) run has no such load"),
+    (dict(sigma=5.0), r"sigma=5.0 is the SIP penalty .* inviscid run \(nu=0\)"),
+], ids=["f_next-cn", "f_next-f_zero", "sigma-inviscid"])
+def test_config_rejects_a_field_the_run_would_not_read(fields, message):
+    # each of these ran as if the field were not set: a CN step reads no
+    # f_mode, an unforced run has no load, and the SIP form enters only
+    # viscous runs (sigma 5 and 500 gave the same l2_err at nu = 0)
+    with pytest.raises(ValueError, match=message):
+        SchemeConfig(tau=0.1, **fields)
+    assert SchemeConfig(tau=0.1, sigma=5.0, nu=0.01).sigma == 5.0
 
 
 @pytest.mark.parametrize("integrator", ["explicit_rk2", "semi_implicit_cn"])
@@ -106,6 +119,17 @@ def test_standard_cfl_blow_up_on_fine_mesh(problem):
     mesh = build_structured(32, 0.15, seed=0)
     report = integrators.run(SchemeConfig(tau=0.5 / 32, T=2.0), mesh, problem)
     assert not report.completed
+
+
+@pytest.mark.parametrize("k, n, step", [(1, 4, 2), (2, 4, 2), (1, 8, 1)])
+def test_blow_up_step(problem, k, n, step):
+    # tau = 1/4 to T = 2: the norm gate ||u|| > 10 max(||u^0||, 1) stops
+    # these runs at the step given; without it they run on to a non-finite
+    # value at steps 6, 5 and 5
+    report = integrators.run(SchemeConfig(tau=0.25, T=2.0, k=k),
+                             build_structured(n, 0.15, seed=0), problem)
+    assert report.blow_up == step
+    assert report.n_steps_done == step
 
 
 def test_f_mode_equivalence(problem):
@@ -218,8 +242,8 @@ def test_run_rejects_disc_of_another_mesh_or_sigma(mesh8, disc8, problem):
     with pytest.raises(ValueError, match="different mesh"):
         integrators.run(SchemeConfig(tau=0.05, T=0.1), other, problem, disc=disc8)
     with pytest.raises(ValueError, match="disc has sigma=10.0"):
-        integrators.run(SchemeConfig(tau=0.05, T=0.1, sigma=3.0), mesh8, problem,
-                        disc=disc8)
+        integrators.run(SchemeConfig(tau=0.05, T=0.1, sigma=3.0, nu=0.01), mesh8,
+                        manufactured.taylor_green(0.01), disc=disc8)
 
 
 @pytest.mark.parametrize("integrator", ["explicit_rk2", "semi_implicit_cn"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divfreedg import build_structured, load_mesh, save_mesh
+from divfreedg import build_structured
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
 from conftest import trace_points
@@ -139,39 +139,15 @@ def test_edge_shared_by_three_cells_rejected():
         Mesh(vertices, [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
 
 
-def test_load_single_triangle(tmp_path):
-    path = tmp_path / "tri.txt"
-    path.write_text("3 1\n0 0\n1 0\n0 1\n0 1 2\n")
-    mesh = load_mesh(path)
-    assert mesh.n_cells == 1
-    assert len(mesh.boundary_facets) == 3
-
-
-def test_roundtrip(tmp_path):
-    mesh = build_structured(4, 0.0)
-    path = tmp_path / "mesh.txt"
-    save_mesh(mesh, path)
-    again = load_mesh(path)
-    assert np.array_equal(mesh.cells, again.cells)
-    assert np.array_equal(mesh.vertices, again.vertices)
-    assert again.n_facets == mesh.n_facets
-
-
-def test_load_errors(tmp_path):
-    bad_index = tmp_path / "bad.txt"
-    bad_index.write_text("3 1\n0 0\n1 0\n0 1\n0 1 3\n")
+def test_mesh_rejects_bad_cells():
+    # the checks a mesh makes of the arrays it is given
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ValueError, match="vertex index out of range"):
-        load_mesh(bad_index)
-
-    short = tmp_path / "short.txt"
-    short.write_text("3 1\n0 0\n1 0\n")
-    with pytest.raises(ValueError, match="tokens"):
-        load_mesh(short)
-
-    flipped = tmp_path / "flipped.txt"
-    flipped.write_text("3 1\n0 0\n1 0\n0 1\n0 2 1\n")
-    with pytest.raises(ValueError, match="non-positive cell area"):
-        load_mesh(flipped)
+        Mesh(vertices, [[0, 1, 3]])
+    with pytest.raises(ValueError, match="vertex index out of range"):
+        Mesh(vertices, [[0, -1, 2]])
+    with pytest.raises(ValueError, match=r"non-positive cell area \(cell 0\)"):
+        Mesh(vertices, [[0, 2, 1]])
 
 
 def test_build_rejects_bad_args():

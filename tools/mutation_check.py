@@ -16,7 +16,7 @@ the CFL search down to its floor of tau, 1e-5.  The slowest test of the
 unmutated quick suite takes about 1 s.  A mutant that no test kills
 survives; the script exits 1 if one does, or if the unmutated suite fails.
 A mutant takes the quick suite's 15 to 25 s on two cores, and the swapped
-upwind weights about 200 s (7.5 min for all), so the script is kept out of
+upwind weights about 200 s (7 min for all 20), so the script is kept out of
 the test suite.
 """
 
@@ -78,6 +78,19 @@ MUTANTS = [
     Mutant("load_order_k", "forms", "return 2 * k + 7", "return k"),
     Mutant("error_order_2k", "manufactured",
            "return max(2 * space.k + 5, 15)", "return 2 * space.k"),
+    # the input checks: each refuses a run that would ignore one of its inputs
+    Mutant("single_run_tau_with_co_accepted", "cli",
+           'if cfg["tau"] is not None and cfg["co"] is not None:', "if False:"),
+    Mutant("f_next_without_second_stage_load_accepted", "integrators",
+           'if self.f_mode == "f_next" and (self.integrator == "semi_implicit_cn" or self.f_zero):',
+           "if False:"),
+    Mutant("sigma_at_nu_zero_accepted", "integrators",
+           "if self.sigma is not None and self.nu == 0:", "if False:"),
+    Mutant("check_disc_skipped", "integrators",
+           "_check_disc(disc, config, mesh)\n", "pass\n"),
+    # the CFL search starts at m = 2n, not at a rounded 1 / (h/2)
+    Mutant("search_start_from_rounded_h", "diagnostics",
+           "itertools.count(2 * n, 2)", "itertools.count(int(np.ceil(1.0 / (0.5 * h))), 2)"),
 ]
 
 
