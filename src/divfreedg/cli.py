@@ -2,11 +2,12 @@
 output mirroring the solver's standard experiment tables.
 
 Exit codes: 0 success, 1 usage/IO error, 2 blow-up detected (single-run only;
-study commands encode blow-up as nan rows and exit 0).  A subcommand accepts
-only the options it reads (``COMMANDS``), as flags or as config-file keys,
-and exits 1 on a pair of options its run would ignore one of: single-run's
---co with --tau, and the pairs ``integrators.SchemeConfig`` refuses (--f-mode
-next on a CN or --f-zero run, --sigma at --nu 0).
+study commands encode blow-up as nan rows and exit 0).  Each subcommand
+registers only the flags it reads (``COMMANDS``), so argparse exits 1 on any
+other, and the effective config is the parsed flags.  A run also exits 1 on
+a pair of options it would ignore one of: single-run's --co with --tau, and
+the pairs ``integrators.SchemeConfig`` refuses (--f-mode next on a CN or
+--f-zero run, --sigma at --nu 0).
 """
 
 import argparse
@@ -20,9 +21,6 @@ from typing import Callable, NamedTuple
 from . import diagnostics, integrators, manufactured
 from .mesh import build_structured
 
-STANDARD_CO = 0.5
-FOURTHIRDS_CO = 1.0
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits with code 1 on usage errors, per the CLI contract."""
@@ -31,17 +29,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class UsageError(ValueError):
-    """Raised for bad flags/config; argparse converts it during parsing and
-    main() maps it to exit code 1 otherwise."""
-
-
 def _parse_tau(text):
     text = text.strip()
     if "/" in text:
         num, den = map(float, text.split("/", 1))
         if den == 0.0:
-            raise UsageError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {text!r}")
         return num / den
     return float(text)
 
@@ -49,48 +42,40 @@ def _parse_tau(text):
 def _parse_list(text, conv):
     items = [s for s in text.replace(",", " ").split() if s]
     if not items:
-        raise UsageError("empty list argument")
+        raise ValueError("empty list argument")
     return [conv(s) for s in items]
 
 
-_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+def _flag_type(conv):
+    """``conv`` for argparse, whose own message for a ValueError names the
+    converter function and drops the reason."""
+    def convert(text):
+        try:
+            return conv(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from exc
+    return convert
 
 
-def _parse_bool(text):
-    if text.lower() not in _TRUE + _FALSE:
-        raise UsageError(f"expected one of {', '.join(_TRUE + _FALSE)}")
-    return text.lower() in _TRUE
-
-
-class Option(NamedTuple):
-    """One option, as a flag (``--key``, dashes for underscores) and as a
-    config-file key: both read its type and choices."""
-
-    key: str
-    type: Callable = str
-    default: object = None
-    choices: tuple = None
-
-
-OPTIONS = {opt.key: opt for opt in (
-    Option("k", int, 1),
-    Option("n", int, 8),
-    Option("n_list", lambda s: _parse_list(s, int)),
-    Option("tau", _parse_tau),
-    Option("tau_list", lambda s: _parse_list(s, _parse_tau)),
-    Option("cfl", default="fourthirds", choices=("std", "fourthirds")),
-    Option("co", float),
-    Option("nu", float, 0.0),
-    Option("sigma", float),
-    Option("T", float, 2.0),
-    Option("perturb", float, 0.15),
-    Option("seed", int, 0),
-    Option("f_mode", default="taylor", choices=("next", "taylor")),
-    Option("integrator", default="rk2", choices=("rk2", "cn")),
-    Option("f_zero", _parse_bool, False),  # a switch on the command line
-    Option("out_dir", default="."),
-    Option("format", default="both", choices=("csv", "md", "both")),
-)}
+# The argparse settings of each flag, ``--key`` with dashes for underscores
+ARGUMENTS = {
+    "k": dict(type=int, default=1, choices=(1, 2)),
+    "n": dict(type=int, default=8),
+    "n_list": dict(type=_flag_type(lambda s: _parse_list(s, int)), required=True),
+    "tau": dict(type=_flag_type(_parse_tau)),
+    "tau_list": dict(type=_flag_type(lambda s: _parse_list(s, _parse_tau))),
+    "cfl": dict(default="fourthirds", choices=("std", "fourthirds")),
+    "co": dict(type=float),
+    "nu": dict(type=float, default=0.0),
+    "sigma": dict(type=float),
+    "T": dict(type=float, default=2.0),
+    "perturb": dict(type=float, default=0.15),
+    "seed": dict(type=int, default=0),
+    "f_mode": dict(default="taylor", choices=("next", "taylor")),
+    "integrator": dict(default="rk2", choices=("rk2", "cn")),
+    "f_zero": dict(action="store_true"),
+    "out_dir": dict(default="."),
+}
 
 
 def _missing(x):
@@ -177,18 +162,15 @@ COMPARE_COLUMNS = [Column("scheme", "scheme"), TAU, L2_NORM, L2_ERR, H1_ERR,
                    Column("div_err", "div_norm", "||div u_h||_L2"), BLOW_UP]
 
 
-ECHO_EXCLUDE = ("out_dir", "format")
-
-
 def _config_lines(cfg):
     return [f"# {key}={_fmt17(value) if isinstance(value, float) else value}"
-            for key, value in sorted(cfg.items()) if key not in ECHO_EXCLUDE]
+            for key, value in sorted(cfg.items()) if key != "out_dir"]
 
 
 def _write_outputs(cfg, title, outputs):
-    """Write the (file name, body lines) pairs whose format ``cfg["format"]``
-    asks for.  A CSV body follows the effective config as ``#`` lines, a
-    Markdown body follows the title and the same config on one line."""
+    """Write the (file name, body lines) pairs.  A CSV body follows the
+    effective config as ``#`` lines, a Markdown body follows the title and
+    the same config on one line."""
     os.makedirs(cfg["out_dir"], exist_ok=True)
     heads = {"csv": _config_lines(cfg),
              "md": [f"# {title}", "", "Config: " + ", ".join(
@@ -196,84 +178,10 @@ def _write_outputs(cfg, title, outputs):
                     ""]}
     for name, lines in outputs:
         ext = name.rsplit(".", 1)[1]
-        if cfg["format"] not in (ext, "both"):
-            continue
         path = os.path.join(cfg["out_dir"], name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(heads[ext] + lines) + "\n")
         print(f"wrote {path}")
-
-
-def _load_config_file(path):
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"malformed config line: {raw.strip()!r}")
-                key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    return values
-
-
-def _from_config(option, text):
-    """The value of ``option`` read from config-file ``text``, checked as
-    its flag is."""
-    try:
-        value = option.type(text)
-    except ValueError as exc:
-        raise UsageError(f"config key {option.key!r}: invalid value {text!r}: {exc}") from exc
-    if option.choices and value not in option.choices:
-        raise UsageError(f"config key {option.key!r}: invalid choice {value!r} "
-                         f"(choose from {', '.join(option.choices)})")
-    return value
-
-
-def _effective_config(args):
-    """The defaults of the options ``args.command`` reads, overridden by its
-    config file, then by its flags; any other option is a UsageError."""
-    cfg = {key: OPTIONS[key].default for key in SHARED + COMMANDS[args.command][1]}
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            if key not in cfg:
-                raise UsageError(f"{args.command} reads no config key {key!r}")
-            cfg[key] = _from_config(OPTIONS[key], value)
-    for key in OPTIONS:
-        value = getattr(args, key)
-        if value is not None:
-            if key not in cfg:
-                raise UsageError(f"{args.command} reads no option --{key.replace('_', '-')}")
-            cfg[key] = value
-    if cfg["k"] not in (1, 2):
-        raise UsageError(f"unsupported degree k={cfg['k']}; supported degrees: 1, 2")
-    return cfg
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value config file; flags override")
-    for opt in OPTIONS.values():
-        flag = "--" + opt.key.replace("_", "-")
-        if opt.type is _parse_bool:
-            parser.add_argument(flag, dest=opt.key, action="store_true", default=None)
-        else:
-            parser.add_argument(flag, dest=opt.key, type=_flag_type(opt.type),
-                                choices=opt.choices)
-
-
-def _flag_type(conv):
-    """``conv`` for argparse, whose own message for a ValueError names the
-    converter function and drops the reason."""
-    def convert(text):
-        try:
-            return conv(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from exc
-    return convert
 
 
 def _scheme(cfg, integrator=None):
@@ -286,12 +194,11 @@ def _scheme(cfg, integrator=None):
 
 def cmd_single_run(cfg):
     if cfg["tau"] is not None and cfg["co"] is not None:
-        raise UsageError("single-run reads no option --co when --tau is given: "
+        raise ValueError("single-run reads no option --co when --tau is given: "
                          "--co scales the default step co h^(4/3)")
     mesh = build_structured(cfg["n"], perturb=cfg["perturb"], seed=cfg["seed"])
     if cfg["tau"] is None:
-        cfg["tau"] = (cfg["co"] if cfg["co"] is not None else FOURTHIRDS_CO) \
-            * (1.0 / cfg["n"]) ** (4.0 / 3.0)
+        cfg["tau"] = diagnostics._tau_for("fourthirds", cfg["co"], 1.0 / cfg["n"])
     problem = manufactured.taylor_green(cfg["nu"])
     report = diagnostics.run_trial(mesh, cfg["tau"], problem, **_scheme(cfg))
     tau = report.config["tau"]
@@ -328,11 +235,8 @@ def cmd_single_run(cfg):
 
 
 def cmd_convergence(cfg):
-    if cfg["n_list"] is None:
-        raise UsageError("convergence needs --n-list")
     cfl = cfg["cfl"]
-    co = cfg["co"] if cfg["co"] is not None else \
-        (STANDARD_CO if cfl == "std" else FOURTHIRDS_CO)
+    co = diagnostics.CFL_CO[cfl] if cfg["co"] is None else cfg["co"]
     rows = diagnostics.convergence_study(
         cfg["n_list"], cfl_form=cfl, co=co, perturb=cfg["perturb"],
         seed=cfg["seed"], problem=manufactured.taylor_green(cfg["nu"]),
@@ -347,8 +251,6 @@ def cmd_convergence(cfg):
 
 
 def cmd_cfl_sweep(cfg):
-    if cfg["n_list"] is None:
-        raise UsageError("cfl-sweep needs --n-list")
     result = diagnostics.cfl_sweep(
         cfg["n_list"], perturb=cfg["perturb"], seed=cfg["seed"],
         problem=manufactured.taylor_green(cfg["nu"]), **_scheme(cfg))
@@ -386,9 +288,9 @@ def cmd_compare_cn(cfg):
     return 0
 
 
-# The options every subcommand reads, and each subcommand's own.  Every flag
-# parses on every subcommand, so a bad value gets its flag's message first.
-SHARED = ("k", "T", "nu", "sigma", "f_mode", "f_zero", "perturb", "seed", "out_dir", "format")
+# The options every subcommand reads, and each subcommand's own: the flags
+# its parser registers
+SHARED = ("k", "T", "nu", "sigma", "f_mode", "f_zero", "perturb", "seed", "out_dir")
 COMMANDS = {
     "single-run": (cmd_single_run, ("n", "tau", "co", "integrator")),
     "convergence": (cmd_convergence, ("n_list", "cfl", "co", "integrator")),
@@ -398,19 +300,23 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = _Parser(prog="divfree",
+    # allow_abbrev=False: a prefix of a flag, such as --tau for --tau-list,
+    # is an unrecognized argument, not that flag
+    parser = _Parser(prog="divfree", allow_abbrev=False,
                      description="Exactly divergence-free DG flow solver")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for name in COMMANDS:
-        _add_common(sub.add_parser(name))
+    for name, (_, keys) in COMMANDS.items():
+        command = sub.add_parser(name, allow_abbrev=False)
+        for key in SHARED + keys:
+            command.add_argument("--" + key.replace("_", "-"), dest=key, **ARGUMENTS[key])
 
-    args = parser.parse_args(argv)
+    cfg = vars(parser.parse_args(argv))
     try:
-        return COMMANDS[args.command][0](_effective_config(args))
+        return COMMANDS[cfg.pop("command")][0](cfg)
     except (ValueError, OSError) as exc:
-        # UsageError and the library's input checks (bad tau, T, n or a
-        # duplicate mesh size) are all ValueErrors
+        # the --tau/--co pair and the library's input checks (bad tau, T, n
+        # or a duplicate mesh size) are ValueErrors
         print(f"divfree: error: {exc}", file=sys.stderr)
         return 1
 

@@ -91,12 +91,17 @@ class SweepResult:
     trace: list = field(default_factory=list)
 
 
+# The default constant co of each fixed CFL schedule: tau = co h ("std") and
+# tau = co h^(4/3) ("fourthirds")
+CFL_CO = {"std": 0.5, "fourthirds": 1.0}
+
+
 def _tau_for(cfl_form, co, h):
-    if cfl_form == "std":
-        return co * h
-    if cfl_form == "fourthirds":
-        return co * h ** (4.0 / 3.0)
-    raise ValueError(f"unknown CFL form {cfl_form!r}")
+    """The step of ``cfl_form``'s schedule at h; ``co`` None takes CFL_CO's."""
+    if cfl_form not in CFL_CO:
+        raise ValueError(f"unknown CFL form {cfl_form!r}")
+    co = CFL_CO[cfl_form] if co is None else co
+    return co * (h if cfl_form == "std" else h ** (4.0 / 3.0))
 
 
 def _mesh_sizes(n_list):
@@ -183,11 +188,12 @@ def cfl_sweep(n_list, *, perturb=0.15, seed=0, problem=None, tau_floor=1e-5,
     return result
 
 
-def convergence_study(n_list, *, cfl_form="fourthirds", co=1.0, perturb=0.15,
+def convergence_study(n_list, *, cfl_form="fourthirds", co=None, perturb=0.15,
                       seed=0, problem=None, **scheme):
     """Error/rate table over a sequence of meshes at the fixed CFL schedule
-    tau = co h (``cfl_form`` "std") or co h^(4/3) ("fourthirds");
-    ``scheme`` and ``problem`` as in ``cfl_sweep``.
+    tau = co h (``cfl_form`` "std") or co h^(4/3) ("fourthirds"), co
+    ``CFL_CO[cfl_form]`` (0.5 and 1) when None; ``scheme`` and ``problem``
+    as in ``cfl_sweep``.
 
     Blown-up runs appear as nan rows (the standard-CFL fragility experiment
     uses the same operation).  An ``f_zero`` scheme has no exact solution to

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 
@@ -38,8 +39,9 @@ def test_single_run_summary(tmp_path):
 
 
 def test_single_run_invalid_degree(tmp_path, capsys):
-    code = run_cli(["single-run", "--k", "3", "--out-dir", str(tmp_path)])
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["single-run", "--k", "3", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "1, 2" in err
 
@@ -122,8 +124,9 @@ def test_cfl_sweep_outputs(tmp_path):
 
 
 def test_cfl_sweep_requires_n_list(tmp_path, capsys):
-    code = run_cli(["cfl-sweep", "--out-dir", str(tmp_path)])
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["cfl-sweep", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 1
     assert "n-list" in capsys.readouterr().err
 
 
@@ -154,53 +157,17 @@ def test_compare_cn_blocks(tmp_path):
             assert f"{err:.2e}" in md
 
 
-def test_config_file_and_flag_override(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("k=1\nn=8\ntau=1/16\nT=2\nformat=csv\n")
-    out = tmp_path / "out"
-    code = run_cli(["single-run", "--config", str(cfgfile), "--T", "0.5",
-                    "--out-dir", str(out)])
-    assert code == 0
-    csv = read(out / "single-run.csv")
-    assert "# T=0.5" in csv  # flag wins over file
-    assert not (out / "single-run.md").exists()  # format=csv from file
-
-
-def test_unknown_config_key(tmp_path, capsys):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("bogus=1\n")
-    code = run_cli(["single-run", "--config", str(cfgfile)])
-    assert code == 1
-    assert "bogus" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line", ["format=xyz", "f_zero=maybe", "tau=1/0"],
-                         ids=["format", "f_zero", "tau"])
-def test_config_values_are_checked_as_flags_are(tmp_path, capsys, line):
-    # a config value gets the checks of its flag: an unknown format used to
-    # write no file and exit 0, f_zero=maybe used to run forced, and a zero
-    # denominator used to end in a ZeroDivisionError traceback
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(f"n=4\ntau=1/8\nT=0.25\n{line}\n")
-    out = tmp_path / "out"
-    code = run_cli(["single-run", "--config", str(cfgfile), "--out-dir", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("divfree: error: ") and repr(line.split("=")[0]) in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag, value, reason", [
-    ("--n-list", "x", "invalid literal for int()"),
-    ("--n-list", "", "empty list argument"),
-    ("--tau", "1/0", "zero denominator"),
-    ("--tau-list", "1/2,x", "could not convert string to float"),
+@pytest.mark.parametrize("command, flag, value, reason", [
+    ("convergence", "--n-list", "x", "invalid literal for int()"),
+    ("convergence", "--n-list", "", "empty list argument"),
+    ("single-run", "--tau", "1/0", "zero denominator"),
+    ("compare-cn", "--tau-list", "1/2,x", "could not convert string to float"),
 ], ids=["n-list-item", "n-list-empty", "tau-zero", "tau-list-item"])
-def test_flag_errors_give_the_reason(capsys, flag, value, reason):
+def test_flag_errors_give_the_reason(capsys, command, flag, value, reason):
     # argparse names the converter of a failed flag ("invalid <lambda>
     # value") and drops its reason unless the converter says otherwise
     with pytest.raises(SystemExit) as exc:
-        run_cli(["single-run", flag, value])
+        run_cli([command, flag, value])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert f"argument {flag}: invalid value {value!r}: " in err and reason in err
@@ -244,7 +211,7 @@ def test_convergence_uses_sigma(tmp_path):
         out = tmp_path / sigma
         assert run_cli(["convergence", "--n-list", "4,6", "--T", "0.1",
                         "--co", "0.005", "--nu", "0.01", "--sigma", sigma,
-                        "--format", "csv", "--out-dir", str(out)]) == 0
+                        "--out-dir", str(out)]) == 0
         header, *rows = csv_rows(read(out / "convergence.csv"))
         col = header.split(",").index("l2_err")
         errors.append([float(r.split(",")[col]) for r in rows])
@@ -301,7 +268,7 @@ def test_compare_cn_reads_f_mode_in_its_rk2_runs(tmp_path, trial_configs):
     for mode in ("taylor", "next"):
         out = tmp_path / mode
         assert run_cli(["compare-cn", "--n", "4", "--tau-list", "1/8", "--T", "0.5",
-                        "--f-mode", mode, "--format", "csv", "--out-dir", str(out)]) == 0
+                        "--f-mode", mode, "--out-dir", str(out)]) == 0
         rows[mode] = csv_rows(read(out / "compare-cn.csv"))[1:]
     assert [(c.integrator, c.f_mode) for c in trial_configs] == [
         ("explicit_rk2", "f_taylor"), ("semi_implicit_cn", "f_taylor"),
@@ -319,40 +286,42 @@ def test_convergence_f_zero_is_usage_error(tmp_path, capsys):
 
 
 def test_compare_cn_rejects_integrator(tmp_path, capsys):
-    code = run_cli(["compare-cn", "--n", "4", "--integrator", "cn",
-                    "--out-dir", str(tmp_path)])
-    assert code == 1
-    assert "compare-cn reads no option --integrator" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["compare-cn", "--n", "4", "--integrator", "cn", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "divfree: error: unrecognized arguments: --integrator cn" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, args", [
-    ("convergence", ["--n-list", "4,8", "--tau", "0.01"]),
-    ("single-run", ["--n-list", "4,8"]),
-    ("single-run", ["--tau-list", "1/8"]),
-    ("single-run", ["--cfl", "std"]),
-    ("compare-cn", ["--tau", "0.1"]),
-    ("single-run", ["--n", "4", "--tau", "1/8", "--co", "2"]),
-    ("cfl-sweep", ["--n-list", "4", "--co", "2"]),
-    ("cfl-sweep", ["--n-list", "4", "--cfl", "std"]),
+UNREAD = "unrecognized arguments: "
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("convergence", ["--n-list", "4,8", "--tau", "0.01"], UNREAD + "--tau 0.01"),
+    ("single-run", ["--n-list", "4,8"], UNREAD + "--n-list 4,8"),
+    ("single-run", ["--tau-list", "1/8"], UNREAD + "--tau-list 1/8"),
+    ("single-run", ["--cfl", "std"], UNREAD + "--cfl std"),
+    ("compare-cn", ["--tau", "0.1"], UNREAD + "--tau 0.1"),
+    ("single-run", ["--n", "4", "--tau", "1/8", "--co", "2"],
+     "single-run reads no option --co when --tau is given"),
+    ("cfl-sweep", ["--n-list", "4", "--co", "2"], UNREAD + "--co 2"),
+    ("cfl-sweep", ["--n-list", "4", "--cfl", "std"], UNREAD + "--cfl std"),
+    ("single-run", ["--n", "4", "--format", "csv"], UNREAD + "--format csv"),
+    ("single-run", ["--n", "4", "--config", "run.cfg"], UNREAD + "--config run.cfg"),
 ], ids=["convergence-tau", "single-run-n-list", "single-run-tau-list", "single-run-cfl",
-        "compare-cn-tau", "single-run-tau-co", "cfl-sweep-co", "cfl-sweep-cfl"])
-def test_subcommand_rejects_an_option_it_does_not_read(tmp_path, capsys, command, args):
-    # each of these used to run and ignore the option: convergence --tau
-    # 0.01 echoed "# tau=0.01" and ran tau = h^(4/3), 0.157 at n = 4;
-    # single-run's --co scales only the default step, and the CFL search
-    # has no co and no fixed schedule
-    code = run_cli([command, *args, "--out-dir", str(tmp_path / "out")])
-    assert code == 1
-    assert f"divfree: error: {command} reads no option {args[-2]}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_config_key_a_subcommand_does_not_read(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("n_list=4\ntau=0.01\n")
-    code = run_cli(["convergence", "--config", str(cfgfile), "--out-dir", str(tmp_path / "out")])
-    assert code == 1
-    assert "divfree: error: convergence reads no config key 'tau'" in capsys.readouterr().err
+        "compare-cn-tau", "single-run-tau-co", "cfl-sweep-co", "cfl-sweep-cfl",
+        "single-run-format", "single-run-config"])
+def test_subcommand_rejects_an_option_it_does_not_read(tmp_path, capsys, command, args,
+                                                       message):
+    # convergence --tau 0.01 used to echo "# tau=0.01" and run tau = h^(4/3),
+    # 0.157 at n = 4; single-run's --co scales only the default step, the
+    # CFL search has no co and no fixed schedule, and no subcommand reads a
+    # config file or an output format.  Without allow_abbrev=False,
+    # compare-cn would read --tau as --tau-list.  The entry point exits with
+    # main's status, or argparse's on a usage error.
+    with pytest.raises(SystemExit) as exc:
+        sys.exit(run_cli([command, *args, "--out-dir", str(tmp_path / "out")]))
+    assert exc.value.code == 1
+    assert f"divfree: error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -396,7 +365,7 @@ OWN_KEYS = {"single-run": {"n", "tau", "co", "integrator"},
 @pytest.mark.parametrize("command", list(TABLE_HEADERS))
 def test_config_echo_lists_the_keys_the_subcommand_reads(tmp_path, command):
     args, csv_headers, _ = TABLE_HEADERS[command]
-    assert run_cli(args + ["--format", "csv", "--out-dir", str(tmp_path)]) in (0, 2)
+    assert run_cli(args + ["--out-dir", str(tmp_path)]) in (0, 2)
     lines = read(tmp_path / next(iter(csv_headers))).splitlines()
     keys = {l[2:].split("=", 1)[0] for l in lines if l.startswith("# ")}
     shared = {"k", "T", "nu", "sigma", "f_mode", "f_zero", "perturb", "seed"}
@@ -427,6 +396,6 @@ def test_table_headers_and_config_echo(tmp_path, command):
     csv_keys = {l[2:].split("=", 1)[0] for l in echoes[0]
                 if not l.endswith("=None")}
     md_keys = set(re.findall(r"(?:Config: |, )(\w+)=", md[2]))
-    assert md_keys == csv_keys | {"out_dir", "format"}
+    assert md_keys == csv_keys | {"out_dir"}
     if command == "cfl-sweep":
         assert "cfl=" not in md[2] and "co=" not in md[2]

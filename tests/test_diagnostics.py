@@ -149,6 +149,13 @@ def test_convergence_study_structure():
     assert all(r["max_div"] <= 1e-10 for r in rows)
 
 
+def test_convergence_study_std_default_is_half_h():
+    # one default constant per schedule, the CLI's: tau = h/2 for "std",
+    # tau = h^(4/3) for "fourthirds"
+    assert diagnostics.convergence_study([4], k=1, cfl_form="std", T=0.25)[0]["tau"] == 0.125
+    assert diagnostics.convergence_study([4], k=1, T=0.25)[0]["tau"] == 0.25 ** (4.0 / 3.0)
+
+
 def test_convergence_study_marks_blow_up_rows():
     rows = diagnostics.convergence_study([8, 32], k=1, cfl_form="std", co=0.5)
     by_n = {r["n"]: r for r in rows}

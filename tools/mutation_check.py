@@ -16,7 +16,7 @@ the CFL search down to its floor of tau, 1e-5.  The slowest test of the
 unmutated quick suite takes about 1 s.  A mutant that no test kills
 survives; the script exits 1 if one does, or if the unmutated suite fails.
 A mutant takes the quick suite's 15 to 25 s on two cores, and the swapped
-upwind weights about 200 s (7 min for all 20), so the script is kept out of
+upwind weights about 200 s (7 min for all 23), so the script is kept out of
 the test suite.
 """
 
@@ -91,6 +91,13 @@ MUTANTS = [
     # the CFL search starts at m = 2n, not at a rounded 1 / (h/2)
     Mutant("search_start_from_rounded_h", "diagnostics",
            "itertools.count(2 * n, 2)", "itertools.count(int(np.ceil(1.0 / (0.5 * h))), 2)"),
+    # the CLI: each subcommand registers only its own flags, takes no
+    # prefix of one, and the standard schedule's default is tau = h/2
+    Mutant("every_flag_on_every_subcommand", "cli",
+           "for key in SHARED + keys:", "for key in ARGUMENTS:"),
+    Mutant("abbreviated_flags_accepted", "cli",
+           "sub.add_parser(name, allow_abbrev=False)", "sub.add_parser(name, allow_abbrev=True)"),
+    Mutant("std_schedule_constant_one", "diagnostics", '"std": 0.5', '"std": 1.0'),
 ]
 
 
