@@ -198,6 +198,20 @@ def test_single_run_bad_value_is_usage_error(tmp_path, capsys, flag):
         assert f"{flag[0][2:]} must be finite" in err
 
 
+@pytest.mark.parametrize("key, value", [("tau", "0")], ids=["tau"])
+def test_config_values_are_checked_as_flags_are(tmp_path, capsys, key, value):
+    # a run's SchemeConfig gets the checks of its flag: the library rejects
+    # the value with the message the CLI prints, and no output is written
+    with pytest.raises(ValueError) as exc:
+        integrators.SchemeConfig(**{"tau": 0.0625, key: float(value)})
+    out = tmp_path / "out"
+    code = run_cli(["single-run", "--n", "4", "--T", "0.25",
+                    "--" + key, value, "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"divfree: error: {exc.value}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["convergence", "cfl-sweep"])
 def test_duplicate_n_list_is_usage_error(tmp_path, capsys, command):
     code = run_cli([command, "--n-list", "2,2", "--out-dir", str(tmp_path)])
