@@ -7,7 +7,7 @@ registers only the flags it reads (``COMMANDS``), so argparse exits 1 on any
 other, and the effective config is the parsed flags.  A run also exits 1 on
 a pair of options it would ignore one of: single-run's --co with --tau, and
 the pairs ``integrators.SchemeConfig`` refuses (--f-mode next on a CN or
---f-zero run, --sigma at --nu 0).
+--f-zero run, --sigma at --nu 0), whose messages name the flag.
 """
 
 import argparse
@@ -299,6 +299,15 @@ COMMANDS = {
 }
 
 
+def _named_by_flag(message):
+    """A library message that opens with ``field=value`` of a config field,
+    as ``SchemeConfig``'s refusals do, opens with the field's flag instead."""
+    field, sep, rest = message.partition("=")
+    if sep and field in ARGUMENTS:
+        return f"--{field.replace('_', '-')}={rest}"
+    return message
+
+
 def main(argv=None):
     # allow_abbrev=False: a prefix of a flag, such as --tau for --tau-list,
     # is an unrecognized argument, not that flag
@@ -317,7 +326,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         # the --tau/--co pair and the library's input checks (bad tau, T, n
         # or a duplicate mesh size) are ValueErrors
-        print(f"divfree: error: {exc}", file=sys.stderr)
+        print(f"divfree: error: {_named_by_flag(str(exc))}", file=sys.stderr)
         return 1
 
 

@@ -272,10 +272,12 @@ class LocalBasis:
             self._kept[key] = build()
         return self._kept[key]
 
-    def gather(self, values):
+    def gather(self, values, cells=slice(None)):
+        """The local coefficients (n_loc, len(cells)) of ``cells`` of the
+        global vector ``values``."""
         if values.shape != (self.size,):
             raise ValueError(f"{values.shape} coefficients for a basis of {self.size}")
-        return values[self.dofs] * self.signs
+        return values[self.dofs[:, cells]] * self.signs[:, cells]
 
     def scatter(self, r_loc, cells=slice(None)):
         """The transpose of ``gather``: the global vector summing the local
@@ -360,7 +362,6 @@ class RTSpace:
         self.free_dofs = np.flatnonzero(~self.is_boundary_dof)
 
         self._facet_traces = {}
-        self._rule_points = {}
 
     def zero(self):
         return CoefVec(self, np.zeros(self.n_dofs))
@@ -380,14 +381,6 @@ class RTSpace:
     def ref_tables(self, order):
         """``RTReference.tables(order)`` of the space's degree."""
         return self.ref.tables(order)
-
-    def rule_points(self, rule):
-        """x and y (nq, n_cells) of the points of a volume ``rule`` in every
-        cell, mapped on first use and kept."""
-        if rule.order not in self._rule_points:
-            pts = self.mesh.map_to_physical(slice(None), rule.points[:, None])
-            self._rule_points[rule.order] = pts[..., 0].copy(), pts[..., 1].copy()
-        return self._rule_points[rule.order]
 
     def facet_traces(self, order):
         """Plain arrays of the facet-trace kernel at the segment rule of
@@ -447,9 +440,39 @@ class RTSpace:
         return _matvec2(np.swapaxes(jac, -1, -2), vec)
 
 
-# Points per block of the interior moments of ``rt_interpolate``: a block's
-# coordinates and field values take a few MB whatever the mesh and the rule.
-INTERP_BLOCK = 1 << 16
+# Rule points per block of a pass over a volume rule in every cell: a
+# block's coordinates, field values and products take a few hundred KB,
+# which stay in a core's L2 whatever the mesh and the rule.
+CELL_BLOCK = 1 << 14
+
+
+def cell_blocks(mesh, rule):
+    """Slices of consecutive cells that hold about ``CELL_BLOCK`` points of
+    the volume ``rule`` each, the last one partial.  Every pass over a rule
+    in every cell that forms arrays per point (the interpolation, the loads,
+    the error norms) runs over these blocks, so its memory does not grow
+    with the mesh.  A block is a whole multiple of 8 cells, so each ends on a
+    whole group of the GEMM's rows: with two columns (the k = 1
+    interpolation's moments) OpenBLAS's dgemm rounded a trailing group of
+    fewer than four rows unlike the same rows inside a longer pass, and
+    the moments depended on where the blocks end."""
+    step = max(8, CELL_BLOCK // len(rule) // 8 * 8)
+    return [slice(start, min(start + step, mesh.n_cells))
+            for start in range(0, mesh.n_cells, step)]
+
+
+def map_points(mesh, cells, rule):
+    """x and y (len(cells), nq): the points of a volume ``rule`` mapped
+    into a slice of ``cells``, two multiply-adds per coordinate."""
+    rx, ry = rule.points.T
+    origin, jac = mesh.vertices[mesh.cells[cells, 0], :, None], mesh.cell_jac[cells, ..., None]
+    x = jac[:, 0, 0] * rx
+    x += jac[:, 0, 1] * ry
+    x += origin[:, 0]
+    y = jac[:, 1, 0] * rx
+    y += jac[:, 1, 1] * ry
+    y += origin[:, 1]
+    return x, y
 
 
 def rt_interpolate(field, space, enforce_boundary=True):
@@ -457,9 +480,9 @@ def rt_interpolate(field, space, enforce_boundary=True):
 
     Edge DOFs are the Legendre moments of field . n_F along each facet,
     interior DOFs the orthonormalized moments of the Piola pullback
-    det J J^{-1} u.  J is constant on a cell, so each block of about
-    ``INTERP_BLOCK`` points takes the moments of the physical components in
-    one GEMM and applies det J J^{-1} once per cell.  The rule deepens
+    det J J^{-1} u.  J is constant on a cell, so each block of
+    ``cell_blocks`` takes the moments of the physical components in one
+    GEMM and applies det J J^{-1} once per cell.  The rule deepens
     with the longest facet (see below).  With ``enforce_boundary``
     the boundary edge DOFs come from the field (which is then expected to
     satisfy u.n = 0 on the boundary); otherwise they are zeroed so the
@@ -487,25 +510,14 @@ def rt_interpolate(field, space, enforce_boundary=True):
     values[:space.n_facet_dofs] = edge_moments.ravel()
     interior = values[space.n_facet_dofs:].reshape(mesh.n_cells, -1, 2)
     trule = triangle_rule(order)
-    rx, ry = trule.points.T
     # entry (2q + a, 2p + b) is w_q P_p(q) [a == b]: the moments of both
     # components of the (cells, nq, 2) values, by interior DOF
     polys = np.kron(trule.weights[:, None] * space.ref.interior_polys(trule.points), np.eye(2))
-    origin, jac = mesh.vertices[mesh.cells[:, 0], :, None], mesh.cell_jac[..., None]
     pullback = mesh.cell_jac_inv * mesh.cell_detj[:, None, None]
-    step = max(1, INTERP_BLOCK // len(rx))
-    for start in range(0, mesh.n_cells, step):
-        blk = slice(start, start + step)
-        o, j = origin[blk], jac[blk]
-        x = j[:, 0, 0] * rx
-        x += j[:, 0, 1] * ry
-        x += o[:, 0]
-        y = j[:, 1, 0] * rx
-        y += j[:, 1, 1] * ry
-        y += o[:, 1]
-        uc = np.asarray(field(x, y), dtype=float)
-        moments = (uc.reshape(len(x), -1) @ polys).reshape(len(x), -1, 2)
-        interior[blk] = _matvec2(pullback[blk, None], moments)
+    for cells in cell_blocks(mesh, trule):
+        uc = np.asarray(field(*map_points(mesh, cells, trule)), dtype=float)
+        moments = (uc.reshape(len(uc), -1) @ polys).reshape(len(uc), -1, 2)
+        interior[cells] = _matvec2(pullback[cells, None], moments)
     if not enforce_boundary:
         values[space.boundary_dofs] = 0.0
     return CoefVec(space, values)
@@ -537,7 +549,7 @@ class ScalarDGSpace:
 
 __all__ = [
     "RTReference", "RTSpace", "ScalarDGSpace", "CoefVec", "LocalBasis",
-    "rt_reference", "rt_interpolate",
+    "rt_reference", "rt_interpolate", "cell_blocks", "map_points", "CELL_BLOCK",
     "scalar_monomial_exponents", "eval_scalar_monomials", "eval_rt_monomials",
     "SUPPORTED_DEGREES",
 ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fe_space import CoefVec
+from .fe_space import CoefVec, cell_blocks, map_points
 from .quadrature import segment_rule
 
 
@@ -471,28 +471,37 @@ def assemble_sip_boundary_load(space, g, params=None):
 
 
 def assemble_load(space, f):
-    """Load vector with entries (f, phi_i) for a pointwise-evaluable f."""
+    """Load vector with entries (f, phi_i) for a pointwise-evaluable f: the
+    local loads (n_loc, n_cells) are filled block by block of
+    ``cell_blocks`` and scattered once."""
     tab = space.ref_tables(default_load_order(space.k))
-    mesh = space.mesh
-    cells = np.arange(mesh.n_cells)[:, None]
-    pts = mesh.map_to_physical(cells, tab["rule"].points)
-    fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    s = mesh.cell_detj[:, None, None] * space.piola_transpose(cells, fv)
-    return space.basis.scatter((s.reshape(len(s), -1) @ tab["val_weighted"]).T)
+    mesh, rule = space.mesh, tab["rule"]
+    loc = np.empty((space.n_loc, mesh.n_cells))
+    for cells in cell_blocks(mesh, rule):
+        fv = np.asarray(f(*map_points(mesh, cells, rule)), dtype=float)
+        s = mesh.cell_detj[cells, None, None] * space.piola_transpose((cells, None), fv)
+        loc[:, cells] = (s.reshape(len(s), -1) @ tab["val_weighted"]).T
+    return space.basis.scatter(loc)
+
+
+def _divergence(space, loc, tab, cells=slice(None)):
+    """div u_h (nq, len(cells)) at the points of the volume rule of ``tab``
+    in ``cells``, from their local coefficients ``loc``: div_ref u_loc /
+    det J, one GEMM against the ``div`` table."""
+    return (tab["div"] @ loc) / space.mesh.cell_detj[cells]
 
 
 def divergence_l2_norm(space, coeffs, order=None):
-    """L2 norm of div u_h by direct quadrature: on each cell div u_h is
-    div_ref u_loc / det J, one GEMM against the ``div`` table, independent
-    of the discrete curl and of any divergence matrix.  div u_h is in P_k,
-    so the default rule of order 2k is exact for its square."""
+    """L2 norm of div u_h by direct quadrature, independent of the discrete
+    curl and of any divergence matrix, in one pass over every cell: the
+    per-record audit.  div u_h is in P_k, so the default rule of order 2k
+    is exact for its square."""
     cv = _values(space, coeffs)
     if order is None:
         order = 2 * space.k
     tab = space.ref_tables(order)
-    mesh = space.mesh
-    dv = (tab["div"] @ space.basis.gather(cv)) / mesh.cell_detj
-    return float(np.sqrt(np.sum(_cell_wdet(mesh, tab["rule"]).T * dv ** 2)))
+    dv = _divergence(space, space.basis.gather(cv), tab)
+    return float(np.sqrt(np.sum(_cell_wdet(space.mesh, tab["rule"]).T * dv ** 2)))
 
 
 __all__ = [

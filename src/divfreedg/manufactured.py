@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms
-from .fe_space import _matmul2
+from .fe_space import _matmul2, cell_blocks, map_points
 
 TWO_PI = 2.0 * np.pi
 
@@ -109,38 +109,54 @@ def _error_order(space):
     return max(2 * space.k + 5, 15)
 
 
-def _error_rule(space, coeffs):
-    """The error rule's reference tables, the coefficients (n_loc, n_cells),
-    the points x, y (nq, n_cells) in every cell and the weights times det J."""
-    tab = space.ref_tables(_error_order(space))
-    return (tab, space.basis.gather(forms._values(space, coeffs)),
-            *space.rule_points(tab["rule"]), tab["rule"].weights[:, None] * space.mesh.cell_detj)
+def _error_blocks(space, coeffs, rule):
+    """Per block of ``cell_blocks`` at the error ``rule``: its cells, their
+    coefficients (n_loc, cells) and the weights times det J (cells, nq).
+    Each norm sums its squares block by block, so its temporaries do not
+    grow with the mesh."""
+    values, detj = forms._values(space, coeffs), space.mesh.cell_detj
+    for cells in cell_blocks(space.mesh, rule):
+        yield cells, space.basis.gather(values, cells), rule.weights * detj[cells, None]
 
 
 def l2_error(space, coeffs, problem, t):
-    """L2 norm of u(t) - u_h over the domain, over-integrated: u_h is one
-    GEMM against the reference values, then the Piola map."""
-    tab, loc, x, y, wdet = _error_rule(space, coeffs)
-    ref = (tab["val_flat"].T @ loc).reshape(tab["nq"], 2, -1).transpose(0, 2, 1)
-    diff = problem.u(x, y, t) - space.piola(slice(None), ref)
-    return float(np.sqrt(np.einsum("qc,qca,qca->", wdet, diff, diff)))
+    """L2 norm of u(t) - u_h over the domain, over-integrated: per block of
+    cells, u_h is one GEMM against the reference values, then the Piola
+    map."""
+    tab = space.ref_tables(_error_order(space))
+    total = 0.0
+    for cells, loc, wdet in _error_blocks(space, coeffs, tab["rule"]):
+        ref = (loc.T @ tab["val_flat"]).reshape(wdet.shape + (2,))
+        diff = problem.u(*map_points(space.mesh, cells, tab["rule"]), t) \
+            - space.piola((cells, None), ref)
+        total += np.einsum("cq,cqa,cqa->", wdet, diff, diff)
+    return float(np.sqrt(total))
 
 
 def h1_broken_error(space, coeffs, problem, t):
-    """L2 norm of the broken gradient of u(t) - u_h: grad u_h is one GEMM
-    against the reference gradients, then J G J^{-1} / det J."""
-    tab, loc, x, y, wdet = _error_rule(space, coeffs)
+    """L2 norm of the broken gradient of u(t) - u_h: per block of cells,
+    grad u_h is one GEMM against the reference gradients, then
+    J G J^{-1} / det J."""
+    tab = space.ref_tables(_error_order(space))
     mesh = space.mesh
-    ref = (tab["grad_flat"].T @ loc).reshape(tab["nq"], 2, 2, -1).transpose(0, 3, 1, 2)
-    gh = _matmul2(_matmul2(mesh.cell_jac / mesh.cell_detj[:, None, None], ref),
-                  mesh.cell_jac_inv)
-    diff = problem.grad_u(x, y, t) - gh
-    return float(np.sqrt(np.einsum("qc,qcab,qcab->", wdet, diff, diff)))
+    total = 0.0
+    for cells, loc, wdet in _error_blocks(space, coeffs, tab["rule"]):
+        ref = (loc.T @ tab["grad_flat"]).reshape(wdet.shape + (2, 2))
+        jac = mesh.cell_jac[cells, None] / mesh.cell_detj[cells, None, None, None]
+        gh = _matmul2(_matmul2(jac, ref), mesh.cell_jac_inv[cells, None])
+        diff = problem.grad_u(*map_points(mesh, cells, tab["rule"]), t) - gh
+        total += np.einsum("cq,cqab,cqab->", wdet, diff, diff)
+    return float(np.sqrt(total))
 
 
 def div_norm(space, coeffs):
-    """L2 norm of div u_h by direct quadrature, at the error rule."""
-    return forms.divergence_l2_norm(space, coeffs, order=_error_order(space))
+    """L2 norm of div u_h by direct quadrature at the error rule, block by
+    block (``forms.divergence_l2_norm`` at that rule in one pass)."""
+    tab = space.ref_tables(_error_order(space))
+    total = 0.0
+    for cells, loc, wdet in _error_blocks(space, coeffs, tab["rule"]):
+        total += np.sum(wdet.T * forms._divergence(space, loc, tab, cells) ** 2)
+    return float(np.sqrt(total))
 
 
 def rate_table(h_list, e_list):

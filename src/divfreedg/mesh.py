@@ -131,14 +131,6 @@ class Mesh:
     def n_facets(self):
         return len(self.facet_plus)
 
-    def map_to_physical(self, cells, ref_points):
-        """Map reference points (n, 2) into the given cells (broadcasts), as
-        multiply-adds: an einsum over (cells, 1) x (nq, 2) is several times slower."""
-        x, y = np.moveaxis(np.asarray(ref_points, dtype=float), -1, 0)
-        origin, jac = self.vertices[self.cells[cells, 0]], self.cell_jac[cells]
-        return np.stack([origin[..., a] + (jac[..., a, 0] * x + jac[..., a, 1] * y)
-                         for a in (0, 1)], axis=-1)
-
 
 def build_structured(n, perturb=0.0, seed=0):
     """Structured triangulation of the unit square with 2*n*n cells.

@@ -149,7 +149,7 @@ def dg_project(q_space, func, order=None):
         order = max(2 * q_space.k + 2, 15)
     mesh = q_space.mesh
     rule = triangle_rule(order)
-    phys = mesh.map_to_physical(np.arange(mesh.n_cells)[:, None], rule.points)
+    phys = map_to_physical(mesh, np.arange(mesh.n_cells)[:, None], rule.points)
     fvals = np.asarray(func(phys[..., 0], phys[..., 1]), dtype=float)
     moments = np.einsum("q,qi,cq->ci", rule.weights, q_space.eval_ref(rule.points), fvals)
     return (moments @ np.linalg.inv(dg_local_mass(q_space)).T).ravel()
@@ -168,6 +168,12 @@ def div_l2_through_b(space, q_space, coeffs, div):
     moments = (div @ coeffs).reshape(space.mesh.n_cells, q_space.n_loc)
     sq = np.einsum("ci,ij,cj->c", moments, np.linalg.inv(dg_local_mass(q_space)), moments)
     return float(np.sqrt(max(np.sum(sq / space.mesh.cell_detj), 0.0)))
+
+
+def map_to_physical(mesh, cells, ref_points):
+    """Affine map of reference points into the given cells (broadcasts)."""
+    return mesh.vertices[mesh.cells[cells, 0]] + np.einsum(
+        "...ab,...b->...a", mesh.cell_jac[cells], np.asarray(ref_points, dtype=float))
 
 
 def map_to_reference(mesh, cells, points):
@@ -198,7 +204,7 @@ def trace_points(mesh, facet, rule):
         cells = np.full(len(t), cell)
         ref = map_to_reference(mesh, cells, pts)
         setattr(out, f"ref_{side}", ref)
-        setattr(out, f"points_{side}", mesh.map_to_physical(cells, ref))
+        setattr(out, f"points_{side}", map_to_physical(mesh, cells, ref))
     return out
 
 

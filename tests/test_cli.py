@@ -258,11 +258,14 @@ def test_cfl_sweep_uses_scheme_flag(tmp_path, trial_configs, flag, field, value)
 
 
 @pytest.mark.parametrize("command, args, message", [
-    ("single-run", ["--integrator", "cn", "--f-mode", "next"], "a CN run has no such load"),
-    ("single-run", ["--f-zero", "--f-mode", "next"], r"an unforced \(f_zero\) run has no"),
-    ("single-run", ["--sigma", "5"], r"sigma=5.0 is the SIP penalty"),
-    ("compare-cn", ["--sigma", "5"], r"sigma=5.0 is the SIP penalty"),
-    ("compare-cn", ["--f-zero", "--f-mode", "next"], r"an unforced \(f_zero\) run has no"),
+    ("single-run", ["--integrator", "cn", "--f-mode", "next"],
+     "--f-mode='f_next' moves .* a CN run has no such load"),
+    ("single-run", ["--f-zero", "--f-mode", "next"],
+     r"--f-mode='f_next' moves .* an unforced \(f_zero\) run has no"),
+    ("single-run", ["--sigma", "5"], r"--sigma=5.0 is the SIP penalty"),
+    ("compare-cn", ["--sigma", "5"], r"--sigma=5.0 is the SIP penalty"),
+    ("compare-cn", ["--f-zero", "--f-mode", "next"],
+     r"--f-mode='f_next' moves .* an unforced \(f_zero\) run has no"),
 ], ids=["single-run-cn-f-mode", "single-run-f-zero-f-mode", "single-run-sigma-inviscid",
         "compare-cn-sigma-inviscid", "compare-cn-f-zero-f-mode"])
 def test_option_pair_a_run_would_ignore_is_usage_error(tmp_path, capsys, command, args,
@@ -271,7 +274,8 @@ def test_option_pair_a_run_would_ignore_is_usage_error(tmp_path, capsys, command
     code = run_cli([command, "--n", "4", "--tau" if command == "single-run" else "--tau-list",
                     "1/8", "--T", "0.5", *args, "--out-dir", str(tmp_path / "out")])
     assert code == 1
-    assert re.search("divfree: error: .*" + message, capsys.readouterr().err)
+    # the message names the flag, not the library's field
+    assert re.search("divfree: error: " + message, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

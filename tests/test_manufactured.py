@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from divfreedg import build_structured, manufactured
+from divfreedg import build_structured, fe_space, forms, manufactured
 from divfreedg.fe_space import RTSpace, rt_interpolate
+from divfreedg.quadrature import triangle_rule
 from conftest import dt_f, pointwise_h1_error, pointwise_l2_error
 
 
@@ -145,7 +148,7 @@ def test_pressure_shift_changes_only_gradient_part():
 @pytest.mark.parametrize("k", [1, 2])
 def test_h1_error_evaluates_the_gradient_alone(spaces, k, monkeypatch):
     # u_h and its broken gradient as GEMMs against the reference tables, on
-    # points mapped once per rule, against the per-point evaluation
+    # points mapped per block of cells, against the per-point evaluation
     space = spaces(8, k, perturb=0.3, seed=3)["space"]
     prob = manufactured.taylor_green(0.0)
     c = rt_interpolate(lambda x, y: prob.u(x, y, 0.0), space)
@@ -158,3 +161,64 @@ def test_h1_error_evaluates_the_gradient_alone(spaces, k, monkeypatch):
                 pytest.approx(pointwise_l2_error(space, c, prob, t, order), rel=1e-12)
             assert manufactured.h1_broken_error(space, c, prob, t) == \
                 pytest.approx(pointwise_h1_error(space, c, prob, t, order), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_blocked_passes_match_one_pass(k, monkeypatch):
+    # each pass over a volume rule in blocks of 40 cells, so the 128 cells of
+    # n = 8 take three full blocks and a partial one of 8, against one pass:
+    # the norms against the per-point oracles and a one-pass divergence sum,
+    # the loads and the interpolant bit for bit
+    mesh = build_structured(8, 0.15, seed=0)
+    space = RTSpace(mesh, k)
+    prob = manufactured.taylor_green(0.0)
+    vortex = prob.u_spatial[0]
+    interp_rule = triangle_rule(int(np.ceil(7.0 + 60.0 * mesh.facet_length.max())))
+    load_rule = space.ref_tables(forms.default_load_order(k))["rule"]
+
+    def in_blocks_of_40(rule):
+        monkeypatch.setattr(fe_space, "CELL_BLOCK", 40 * len(rule))
+        assert [b.stop - b.start for b in fe_space.cell_blocks(mesh, rule)] == [40, 40, 40, 8]
+
+    def one_pass_and_blocked(compute, rule):
+        monkeypatch.setattr(fe_space, "CELL_BLOCK", 1 << 30)
+        one = compute()
+        in_blocks_of_40(rule)
+        return one, compute()
+
+    one, pi = one_pass_and_blocked(lambda: rt_interpolate(vortex, space).values, interp_rule)
+    assert np.array_equal(one, pi)
+    one, blocked = one_pass_and_blocked(
+        lambda: [forms.assemble_load(space, g) for g in prob.f_spatial], load_rule)
+    assert all(np.array_equal(a, b) for a, b in zip(one, blocked))
+
+    u = pi + 0.01 * np.random.default_rng(k).normal(size=space.n_dofs)
+    order = manufactured._error_order(space)
+    in_blocks_of_40(triangle_rule(order))
+    for t in (0.0, 0.3):
+        assert manufactured.l2_error(space, u, prob, t) == \
+            pytest.approx(pointwise_l2_error(space, u, prob, t), rel=1e-12)
+        assert manufactured.h1_broken_error(space, u, prob, t) == \
+            pytest.approx(pointwise_h1_error(space, u, prob, t), rel=1e-12)
+    assert manufactured.div_norm(space, u) == \
+        pytest.approx(forms.divergence_l2_norm(space, u, order), rel=1e-12)
+
+
+def test_final_norms_and_loads_memory_does_not_grow_with_the_mesh():
+    # the final norms and both Taylor-Green loads at k = 2, n = 32 run in
+    # blocks of fe_space.CELL_BLOCK points; in one pass over every cell the
+    # broken H1 error alone peaked at 19 MiB here
+    space = RTSpace(build_structured(32, 0.15, seed=0), 2)
+    prob = manufactured.taylor_green(0.0)
+    u = rt_interpolate(lambda x, y: prob.u(x, y, 0.0), space)
+    tracemalloc.start()
+    try:
+        manufactured.l2_error(space, u, prob, 0.1)
+        manufactured.h1_broken_error(space, u, prob, 0.1)
+        manufactured.div_norm(space, u)
+        for g in prob.f_spatial:
+            forms.assemble_load(space, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from divfreedg import build_structured
+from divfreedg import build_structured, fe_space
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
-from conftest import trace_points
+from conftest import map_to_physical, trace_points
 
 
 def test_structured_counts_n2():
@@ -164,18 +164,16 @@ def test_construction_deterministic():
     assert np.array_equal(a.cells, b.cells)
 
 
-def test_map_to_physical_matches_the_einsum_form():
-    # the multiply-adds against the broadcast einsum they replace, for flat
-    # (n,) x (n, 2) input and for (n_cells, 1) x (nq, 2)
+def test_map_to_physical_matches_the_einsum_form(monkeypatch):
+    # the multiply-adds of fe_space.map_points against the broadcast einsum
+    # they replace, over blocks of 16 cells (the last one partial)
     mesh = build_structured(6, 0.3, seed=2)
-    points = triangle_rule(9).points
-
-    def einsum_form(cells, ref):
-        return mesh.vertices[mesh.cells[cells, 0]] + np.einsum(
-            "...ab,...b->...a", mesh.cell_jac[cells], ref)
-
-    cells = np.random.default_rng(0).integers(0, mesh.n_cells, len(points))
-    for args in ((cells, points), (np.arange(mesh.n_cells)[:, None], points)):
-        mapped, oracle = mesh.map_to_physical(*args), einsum_form(*args)
+    rule = triangle_rule(9)
+    monkeypatch.setattr(fe_space, "CELL_BLOCK", 16 * len(rule))
+    blocks = fe_space.cell_blocks(mesh, rule)
+    assert [b.stop - b.start for b in blocks] == [16] * 4 + [8]
+    for cells in blocks:
+        mapped = np.stack(fe_space.map_points(mesh, cells, rule), axis=-1)
+        oracle = map_to_physical(mesh, np.arange(cells.start, cells.stop)[:, None], rule.points)
         assert mapped.shape == oracle.shape
         np.testing.assert_allclose(mapped, oracle, rtol=0, atol=1e-15)
