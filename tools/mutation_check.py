@@ -137,7 +137,7 @@ def pytest_runtest_call(item):
 
 def copy_tree(dest):
     ignore = shutil.ignore_patterns("__pycache__", "out", ".pytest_cache", ".hypothesis")
-    for name in ("src", "tests", "perfbench"):
+    for name in ("src", "tests", "tools", "perfbench"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
     (dest / "mutant_limits.py").write_text(LIMITS)
