@@ -299,11 +299,11 @@ COMMANDS = {
 }
 
 
-def _named_by_flag(message):
-    """A library message that opens with ``field=value`` of a config field,
-    as ``SchemeConfig``'s refusals do, opens with the field's flag instead."""
+def _named_by_flag(message, keys):
+    """A library refusal of ``field=value`` opens with the field's flag
+    instead, if the command has that flag (``keys``): n=1 of --n-list is not --n."""
     field, sep, rest = message.partition("=")
-    if sep and field in ARGUMENTS:
+    if sep and field in keys:
         return f"--{field.replace('_', '-')}={rest}"
     return message
 
@@ -321,12 +321,13 @@ def main(argv=None):
             command.add_argument("--" + key.replace("_", "-"), dest=key, **ARGUMENTS[key])
 
     cfg = vars(parser.parse_args(argv))
+    command, keys = COMMANDS[cfg.pop("command")]
     try:
-        return COMMANDS[cfg.pop("command")][0](cfg)
+        return command(cfg)
     except (ValueError, OSError) as exc:
         # the --tau/--co pair and the library's input checks (bad tau, T, n
         # or a duplicate mesh size) are ValueErrors
-        print(f"divfree: error: {_named_by_flag(str(exc))}", file=sys.stderr)
+        print(f"divfree: error: {_named_by_flag(str(exc), SHARED + keys)}", file=sys.stderr)
         return 1
 
 

@@ -101,6 +101,8 @@ def _tau_for(cfl_form, co, h):
     if cfl_form not in CFL_CO:
         raise ValueError(f"unknown CFL form {cfl_form!r}")
     co = CFL_CO[cfl_form] if co is None else co
+    if not (np.isfinite(co) and co > 0):
+        raise ValueError(f"co={co} must be finite and positive")
     return co * (h if cfl_form == "std" else h ** (4.0 / 3.0))
 
 

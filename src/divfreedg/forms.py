@@ -53,11 +53,11 @@ def default_load_order(k):
 
 
 def check_finite(params, *names):
-    """Reject a non-finite value in the fields ``names`` of ``params``."""
+    """Reject a non-finite value in the fields ``names`` of ``params``, by name."""
     for name in names:
         value = getattr(params, name)
         if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, not {value}")
+            raise ValueError(f"{name}={value} must be finite")
 
 
 @dataclass
@@ -75,9 +75,9 @@ class FormParams:
     def __post_init__(self):
         check_finite(self, "nu", "sigma")
         if self.nu < 0:
-            raise ValueError("viscosity must be nonnegative")
+            raise ValueError(f"nu={self.nu} must be nonnegative")
         if self.nu > 0 and self.sigma is not None and self.sigma <= 0:
-            raise ValueError("SIP penalty sigma must be positive for viscous runs")
+            raise ValueError(f"sigma={self.sigma} must be positive for viscous runs")
 
 
 def _values(space, field):
@@ -484,23 +484,13 @@ def assemble_load(space, f):
     return space.basis.scatter(loc)
 
 
-def _divergence(space, loc, tab, cells=slice(None)):
-    """div u_h (nq, len(cells)) at the points of the volume rule of ``tab``
-    in ``cells``, from their local coefficients ``loc``: div_ref u_loc /
-    det J, one GEMM against the ``div`` table."""
-    return (tab["div"] @ loc) / space.mesh.cell_detj[cells]
-
-
-def divergence_l2_norm(space, coeffs, order=None):
+def divergence_l2_norm(space, coeffs):
     """L2 norm of div u_h by direct quadrature, independent of the discrete
-    curl and of any divergence matrix, in one pass over every cell: the
-    per-record audit.  div u_h is in P_k, so the default rule of order 2k
-    is exact for its square."""
-    cv = _values(space, coeffs)
-    if order is None:
-        order = 2 * space.k
-    tab = space.ref_tables(order)
-    dv = _divergence(space, space.basis.gather(cv), tab)
+    curl and of any divergence matrix: the per-record audit and the final
+    ``div_err``.  div u_h = div_ref u_loc / det J, one GEMM against the
+    ``div`` table, is in P_k, so the rule of order 2k is exact for its square."""
+    tab = space.ref_tables(2 * space.k)
+    dv = (tab["div"] @ space.basis.gather(_values(space, coeffs))) / space.mesh.cell_detj
     return float(np.sqrt(np.sum(_cell_wdet(space.mesh, tab["rule"]).T * dv ** 2)))
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import diagnostics, forms, linsolve
+from . import diagnostics, forms, linsolve, manufactured
 from .fe_space import CoefVec, RTSpace, ScalarDGSpace, rt_interpolate
 from .forms import FormParams
 from .linsolve import BlowUpSignal
@@ -51,9 +51,9 @@ class SchemeConfig:
     def __post_init__(self):
         forms.check_finite(self, "tau", "T", "nu", "sigma")
         if self.tau <= 0:
-            raise ValueError("time step must be positive")
+            raise ValueError(f"tau={self.tau} must be positive")
         if self.T <= 0:
-            raise ValueError("final time must be positive")
+            raise ValueError(f"T={self.T} must be positive")
         aliases = {"taylor": "f_taylor", "next": "f_next"}
         self.f_mode = aliases.get(self.f_mode, self.f_mode)
         if self.f_mode not in F_MODES:
@@ -130,11 +130,6 @@ class Discretization:
         return forms.assemble_mass(self.space)
 
     @cached_property
-    def sip(self):
-        """The velocity SIP matrix, built on first use for the tests; no run uses it."""
-        return forms.assemble_sip(self.space, self.params)
-
-    @cached_property
     def saddle(self):
         """The bordered KKT projection on the same mass matrix, with the
         broken P_k multipliers and their divergence matrix, built on first
@@ -152,8 +147,7 @@ class Discretization:
         if key not in self._memo:
             self._memo[key] = np.stack([self.projection.curl_t @ (
                 forms.assemble_sip_boundary_load(self.space, g, self.params) if boundary
-                else forms.assemble_load(self.space, g)
-            )[self.space.free_dofs] for g in spatial])
+                else forms.assemble_load(self.space, g)) for g in spatial])
         return self._memo[key]
 
     def interpolants(self, spatial):
@@ -161,10 +155,10 @@ class Discretization:
         in ``spatial``, made on first use and kept as ``load_vectors`` are."""
         key = (tuple(spatial), "interpolants")
         if key not in self._memo:
-            proj, free = self.projection, self.space.free_dofs
+            proj = self.projection
             pi = np.stack([rt_interpolate(g, self.space).values for g in spatial])
             mass_pi = (forms.apply_mass(self.space, row) for row in pi)
-            self._memo[key] = pi, np.stack([proj.solve(proj.curl_t @ m[free]) for m in mass_pi])
+            self._memo[key] = pi, np.stack([proj.solve(proj.curl_t @ m) for m in mass_pi])
         return self._memo[key]
 
     def l2_norm(self, u):
@@ -176,12 +170,17 @@ class Discretization:
         return forms.divergence_l2_norm(self.space, u)
 
 
+def _l2(disc, psi):
+    """The L2 norm of u = C psi, sqrt(psi^T K psi)."""
+    return float(np.sqrt(max(psi @ (disc.projection.matrix @ psi), 0.0)))
+
+
 def _check_blowup(disc, state, psi):
     """The blow-up gate of step ``state.n``, shared by both integrators;
-    returns the L2 norm of u = C psi, sqrt(psi^T K psi)."""
+    returns the L2 norm of u = C psi."""
     if not np.all(np.isfinite(psi)):
         raise BlowUpSignal(step=state.n)
-    l2 = float(np.sqrt(max(psi @ (disc.projection.matrix @ psi), 0.0)))
+    l2 = _l2(disc, psi)
     if l2 > BLOWUP_FACTOR * max(state.norm0, 1.0):
         raise BlowUpSignal(step=state.n)
     return l2
@@ -294,7 +293,7 @@ def initial_state(config, disc, problem=None):
         raise ValueError(f"C psi_0 misses the interpolant of the initial velocity by "
                          f"{defect / size:.3e} of its L2 norm: the velocity has flux through "
                          f"the walls or divergence, or varies too fast for this mesh")
-    norm0 = float(np.sqrt(max(psi @ (disc.projection.matrix @ psi), 0.0)))
+    norm0 = _l2(disc, psi)
     return StepState(n=0, t=0.0, u=u0, psi=psi, norm0=norm0, l2=norm0)
 
 
@@ -345,8 +344,6 @@ def run(config, mesh, problem=None, disc=None):
     step_fn = rk2_step if is_rk2 else cn_step
 
     state = initial_state(config, disc, problem)
-    from . import manufactured  # local import to keep module deps one-way
-
     report = diagnostics.RunReport(config=config.as_dict())
     basis = disc.projection.basis
 

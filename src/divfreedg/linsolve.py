@@ -12,8 +12,9 @@ is the P_{k+1} stiffness matrix on the interior nodes: symmetric positive
 definite, assembled cell by cell from the reference mass tables in the
 stream-function ``LocalBasis`` (boundary nodes of sign 0), with no velocity
 mass matrix, and factorized once per mesh and degree, in one-column panels
-(``_LU_PANELS``).  C is assembled from the nonzeros of C_loc alone.  B C = 0
-holds identically, so the divergence vanishes by construction.  The
+(``_LU_PANELS``).  C is assembled from the nonzeros of C_loc alone, onto
+every RT_k DOF, with empty wall rows.  B C = 0 holds identically, so the
+divergence vanishes by construction.  The
 semi-implicit CN operator C^T (M/tau + theta C(a) + theta nu A) C is
 assembled directly on the stream nodes, on a pattern fixed per mesh, and
 factorized every step in one column ordering computed once per mesh from
@@ -176,16 +177,17 @@ def _stream_basis(space):
 
 
 def _discrete_curl(space, basis):
-    """C on the free velocity DOFs from the nonzeros of C_loc, the block from the
-    stream ``basis`` to the RT_k basis on every cell.  An interior edge's plus cell
-    sets its DOFs; the minus cell's slots and the wall DOFs have sign 0."""
-    mesh, rt, wall = space.mesh, space.basis, space.is_boundary_dof
+    """C onto every RT_k DOF from the nonzeros of C_loc, the block from the
+    stream ``basis`` to the RT_k basis on every cell.  An edge's plus cell
+    sets its DOFs, and the minus cell's slots have sign 0.  The wall rows
+    stay empty: C_loc has no entry from a node off an edge to the edge's
+    DOFs, and the nodes on a wall have sign 0, so C psi has no wall flux."""
+    mesh, rt = space.mesh, space.basis
     nc, ne = mesh.n_cells, space.ref.n_edge_moments
-    owner = ~wall[rt.dofs]
-    owner[:3 * ne] &= np.repeat(mesh.facet_plus[mesh.cell_facets] == np.arange(nc)[:, None],
-                                ne, axis=1).T
-    owned = LocalBasis(np.where(owner, np.cumsum(~wall)[rt.dofs] - 1, 0), rt.signs * owner,
-                       len(space.free_dofs), rt.coeffs, rt.degree)
+    owner = np.ones(rt.dofs.shape, dtype=bool)
+    owner[:3 * ne] = np.repeat(mesh.facet_plus[mesh.cell_facets] == np.arange(nc)[:, None],
+                               ne, axis=1).T
+    owned = LocalBasis(rt.dofs, rt.signs * owner, rt.size, rt.coeffs, rt.degree)
     return basis.assemble([(basis.coeffs, slice(None), slice(None))], test=owned).tocsr()
 
 
@@ -232,9 +234,7 @@ class StreamFunctionProjection(_FactorizedSystem):
 
     def velocity(self, psi):
         """The divergence-free velocity C psi of the node values ``psi``."""
-        full = np.zeros(self.space.n_dofs)
-        full[self.space.free_dofs] = self.curl @ psi
-        return CoefVec(self.space, full)
+        return CoefVec(self.space, self.curl @ psi)
 
     @cached_property
     def pattern(self):

@@ -1,3 +1,4 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,16 +57,16 @@ def projections(entry):
     return [entry["saddle"], entry["stream"]]
 
 
-def project_velocity(system, rhs_free, projection=None):
-    """The velocity that ``system`` gives for a functional ``rhs_free`` on the
-    free velocity DOFs.  The KKT oracles take the functional as it is; a
-    stream-function system solves on its lift C^T rhs_free and returns
-    C psi, with the curl of ``projection`` for a CNSystem."""
+def project_velocity(system, rhs, projection=None):
+    """The velocity that ``system`` gives for a functional ``rhs`` on the
+    velocity DOFs.  The KKT oracles take it on their free DOFs; a
+    stream-function system solves on its lift C^T rhs, which reads no wall
+    DOF, and returns C psi, with the curl of ``projection`` for a CNSystem."""
     if isinstance(system, (linsolve.SaddleSystem, BorderedCN)):
-        return linsolve.project_div_free(system, rhs_free)
+        return linsolve.project_div_free(system, rhs[system.free])
     projection = projection or system
     return projection.velocity(
-        linsolve.project_div_free(system, projection.curl_t @ rhs_free))
+        linsolve.project_div_free(system, projection.curl_t @ rhs))
 
 
 def loop_assemble(trial, test, blocks):
@@ -111,7 +112,7 @@ class BorderedCN:
     zero-mean row of ``saddle``, whose unknowns it shares."""
 
     def __init__(self, saddle, advect, tau, nu=0.0, theta=0.5, sip=None):
-        free = saddle.free
+        self.free = free = saddle.free
         block = saddle.mass / tau + theta * forms.convection_matrix(saddle.space, advect)
         if nu > 0:
             block = block + theta * nu * sip
@@ -494,6 +495,14 @@ def pointwise_h1_error(space, coeffs, problem, t, order=None):
     return float(np.sqrt(np.sum(wdet * np.sum(diff ** 2, axis=(-2, -1)))))
 
 
+def pointwise_div_norm(space, coeffs, order=None):
+    """``forms.divergence_l2_norm`` at a deeper rule (default the error
+    rule): div u_h as the trace of the broken gradient by ``evaluate``."""
+    cells, ref, _, wdet = _pointwise_error_rule(space, order)
+    grad = evaluate_gradient(space, forms._values(space, coeffs), cells, ref)
+    return float(np.sqrt(np.sum(wdet * np.trace(grad, axis1=-2, axis2=-1) ** 2)))
+
+
 # -- the velocity-space steps -----------------------------------------------------------
 #
 # The RK2 and CN steps as they were before the state moved onto the stream
@@ -517,6 +526,12 @@ def _velocity_wall_load(disc, problem, t):
          for g in problem.u_spatial])
 
 
+@functools.lru_cache(maxsize=1)
+def velocity_sip(disc):
+    """The velocity SIP matrix of ``disc``, which no run assembles."""
+    return forms.assemble_sip(disc.space, disc.params)
+
+
 def _velocity_state(disc, config, state, u):
     """The state after step ``state.n`` with the new velocity ``u``, once
     its mass norm has passed the blow-up gate."""
@@ -535,22 +550,22 @@ def velocity_rk2_step(state, config, disc, problem=None):
     mass_u = mass @ u
     rhs = mass_u - tau * forms.apply_convection(space, state.u, state.u)
     if config.nu > 0:
-        rhs -= tau * config.nu * (disc.sip @ u)
+        rhs -= tau * config.nu * (velocity_sip(disc) @ u)
         rhs += tau * config.nu * _velocity_wall_load(disc, problem, t)
     if problem is not None:
         rhs += tau * _velocity_load(disc, problem, t)
-    stage = project_velocity(disc.projection, rhs[space.free_dofs])
+    stage = project_velocity(disc.projection, rhs)
     w = stage.values
     rhs = 0.5 * (mass_u + mass @ w) - 0.5 * tau * forms.apply_convection(space, stage, stage)
     if config.nu > 0:
-        rhs -= 0.5 * tau * config.nu * (disc.sip @ w)
+        rhs -= 0.5 * tau * config.nu * (velocity_sip(disc) @ w)
         rhs += 0.5 * tau * config.nu * _velocity_wall_load(disc, problem, t + tau)
     if problem is not None:
         rhs += 0.5 * tau * (_velocity_load(disc, problem, t, tau_taylor=tau)
                             if config.f_mode == "f_taylor" else
                             _velocity_load(disc, problem, t + tau))
     return _velocity_state(disc, config, state,
-                           project_velocity(disc.projection, rhs[space.free_dofs]))
+                           project_velocity(disc.projection, rhs))
 
 
 def velocity_cn_step(state, config, disc, problem=None):
@@ -565,14 +580,14 @@ def velocity_cn_step(state, config, disc, problem=None):
         system = linsolve.CNSystem(disc.projection, advect, tau, theta=0.5)
         rhs = mass @ u / tau - 0.5 * forms.apply_convection(space, advect, state.u)
         if nu > 0:
-            rhs -= 0.5 * nu * (disc.sip @ u)
+            rhs -= 0.5 * nu * (velocity_sip(disc) @ u)
         t_load = state.t + 0.5 * tau
     if problem is not None:
         rhs += _velocity_load(disc, problem, t_load)
     if nu > 0:
         rhs += nu * _velocity_wall_load(disc, problem, t_load)
     return _velocity_state(disc, config, state,
-                           project_velocity(system, rhs[space.free_dofs], disc.projection))
+                           project_velocity(system, rhs, disc.projection))
 
 
 def velocity_run(config, disc, problem):

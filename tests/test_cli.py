@@ -183,33 +183,59 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("flag", [
-    ["--tau", "-1"], ["--T", "0"], ["--n", "0"],
-    ["--T", "inf"], ["--tau", "inf", "--T", "0.25"], ["--tau", "nan"],
-    ["--nu", "nan"], ["--sigma", "nan", "--nu", "0.01"],
-], ids=["tau", "T", "n", "T-inf", "tau-inf", "tau-nan", "nu-nan", "sigma-nan"])
-def test_single_run_bad_value_is_usage_error(tmp_path, capsys, flag):
-    code = run_cli(["single-run", "--n", "4", *flag, "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("flag, message", [
+    (["--tau", "-1"], "--tau=-1.0 must be positive"),
+    (["--T", "0"], "--T=0.0 must be positive"),
+    (["--n", "0"], "--n=0 must be at least 2"),
+    (["--T", "inf"], "--T=inf must be finite"),
+    (["--tau", "inf", "--T", "0.25"], "--tau=inf must be finite"),
+    (["--tau", "nan"], "--tau=nan must be finite"),
+    (["--nu", "nan"], "--nu=nan must be finite"),
+    (["--sigma", "nan", "--nu", "0.01"], "--sigma=nan must be finite"),
+    (["--nu", "-1"], "--nu=-1.0 must be nonnegative"),
+    (["--sigma", "-1", "--nu", "0.01"], "--sigma=-1.0 must be positive for viscous runs"),
+    (["--co", "nan"], "--co=nan must be finite and positive"),
+    (["--co", "-1"], "--co=-1.0 must be finite and positive"),
+    (["--perturb", "0.5"], "--perturb=0.5 must lie in [0, 0.3]"),
+], ids=["tau", "T", "n", "T-inf", "tau-inf", "tau-nan", "nu-nan", "sigma-nan", "nu-negative",
+        "sigma-negative", "co-nan", "co-negative", "perturb"])
+def test_single_run_bad_value_is_usage_error(tmp_path, capsys, flag, message):
+    # each library refusal of a value opens with field=value, which the CLI
+    # prints with the flag the user gave: --co nan used to print "tau must
+    # be finite, not nan", naming a tau the user never gave
+    code = run_cli(["single-run", "--n", "4", *flag, "--out-dir", str(tmp_path / "out")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("divfree: error: ") and "Traceback" not in err
-    if flag[1] in ("inf", "nan"):
-        # the message names the field
-        assert f"{flag[0][2:]} must be finite" in err
+    assert capsys.readouterr().err == f"divfree: error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [("tau", "0")], ids=["tau"])
 def test_config_values_are_checked_as_flags_are(tmp_path, capsys, key, value):
     # a run's SchemeConfig gets the checks of its flag: the library rejects
-    # the value with the message the CLI prints, and no output is written
+    # the value with the message the CLI prints, its field named by the
+    # flag, and no output is written
     with pytest.raises(ValueError) as exc:
         integrators.SchemeConfig(**{"tau": 0.0625, key: float(value)})
+    assert str(exc.value).startswith(f"{key}=")
     out = tmp_path / "out"
     code = run_cli(["single-run", "--n", "4", "--T", "0.25",
                     "--" + key, value, "--out-dir", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == f"divfree: error: {exc.value}\n"
+    assert capsys.readouterr().err == f"divfree: error: --{exc.value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("convergence", ["--n-list", "1"], "n=1 must be at least 2"),
+    ("compare-cn", ["--n", "4", "--tau-list=-1"], "tau=-1.0 must be positive"),
+    ("convergence", ["--n-list", "4", "--co", "inf"], "--co=inf must be finite and positive"),
+], ids=["convergence-n-list", "compare-cn-tau-list", "convergence-co"])
+def test_value_refusals_name_only_a_flag_of_the_command(tmp_path, capsys, command, args,
+                                                        message):
+    # --n-list's n=1 is not the flag --n, nor --tau-list's tau=-1 the flag --tau
+    code = run_cli([command, "--T", "0.25", *args, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"divfree: error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["convergence", "cfl-sweep"])

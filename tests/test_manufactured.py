@@ -6,7 +6,7 @@ import pytest
 from divfreedg import build_structured, fe_space, forms, manufactured
 from divfreedg.fe_space import RTSpace, rt_interpolate
 from divfreedg.quadrature import triangle_rule
-from conftest import dt_f, pointwise_h1_error, pointwise_l2_error
+from conftest import dt_f, pointwise_div_norm, pointwise_h1_error, pointwise_l2_error
 
 
 def _fd(f, x, h=1e-6):
@@ -167,8 +167,9 @@ def test_h1_error_evaluates_the_gradient_alone(spaces, k, monkeypatch):
 def test_blocked_passes_match_one_pass(k, monkeypatch):
     # each pass over a volume rule in blocks of 40 cells, so the 128 cells of
     # n = 8 take three full blocks and a partial one of 8, against one pass:
-    # the norms against the per-point oracles and a one-pass divergence sum,
-    # the loads and the interpolant bit for bit
+    # the norms against the per-point oracles, the loads and the interpolant
+    # bit for bit; the divergence norm, one pass at its rule of order 2k,
+    # against the per-point oracle at the error rule
     mesh = build_structured(8, 0.15, seed=0)
     space = RTSpace(mesh, k)
     prob = manufactured.taylor_green(0.0)
@@ -201,13 +202,14 @@ def test_blocked_passes_match_one_pass(k, monkeypatch):
         assert manufactured.h1_broken_error(space, u, prob, t) == \
             pytest.approx(pointwise_h1_error(space, u, prob, t), rel=1e-12)
     assert manufactured.div_norm(space, u) == \
-        pytest.approx(forms.divergence_l2_norm(space, u, order), rel=1e-12)
+        pytest.approx(pointwise_div_norm(space, u, order), rel=1e-12)
 
 
 def test_final_norms_and_loads_memory_does_not_grow_with_the_mesh():
-    # the final norms and both Taylor-Green loads at k = 2, n = 32 run in
-    # blocks of fe_space.CELL_BLOCK points; in one pass over every cell the
-    # broken H1 error alone peaked at 19 MiB here
+    # the final error norms and both Taylor-Green loads at k = 2, n = 32 run
+    # in blocks of fe_space.CELL_BLOCK points, and the divergence norm in one
+    # pass at its rule of order 2k; in one pass over every cell at the error
+    # rule the broken H1 error alone peaked at 19 MiB here
     space = RTSpace(build_structured(32, 0.15, seed=0), 2)
     prob = manufactured.taylor_green(0.0)
     u = rt_interpolate(lambda x, y: prob.u(x, y, 0.0), space)

@@ -12,13 +12,13 @@ def test_structured_counts_n2():
     assert mesh.n_cells == 8
     assert mesh.n_facets == 16
     assert mesh.n_vertices == 9
-    assert mesh.h_max == pytest.approx(np.sqrt(2.0) / 2.0)
+    assert mesh.facet_length.max() == pytest.approx(np.sqrt(2.0) / 2.0)
 
 
 def test_structured_counts_n8():
     mesh = build_structured(8, 0.0)
     assert mesh.n_cells == 128
-    assert mesh.cell_area.sum() == pytest.approx(1.0, abs=1e-12)
+    assert 0.5 * mesh.cell_detj.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -30,8 +30,8 @@ def test_euler_relation(n):
 @pytest.mark.parametrize("n,perturb", [(4, 0.0), (8, 0.2), (16, 0.2)])
 def test_mesh_invariants(n, perturb):
     mesh = build_structured(n, perturb, seed=5)
-    assert np.all(mesh.cell_area > 0)
-    assert mesh.cell_area.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(mesh.cell_detj > 0)
+    assert 0.5 * mesh.cell_detj.sum() == pytest.approx(1.0, abs=1e-12)
     # exhaustive two-sidedness: interior facets touch exactly two cells
     counts = np.zeros(mesh.n_facets, dtype=int)
     for c in range(mesh.n_cells):
@@ -61,9 +61,20 @@ def test_normal_points_plus_to_minus():
 def test_perturbed_mesh_bounds():
     for seed in range(5):
         mesh = build_structured(8, 0.2, seed=seed)
-        assert np.all(mesh.cell_area > 0)
-        assert mesh.h_max <= np.sqrt(2.0) * (1 + 2 * 0.2) / 8 + 1e-12
-        assert mesh.h_max / mesh.h_min < 4.0
+        # cell diameter h_K = longest edge
+        cell_h = mesh.facet_length[mesh.cell_facets].max(axis=1)
+        assert np.all(mesh.cell_detj > 0)
+        assert cell_h.max() <= np.sqrt(2.0) * (1 + 2 * 0.2) / 8 + 1e-12
+        assert cell_h.max() / cell_h.min() < 4.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_largest_perturbation_keeps_every_cell_away_from_degenerate(n):
+    # build_structured does not retry: at perturb = 0.3 each vertex moves by
+    # at most 0.3 h, and 2 area / h^2 stays at least 0.146 on every cell
+    for seed in range(10):
+        mesh = build_structured(n, 0.3, seed=seed)
+        assert mesh.cell_detj.min() * n ** 2 >= 0.146
 
 
 def test_smooth_function_jump_vanishes():
@@ -86,7 +97,7 @@ def test_trace_points_midpoint_and_weights():
         assert np.allclose(tp.points_plus[0], 0.5 * (va + vb), atol=1e-13)
         tp3 = trace_points(mesh, f, three)
         assert tp3.weights.sum() == pytest.approx(np.linalg.norm(vb - va), abs=1e-13)
-        if not mesh.facet_is_boundary[f]:
+        if mesh.facet_minus[f] >= 0:
             assert np.abs(tp3.points_plus - tp3.points_minus).max() < 1e-13
 
 
