@@ -368,10 +368,11 @@ class RTSpace:
 
     @cached_property
     def metric(self):
-        """(J^T J) / det(J)^2 per cell; contracts Piola factors so volume
-        convection and the mass apply can run on shared reference tables."""
+        """(J^T J) / det(J)^2, (2, 2, n_cells): contracts Piola factors so
+        volume convection and the mass apply can run on shared reference
+        tables, each entry one contiguous row over the cells."""
         jac = self.mesh.cell_jac
-        return np.einsum("cga,cgb->cab", jac, jac) / self.mesh.cell_detj[:, None, None] ** 2
+        return np.ascontiguousarray(np.einsum("cga,cgb->abc", jac, jac) / self.mesh.cell_detj ** 2)
 
     # -- reference tables ----------------------------------------------------------
     #
@@ -384,45 +385,55 @@ class RTSpace:
 
     def facet_traces(self, order):
         """Plain arrays of the facet-trace kernel at the segment rule of
-        ``order``: ``table`` (2 * 3 * nq, n_loc), the reference traces by
-        component, local edge and point, each edge read from its first
-        vertex.  The rule is symmetric, so ``plus``/``minus`` (nq, nfi), the
-        flat indices of the interior facets' points into each component's
-        slot traces, read point nq - 1 - q of a reversed edge.
-        ``g_plus``/``g_minus`` (2, nfi) are J^T t_F / det J, so
-        t_F . v = g . v_ref, and ``weights`` (nq, 1) times ``n_plus`` (2, nfi)
-        = |F| J^T n_F / det J of the plus cell gives w_q |F| u . n_F from the
-        plus trace.  n_F points out of the plus cell, so ``n_plus`` is the
-        plus edge's |F_ref| n_ref, and ``normal`` (3 * nq, n_loc), the
-        reference normal traces |F_ref| n_ref . phi by local edge and point,
-        gives u . n_F alone: w_q |F| u . n_F is ``weights`` times the plus
-        slot's entry of ``normal`` @ loc, read at ``plus``."""
+        ``order``.  ``table`` (2 * 3 * nq, n_loc) holds the reference traces
+        by component, local edge and point, each edge read from its first
+        vertex, and ``normal`` (3 * nq, n_loc) the reference normal traces
+        |F_ref| n_ref . phi by local edge and point: on a cell of positive
+        det J, ``normal`` @ loc is |F| u . n_out with n_out the cell's own
+        outward normal, and ``weights`` (nq, 1) holds the rule's weights.
+
+        Traces live on the slots (cell, local edge), flattened as (local
+        edge, point, cell).  ``partner`` (int32, 3 * nq * n_cells) gives
+        each slot point's flat index on the other side of its facet, at the
+        same physical point (the rule is symmetric, so a side whose edge runs
+        against the facet reads point nq - 1 - q); a wall slot points at
+        itself.  ``g_slot`` (2, 3, 1, n_cells) is J^T t_F / det J of the
+        slot's own cell, so that t_F . v = g . v_ref, with t_F the facet's
+        tangent n_F rotated by +90 degrees, the same on both sides; it is 0
+        on the wall slots.  The CN blocks read the interior facets by side:
+        ``plus``/``minus`` (int32, nq, nfi) are the flat slot indices of
+        their points and ``g_plus``/``g_minus`` (2, nfi) their g."""
         ft = self._facet_traces.get(order)
         if ft is not None:
             return ft
         mesh = self.mesh
         rule, val, _ = self.ref.edge_traces(order)
-        nq = len(rule)
+        nq, nc = len(rule), mesh.n_cells
         ii = mesh.interior_facets
         normal = mesh.facet_normal[ii]
         tangent = np.stack([-normal[:, 1], normal[:, 0]], axis=-1)
         point = np.arange(nq)[:, None]
 
-        def side(cells, local, direction):
+        def side(cells, local):
             q = np.where(mesh.cell_facet_reversed[cells, local] == 1, nq - 1 - point, point)
-            g = np.einsum("fab,fa->bf", mesh.cell_jac[cells], direction) / mesh.cell_detj[cells]
-            return (local * nq + q) * mesh.n_cells + cells, np.ascontiguousarray(g)
+            g = np.einsum("fab,fa->bf", mesh.cell_jac[cells], tangent) / mesh.cell_detj[cells]
+            return ((local * nq + q) * nc + cells).astype(np.int32), np.ascontiguousarray(g)
 
-        plus_cells, plus_local = mesh.facet_plus[ii], mesh.facet_plus_local[ii]
-        plus, g_plus = side(plus_cells, plus_local, tangent)
-        minus, g_minus = side(mesh.facet_minus[ii], mesh.facet_minus_local[ii], tangent)
-        n_plus = side(plus_cells, plus_local, normal)[1] * mesh.facet_length[ii]
-        normal = np.einsum("eqia,ea->eqi", val, REF_EDGE_NORMALS * REF_EDGE_LENGTHS[:, None])
+        sides = ((mesh.facet_plus[ii], mesh.facet_plus_local[ii]),
+                 (mesh.facet_minus[ii], mesh.facet_minus_local[ii]))
+        (plus, g_plus), (minus, g_minus) = (side(*cells_local) for cells_local in sides)
+        partner = np.arange(3 * nq * nc, dtype=np.int32)
+        partner[plus] = minus
+        partner[minus] = plus
+        g_slot = np.zeros((2, 3, 1, nc))
+        for (cells, local), g in zip(sides, (g_plus, g_minus)):
+            g_slot[:, local, 0, cells] = g
         ft = dict(
             table=np.ascontiguousarray(val.transpose(3, 0, 1, 2).reshape(6 * nq, self.n_loc)),
-            normal=normal.reshape(3 * nq, self.n_loc),
+            normal=np.einsum("eqia,ea->eqi", val, REF_EDGE_NORMALS * REF_EDGE_LENGTHS[:, None])
+            .reshape(3 * nq, self.n_loc),
+            weights=rule.weights[:, None], partner=partner, g_slot=g_slot,
             plus=plus, minus=minus, g_plus=g_plus, g_minus=g_minus,
-            weights=rule.weights[:, None], n_plus=n_plus,
         )
         self._facet_traces[order] = ft
         return ft

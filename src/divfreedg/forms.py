@@ -5,18 +5,19 @@ upwind jump seminorm.
 The convection and SIP forms run on per-degree reference tables and on
 one-orientation traces on the slots (cell, local edge), with per-cell and
 per-slot Jacobian factors; no basis is mapped to physical values.
-Convection runs over interior facets only, with a . n_F from the plus
-side's trace and tangential traces: every velocity here is H(div)-conforming
-(RT_k, or the curl of a continuous P_{k+1} stream function), so the jump
-w+ - w- is tangential and the normal parts of a local block cancel across
-each facet in the assembled operator (Cockburn, Kanschat and Schoetzau,
-J. Sci. Comput. 31, 2007).  The apply and the jump seminorm run on
-cell-minor coefficients in any ``LocalBasis`` (the RT_k basis, or the
-stream-function basis phi @ C_loc).  The linearized convection and the SIP
-form are local blocks in one layout (``convection_blocks``, ``sip_blocks``),
-assembled on the velocity DOFs by ``LocalBasis.assemble``, as the mass and
-divergence blocks are, or summed on the stream nodes over a pattern fixed
-per mesh (``block_pattern``) with one bincount.  The volume rules of the
+Convection runs over interior facets only, with tangential traces: every
+velocity here is H(div)-conforming (RT_k, or the curl of a continuous
+P_{k+1} stream function), so the jump w+ - w- is tangential and the normal
+parts of a local block cancel across each facet in the assembled operator
+(Cockburn, Kanschat and Schoetzau, J. Sci. Comput. 31, 2007).  The apply
+and the jump seminorm run on the slots, each reading a . n from its own
+outward normal trace, on cell-minor coefficients in any ``LocalBasis``
+(the RT_k basis, or the stream-function basis phi @ C_loc); the CN blocks
+read a . n_F from the plus side's trace.  The linearized convection and
+the SIP form are local blocks in one layout (``convection_blocks``,
+``sip_blocks``), assembled on the velocity DOFs by ``LocalBasis.assemble``,
+as the mass and divergence blocks are, or summed on the stream nodes over a
+pattern fixed per mesh (``block_pattern``) with one bincount.  The volume rules of the
 convection kernels are the exact ones for the degrees of their arguments
 (``_volume_order``); the facet rules are not exact, since the upwind
 weight |a . n| is no polynomial.
@@ -127,11 +128,17 @@ def _volume_tables(space, basis, order):
 
 # -- the facet-trace kernel -----------------------------------------------------------
 #
-# Traces live on the slots (cell, local edge) in facet-point order; facet F
-# is seen from its plus slot (facet_plus, facet_plus_local) and, inside the
-# domain, from its minus slot.  Both sides read the same edge DOFs, so
-# w+ . n_F = w- . n_F and the jump is tangential: the apply and the jump
-# seminorm read it on cell-minor coefficients (``RTSpace.facet_traces``).
+# Traces live on the slots (cell, local edge) in facet-point order
+# (``RTSpace.facet_traces``), and each slot reads its own: the tangential
+# trace t_F . w = g_slot . w_ref and the flux w_q |F| a . n_out through its
+# cell's outward normal.  Both sides of a facet read the same edge DOFs, so
+# their normal traces agree and the jump is tangential: own side minus the
+# ``partner`` side, t_F . (w_own - w_other).  A slot is the upwind side of
+# its point when a flows into its cell there: its inflow weight
+# max(-w_q |F| a . n_out, 0) times the jump, tested on the slot's own
+# traces, is its share of c_h's facet term, and half that times the jump
+# again its share of the seminorm; the outflow side's weight is 0.  A wall
+# slot is its own partner with g_slot = 0, so it adds nothing.
 
 def _sides(mesh, facets):
     return ((mesh.facet_plus[facets], mesh.facet_plus_local[facets]),
@@ -151,38 +158,30 @@ def _dot(g, t):
     return g[0] * t[0] + g[1] * t[1]
 
 
-def _trace_tables(space, basis, order):
-    """The slot traces ``table`` and normal traces ``normal`` of
-    ``RTSpace.facet_traces(order)`` in phi @ ``basis.coeffs``, built once
-    per (basis, order) and kept on the basis."""
+def _upwind_terms(space, basis, a_loc, w_loc):
+    """The slot traces ``table`` of phi @ ``basis.coeffs`` and ``g_slot``,
+    and on every slot point (3, nq, n_cells) the jump of w and the upwind
+    term, the inflow weight times the jump.  The basis keeps ``table`` and
+    the normal traces with the rule's weights folded in, built on first
+    use per facet rule."""
+    order = default_facet_order(space.k)
     ft = space.facet_traces(order)
-    return basis.kept(("traces", order),
-                      lambda: (ft["table"] @ basis.coeffs, ft["normal"] @ basis.coeffs))
+    table, normal = basis.kept(("slots", order), lambda: (
+        ft["table"] @ basis.coeffs, np.tile(ft["weights"], (3, 1)) * ft["normal"] @ basis.coeffs))
+    g = ft["g_slot"]
+    own = _dot(g, (table @ w_loc).reshape(2, 3, -1, w_loc.shape[1]))
+    jump = np.take(own, ft["partner"]).reshape(own.shape)
+    np.subtract(own, jump, out=jump)
+    flux = normal @ a_loc
+    upwind = np.maximum(-flux, 0.0, out=flux).reshape(jump.shape)
+    upwind *= jump
+    return table, g, jump, upwind
 
 
-def _flux(ft, normal, a_loc):
-    """w_q |F| a . n_F at the points (nq, nfi) of the interior facets, from
-    the plus side's normal traces ``normal`` @ a_loc (3 * nq, n_cells)."""
-    return ft["weights"] * np.take(normal @ a_loc, ft["plus"])
-
-
-def _jump_and_flux(ft, table, a_loc, w_loc, normal=None):
-    """The tangential jump (w+ - w-) . t_F and w_q |F| a . n_F at the points
-    (nq, nfi) of the interior facets, from the slot traces ``table`` @ loc
-    (2, 3 * nq * n_cells) of the cell-local coefficients.  Both sides read
-    the same edge DOFs, so the plus side gives the normal trace: of w's
-    slot traces when a is w, else of a's ``normal`` traces alone."""
-    trace = (table @ w_loc).reshape(2, -1)
-    plus, minus = (np.take(trace, ft[side], axis=1) for side in ("plus", "minus"))
-    jump = _dot(ft["g_plus"], plus) - _dot(ft["g_minus"], minus)
-    if a_loc is w_loc:
-        return jump, ft["weights"] * _dot(ft["n_plus"], plus)
-    return jump, _flux(ft, normal, a_loc)
-
-
-def _seminorm(jump, flux):
-    """0.5 sum_F sum_q w_q |F| |a . n_F| [w . t_F]^2, the upwind seminorm."""
-    return float(0.5 * np.sum(np.abs(flux) * jump ** 2))
+def _upwind_seminorm(jump, upwind):
+    """0.5 sum over the slot points of the upwind term times the jump:
+    0.5 sum_F sum_q w_q |F| |a . n_F| [w . t_F]^2, the upwind seminorm."""
+    return float(0.5 * np.sum(upwind * jump))
 
 
 # -- forms ----------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def apply_mass(space, v):
     four GEMMs on the gathered coefficients and one scatter."""
     tab = space.ref_tables(default_cell_order(space.k))
     loc = space.basis.gather(_values(space, v))
-    scale = space.mesh.cell_detj * space.metric.transpose(1, 2, 0)
+    scale = space.mesh.cell_detj * space.metric
     return space.basis.scatter(sum(scale[a, b] * (tab["mass"][a, b] @ loc)
                                    for a in (0, 1) for b in (0, 1)))
 
@@ -240,17 +239,18 @@ def apply_convection(space, a, w, basis=None, seminorm=False):
     stream-function basis of ``StreamFunctionProjection.basis``, psi_a and
     psi_w give r = C^T c_h(C psi_a, C psi_w, .) on the interior nodes.
     With ``seminorm`` it returns (r, |w|^2_{a,up}), the seminorm formed from
-    the apply's own jump and flux, bitwise what ``jump_seminorm`` returns.
+    the apply's own jump and upwind terms, bitwise what ``jump_seminorm``
+    returns.
 
     The volume rule is the exact one for the basis degree
     (``_volume_order``): order 3k - 1 on the stream basis, 2k + 3 on RT_k.
-    The facet rule is ``default_facet_order``: the upwind weight |a . n|
-    is no polynomial, so no facet rule is exact, and moving it by 2 moves
-    the apply by 7-18%.
+    The facet terms run on the slots (see the facet-trace kernel above):
+    one partner gather per apply, and each slot's upwind term tested on its
+    own traces in one GEMM, with no scatter.  The facet rule is
+    ``default_facet_order``: the upwind weight |a . n| is no polynomial, so
+    no facet rule is exact, and moving it by 2 moves the apply by 7-18%.
     """
     basis, av, wv = _basis_values(space, basis, a, w)
-    facet_order = default_facet_order(space.k)
-    ft = space.facet_traces(facet_order)
     a_loc = basis.gather(av)
     w_loc = a_loc if wv is av else basis.gather(wv)
 
@@ -265,25 +265,19 @@ def apply_convection(space, a, w, basis=None, seminorm=False):
     a_hat = (val @ a_loc).reshape(2, -1)
     g_hat = (grad @ w_loc).reshape(2, 2, -1)
     ga = [(g_hat[i, 0] * a_hat[0] + g_hat[i, 1] * a_hat[1]).reshape(nq, nc) for i in (0, 1)]
-    A = np.ascontiguousarray(np.moveaxis(space.metric, 0, -1))
+    A = space.metric
     s = np.empty((2, nq, nc))
     for i in (0, 1):
         np.multiply(A[i, 0], ga[0], out=s[i])
         s[i] += A[i, 1] * ga[1]
     r_loc = val_w.T @ s.reshape(2 * nq, nc)
 
-    # Facets: the upwind weight times the tangential jump, tested on both
-    # sides of every interior facet through t_F . phi_i = g . phi_ref.
-    table, normal = _trace_tables(space, basis, facet_order)
-    jump, flux = _jump_and_flux(ft, table, a_loc, w_loc, normal)
-    s = np.zeros((len(table), nc))
-    for side, weight in zip(("plus", "minus"), _upwind_weights(flux)):
-        upwind = weight * jump
-        for comp, rows in enumerate(s.reshape(2, -1)):
-            rows[ft[side]] = ft["g_" + side][comp] * upwind
-    r_loc += table.T @ s
+    # Facets: each slot's upwind term, tested on its own tangential traces
+    # through t_F . phi_i = g . phi_ref.
+    table, g, jump, upwind = _upwind_terms(space, basis, a_loc, w_loc)
+    r_loc += table.T @ (g * upwind).reshape(len(table), nc)
     r = basis.scatter(r_loc)
-    return (r, _seminorm(jump, flux)) if seminorm else r
+    return (r, _upwind_seminorm(jump, upwind)) if seminorm else r
 
 
 def convection_tables(space, basis=None):
@@ -333,14 +327,15 @@ def convection_blocks(space, a, tables):
     nc, nfi, nq, m = mesh.n_cells, *traces.shape[:2], traces.shape[2] // 2
     a_loc = space.basis.gather(_values(space, a))
     a_hat = a_loc.T @ space.ref_tables(tables["cell_order"])["val_flat"]
-    loc = ((space.metric[:, :, :, None, None] * a_hat.reshape(nc, 1, 1, -1, 2)
+    loc = ((np.moveaxis(space.metric, -1, 0)[..., None, None] * a_hat.reshape(nc, 1, 1, -1, 2)
             .transpose(0, 1, 2, 4, 3)).reshape(nc, -1) @ tables["volume"]).reshape(nc, m, m)
 
     # facets: each side's upwind weight times its test traces, against the
     # trial traces [plus | -minus]; each cell gathers the same-side blocks
     # of its three slots
     ft = space.facet_traces(tables["facet_order"])
-    upwind = np.stack(_upwind_weights(_flux(ft, ft["normal"], a_loc).T), 2)
+    flux = ft["weights"] * np.take(ft["normal"] @ a_loc, ft["plus"])
+    upwind = np.stack(_upwind_weights(flux.T), 2)
     pair = (traces.reshape(nfi, nq, 2, m) * upwind[..., None]).reshape(traces.shape) \
         .transpose(0, 2, 1) @ traces
     pair[:, :, m:] *= -1.0
@@ -376,15 +371,13 @@ def block_pattern(mesh, basis):
 
 
 def jump_seminorm(space, a, v, basis=None):
-    """Squared upwind jump seminorm |v|^2_{a,up} over interior facets; with
-    a ``basis``, a and v are coefficients in it, as in ``apply_convection``."""
+    """Squared upwind jump seminorm |v|^2_{a,up} over interior facets, from
+    the slot terms of ``apply_convection``; with a ``basis``, a and v are
+    coefficients in it, as in ``apply_convection``."""
     basis, av, vv = _basis_values(space, basis, a, v)
-    facet_order = default_facet_order(space.k)
-    ft = space.facet_traces(facet_order)
     v_loc = basis.gather(vv)
-    table, normal = _trace_tables(space, basis, facet_order)
-    return _seminorm(*_jump_and_flux(ft, table, v_loc if vv is av else basis.gather(av),
-                                     v_loc, normal))
+    a_loc = v_loc if vv is av else basis.gather(av)
+    return _upwind_seminorm(*_upwind_terms(space, basis, a_loc, v_loc)[2:])
 
 
 # -- the SIP form ---------------------------------------------------------------------
@@ -426,7 +419,7 @@ def sip_blocks(space, params, coeffs=None):
     tab = space.ref_tables(default_cell_order(space.k))
     grad = np.moveaxis(tab["grad"], 1, -1) @ coeffs
     ref = np.einsum("q,qacm,qbdn->abcdmn", tab["rule"].weights, grad, grad, optimize=True)
-    scale = np.einsum("c,cab,ceg,cfg->cabef", mesh.cell_detj, space.metric,
+    scale = np.einsum("c,abc,ceg,cfg->cabef", mesh.cell_detj, space.metric,
                       mesh.cell_jac_inv, mesh.cell_jac_inv).reshape(-1, 16)
     loc = (scale @ ref.reshape(16, -1)).reshape(-1, m, m)
     for facets, n in ((mesh.boundary_facets, 1), (mesh.interior_facets, 2)):

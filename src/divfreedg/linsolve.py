@@ -200,7 +200,7 @@ def _stiffness(space, basis):
     reference matrices C_loc^T R_ab C_loc."""
     c_loc = basis.coeffs
     ref = c_loc.T @ space.ref_tables(forms.default_cell_order(space.k))["mass"] @ c_loc
-    loc = np.einsum("c,cab,abmn->cmn", space.mesh.cell_detj, space.metric, ref)
+    loc = np.einsum("c,abc,abmn->cmn", space.mesh.cell_detj, space.metric, ref)
     return basis.assemble([(loc, slice(None), slice(None))]).tocsc()
 
 

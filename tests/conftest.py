@@ -364,7 +364,7 @@ def full_jump_apply(space, a, w, cell_order=None, facet_order=None):
     grad_flat = tab["grad"].transpose(1, 0, 2, 3).reshape(space.n_loc, -1)
     a_hat = (a_loc @ tab["val_flat"]).reshape(nc, nq, 2)
     g_hat = (w_loc @ grad_flat).reshape(nc, nq, 2, 2)
-    s = _matvec2(space.metric[:, None], _matvec2(g_hat, a_hat))
+    s = _matvec2(np.moveaxis(space.metric, -1, 0)[:, None], _matvec2(g_hat, a_hat))
     r_loc = s.reshape(nc, -1) @ tab["val_weighted"]
 
     etab = edge_tables(space, facet_order)
@@ -417,13 +417,14 @@ def full_vector_convection_blocks(space, a, basis=None, cell_order=None, facet_o
 
     a_loc = space.basis.gather(av)
     a_hat = (a_loc.T @ tab["val_flat"]).reshape(nc, nq, 1, 2)
-    s = _matvec2(space.metric[:, None, None], _matvec2(grad, a_hat))
+    s = _matvec2(np.moveaxis(space.metric, -1, 0)[:, None, None], _matvec2(grad, a_hat))
     loc = (s.transpose(0, 2, 1, 3).reshape(nc * m, -1) @ val_w) \
         .reshape(nc, m, m).transpose(0, 2, 1)
 
-    ft = space.facet_traces(facet_order)
-    gp, gm = forms._upwind_weights(forms._jump_and_flux(ft, ft["table"], a_loc, a_loc)[1].T)
-    plus, minus = forms._sides(mesh, mesh.interior_facets)
+    ii = mesh.interior_facets
+    gp, gm = forms._upwind_weights(facet_weights(mesh, etab, ii)
+                                   * facet_normal_values(space, etab, av)[ii])
+    plus, minus = forms._sides(mesh, ii)
     vp = edge_basis(space, plus, edge_val)
     vm = edge_basis(space, minus, edge_val)
 

@@ -410,8 +410,9 @@ def test_assemble_matches_the_cell_loop_on_the_curl_k_and_mass(k, n, perturb, se
 @pytest.mark.parametrize("k", [1, 2])
 def test_normal_trace_legendre_reconstruction(k):
     # u . n_F rebuilt from the k+1 shared edge DOFs matches the side traces,
-    # and the facet-trace kernel's flux w_q |F| u . n_F read from the plus
-    # trace matches it on the interior facets
+    # and the facet-trace kernel's flux w_q |F| u . n_out, which each slot
+    # reads from its own normal trace, matches it on the interior facets:
+    # +u . n_F on the plus slots and -u . n_F on the minus slots
     mesh = build_structured(4, 0.2, seed=3)
     space = RTSpace(mesh, k)
     coeffs = np.random.default_rng(9).normal(size=space.n_dofs)
@@ -425,10 +426,42 @@ def test_normal_trace_legendre_reconstruction(k):
         assert np.abs(traced - rebuilt[f]).max() < 1e-11
     ft = space.facet_traces(order)
     loc = space.basis.gather(coeffs)
-    _, flux = forms._jump_and_flux(ft, ft["table"], loc, loc)
+    flux = ((ft["normal"] @ loc).reshape(3, len(rule), -1) * ft["weights"]).ravel()
     ii = mesh.interior_facets
     want = rule.weights[:, None] * mesh.facet_length[ii] * rebuilt[ii].T
-    assert np.abs(flux - want).max() < 1e-11 * np.abs(want).max()
+    for side, sign in (("plus", 1.0), ("minus", -1.0)):
+        assert np.abs(flux[ft[side]] - sign * want).max() < 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n, perturb, seed", [(3, 0.0, 0), (4, 0.2, 3)])
+def test_slot_tables_pair_every_point_with_its_partner(k, n, perturb, seed):
+    # partner is an involution that pairs each interior slot point with the
+    # other side's point at the same physical place, and fixes the wall
+    # slots; g_slot is J^T t_F / det J of the slot's own cell, the same
+    # facet tangent on both sides, and 0 on the wall
+    mesh = build_structured(n, perturb, seed=seed)
+    order = forms.default_facet_order(k)
+    ft, rule = RTSpace(mesh, k).facet_traces(order), segment_rule(order)
+    nq, nc = len(rule), mesh.n_cells
+    partner, slots = ft["partner"], np.arange(3 * nq * nc)
+    assert partner.dtype == np.int32 and np.array_equal(partner[partner], slots)
+
+    edge, point, cell = np.unravel_index(slots, (3, nq, nc))
+    first, second = (REF_VERTICES[np.take(REF_EDGE_VERTICES, edge, axis=0)[:, i]] for i in (0, 1))
+    x = map_to_physical(mesh, cell, first + rule.points[point][:, None] * (second - first))
+    facet = mesh.cell_facets[cell, edge]
+    wall = mesh.facet_minus[facet] < 0
+    assert np.array_equal(partner == slots, wall)
+    assert np.abs(x[partner] - x).max() <= 1e-14
+
+    normal = mesh.facet_normal[facet]
+    tangent = np.stack([-normal[:, 1], normal[:, 0]], axis=-1)
+    want = np.einsum("sab,sa->sb", mesh.cell_jac[cell], tangent) / mesh.cell_detj[cell, None]
+    want[wall] = 0.0
+    got = np.broadcast_to(ft["g_slot"], (2, 3, nq, nc)).reshape(2, -1).T
+    assert ft["g_slot"].shape == (2, 3, 1, nc) and np.all(got[wall] == 0.0)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_coefvec_validation_and_finiteness():

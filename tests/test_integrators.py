@@ -372,6 +372,21 @@ def test_report_factor_fill(mesh8, disc8, problem, integrator, monkeypatch):
         assert report.factor_fill == max(fills) > disc8.projection.stats()["fill"]
 
 
+@pytest.mark.parametrize("k, n, fills", [(1, 8, (9_360, 11_212)), (2, 6, (18_614, 20_536))])
+def test_cn_fill_is_pinned(k, n, fills):
+    # The largest LU fill of a CN run, inviscid and viscous, on one mesh per
+    # k: a change to the CN ordering or to its factor options cannot raise
+    # it unseen (the ordering applied as SuperLU's perm_c, not its inverse,
+    # gives 3 to 3.3 times these).  SuperLU pivots on the operator's values,
+    # so unlike K's fill this one follows roundoff: another BLAS or CPU may
+    # store other fills
+    mesh = build_structured(n, 0.15, seed=0)
+    for nu, fill in zip((0.0, 0.01), fills):
+        config = SchemeConfig(integrator="semi_implicit_cn", k=k, tau=1.0 / 12, T=0.25, nu=nu)
+        report = integrators.run(config, mesh, manufactured.taylor_green(nu))
+        assert report.completed and report.factor_fill == fill, nu
+
+
 def test_discretization_is_freed_without_the_cycle_collector(problem):
     # Every table a space caches must be plain data: one that referred back
     # to the space would keep each finished discretization, its factor
