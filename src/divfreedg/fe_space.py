@@ -137,7 +137,9 @@ class RTReference:
             self._moments(lambda points: eval_rt_monomials(k, points)[0]))
         self._tables = {}
 
-    def _edge_points(self, t):
+    def edge_points(self, t):
+        """The points (3, len(t), 2) at the parameters t of the three
+        edges, each edge read from its first vertex."""
         return np.stack([REF_VERTICES[a] + t[:, None] * (REF_VERTICES[b] - REF_VERTICES[a])
                          for a, b in REF_EDGE_VERTICES])
 
@@ -152,7 +154,7 @@ class RTReference:
         coefficients in the dual basis."""
         rows = []
         for i in range(3):
-            vn = field(self._edge_points(self._edge_t)[i]) @ REF_EDGE_NORMALS[i]
+            vn = field(self.edge_points(self._edge_t)[i]) @ REF_EDGE_NORMALS[i]
             w = self._edge_w * REF_EDGE_LENGTHS[i]
             rows += [np.einsum("q,qm->m", w * self._edge_leg[:, j], vn)
                      for j in range(self.n_edge_moments)]
@@ -168,7 +170,7 @@ class RTReference:
         and gradients (3, nq, n_dofs, 2, 2) of the basis at its points on
         the three edges, each edge read from its first vertex."""
         rule = segment_rule(order)
-        rv, _, rg = self.eval_basis(self._edge_points(rule.points).reshape(-1, 2))
+        rv, _, rg = self.eval_basis(self.edge_points(rule.points).reshape(-1, 2))
         shape = (3, len(rule), self.n_dofs)
         return rule, rv.reshape(*shape, 2), rg.reshape(*shape, 2, 2)
 
@@ -393,16 +395,16 @@ class RTSpace:
         outward normal, and ``weights`` (nq, 1) holds the rule's weights.
 
         Traces live on the slots (cell, local edge), flattened as (local
-        edge, point, cell).  ``partner`` (int32, 3 * nq * n_cells) gives
-        each slot point's flat index on the other side of its facet, at the
-        same physical point (the rule is symmetric, so a side whose edge runs
-        against the facet reads point nq - 1 - q); a wall slot points at
-        itself.  ``g_slot`` (2, 3, 1, n_cells) is J^T t_F / det J of the
+        edge, point, cell); this is the one facet layout of every facet
+        form.  ``partner`` (intp, 3 * nq * n_cells) gives each slot point's
+        flat index on the other side of its facet, at the same physical
+        point (the rule is symmetric, so a side whose edge runs against the
+        facet reads point nq - 1 - q), and ``partner_cell`` (intp, (3,
+        n_cells)) each slot's cell across its facet; a wall slot is its own
+        partner.  ``g_slot`` (2, 3, 1, n_cells) is J^T t_F / det J of the
         slot's own cell, so that t_F . v = g . v_ref, with t_F the facet's
         tangent n_F rotated by +90 degrees, the same on both sides; it is 0
-        on the wall slots.  The CN blocks read the interior facets by side:
-        ``plus``/``minus`` (int32, nq, nfi) are the flat slot indices of
-        their points and ``g_plus``/``g_minus`` (2, nfi) their g."""
+        on the wall slots."""
         ft = self._facet_traces.get(order)
         if ft is not None:
             return ft
@@ -413,27 +415,26 @@ class RTSpace:
         normal = mesh.facet_normal[ii]
         tangent = np.stack([-normal[:, 1], normal[:, 0]], axis=-1)
         point = np.arange(nq)[:, None]
-
-        def side(cells, local):
-            q = np.where(mesh.cell_facet_reversed[cells, local] == 1, nq - 1 - point, point)
-            g = np.einsum("fab,fa->bf", mesh.cell_jac[cells], tangent) / mesh.cell_detj[cells]
-            return ((local * nq + q) * nc + cells).astype(np.int32), np.ascontiguousarray(g)
-
         sides = ((mesh.facet_plus[ii], mesh.facet_plus_local[ii]),
                  (mesh.facet_minus[ii], mesh.facet_minus_local[ii]))
-        (plus, g_plus), (minus, g_minus) = (side(*cells_local) for cells_local in sides)
-        partner = np.arange(3 * nq * nc, dtype=np.int32)
+        plus, minus = ((local * nq + np.where(mesh.cell_facet_reversed[cells, local] == 1,
+                                              nq - 1 - point, point)) * nc + cells
+                       for cells, local in sides)
+        partner = np.arange(3 * nq * nc)
         partner[plus] = minus
         partner[minus] = plus
+        partner_cell = np.tile(np.arange(nc), (3, 1))
         g_slot = np.zeros((2, 3, 1, nc))
-        for (cells, local), g in zip(sides, (g_plus, g_minus)):
-            g_slot[:, local, 0, cells] = g
+        for (cells, local), (other, _) in zip(sides, sides[::-1]):
+            partner_cell[local, cells] = other
+            g_slot[:, local, 0, cells] = np.einsum("fab,fa->bf", mesh.cell_jac[cells], tangent)
+        g_slot /= mesh.cell_detj
         ft = dict(
             table=np.ascontiguousarray(val.transpose(3, 0, 1, 2).reshape(6 * nq, self.n_loc)),
             normal=np.einsum("eqia,ea->eqi", val, REF_EDGE_NORMALS * REF_EDGE_LENGTHS[:, None])
             .reshape(3 * nq, self.n_loc),
-            weights=rule.weights[:, None], partner=partner, g_slot=g_slot,
-            plus=plus, minus=minus, g_plus=g_plus, g_minus=g_minus,
+            weights=rule.weights[:, None], partner=partner, partner_cell=partner_cell,
+            g_slot=g_slot,
         )
         self._facet_traces[order] = ft
         return ft

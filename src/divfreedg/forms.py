@@ -9,15 +9,16 @@ Convection runs over interior facets only, with tangential traces: every
 velocity here is H(div)-conforming (RT_k, or the curl of a continuous
 P_{k+1} stream function), so the jump w+ - w- is tangential and the normal
 parts of a local block cancel across each facet in the assembled operator
-(Cockburn, Kanschat and Schoetzau, J. Sci. Comput. 31, 2007).  The apply
-and the jump seminorm run on the slots, each reading a . n from its own
-outward normal trace, on cell-minor coefficients in any ``LocalBasis``
-(the RT_k basis, or the stream-function basis phi @ C_loc); the CN blocks
-read a . n_F from the plus side's trace.  The linearized convection and
-the SIP form are local blocks in one layout (``convection_blocks``,
-``sip_blocks``), assembled on the velocity DOFs by ``LocalBasis.assemble``,
-as the mass and divergence blocks are, or summed on the stream nodes over a
-pattern fixed per mesh (``block_pattern``) with one bincount.  The volume rules of the
+(Cockburn, Kanschat and Schoetzau, J. Sci. Comput. 31, 2007).  Every facet
+term runs on the slots, each slot reading its own outward normal and its
+partner's traces through ``RTSpace.facet_traces``: the apply and the jump
+seminorm on cell-minor coefficients in any ``LocalBasis`` (the RT_k basis,
+or the stream-function basis phi @ C_loc), and the linearized convection
+and the SIP form as local blocks in one layout (``_layout``: each cell
+with itself, each slot with its partner cell).  The blocks are assembled
+on the velocity DOFs by ``LocalBasis.assemble``, as the mass and
+divergence blocks are, or summed on the stream nodes over a pattern fixed
+per mesh (``block_pattern``) with one bincount.  The volume rules of the
 convection kernels are the exact ones for the degrees of their arguments
 (``_volume_order``); the facet rules are not exact, since the upwind
 weight |a . n| is no polynomial.
@@ -140,11 +141,6 @@ def _volume_tables(space, basis, order):
 # again its share of the seminorm; the outflow side's weight is 0.  A wall
 # slot is its own partner with g_slot = 0, so it adds nothing.
 
-def _sides(mesh, facets):
-    return ((mesh.facet_plus[facets], mesh.facet_plus_local[facets]),
-            (mesh.facet_minus[facets], mesh.facet_minus_local[facets]))
-
-
 def _basis_values(space, basis, a, w):
     """The basis a kernel runs in (``space.basis`` when ``basis`` is None)
     and the coefficients of the fields a and w in it (``gather`` checks
@@ -225,11 +221,6 @@ def assemble_div(space, q_space):
     return space.basis.assemble([(loc, slice(None), slice(None))], test=q_space.basis).tocsr()
 
 
-def _upwind_weights(an):
-    # 0.5 (|an| - an) and -0.5 (|an| + an), in two passes
-    return np.maximum(-an, 0.0), np.minimum(-an, 0.0)
-
-
 def apply_convection(space, a, w, basis=None, seminorm=False):
     """Residual vector r with r_i = c_h(a, w, phi_i).
 
@@ -284,69 +275,58 @@ def convection_tables(space, basis=None):
     """The tables of ``convection_blocks`` that do not depend on a, as plain
     arrays, in the functions phi @ coeffs of a ``LocalBasis`` (the RT_k
     basis when None): R[(a, b, d, q), (i, j)] = w_q phi_i[a] d_d phi_j[b]
-    at the cell rule, t_F . phi_j at the facet points of the plus then the
-    minus side of every interior facet (nfi, nq, 2 m), and for each slot
-    (cell, local edge) the index of its same-side facet block among the
-    plus blocks, then the minus blocks, then one zero block for the slots
-    on the boundary (n_cells, 3).  a enters
+    at the cell rule, and the tangential traces t_F . phi_j at every slot
+    point (3 nq n_cells, m), in the flat order of ``RTSpace.facet_traces``
+    and 0 on the wall slots, whose g_slot is 0.  a enters
     ``convection_blocks`` as an RT_k vector, so the cell rule is the one
     exact for a in RT_k and w, v in the basis (``_volume_order``: 3k on
     the stream basis); the facet rule is that of ``apply_convection``."""
     basis = space.basis if basis is None else basis
-    coeffs = basis.coeffs
+    coeffs, m = basis.coeffs, basis.coeffs.shape[1]
     cell_order = _volume_order(space, space.basis, basis)
     facet_order = default_facet_order(space.k)
     tab, ft = space.ref_tables(cell_order), space.facet_traces(facet_order)
     volume = np.einsum("q,qka,ki,qlbd,lj->abdqij", tab["rule"].weights, tab["val"], coeffs,
                        tab["grad"], coeffs, optimize=True)
-    trace = (ft["table"] @ coeffs).reshape(2, -1, coeffs.shape[1])
-    traces = [_dot(ft["g_" + side][:, :, None, None], trace[:, ft[side].T // space.mesh.n_cells])
-              for side in ("plus", "minus")]
-    mesh = space.mesh
-    nfi = len(mesh.interior_facets)
-    same_slots = np.full((mesh.n_cells, 3), 2 * nfi)
-    for i, side in enumerate(_sides(mesh, mesh.interior_facets)):
-        same_slots[side] = np.arange(i * nfi, (i + 1) * nfi)
+    trace = _dot(ft["g_slot"][..., None], (ft["table"] @ coeffs).reshape(2, 3, -1, 1, m))
     return dict(cell_order=cell_order, facet_order=facet_order,
-                volume=volume.reshape(8 * tab["nq"], -1), traces=np.concatenate(traces, axis=2),
-                same_slots=same_slots)
+                volume=volume.reshape(8 * tab["nq"], -1), traces=trace.reshape(-1, m))
+
+
+def _layout(space, cell_blocks, slot_blocks):
+    """The one block layout of the convection and SIP forms, (blk, test
+    cells, trial cells): each cell with itself, then each slot (local edge,
+    cell) with its ``partner_cell``, itself on the wall."""
+    cells = np.arange(space.mesh.n_cells)
+    partner = space.facet_traces(default_facet_order(space.k))["partner_cell"]
+    return [(cell_blocks, cells, cells), (slot_blocks, np.tile(cells, 3), partner.ravel())]
 
 
 def convection_blocks(space, a, tables):
     """Local blocks blk[:, i, j] = c_h(a, phi_j, phi_i), without cell signs,
-    as (blk, test cells, trial cells): each cell with itself, then across
-    each interior facet plus with minus and minus with plus, in the basis of
-    ``tables`` (``convection_tables``).  The volume blocks are one GEMM, F @
-    R with F[c, (a, b, d, q)] = G_ab(c) ahat_d(c, q).  The facet blocks pair
-    tangential traces, sum_q g_+- (t . phi_j)(t . phi_i) with the upwind
-    weights g_+- of a . n_F: a block lacks the normal part (n . phi_j)(n .
-    phi_i) of the full-vector pairing, but every trial function here is
-    H(div)-conforming, so those parts cancel across each facet in every
-    assembled entry."""
-    mesh, traces = space.mesh, tables["traces"]
-    nc, nfi, nq, m = mesh.n_cells, *traces.shape[:2], traces.shape[2] // 2
+    in the basis of ``tables`` (``convection_tables``), in ``_layout``.  The
+    volume blocks are one GEMM, F @ R with F[c, (a, b, d, q)] = G_ab(c)
+    ahat_d(c, q).  A slot's inflow weight (see the facet-trace kernel) times
+    t . phi_i, against t . phi_j of its own cell, joins the cell's block, and
+    against -t . phi_j of the partner, gathered through ``partner``, is the
+    slot block; a wall slot's traces are 0.  A block lacks the normal part
+    (n . phi_j)(n . phi_i) of the full-vector pairing, but every trial
+    function here is H(div)-conforming, so those parts cancel across each
+    facet in every assembled entry."""
+    traces = tables["traces"]
+    nc, m = space.mesh.n_cells, traces.shape[1]
     a_loc = space.basis.gather(_values(space, a))
     a_hat = a_loc.T @ space.ref_tables(tables["cell_order"])["val_flat"]
     loc = ((np.moveaxis(space.metric, -1, 0)[..., None, None] * a_hat.reshape(nc, 1, 1, -1, 2)
             .transpose(0, 1, 2, 4, 3)).reshape(nc, -1) @ tables["volume"]).reshape(nc, m, m)
 
-    # facets: each side's upwind weight times its test traces, against the
-    # trial traces [plus | -minus]; each cell gathers the same-side blocks
-    # of its three slots
     ft = space.facet_traces(tables["facet_order"])
-    flux = ft["weights"] * np.take(ft["normal"] @ a_loc, ft["plus"])
-    upwind = np.stack(_upwind_weights(flux.T), 2)
-    pair = (traces.reshape(nfi, nq, 2, m) * upwind[..., None]).reshape(traces.shape) \
-        .transpose(0, 2, 1) @ traces
-    pair[:, :, m:] *= -1.0
-    same = np.concatenate([pair[:, :m, :m], pair[:, m:, m:], np.zeros((1, m, m))])
-    slots = tables["same_slots"]
-    gathered = np.take(same, slots[:, 0], axis=0)
-    gathered += np.take(same, slots[:, 1], axis=0)
-    gathered += np.take(same, slots[:, 2], axis=0)
-    plus, minus = (side[0] for side in _sides(mesh, mesh.interior_facets))
-    return [(loc + gathered, np.arange(nc), np.arange(nc)),
-            (pair[:, :m, m:], plus, minus), (pair[:, m:, :m], minus, plus)]
+    inflow = np.maximum(-ft["weights"] * (ft["normal"] @ a_loc).reshape(3, -1, nc), 0.0)
+    own, other = (t.reshape(3, -1, nc, m).transpose(0, 2, 1, 3)
+                  for t in (traces, np.take(traces, ft["partner"], axis=0)))
+    test = (inflow[..., None] * traces.reshape(3, -1, nc, m)).transpose(0, 2, 3, 1)
+    loc += np.sum(test @ own, axis=0)
+    return _layout(space, loc, np.negative(test @ other).reshape(-1, m, m))
 
 
 def convection_matrix(space, a):
@@ -354,15 +334,15 @@ def convection_matrix(space, a):
     return space.basis.assemble(convection_blocks(space, a, convection_tables(space))).tocsr()
 
 
-def block_pattern(mesh, basis):
+def block_pattern(space, basis):
     """Sorted column-major keys col * n + row of the n x n matrix summed from
-    the blocks of ``convection_blocks`` in ``basis`` (n = ``basis.size``), and
-    the slot of every block entry among the keys (len(keys) for a function of
-    sign 0, which is dropped)."""
+    the blocks of ``convection_blocks`` and ``sip_blocks`` in ``basis`` (n =
+    ``basis.size``): every cell with itself and every slot with its partner
+    cell (``_layout``); and the slot of every block entry among the keys
+    (len(keys) for a function of sign 0, which is dropped)."""
     n, index = basis.size, np.where(basis.signs != 0, basis.dofs, -1).T
-    plus, minus = (side[0] for side in _sides(mesh, mesh.interior_facets))
-    pairs = [np.broadcast_arrays(test[:, :, None], trial[:, None, :]) for test, trial
-             in ((index, index), (index[plus], index[minus]), (index[minus], index[plus]))]
+    pairs = [np.broadcast_arrays(index[test][:, :, None], index[trial][:, None, :])
+             for _, test, trial in _layout(space, None, None)]
     rows, cols = (np.concatenate([p[i].ravel() for p in pairs]) for i in (0, 1))
     # a dropped entry gets the key n * n, which sorts after every kept one
     keys, slots = np.unique(np.where((rows >= 0) & (cols >= 0), cols * n + rows, n * n),
@@ -383,37 +363,43 @@ def jump_seminorm(space, a, v, basis=None):
 # -- the SIP form ---------------------------------------------------------------------
 #
 # phi = J phi_ref / det J and grad phi = J G J^{-1} / det J on an affine cell,
-# so d . phi = g . phi_ref and d . (grad phi n_F) = g . G J^{-1} n_F with
-# g = J^T d / det J, for any vector d.
+# so d . phi = g . phi_ref and d . (grad phi n) = g . G J^{-1} n with
+# g = J^T d / det J, for any vector d.  The facet integrand reads the same
+# from either side (the jump and the normal both change sign), so each slot
+# takes the rows of its own test functions, along its own outward normal.
 
-def _sip_traces(space, sigma, facets, sides, dirs, coeffs):
-    """For the vectors d (nf, nd, nq or 1, 2) at the points of ``facets``, in
-    rows (d, q) and columns (side, i) over the slots ``sides`` (plus, then
-    minus inside): the traces X of d . [phi] and Y of d . {grad phi n_F} of
-    phi @ ``coeffs``, Z = w_q |F| (sigma/|F| X - Y) and w_q |F| X."""
-    mesh, n, m = space.mesh, len(sides), coeffs.shape[1]
+def _sip_traces(space, sigma, coeffs, points):
+    """On the slot points ``points`` (flat indices of ``facet_traces``), in
+    rows d = t, n of the slot's outward normal n and t = n rotated by +90
+    degrees: the directions (len(points), 2, 2), and the traces X of d . phi_i
+    and Y of s d . (grad phi_i n) of phi @ ``coeffs``, s = 1/2 on an interior
+    slot (the average) and 1 on the wall, Z = w_q |F| (sigma/|F| X - Y) and
+    w_q |F| X, each (len(points), 2, m)."""
+    mesh = space.mesh
     rule, val, grad = space.ref.edge_traces(default_facet_order(space.k))
-    val, grad = np.moveaxis(val, 2, -1) @ coeffs, np.moveaxis(grad, 2, -1) @ coeffs
-    nq, point = len(rule), np.arange(len(rule))
-    x, y = [], []
-    for sign, (cells, local) in zip((1.0, -1.0), sides):
-        q = np.where(mesh.cell_facet_reversed[cells, local][:, None] == 1, nq - 1 - point, point)
-        g = space.piola_transpose(cells[:, None, None], dirs)
-        h = np.einsum("fab,fb->fa", mesh.cell_jac_inv[cells], mesh.facet_normal[facets])
-        x.append(sign * np.einsum("fdqa,fqam->fdqm", g, val[local[:, None], q]))
-        y.append(np.einsum("fdqa,fb,fqabm->fdqm", g, h, grad[local[:, None], q]) / n)
-    w = (np.tile(rule.weights, dirs.shape[1]) * mesh.facet_length[facets][:, None])[..., None]
-    x, y = (np.concatenate(t, axis=-1).reshape(w.shape[:2] + (n * m,)) for t in (x, y))
-    return x, y, w * ((sigma / mesh.facet_length[facets])[:, None, None] * x - y), w * x
+    local, q, cells = np.unravel_index(points, (3, len(rule), mesh.n_cells))
+    facets = mesh.cell_facets[cells, local]
+    side = np.where(mesh.facet_plus[facets] == cells, 1.0, -1.0)
+    normal = side[:, None] * mesh.facet_normal[facets]
+    dirs = np.stack([normal @ [[0.0, 1.0], [-1.0, 0.0]], normal], axis=1)
+    g = space.piola_transpose(cells[:, None], dirs)
+    h = np.einsum("pab,pb->pa", mesh.cell_jac_inv[cells], normal)
+    h *= np.where(mesh.facet_minus[facets] < 0, 1.0, 0.5)[:, None]
+    x = g @ (np.moveaxis(val, 2, -1) @ coeffs)[local, q]
+    y = g @ np.einsum("pabm,pb->pam", (np.moveaxis(grad, 2, -1) @ coeffs)[local, q], h)
+    length = mesh.facet_length[facets][:, None, None]
+    w = rule.weights[q][:, None, None] * length
+    return dirs, x, y, w * (sigma / length * x - y), w * x
 
 
 def sip_blocks(space, params, coeffs=None):
-    """Local blocks blk[:, i, j] = a_h(phi_j, phi_i) of the SIP form in the
-    layout of ``convection_blocks``, of phi @ ``coeffs`` (the RT_k basis when
-    None); a facet's same-side blocks join their cells'.  The volume blocks are
-    one GEMM of (J^T J) x (J^{-1} J^{-T}) / det J against sum_q w_q G_i[a, c]
-    G_j[b, d]; the facet blocks pair the traces X, Y of ``_sip_traces`` along
-    t_F and n_F: sum w_q |F| (sigma/|F| X_i X_j - Y_i X_j - X_i Y_j)."""
+    """Local blocks blk[:, i, j] = a_h(phi_j, phi_i) of the SIP form of
+    phi @ ``coeffs`` (the RT_k basis when None) in ``_layout``.  The volume
+    blocks are one GEMM of (J^T J) x (J^{-1} J^{-T}) / det J against sum_q
+    w_q G_i[a, c] G_j[b, d].  A slot pairs w_q |F| (sigma/|F| X_i X_j - Y_i
+    X_j - X_i Y_j) as [Z, -wX]^T [X, Y] of ``_sip_traces``: its own traces
+    join its cell's block, and the partner's own traces at its points, whose
+    t and n are the slot's negated, make the slot block (0 on the wall)."""
     coeffs = np.eye(space.n_loc) if coeffs is None else coeffs
     mesh, m = space.mesh, coeffs.shape[1]
     tab = space.ref_tables(default_cell_order(space.k))
@@ -422,16 +408,16 @@ def sip_blocks(space, params, coeffs=None):
     scale = np.einsum("c,abc,ceg,cfg->cabef", mesh.cell_detj, space.metric,
                       mesh.cell_jac_inv, mesh.cell_jac_inv).reshape(-1, 16)
     loc = (scale @ ref.reshape(16, -1)).reshape(-1, m, m)
-    for facets, n in ((mesh.boundary_facets, 1), (mesh.interior_facets, 2)):
-        sides, normal = _sides(mesh, facets)[:n], mesh.facet_normal[facets]
-        dirs = np.stack([normal @ [[0.0, 1.0], [-1.0, 0.0]], normal], axis=1)[:, :, None]
-        x, y, z, wx = _sip_traces(space, params.sigma, facets, sides, dirs, coeffs)
-        pair = np.concatenate([z, -wx], axis=1).transpose(0, 2, 1) @ np.concatenate([x, y], axis=1)
-        for s, (cells, _) in enumerate(sides):
-            np.add.at(loc, cells, pair[:, s * m:(s + 1) * m, s * m:(s + 1) * m])
-    (plus, _), (minus, _) = sides
-    cells = np.arange(mesh.n_cells)
-    return [(loc, cells, cells), (pair[:, :m, m:], plus, minus), (pair[:, m:, :m], minus, plus)]
+    partner = space.facet_traces(default_facet_order(space.k))["partner"]
+    _, x, y, z, wx = _sip_traces(space, params.sigma, coeffs, np.arange(len(partner)))
+    test, own = np.concatenate([z, -wx], axis=1), np.concatenate([x, y], axis=1)
+    across = own[partner]
+    across[partner == np.arange(len(partner))] = 0.0
+    test, own, across = (t.reshape(3, -1, mesh.n_cells, 4, m).transpose(0, 2, 1, 3, 4)
+                         .reshape(3, mesh.n_cells, -1, m) for t in (test, own, across))
+    test = test.transpose(0, 1, 3, 2)
+    loc += np.sum(test @ own, axis=0)
+    return _layout(space, loc, (test @ across).reshape(-1, m, m))
 
 
 def assemble_sip(space, params=None):
@@ -451,16 +437,19 @@ def assemble_sip_boundary_load(space, g, params=None):
                                           + (sigma/h_F) g . phi_i ] ds
 
     Pairs with assemble_sip so manufactured boundary velocities enter the
-    viscous scheme consistently; ``_sip_traces`` takes d = g(x_q).
+    viscous scheme consistently: r = Z^T (d . g) over the rows d of
+    ``_sip_traces`` on the wall slots' points.
     """
     params = (params or FormParams()).resolve(space.k)
-    mesh, bb = space.mesh, space.mesh.boundary_facets
-    a, b = np.split(mesh.vertices[mesh.facet_vertices[bb]], 2, axis=1)
-    pts = a + segment_rule(default_facet_order(space.k)).points[:, None] * (b - a)
-    gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-    sides = _sides(mesh, bb)[:1]
-    z = _sip_traces(space, params.sigma, bb, sides, gv[:, None], np.eye(space.n_loc))[2]
-    return space.basis.scatter(z.sum(axis=1).T, sides[0][0])
+    mesh, order = space.mesh, default_facet_order(space.k)
+    rule, partner = segment_rule(order), space.facet_traces(order)["partner"]
+    wall = np.flatnonzero(partner == np.arange(len(partner)))
+    local, q, cells = np.unravel_index(wall, (3, len(rule), mesh.n_cells))
+    ref = space.ref.edge_points(rule.points)[local, q]
+    pts = mesh.vertices[mesh.cells[cells, 0]] + np.einsum("pab,pb->pa", mesh.cell_jac[cells], ref)
+    gv = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
+    dirs, _, _, z, _ = _sip_traces(space, params.sigma, np.eye(space.n_loc), wall)
+    return space.basis.scatter(np.einsum("pdi,pda,pa->ip", z, dirs, gv), cells)
 
 
 def assemble_load(space, f):

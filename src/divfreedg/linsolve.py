@@ -241,7 +241,7 @@ class StreamFunctionProjection(_FactorizedSystem):
         """``forms.block_pattern`` on the stream nodes, the pattern of the CN
         operator and of C^T A C, as CSC indices and indptr, with K on it."""
         n, k = self.matrix.shape[0], self.matrix.tocoo()
-        keys, slots = forms.block_pattern(self.space.mesh, self.basis)
+        keys, slots = forms.block_pattern(self.space, self.basis)
         return (keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slots,
                 np.bincount(np.searchsorted(keys, k.col * n + k.row), k.data, len(keys)))
 

@@ -27,8 +27,8 @@ class Mesh:
     cell_facets : (nc, 3) int array, facet id of the edge opposite vertex i
     cell_facet_reversed : (nc, 3) int array, 1 where the cell's
         counterclockwise edge runs from the higher- to the lower-index vertex,
-        else 0: such a slot reads the facet's points backwards in every
-        facet form (``RTSpace.facet_traces``, ``forms._sip_traces``)
+        else 0: such a slot reads the facet's points backwards, which
+        ``RTSpace.facet_traces`` folds into each slot point's partner
     facet_vertices : (nf, 2) int array, ascending
     facet_plus, facet_minus : (nf,) int arrays, facet_minus = -1 on the boundary
     facet_plus_local, facet_minus_local : (nf,) int arrays, local edge index

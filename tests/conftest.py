@@ -232,6 +232,19 @@ def edge_tables(space, order):
                 grad=rg.reshape(3, 2, nq, space.n_loc, 2, 2))
 
 
+def facet_sides(mesh, facets):
+    """The (cells, local edges) of the plus and of the minus side of
+    ``facets``, read from the mesh's facet adjacency."""
+    return ((mesh.facet_plus[facets], mesh.facet_plus_local[facets]),
+            (mesh.facet_minus[facets], mesh.facet_minus_local[facets]))
+
+
+def upwind_weights(an):
+    """The upwind weights of the plus and the minus side for a . n_F:
+    1/2 (|an| - an) and -1/2 (|an| + an)."""
+    return 0.5 * (np.abs(an) - an), -0.5 * (np.abs(an) + an)
+
+
 def piola_gradient(space, cells, ref_grad):
     """Physical gradients J G J^{-1} / det J of reference gradients G in
     ``cells``, which broadcast against their leading axes."""
@@ -274,7 +287,7 @@ def physical_sip(space, params=None):
         pen = penalty[facets]
         avg_w = 0.5 if two_sided else 1.0
         sides = []
-        for side, jump_sign in zip(forms._sides(mesh, facets)[:1 + two_sided], (1.0, -1.0)):
+        for side, jump_sign in zip(facet_sides(mesh, facets)[:1 + two_sided], (1.0, -1.0)):
             val, grad = edge_basis(space, side, etab["val"], etab["grad"])
             sides.append((side[0], val, np.einsum("fqiab,fb->fqia", grad, nrm), jump_sign))
         for tcells, tv, tgn, st in sides:
@@ -298,7 +311,7 @@ def physical_sip_boundary_load(space, g, params=None):
     pts = a[:, None, :] + etab["rule"].points[None, :, None] * (b - a)[:, None, :]
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     wq = facet_weights(mesh, etab, bb)
-    plus = forms._sides(mesh, bb)[0]
+    plus = facet_sides(mesh, bb)[0]
     val, grad = edge_basis(space, plus, etab["val"], etab["grad"])
     gn = np.einsum("fqiab,fb->fqia", grad, mesh.facet_normal[bb])
     pen = (params.sigma / mesh.facet_length[bb])[:, None]
@@ -369,9 +382,9 @@ def full_jump_apply(space, a, w, cell_order=None, facet_order=None):
 
     etab = edge_tables(space, facet_order)
     ii = mesh.interior_facets
-    gp, gm = forms._upwind_weights(facet_normal_values(space, etab, av)[ii])
+    gp, gm = upwind_weights(facet_normal_values(space, etab, av)[ii])
     wq = facet_weights(mesh, etab, ii)
-    plus, minus = forms._sides(mesh, ii)
+    plus, minus = facet_sides(mesh, ii)
     trace = _edge_field(space, etab, w_loc)
     jump = trace[plus] - trace[minus]
     s = np.zeros_like(trace)
@@ -389,7 +402,7 @@ def full_jump_seminorm(space, a, v, facet_order=None):
     etab = edge_tables(space, facet_order)
     ii = mesh.interior_facets
     an = facet_normal_values(space, etab, av)[ii]
-    plus, minus = forms._sides(mesh, ii)
+    plus, minus = facet_sides(mesh, ii)
     trace = _edge_field(space, etab, space.basis.gather(vv).T)
     jump2 = np.sum((trace[plus] - trace[minus]) ** 2, axis=-1)
     return float(np.sum(facet_weights(mesh, etab, ii) * 0.5 * np.abs(an) * jump2))
@@ -397,11 +410,12 @@ def full_jump_seminorm(space, a, v, facet_order=None):
 
 def full_vector_convection_blocks(space, a, basis=None, cell_order=None, facet_order=None):
     """``forms.convection_blocks`` as it was before the tangential-trace
-    kernel, (blk, test cells, trial cells): the volume blocks through
-    two 2x2 products per point, and facet blocks pairing full vectors
-    sum_q g_+- phi_j . phi_i of the physical traces (``edge_basis`` on the
-    two-orientation ``edge_tables``).  The phi are the RT_k reference
-    basis, or with ``basis`` (n_loc, m) phi @ basis."""
+    kernel, in the library's layout (each cell with itself, then each slot
+    (local edge, cell) with the cell across its facet, itself on the wall):
+    the volume blocks through two 2x2 products per point, and facet blocks
+    pairing full vectors sum_q g_+- phi_j . phi_i of the physical traces
+    (``edge_basis`` on the two-orientation ``edge_tables``).  The phi are
+    the RT_k reference basis, or with ``basis`` (n_loc, m) phi @ basis."""
     av = forms._values(space, a)
     cell_order = cell_order or forms.default_cell_order(space.k)
     facet_order = facet_order or forms.default_facet_order(space.k)
@@ -422,20 +436,23 @@ def full_vector_convection_blocks(space, a, basis=None, cell_order=None, facet_o
         .reshape(nc, m, m).transpose(0, 2, 1)
 
     ii = mesh.interior_facets
-    gp, gm = forms._upwind_weights(facet_weights(mesh, etab, ii)
-                                   * facet_normal_values(space, etab, av)[ii])
-    plus, minus = forms._sides(mesh, ii)
+    gp, gm = upwind_weights(facet_weights(mesh, etab, ii)
+                            * facet_normal_values(space, etab, av)[ii])
+    plus, minus = facet_sides(mesh, ii)
     vp = edge_basis(space, plus, edge_val)
     vm = edge_basis(space, minus, edge_val)
 
     def pair(g, trial, test):
         return np.einsum("fq,fqja,fqia->fij", g, trial, test, optimize=True)
 
-    same = np.zeros((nc, 3, m, m))
-    same[plus] = pair(gp, vp, vp)
-    same[minus] = -pair(gm, vm, vm)
-    return [(loc + same.sum(axis=1), np.arange(nc), np.arange(nc)),
-            (-pair(gp, vm, vp), plus[0], minus[0]), (pair(gm, vp, vm), minus[0], plus[0])]
+    cells = np.arange(nc)
+    same, cross = np.zeros((2, 3, nc, m, m))
+    across = np.tile(cells, (3, 1))
+    same[plus[::-1]], same[minus[::-1]] = pair(gp, vp, vp), -pair(gm, vm, vm)
+    cross[plus[::-1]], cross[minus[::-1]] = -pair(gp, vm, vp), pair(gm, vp, vm)
+    across[plus[::-1]], across[minus[::-1]] = minus[0], plus[0]
+    return [(loc + same.sum(axis=0), cells, cells),
+            (cross.reshape(-1, m, m), np.tile(cells, 3), across.ravel())]
 
 
 def use_full_vector_kernel(monkeypatch):

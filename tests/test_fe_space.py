@@ -11,7 +11,7 @@ from divfreedg.fe_space import (REF_EDGE_LENGTHS, REF_EDGE_NORMALS,
 from divfreedg.mesh import Mesh
 from divfreedg.quadrature import segment_rule, triangle_rule
 from conftest import (dg_evaluate, dg_project, edge_tables, evaluate, facet_normal_values,
-                      loop_assemble, map_to_physical, map_to_reference, trace_points)
+                      facet_sides, loop_assemble, map_to_physical, map_to_reference, trace_points)
 
 
 def piola_map(jacobian, ref_value, ref_div=None, ref_grad=None):
@@ -427,10 +427,13 @@ def test_normal_trace_legendre_reconstruction(k):
     ft = space.facet_traces(order)
     loc = space.basis.gather(coeffs)
     flux = ((ft["normal"] @ loc).reshape(3, len(rule), -1) * ft["weights"]).ravel()
-    ii = mesh.interior_facets
+    ii, nq, point = mesh.interior_facets, len(rule), np.arange(len(rule))[:, None]
     want = rule.weights[:, None] * mesh.facet_length[ii] * rebuilt[ii].T
-    for side, sign in (("plus", 1.0), ("minus", -1.0)):
-        assert np.abs(flux[ft[side]] - sign * want).max() < 1e-11 * np.abs(want).max()
+    for (cells, local), sign in zip(facet_sides(mesh, ii), (1.0, -1.0)):
+        # the flat slot index (local edge, point, cell) of each facet point
+        q = np.where(mesh.cell_facet_reversed[cells, local] == 1, nq - 1 - point, point)
+        got = flux[(local * nq + q) * mesh.n_cells + cells]
+        assert np.abs(got - sign * want).max() < 1e-11 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -438,14 +441,16 @@ def test_normal_trace_legendre_reconstruction(k):
 def test_slot_tables_pair_every_point_with_its_partner(k, n, perturb, seed):
     # partner is an involution that pairs each interior slot point with the
     # other side's point at the same physical place, and fixes the wall
-    # slots; g_slot is J^T t_F / det J of the slot's own cell, the same
-    # facet tangent on both sides, and 0 on the wall
+    # slots; partner_cell is the cell across each slot's facet (its own on
+    # the wall), and holds every partner point; g_slot is J^T t_F / det J of
+    # the slot's own cell, the same facet tangent on both sides, and 0 on
+    # the wall
     mesh = build_structured(n, perturb, seed=seed)
     order = forms.default_facet_order(k)
     ft, rule = RTSpace(mesh, k).facet_traces(order), segment_rule(order)
     nq, nc = len(rule), mesh.n_cells
     partner, slots = ft["partner"], np.arange(3 * nq * nc)
-    assert partner.dtype == np.int32 and np.array_equal(partner[partner], slots)
+    assert partner.dtype == np.intp and np.array_equal(partner[partner], slots)
 
     edge, point, cell = np.unravel_index(slots, (3, nq, nc))
     first, second = (REF_VERTICES[np.take(REF_EDGE_VERTICES, edge, axis=0)[:, i]] for i in (0, 1))
@@ -454,6 +459,12 @@ def test_slot_tables_pair_every_point_with_its_partner(k, n, perturb, seed):
     wall = mesh.facet_minus[facet] < 0
     assert np.array_equal(partner == slots, wall)
     assert np.abs(x[partner] - x).max() <= 1e-14
+
+    facets, own = mesh.cell_facets.T, np.arange(nc)
+    plus, minus = mesh.facet_plus[facets], mesh.facet_minus[facets]
+    across = np.where(minus < 0, own, np.where(plus == own, minus, plus))
+    assert ft["partner_cell"].dtype == np.intp and np.array_equal(ft["partner_cell"], across)
+    assert np.array_equal(cell[partner], across[edge, cell])
 
     normal = mesh.facet_normal[facet]
     tangent = np.stack([-normal[:, 1], normal[:, 0]], axis=-1)

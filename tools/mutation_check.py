@@ -16,9 +16,10 @@ the CFL search down to its floor of tau, 1e-5.  The slowest test of the
 unmutated quick suite takes about 1 s.  A mutant that no test kills
 survives; the script exits 1 if one does, or if the unmutated suite fails.
 A mutant takes the quick suite's 15 to 25 s on two cores, and one that
-breaks the apply's upwind terms up to 200 s, as its runs blow up (17 min for
-all 33), so the script is kept out of the test suite; the nightly CI job
-runs it.
+breaks the apply's upwind terms up to 200 s, as its runs blow up (20 min for
+all 38), so the script is kept out of the test suite; the nightly CI job
+runs it.  ``tests/test_mutation_check.py`` checks in the quick suite that
+each mutant's text occurs once in its module, without running one.
 """
 
 import argparse
@@ -44,28 +45,15 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     # planted by hand in earlier changes
-    Mutant("minus_trial_traces_flipped", "forms",
-           "    pair[:, :, m:] *= -1.0\n", ""),
-    Mutant("sip_without_x_i_y_j", "forms",
-           "pair = np.concatenate([z, -wx], axis=1).transpose(0, 2, 1) @ np.concatenate([x, y], axis=1)",
-           "pair = z.transpose(0, 2, 1) @ x"),
-    Mutant("sip_same_jump_sign_both_sides", "forms",
-           "zip((1.0, -1.0), sides)", "zip((1.0, 1.0), sides)"),
     Mutant("viscous_dissipation_halved", "integrators",
            "return jump + disc.params.nu * float(", "return jump + 0.5 * disc.params.nu * float("),
     Mutant("assemble_keeps_sign_zero_triplets", "fe_space",
            "live = (s_test != 0) & (s_trial != 0)", "live = np.ones(s_test.shape, dtype=bool)"),
     Mutant("scatter_drops_signs", "fe_space",
            "weights=(r_loc * self.signs[:, cells]).ravel()", "weights=r_loc.ravel()"),
-    # the upwind weights of the CN blocks (and of the tests' oracles), the
-    # seminorm made signed (one jump factor), the RK2 stage and the blow-up gate
-    Mutant("upwind_weight_without_abs", "forms",
-           "return np.maximum(-an, 0.0), np.minimum(-an, 0.0)", "return -0.5 * an, -0.5 * an"),
+    # the seminorm made signed (one jump factor)
     Mutant("upwind_seminorm_signed", "forms",
            "np.sum(upwind * jump)", "np.sum(upwind)"),
-    Mutant("upwind_weights_swapped", "forms",
-           "return np.maximum(-an, 0.0), np.minimum(-an, 0.0)",
-           "return np.minimum(-an, 0.0), np.maximum(-an, 0.0)"),
     # the slot kernel of the apply and the seminorm: the inflow weight
     # without its max, the outflow side's weight in its place, every slot
     # its own partner (every jump 0), and the minus slots' g_slot taken
@@ -77,7 +65,26 @@ MUTANTS = [
     Mutant("partner_is_identity", "fe_space",
            "        partner[plus] = minus\n        partner[minus] = plus\n", ""),
     Mutant("minus_g_slot_from_plus_cell", "fe_space",
-           "zip(sides, (g_plus, g_minus))", "zip(sides, (g_plus, g_plus))"),
+           'np.einsum("fab,fa->bf", mesh.cell_jac[cells], tangent)',
+           'np.einsum("fab,fa->bf", mesh.cell_jac[sides[0][0]], tangent)'),
+    # the slot blocks of the CN operator: the central weight -a . n / 2 in
+    # place of the upwind one, the outflow side's weight, and the partner's
+    # trial traces not negated in the slot block
+    Mutant("upwind_weight_without_abs", "forms",
+           'inflow = np.maximum(-ft["weights"] * (ft["normal"] @ a_loc).reshape(3, -1, nc), 0.0)',
+           'inflow = -0.5 * ft["weights"] * (ft["normal"] @ a_loc).reshape(3, -1, nc)'),
+    Mutant("upwind_weights_swapped", "forms",
+           'inflow = np.maximum(-ft["weights"] * (ft["normal"] @ a_loc).reshape(3, -1, nc), 0.0)',
+           'inflow = np.maximum(ft["weights"] * (ft["normal"] @ a_loc).reshape(3, -1, nc), 0.0)'),
+    Mutant("partner_trial_traces_flipped", "forms",
+           "np.negative(test @ other)", "(test @ other)"),
+    # the slot blocks of the SIP form: the partner's traces read with the
+    # slot's own sign of the jump, and the X_i Y_j term dropped
+    Mutant("sip_same_jump_sign_both_sides", "forms",
+           "across = own[partner]", "across = np.concatenate([-x, y], axis=1)[partner]"),
+    Mutant("sip_without_x_i_y_j", "forms",
+           "np.concatenate([z, -wx], axis=1)", "np.concatenate([z, 0.0 * wx], axis=1)"),
+    # the RK2 stage and the blow-up gate
     Mutant("rk2_second_stage_reads_psi", "integrators",
            "_stage_rhs(disc, stage, problem, t + tau, load_at)",
            "_stage_rhs(disc, psi, problem, t + tau, load_at)"),
@@ -134,6 +141,21 @@ MUTANTS = [
            "position = np.argsort(probe.perm_c).astype(np.intp)"),
     Mutant("viscous_wall_load_dropped", "integrators",
            "    if problem is None:\n        return 0.0\n", "    return 0.0\n"),
+    # the time levels of the steps: f_next's second-stage load at t, CN's
+    # load at t + tau, CN advected by u^n instead of its extrapolation, RK2
+    # cut to its Euler predictor, and f_taylor without its tau df/dt term
+    Mutant("f_next_second_stage_load_at_t", "integrators",
+           'load_at = (t, tau) if config.f_mode == "f_taylor" else (t + tau,)',
+           'load_at = (t, tau) if config.f_mode == "f_taylor" else (t,)'),
+    Mutant("cn_load_at_t_plus_tau", "integrators",
+           "t_load = state.t + 0.5 * tau", "t_load = state.t + tau"),
+    Mutant("cn_without_extrapolated_advection", "integrators",
+           "psi_a = 1.5 * psi - 0.5 * state.psi_prev", "psi_a = psi"),
+    Mutant("rk2_reduced_to_euler_predictor", "integrators",
+           "psi_next = 0.5 * (psi + stage) + linsolve.project_div_free(proj, 0.5 * tau * rhs)",
+           "psi_next = stage"),
+    Mutant("f_taylor_without_dt_term", "integrators",
+           "coeffs = coeffs + tau_taylor * problem.dt_f_coeffs(t)", "coeffs = coeffs"),
 ]
 
 
@@ -174,8 +196,10 @@ def copy_tree(dest):
 def failing_tests(tree):
     """The ids of the quick-suite tests that fail or error in ``tree``, and
     the suite's seconds."""
+    # the check that every mutant's text occurs once fails under any mutant
     command = [sys.executable, "-m", "pytest", "-q", "-m", "not slow", "-rfE",
-               "-p", "no:cacheprovider", "-p", "mutant_limits"]
+               "-p", "no:cacheprovider", "-p", "mutant_limits",
+               "--ignore", "tests/test_mutation_check.py"]
     started = time.perf_counter()
     result = subprocess.run(command, cwd=tree, env=dict(os.environ, PYTHONPATH="src"),
                             capture_output=True, text=True)
